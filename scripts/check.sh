@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health check: lint (when available) + tests + benchmark smoke.
+# Repo health check: lint (when available) + tests + bench smoke and trend
+# gate + the repo benchmark's smoke test.
 #
 #   ./scripts/check.sh
 #
@@ -9,6 +10,8 @@
 #   3. python -m scripts.bench_baseline --check   (incl. the obs stage:
 #      disabled-telemetry overhead + stitched pooled-trace invariance)
 #   4. python -m scripts.bench_report --check   (perf-trend regression gate)
+#   5. python3 perfbench/smoke.py   (every benchmark workload at a tiny scale,
+#      untraced and traced: metrics present, reference checks pass; ~40 s)
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -35,5 +38,8 @@ python -m scripts.bench_baseline --check
 
 echo "== bench_report --check =="
 python -m scripts.bench_report --check
+
+echo "== perfbench smoke =="
+python3 perfbench/smoke.py
 
 echo "== all checks passed =="

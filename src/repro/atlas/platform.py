@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.atlas.echo import (
     TEST_ADDRESS,
     EchoRecord,
@@ -43,11 +45,6 @@ from repro.netsim.cpe import eui64_iid
 from repro.netsim.isp import Isp
 from repro.netsim.sim import SubscriberTimeline
 from repro.obs import get_logger, metric_inc, telemetry_enabled
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
 
 _log = get_logger("atlas.platform")
 
@@ -260,7 +257,7 @@ class AtlasPlatform:
         — bit-identical runs, identical RNG draw order — instead of the
         per-interval Python loops of the reference path.
         """
-        if np is not None and resolve_engine(engine) == "np":
+        if resolve_engine(engine) == "np":
             try:
                 return self._record_collection(spec, self._probe_data_np(spec))
             except FALLBACK_ERRORS as exc:
@@ -348,8 +345,6 @@ class AtlasPlatform:
         path.  Dual-stack gating matches :meth:`probe_data`: a spec on a
         v4-only subscriber line contributes an empty IPv6 slice.
         """
-        if np is None:
-            raise RuntimeError("run_columns requires numpy")
         from repro.core.analysis_np import RunColumns
 
         per_probe: List[Tuple[np.ndarray, ...]] = []
@@ -626,7 +621,7 @@ def _pack_segments(
     return starts, ends, value_hi, value_lo
 
 
-_EMPTY_RUN_ARRAYS: Tuple[np.ndarray, ...] = () if np is None else (
+_EMPTY_RUN_ARRAYS: Tuple[np.ndarray, ...] = (
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),

@@ -16,7 +16,7 @@ and a routing table, :func:`sanitize` applies, in order:
 6. **Virtual-probe splitting** — probes that switch AS once and never
    return (owner changed ISP) are split into one virtual probe per AS.
 7. **Short-duration filter** — (virtual) probes observed for less than
-   a month are dropped.
+   a month are dropped, as are probes left with no routed run at all.
 
 The output is a list of :class:`SanitizedProbe` plus a
 :class:`SanitizationReport` with per-filter counts.
@@ -92,15 +92,11 @@ def _count_reversions(runs: Sequence[EchoRun]) -> int:
     )
 
 
-def _as_sequence(
-    runs: Sequence[EchoRun], table: RoutingTable
-) -> List[Tuple[int, int]]:
-    """Collapsed (asn, first_hour) sequence of the probe's runs."""
+def _as_sequence(runs: Sequence[EchoRun], asns: Sequence[int]) -> List[Tuple[int, int]]:
+    """Collapsed (asn, first_hour) sequence of the probe's runs, given
+    each run's origin ASN."""
     sequence: List[Tuple[int, int]] = []
-    for run in runs:
-        asn = table.origin_asn(run.value)
-        if asn is None:
-            continue
+    for run, asn in zip(runs, asns):
         if not sequence or sequence[-1][0] != asn:
             sequence.append((asn, run.first))
     return sequence
@@ -120,17 +116,22 @@ def _alternates(sequence: Sequence[Tuple[int, int]]) -> bool:
 
 def _strip_runs(
     runs: Sequence[EchoRun], table: RoutingTable, report: SanitizationReport
-) -> List[EchoRun]:
+) -> Tuple[List[EchoRun], List[int]]:
+    """Drop test-address and unrouted runs; returns the kept runs and
+    each kept run's origin ASN."""
     kept: List[EchoRun] = []
+    asns: List[int] = []
     for run in runs:
         if run.value == TEST_ADDRESS:
             report.test_address_runs_removed += 1
             continue
-        if table.origin_asn(run.value) is None:
+        asn = table.origin_asn(run.value)
+        if asn is None:
             report.unrouted_runs_removed += 1
             continue
         kept.append(run)
-    return kept
+        asns.append(asn)
+    return kept, asns
 
 
 def _split_hours(
@@ -213,8 +214,8 @@ def _sanitize(
             report.dropped_atypical_nat += 1
             continue
 
-        v4_runs = _strip_runs(data.v4_runs, table, report)
-        v6_runs = _strip_runs(data.v6_runs, table, report)
+        v4_runs, v4_asns = _strip_runs(data.v4_runs, table, report)
+        v6_runs, v6_asns = _strip_runs(data.v6_runs, table, report)
 
         if (
             _count_reversions(v4_runs) >= reversion_threshold
@@ -223,13 +224,17 @@ def _sanitize(
             report.dropped_multihomed += 1
             continue
 
-        v4_sequence = _as_sequence(v4_runs, table)
-        v6_sequence = _as_sequence(v6_runs, table)
+        v4_sequence = _as_sequence(v4_runs, v4_asns)
+        v6_sequence = _as_sequence(v6_runs, v6_asns)
         if _alternates(v4_sequence) or _alternates(v6_sequence):
             report.dropped_multihomed += 1
             continue
 
         segments = _split_hours(v4_sequence, v6_sequence)
+        if not segments:
+            # No routed run left: a 0 h routed span, below any minimum.
+            report.dropped_short += 1
+            continue
         if _alternates(segments):
             report.dropped_multihomed += 1
             continue
@@ -262,8 +267,6 @@ def _cut_into_virtual_probes(
     segments: List[Tuple[int, int]],
 ) -> List[Tuple[str, int, List[EchoRun], List[EchoRun]]]:
     """One (id, asn, v4, v6) tuple per AS segment of the probe's life."""
-    if not segments:
-        return []
     if len(segments) == 1:
         return [(str(data.probe.probe_id), segments[0][0], v4_runs, v6_runs)]
     pieces = []

@@ -678,82 +678,6 @@ def cpl_histogram_np(prefix_cols: RunColumns, plen: int = 64) -> CplHistogram:
     return CplHistogram(changes_by_cpl=changes_by_cpl, probes_by_cpl=probes_by_cpl)
 
 
-@dataclass
-class _RouteIntervalIndex:
-    """Longest-prefix matching as a flat sorted-interval lookup.
-
-    ``ids[k]`` is the route id (or -1) of every address in
-    ``[bounds[k], bounds[k + 1])``; ``bounds[0]`` is 0 so every address
-    lands in exactly one interval.  Because routed prefixes nest or are
-    disjoint (never partially overlap), a single left-to-right sweep
-    with a containment stack flattens the trie exactly.
-    """
-
-    bounds: np.ndarray  # uint64, strictly increasing, bounds[0] == 0
-    ids: np.ndarray  # int64, -1 = unrouted
-
-    def lookup(self, addresses: np.ndarray) -> np.ndarray:
-        """Route id of each address (-1 = unrouted)."""
-        return self.ids[np.searchsorted(self.bounds, addresses, side="right") - 1]
-
-
-def _interval_index(prefixes: Sequence[Tuple[int, int]], bits: int) -> _RouteIntervalIndex:
-    """Flatten ``(network, plen)`` prefixes into a :class:`_RouteIntervalIndex`
-    over a ``bits``-wide address space.  Route ids are list positions."""
-    bounds: List[int] = [0]
-    ids: List[int] = [-1]
-    limit = 1 << bits
-
-    def emit(position: int, route_id: int) -> None:
-        if position >= limit:
-            return
-        if bounds[-1] == position:
-            ids[-1] = route_id  # inner prefix (or parent resumption) wins
-        else:
-            bounds.append(position)
-            ids.append(route_id)
-
-    stack: List[Tuple[int, int]] = []  # (end_exclusive, route_id), outermost first
-    for route_id in sorted(
-        range(len(prefixes)), key=lambda i: (prefixes[i][0], prefixes[i][1])
-    ):
-        network, plen = prefixes[route_id]
-        start = network
-        while stack and stack[-1][0] <= start:
-            finished_end, _ = stack.pop()
-            emit(finished_end, stack[-1][1] if stack else -1)
-        emit(start, route_id)
-        stack.append((start + (1 << (bits - plen)), route_id))
-    while stack:
-        finished_end, _ = stack.pop()
-        emit(finished_end, stack[-1][1] if stack else -1)
-    return _RouteIntervalIndex(
-        bounds=np.array(bounds, dtype=np.uint64), ids=np.array(ids, dtype=np.int64)
-    )
-
-
-def _route_interval_index(
-    table: RoutingTable, family: int, max_plen: Optional[int] = None
-) -> _RouteIntervalIndex:
-    """Interval index over one family of ``table``'s routes.
-
-    For IPv6 the index lives in the top-64-bit space (queries are
-    ``value_hi`` columns), so callers must cap ``max_plen`` at 64.
-    """
-    prefixes: List[Tuple[int, int]] = []
-    for route in table.routes():
-        prefix = route.prefix
-        if prefix.family != family:
-            continue
-        if max_plen is not None and prefix.plen > max_plen:
-            continue
-        network = int(prefix.network)
-        if family == 6:
-            network >>= 64
-        prefixes.append((network, prefix.plen))
-    return _interval_index(prefixes, 32 if family == 4 else 64)
-
-
 def crossing_rates_np(
     v4_changes: ChangeColumns,
     v6_changes: ChangeColumns,
@@ -763,8 +687,9 @@ def crossing_rates_np(
     """Columnar :func:`repro.core.spatial.crossing_rates`.
 
     The /24 test is pure bit arithmetic; BGP longest-prefix matches go
-    through a flat sorted-interval index (:func:`_interval_index`)
-    instead of per-value trie walks.  IPv6 lookups run in the top-64-bit
+    through the table's cached flat index
+    (:meth:`~repro.bgp.table.RoutingTable.route_index`) instead of
+    per-value trie walks.  IPv6 lookups run in the top-64-bit
     space, which is exact because only routes with plen <= ``v6_plen``
     (<= 64) can cover a /``v6_plen`` prefix.
     """
@@ -773,19 +698,15 @@ def crossing_rates_np(
     v4_total = int(v4_changes.n_changes)
     if v4_total:
         v4_diff24 = int(np.count_nonzero((v4_changes.old_lo ^ v4_changes.new_lo) >> np.uint64(8)))
-        index4 = _route_interval_index(table, family=4)
-        old_ids = index4.lookup(v4_changes.old_lo)
-        new_ids = index4.lookup(v4_changes.new_lo)
-        v4_diffbgp = int(np.count_nonzero((old_ids == -1) | (old_ids != new_ids)))
+        crosses = table.route_index(4).crosses(v4_changes.old_lo, v4_changes.new_lo)
+        v4_diffbgp = int(np.count_nonzero(crosses))
     else:
         v4_diff24 = v4_diffbgp = 0
 
     v6_total = int(v6_changes.n_changes)
     if v6_total:
-        index6 = _route_interval_index(table, family=6, max_plen=v6_plen)
-        old_ids6 = index6.lookup(v6_changes.old_hi)
-        new_ids6 = index6.lookup(v6_changes.new_hi)
-        v6_diffbgp = int(np.count_nonzero((old_ids6 == -1) | (old_ids6 != new_ids6)))
+        index6 = table.route_index(6, max_plen=v6_plen)
+        v6_diffbgp = int(np.count_nonzero(index6.crosses(v6_changes.old_hi, v6_changes.new_hi)))
     else:
         v6_diffbgp = 0
 

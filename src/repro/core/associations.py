@@ -137,8 +137,6 @@ def association_box_stats(records: Iterable[Triple], engine: Optional[str] = Non
             return box_stats_np(
                 association_durations_np(*columns_from_triples(materialized))
             )
-        except ImportError:  # pragma: no cover - numpy probe passed already
-            pass
         except FALLBACK_ERRORS:
             pass
     return box_stats(association_durations(materialized))

@@ -218,8 +218,6 @@ def inferred_plen_distribution_for_probes(
                 length: 100.0 * count / eligible
                 for length, count in sorted(counts.items())
             }
-        except ImportError:  # pragma: no cover - numpy probe passed already
-            pass
         except FALLBACK_ERRORS:
             pass
     return inferred_plen_distribution(

@@ -14,20 +14,12 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-try:
-    import numpy  # noqa: F401  (availability probe only)
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _HAS_NUMPY = False
-
 #: Environment override for the default analysis engine
 #: ("np", "py" or "fused").
 ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
 
 #: Engines accepted by :func:`resolve_engine`.  "fused" is the
-#: single-pass engine of :mod:`repro.core.fused`; like "np" it degrades
-#: to "py" when NumPy is unavailable.
+#: single-pass engine of :mod:`repro.core.fused`.
 ENGINES = ("np", "py", "fused")
 
 #: Errors on which a NumPy fast path silently falls back to the
@@ -38,16 +30,13 @@ FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Effective analysis engine: explicit value, else the environment,
-    else ``"np"`` when NumPy is available.  The columnar engines
-    (``"np"``, ``"fused"``) degrade to ``"py"`` without NumPy."""
+    else ``"np"``."""
     if engine is None:
         engine = os.environ.get(ENGINE_ENV, "").strip().lower() or None
     if engine is None:
-        return "np" if _HAS_NUMPY else "py"
+        return "np"
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine in ("np", "fused") and not _HAS_NUMPY:
-        return "py"
     return engine
 
 

@@ -78,10 +78,9 @@ class FusedProbeStats:
     def crossings(self, table: RoutingTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-change crossing flags ``(v4 /24, v4 BGP, v6 BGP)``.
 
-        The routing table's interval indexes are built once per table
-        (cached on the stats), then every change of every AS is matched
-        in one vectorized lookup — the per-kernel engine rebuilds the
-        index per AS.
+        Every change of every AS is matched in one vectorized lookup
+        against the table's cached flat LPM index; the flags are cached
+        on the stats per table.
         """
         cached = self._crossings
         if cached is not None and cached[0] is table:
@@ -90,14 +89,8 @@ class FusedProbeStats:
             raise ValueError("fused crossings support plen <= 64 only")
         ch4, ch6 = self.v4_changes, self.v6_changes
         diff24 = ((ch4.old_lo ^ ch4.new_lo) >> np.uint64(8)) != 0
-        index4 = anp._route_interval_index(table, family=4)
-        old4 = index4.lookup(ch4.old_lo)
-        new4 = index4.lookup(ch4.new_lo)
-        bgp4 = (old4 == -1) | (old4 != new4)
-        index6 = anp._route_interval_index(table, family=6, max_plen=self.plen)
-        old6 = index6.lookup(ch6.old_hi)
-        new6 = index6.lookup(ch6.new_hi)
-        bgp6 = (old6 == -1) | (old6 != new6)
+        bgp4 = table.route_index(4).crosses(ch4.old_lo, ch4.new_lo)
+        bgp6 = table.route_index(6, max_plen=self.plen).crosses(ch6.old_hi, ch6.new_hi)
         self._crossings = (table, diff24, bgp4, bgp6)
         return diff24, bgp4, bgp6
 

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atlas.sanitize import SanitizedProbe
 from repro.bgp.table import RoutingTable
+from repro.core import analysis_np as _anp
 from repro.core.changes import (
     ChangeEvent,
     Duration,
@@ -41,11 +42,6 @@ from repro.core.timefraction import (
     total_duration_years,
 )
 from repro.obs import get_logger, metric_inc
-
-try:
-    from repro.core import analysis_np as _anp
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _anp = None
 
 _log = get_logger("core.report")
 

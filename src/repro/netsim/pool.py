@@ -20,6 +20,8 @@ releases and allocates in global time order).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.ip.addr import AddressError, IPv4Address
@@ -62,7 +64,10 @@ class V4AddressPlan:
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {probability}")
         self._blocks: List[IPv4Prefix] = list(blocks)
-        self._weights = [block.num_addresses for block in self._blocks]
+        # [lo, hi) integer spans for block_of; cumulative sizes for the weighted draw.
+        self._spans = [(int(b.network), int(b.network) + b.num_addresses) for b in self._blocks]
+        self._cum_weights = list(accumulate(hi - lo for lo, hi in self._spans))
+        self._total_weight = self._cum_weights[-1] + 0.0
         self._same_slash24 = same_slash24_affinity
         self._same_block = same_block_affinity
         self._in_use: set[int] = set()
@@ -77,8 +82,11 @@ class V4AddressPlan:
 
     def block_of(self, address: IPv4Address) -> Optional[IPv4Prefix]:
         """The announced block containing ``address`` (None when outside)."""
-        for block in self._blocks:
-            if block.contains_address(address):
+        if type(address) is not IPv4Address:
+            return None
+        value = int(address)
+        for block, (lo, hi) in zip(self._blocks, self._spans):
+            if lo <= value < hi:
                 return block
         return None
 
@@ -116,7 +124,11 @@ class V4AddressPlan:
                     scopes.append(IPv4Prefix(int(previous), 24))
                 elif roll < self._same_slash24 + self._same_block * (1 - self._same_slash24):
                     scopes.append(prev_block)
-        scopes.append(rng.choices(self._blocks, weights=self._weights, k=1)[0])
+        # The single random() draw random.choices(weights=..., k=1) makes.
+        pick = bisect_right(
+            self._cum_weights, rng.random() * self._total_weight, 0, len(self._blocks) - 1
+        )
+        scopes.append(self._blocks[pick])
         for scope in scopes:
             address = self._draw_in(scope, rng, exclude=exclude)
             if address is not None:

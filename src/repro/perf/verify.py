@@ -235,17 +235,12 @@ def fused_engine_diffs(
             diffs.append(f"{label}: fused entry point diverges from py reference")
 
     if arena_dir is not None:
-        try:
-            from pathlib import Path
+        from pathlib import Path
 
-            from repro.core.analysis_np import ProbeColumns
-            from repro.core.fused import fused_analysis_artifacts
-        except ImportError:
-            return diffs
+        from repro.core.analysis_np import ProbeColumns
+        from repro.core.fused import fused_analysis_artifacts
+
         columns = scenario.analysis_columns(None, engine="fused")
-        if columns is None:
-            diffs.append("arena: no columnar pack available for the round-trip")
-            return diffs
         groups = [
             (name, isp.asn, isp.config.country)
             for name, isp in scenario.isps.items()

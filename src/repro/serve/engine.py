@@ -28,10 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less interpreters
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.changes import v6_runs_to_prefix_runs
 from repro.core.hitlist import plan_rescan
@@ -63,17 +60,12 @@ _log = get_logger("serve.engine")
 
 @dataclass
 class ScenarioArtifact:
-    """Everything the engine serves one scenario from.
-
-    ``columns``/``stats`` are ``None`` on NumPy-less interpreters — the
-    engine then falls back to :func:`compute_direct` per query (same
-    answers, no batching).
-    """
+    """Everything the engine serves one scenario from."""
 
     key: str
     scenario: Any
-    columns: Optional[Any]  # repro.core.analysis_np.ProbeColumns
-    stats: Optional[Any]  # repro.core.fused.FusedProbeStats
+    columns: Any  # repro.core.analysis_np.ProbeColumns
+    stats: Any  # repro.core.fused.FusedProbeStats
     name_by_asn: Dict[int, str]
     asn_by_name: Dict[str, int]
     nbytes: int
@@ -113,16 +105,13 @@ def _array_bytes(obj: Any) -> int:
 
 def build_scenario_artifact(scenario: Any, key: str) -> ScenarioArtifact:
     """Assemble the serving artifact of ``scenario`` (the cold path)."""
-    columns = scenario.analysis_columns(None, engine="fused")
-    stats = None
-    if columns is not None:
-        from repro.core.fused import fused_probe_stats
+    from repro.core.fused import fused_probe_stats
 
-        stats = fused_probe_stats(columns)
+    columns = scenario.analysis_columns(None, engine="fused")
+    stats = fused_probe_stats(columns)
     nbytes = _array_bytes(stats)
-    if columns is not None:
-        for cols in (columns.v4(), columns.v6(), columns.v6_prefix()):
-            nbytes += _array_bytes(cols)
+    for cols in (columns.v4(), columns.v6(), columns.v6_prefix()):
+        nbytes += _array_bytes(cols)
     return ScenarioArtifact(
         key=key,
         scenario=scenario,
@@ -178,8 +167,6 @@ class QueryEngine:
         start = time.perf_counter()
         try:
             artifact = self.artifact()
-            if artifact.stats is None:
-                return [compute_direct(self.scenario, query) for query in queries]
             results: List[Optional[Result]] = [None] * len(queries)
             prefix_groups: Dict[Tuple[int, int], List[int]] = {}
             with span("serve/batch", queries=len(queries)):

@@ -40,18 +40,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core import analysis_np as _anp
 from repro.core.periodicity import CANONICAL_PERIODS
 from repro.core.report import Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
 from repro.obs import get_logger, metric_inc, metric_observe, span
 from repro.stream.chunks import RunChunk, StreamManifest
-
-try:
-    import numpy as np
-    from repro.core import analysis_np as _anp
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
-    _anp = None
 
 _log = get_logger("stream.engine")
 
@@ -124,8 +120,6 @@ class AtlasStreamEngine:
         candidate_periods: Sequence[float] = CANONICAL_PERIODS,
         min_coverage: float = 0.9,
     ) -> None:
-        if _anp is None:  # pragma: no cover - numpy is a baked-in dependency
-            raise RuntimeError("the streaming engine requires NumPy")
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         self.manifest = manifest
@@ -165,7 +159,6 @@ class AtlasStreamEngine:
         # -- transient (rebuilt, never checkpointed) ------------------------
         self._v4_buf: List[list] = [[] for _ in range(n_nets)]
         self._v6_buf: List[list] = [[] for _ in range(n_nets)]
-        self._indexes: Dict[int, object] = {}
 
     # -- properties ----------------------------------------------------------
 
@@ -271,15 +264,6 @@ class AtlasStreamEngine:
 
     # -- per-chunk vectorized classification ----------------------------------
 
-    def _route_index(self, family: int):
-        index = self._indexes.get(family)
-        if index is None:
-            index = _anp._route_interval_index(
-                self._table, family, max_plen=_PLEN if family == 6 else None
-            )
-            self._indexes[family] = index
-        return index
-
     def _classify_buffers(self) -> None:
         for net, buf in enumerate(self._v4_buf):
             if not buf:
@@ -290,10 +274,7 @@ class AtlasStreamEngine:
             tally[0] += len(buf)
             tally[1] += int(np.count_nonzero((old ^ new) >> np.uint64(8)))
             if self._table is not None:
-                index = self._route_index(4)
-                old_ids = index.lookup(old)
-                new_ids = index.lookup(new)
-                tally[2] += int(np.count_nonzero((old_ids == -1) | (old_ids != new_ids)))
+                tally[2] += int(np.count_nonzero(self._table.route_index(4).crosses(old, new)))
             self._v4_buf[net] = []
         for net, buf in enumerate(self._v6_buf):
             if not buf:
@@ -320,10 +301,8 @@ class AtlasStreamEngine:
             tally = self._crossings[net]
             tally[3] += len(buf)
             if self._table is not None:
-                index = self._route_index(6)
-                old_ids = index.lookup(old_hi)
-                new_ids = index.lookup(new_hi)
-                tally[4] += int(np.count_nonzero((old_ids == -1) | (old_ids != new_ids)))
+                index = self._table.route_index(6, max_plen=_PLEN)
+                tally[4] += int(np.count_nonzero(index.crosses(old_hi, new_hi)))
             self._v6_buf[net] = []
 
     # -- dual-stack classification --------------------------------------------

@@ -29,9 +29,11 @@ entirely.
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.atlas.platform import AtlasPlatform, ProbeData, ProbeSpec
 from repro.atlas.sanitize import SanitizationReport, SanitizedProbe, sanitize
@@ -104,17 +106,10 @@ class AtlasScenario:
         # instead of failing downstream.
         valid = {}
         if isinstance(raw, dict):
-            try:
-                from repro.core.analysis_np import COLUMNS_FORMAT_VERSION
-            except ImportError:
-                COLUMNS_FORMAT_VERSION = None
+            from repro.core.analysis_np import COLUMNS_FORMAT_VERSION
+
             for key, entry in raw.items():
-                if (
-                    COLUMNS_FORMAT_VERSION is not None
-                    and isinstance(key, tuple)
-                    and key
-                    and key[0] == COLUMNS_FORMAT_VERSION
-                ):
+                if isinstance(key, tuple) and key and key[0] == COLUMNS_FORMAT_VERSION:
                     valid[key] = entry
         self.__dict__["_columns_state"] = valid
 
@@ -135,8 +130,8 @@ class AtlasScenario:
         for ``asn``'s probes (all probes when ``asn is None``) so every
         table/figure computed from this scenario reuses one CSR pack.
         Both columnar engines (``"np"`` and ``"fused"``) share the same
-        packs; the pure-Python engine (or a NumPy-less interpreter) gets
-        ``None``.  The cache key leads with the pack format version
+        packs; the pure-Python engine gets ``None``.  The cache key leads
+        with the pack format version
         (:data:`repro.core.analysis_np.COLUMNS_FORMAT_VERSION`) — so
         entries from an older buffer layout repack instead of being
         served stale — and includes the identity/size of
@@ -149,10 +144,8 @@ class AtlasScenario:
         resolved = resolve_engine(engine)
         if resolved not in ("np", "fused"):
             return None
-        try:
-            from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
-        except ImportError:
-            return None
+        from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
+
         key = (COLUMNS_FORMAT_VERSION, asn, id(self.probes), len(self.probes))
         cached = self._columns_state.get(key)
         # The cache entry pins the exact probe list it was packed from, so
@@ -191,8 +184,8 @@ def analyze_atlas_scenario(
     ``engine`` picks the analysis kernels: ``"py"`` is the pure-Python
     reference, ``"np"`` the per-kernel columnar engine, ``"fused"`` the
     single-pass engine of :mod:`repro.core.fused` (``None`` reads
-    ``$REPRO_ANALYSIS_ENGINE``, defaulting to ``"np"`` when NumPy is
-    available).  All engines yield bit-identical artifacts.
+    ``$REPRO_ANALYSIS_ENGINE``, defaulting to ``"np"``).  All engines
+    yield bit-identical artifacts.
 
     ``workers`` only applies to the fused engine: with ``workers > 1``
     the per-AS assembly fans out over a process pool that memory-maps
@@ -334,8 +327,6 @@ def periodicity_for_scenario(
             name: scenario.analysis_columns(isp.asn, engine=resolved)
             for name, isp in scenario.isps.items()
         }
-        if any(columns is None for columns in columns_by_network.values()):
-            columns_by_network = None
     with span("analysis/periodicity", engine=resolved, networks=len(probes_by_network)):
         return periodic_networks(
             probes_by_network,
@@ -344,6 +335,22 @@ def periodicity_for_scenario(
             engine=resolved,
             columns_by_network=columns_by_network,
         )
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a scenario build: its ~540k
+    small, acyclic objects made the collector's repeated full passes cost
+    a third of the build for nothing.  On exit (if it was on) one full pass
+    moves them to the oldest generation, so later code does not re-walk them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect()
 
 
 def build_atlas_scenario(
@@ -372,7 +379,7 @@ def build_atlas_scenario(
 
     with span(
         "collection/atlas", probes_per_as=probes_per_as, seed=seed, workers=worker_count
-    ) as build_span:
+    ) as build_span, _gc_paused():
         scenario_cache = cache_key = None
         if resolve_cache_flag(cache):
             scenario_cache = get_scenario_cache()

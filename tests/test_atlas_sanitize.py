@@ -2,11 +2,35 @@
 
 import pytest
 
-from repro.atlas.platform import AtlasPlatform, ProbeSpec
+from repro.atlas.echo import TEST_ADDRESS, EchoRun
+from repro.atlas.platform import AtlasPlatform, ProbeData, ProbeSpec
+from repro.atlas.probe import Probe
 from repro.atlas.sanitize import sanitize
 from repro.bgp.registry import Registry
 from repro.bgp.table import RoutingTable
+from repro.ip.addr import IPv4Address
+from repro.obs import get_registry, telemetry
 from tests.test_atlas_platform import DAY, build_network
+
+_DROP_REASONS = ("bad_tag", "atypical_nat", "multihomed", "short")
+
+
+def dropped_total(report):
+    return sum(getattr(report, f"dropped_{reason}") for reason in _DROP_REASONS)
+
+
+def unrouted_only_probe(probe_id, asn):
+    """A probe whose v4 runs are the test address and an unrouted address."""
+    unrouted = IPv4Address.parse("192.0.2.1")
+    return ProbeData(
+        probe=Probe(probe_id=probe_id, asn=asn),
+        spec=ProbeSpec(probe_id=probe_id, asn=asn, subscriber_id=0),
+        v4_runs=[
+            EchoRun(probe_id, 4, TEST_ADDRESS, 0, 9, 10),
+            EchoRun(probe_id, 4, unrouted, 10, 40 * 24, 40 * 24 - 9),
+        ],
+        v6_runs=[],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +136,41 @@ class TestSanitize:
         assert report.input_probes == 3
         assert report.kept_probes == len(kept) == 2
         assert report.dropped_bad_tag == 1
+
+    def test_probe_without_routed_runs_counted_short(self, environment):
+        _, isp_a, _, table = environment
+        data = unrouted_only_probe(40, isp_a.asn)
+        assert table.origin_asn(data.v4_runs[1].value) is None
+        with telemetry(True, reset=True):
+            kept, report = sanitize([data], table)
+            dropped_metric = get_registry().counter("sanitize.probes_dropped", reason="short")
+        assert kept == []
+        assert report.input_probes == 1 and report.kept_probes == 0
+        assert report.dropped_short == 1
+        assert dropped_metric == 1
+        assert report.test_address_runs_removed == report.unrouted_runs_removed == 1
+
+    def test_every_input_probe_is_kept_or_dropped(self, environment):
+        platform, isp_a, isp_b, table = environment
+        batch = [
+            data_for(platform, probe_id=50, asn=isp_a.asn, subscriber_id=0),
+            data_for(platform, probe_id=51, asn=isp_a.asn, subscriber_id=1,
+                     tags=("core",)),
+            data_for(platform, probe_id=52, asn=isp_a.asn, subscriber_id=2,
+                     anomaly="public_v4_src"),
+            data_for(platform, probe_id=53, asn=isp_a.asn, subscriber_id=3,
+                     anomaly="multihomed", secondary=(isp_b.asn, 3)),
+            data_for(platform, probe_id=54, asn=isp_b.asn, subscriber_id=6,
+                     join_hour=0, leave_hour=20 * DAY),
+            data_for(platform, probe_id=55, asn=isp_a.asn, subscriber_id=5,
+                     anomaly="test_prefix"),
+            unrouted_only_probe(56, isp_b.asn),
+        ]
+        for probes, routes in ((batch, table), (batch[:3], RoutingTable())):
+            kept, report = sanitize(probes, routes)
+            assert report.virtual_probes_created == 0
+            assert report.input_probes == len(probes)
+            assert report.input_probes == report.kept_probes + dropped_total(report)
 
     def test_non_dual_stack_classification(self):
         # A probe on a subscriber line without IPv6 is kept but not dual-stack.

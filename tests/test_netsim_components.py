@@ -91,6 +91,48 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().schedule(float("nan"), "x")
 
+    def test_equal_times_fire_in_scheduling_order(self):
+        q = EventQueue()
+        # Unorderable payloads: ties must be broken by sequence alone.
+        for i in range(40):
+            q.schedule(7.0 if i % 2 else 3.0, {"i": i})
+        order = [q.pop() for _ in range(40)]
+        assert [t for t, _ in order] == [3.0] * 20 + [7.0] * 20
+        assert [p["i"] for _, p in order] == list(range(0, 40, 2)) + list(range(1, 40, 2))
+
+    def test_cancel_of_popped_handle_is_noop(self):
+        q = EventQueue()
+        fired = q.schedule(1.0, "fired")
+        q.schedule(2.0, "pending")
+        assert q.pop() == (1.0, "fired")
+        q.cancel(fired)
+        assert len(q) == 1
+        assert q.pop() == (2.0, "pending")
+        assert len(q) == 0 and not q
+
+    def test_len_after_tombstones_dropped(self):
+        q = EventQueue()
+        handles = [q.schedule(float(t), t) for t in range(6)]
+        q.cancel(handles[0])  # the heap head
+        q.cancel(handles[3])
+        assert len(q) == 4
+        assert q.peek_time() == 1.0  # drops the head tombstone
+        assert len(q) == 4
+        q.cancel(handles[0])  # already cancelled: still a no-op
+        assert len(q) == 4
+        assert [q.pop()[1] for _ in range(4)] == [1, 2, 4, 5]
+        assert len(q) == 0 and q.peek_time() is None
+        with pytest.raises(IndexError):
+            q.pop()
+
+    def test_nan_rejected_without_side_effects(self):
+        q = EventQueue()
+        q.schedule(1.0, "kept")
+        with pytest.raises(ValueError):
+            q.schedule(float("nan"), "x")
+        assert len(q) == 1
+        assert q.pop() == (1.0, "kept")
+
 
 class TestChangePolicy:
     def test_static_never_changes(self):
