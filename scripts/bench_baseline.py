@@ -15,7 +15,8 @@ RSS against a fraction of what materializing the same tuples as Python
 triples would cost, plus a parallel segment build of the same feed that
 must compact to a byte-identical digest and — in full mode on
 multi-core hosts — beat the serial build by ``--min-store-build-speedup``
-in tuples/s), times the end-to-end report suite (all artifacts
+in tuples/s, and a 7-day-window stream replay of the store checked
+against the out-of-core analysis), times the end-to-end report suite (all artifacts
 plus periodicity) under both the per-kernel ``np`` engine and the
 single-pass ``fused`` engine — enforcing bit-identity, a strict fused
 end-to-end win in full mode, and recording the peak-RSS delta of the
@@ -248,6 +249,20 @@ def _store_parity(store, analysis) -> bool:
         and np.array_equal(analysis.v6_keys, v6_ref_keys)
         and np.array_equal(analysis.v6_unique, v6_ref_unique)
         and analysis.delegation == trailing_zero_profile_np(v6_ref_keys)
+    )
+
+
+def _stream_parity(streamed, analysis, tuples: int) -> bool:
+    """Does the store-driven stream replay match ``analyze_store``?"""
+    unique, hits = analysis.v4_degree_dicts()
+    return (
+        streamed.triples_seen == tuples
+        and dict(streamed.durations) == analysis.duration_counts
+        and streamed.box == analysis.box
+        and streamed.v4_unique == unique
+        and streamed.v4_hits == hits
+        and streamed.v6_degrees == analysis.v6_degree_dict()
+        and streamed.fraction_v6_degree_one == analysis.fraction_v6_degree_one
     )
 
 
@@ -597,6 +612,23 @@ def run_baseline(args: argparse.Namespace) -> dict:
                 failures.append(
                     "store parity violated: out-of-core != in-RAM np artifacts"
                 )
+            # Store-driven stream replay: the same artifacts folded in
+            # day windows off the shards, checked against analyze_store.
+            from repro.stream import run_association_stream_over_store
+
+            with maybe_profile("store_stream"):
+                start = time.perf_counter()
+                streamed = run_association_stream_over_store(store, chunk_days=7)
+                store_stream_s = time.perf_counter() - start
+            stream_rate = store_tuples / max(store_stream_s, 1e-9)
+            stream_parity = _stream_parity(streamed, store_analysis, store_tuples)
+            if not stream_parity:
+                failures.append("store stream replay differs from analyze_store")
+            print(
+                f"store: streamed in 7-day windows in {store_stream_s:.2f}s "
+                f"({stream_rate:.0f} tuples/s) — "
+                f"{'matches' if stream_parity else 'DIFFERS FROM'} analyze_store"
+            )
             rss_text = (
                 f"{rss_delta / 2**20:.0f} MiB ({rss_fraction:.1%} of "
                 f"{footprint / 2**20:.0f} MiB materialized, gate "
@@ -628,6 +660,9 @@ def run_baseline(args: argparse.Namespace) -> dict:
                 "parallel_digest_match": parallel_digest_match,
                 "analyze_seconds": round(store_analyze_s, 4),
                 "analyze_tuples_per_second": round(analyze_rate, 1),
+                "stream_seconds": round(store_stream_s, 4),
+                "stream_tuples_per_second": round(stream_rate, 1),
+                "stream_parity": stream_parity,
                 "throughput_enforced": not args.check,
                 "associations": store_analysis.duration_count,
                 "distinct_v4": len(store_analysis.v4_keys),

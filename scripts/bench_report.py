@@ -4,7 +4,7 @@ Reads the JSONL history that ``scripts.bench_baseline`` appends on
 every run and prints the per-stage wall times (scenario builds, the
 per-kernel analysis stages, telemetry, streaming, the out-of-core
 store, and the end-to-end report suite under both the ``np`` and
-``fused`` engines) plus the store build/analyze throughputs (tuples/s)
+``fused`` engines) plus the store build/analyze/stream throughputs (tuples/s)
 as one fixed-width table per benchmark mode (``check`` vs ``full``
 runs are never compared against each other — they run at different
 scales).
@@ -71,6 +71,7 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "streaming": lambda e: _get(e, "streaming", "seconds"),
     "store_build": lambda e: _get(e, "store", "build_seconds"),
     "store_analyze": lambda e: _get(e, "store", "analyze_seconds"),
+    "store_stream": lambda e: _get(e, "store", "stream_seconds"),
     "report_np": lambda e: _get(e, "report", "np_seconds"),
     "report_fused": lambda e: _get(e, "report", "fused_seconds"),
     "report_fused_workers": lambda e: _get(e, "report", "fused_workers_seconds"),
@@ -87,6 +88,7 @@ RATE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
         e, "store", "build_parallel_tuples_per_second"
     ),
     "store_analyze_rate": lambda e: _get(e, "store", "analyze_tuples_per_second"),
+    "store_stream_rate": lambda e: _get(e, "store", "stream_tuples_per_second"),
 }
 
 #: Synthetic end-to-end row: the sum of every recorded stage, so the

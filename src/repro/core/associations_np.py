@@ -16,11 +16,13 @@ bijection for /64s; :func:`columns_from_triples` performs the packing.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.associations import BoxStats, Triple
+
+_LOW64 = (1 << 64) - 1
 
 
 def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -28,7 +30,8 @@ def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndar
 
     Sequences (lists, tuples) are iterated in place; only true
     generators are materialized — on a multi-million-triple list this
-    halves peak memory versus an unconditional copy.
+    halves peak memory versus an unconditional copy.  A /64 key with
+    any of its low 64 bits set raises ``ValueError``.
     """
     if isinstance(triples, Sequence):
         materialized: Sequence[Triple] = triples
@@ -39,10 +42,48 @@ def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndar
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64), empty64
     days = np.fromiter((t[0] for t in materialized), dtype=np.int64, count=len(materialized))
     v4 = np.fromiter((t[1] for t in materialized), dtype=np.uint64, count=len(materialized))
-    v6 = np.fromiter(
-        (t[2] >> 64 for t in materialized), dtype=np.uint64, count=len(materialized)
-    )
+    v6 = np.fromiter(_packed_v6(materialized), dtype=np.uint64, count=len(materialized))
     return days, v4, v6
+
+
+def _packed_v6(triples: Sequence[Triple]) -> Iterator[int]:
+    """Upper 64 bits of each /64 key; a key with host bits set raises.
+
+    Packing drops the low 64 bits, so such a key would silently merge
+    with its /64 neighbours and the columnar kernels would drift from
+    the pure-Python reference.
+    """
+    for triple in triples:
+        key = triple[2]
+        if key & _LOW64:
+            raise ValueError(f"v6 key {key:#x} is not a /64 network address")
+        yield key >> 64
+
+
+def v6_day_v4_order(days: np.ndarray, v4_keys: np.ndarray, v6_keys: np.ndarray) -> np.ndarray:
+    """Permutation sorting rows by ``(v6, day, v4)`` — the per-/64 scan order.
+
+    Equals ``np.lexsort((v4_keys, days, v6_keys))`` up to the order of
+    identical rows, at a fraction of its cost: one stable sort by /64
+    (cheap on the concatenated pre-sorted runs a triple store yields)
+    ranks the /64s, and one stable sort of a packed ``rank | day | v4``
+    key, already sorted but for /64s spanning runs, finishes the job.
+    Keys that cannot pack into 64 bits fall back to the lexsort.
+    """
+    by_v6 = np.argsort(v6_keys, kind="stable")
+    if len(by_v6) < 2:
+        return by_v6
+    v6_sorted = v6_keys[by_v6]
+    rank = np.cumsum(v6_sorted[1:] != v6_sorted[:-1])
+    day = days[by_v6].astype(np.int64)
+    day -= day.min()
+    v4 = v4_keys[by_v6]
+    day_bits = int(day.max()).bit_length()
+    if int(rank[-1]).bit_length() + day_bits + 32 > 64 or int(v4.max()) >> 32:
+        return np.lexsort((v4_keys, days, v6_keys))
+    key = (day.astype(np.uint64) << np.uint64(32)) | v4.astype(np.uint64)
+    key[1:] |= rank.astype(np.uint64) << np.uint64(32 + day_bits)
+    return by_v6[np.argsort(key, kind="stable")]
 
 
 def association_durations_np(
@@ -284,5 +325,6 @@ __all__ = [
     "duration_percentiles_np",
     "unpack_v6_degree_keys",
     "v4_degree_counts_np",
+    "v6_day_v4_order",
     "v6_degree_counts_np",
 ]

@@ -359,6 +359,45 @@ def assert_streaming_replay_equal(
         raise AssertionError("streaming replay differs: " + "; ".join(diffs))
 
 
+def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -> List[str]:
+    """Streamed-vs-oracle association differences ([] if bit-identical).
+
+    Holds an :class:`repro.stream.AssociationStreamResult` to the
+    pure-Python :mod:`repro.core.associations` functions over the same
+    ``triples``: duration multiset, box stats, both degree maps, the
+    degree-one fraction and the triple count.
+    """
+    from collections import Counter
+
+    from repro.core.associations import (
+        association_durations,
+        box_stats,
+        fraction_degree_one,
+        v4_degree_counts,
+        v6_degree_counts,
+    )
+
+    if result is None:
+        return [f"{label}: streaming pass did not complete"]
+    durations = association_durations(triples)
+    v4_unique, v4_hits = v4_degree_counts(triples)
+    v6_degrees = v6_degree_counts(triples)
+    expected = {
+        "durations": Counter(durations),
+        "box": box_stats(durations) if durations else None,
+        "v4_unique": v4_unique,
+        "v4_hits": v4_hits,
+        "v6_degrees": v6_degrees,
+        "fraction_v6_degree_one": fraction_degree_one(v6_degrees),
+        "triples_seen": len(triples),
+    }
+    return [
+        f"{label}: {field} diverges from the pure-Python oracle"
+        for field, value in expected.items()
+        if getattr(result, field) != value
+    ]
+
+
 def store_diffs(
     triples: Sequence,
     directory,
@@ -373,9 +412,10 @@ def store_diffs(
     ``engine="np"`` Section-5 artifact — duration multiset and box
     stats, both degree structures, degree-one fraction, the Figure-7
     trailing-zero profile — and the store-driven streaming pass must
-    match the in-memory chunked stream.  Each shard count in ``shards``
-    is verified independently (1 exercises the degenerate single-shard
-    merge, >1 the k-way pivot merge).  Build-mode digest parity is
+    match the pure-Python oracle (:func:`association_oracle_diffs`).
+    Each shard count in ``shards`` is verified independently (1
+    exercises the degenerate single-shard merge, >1 the k-way pivot
+    merge).  Build-mode digest parity is
     checked too: the parallel segment build and a compaction of two
     incrementally built halves must both produce byte-identical stores
     (same ``digest()``) to the serial single-pass build.  ``directory``
@@ -395,10 +435,7 @@ def store_diffs(
     from repro.core.delegation import trailing_zero_profile
     from repro.ip.prefix import IPv6Prefix
     from repro.store import analyze_store, build_store_from_triples
-    from repro.stream.associations import (
-        run_association_stream,
-        run_association_stream_over_store,
-    )
+    from repro.stream.associations import run_association_stream_over_store
 
     materialized = list(triples)
     days, v4_keys, v6_keys = columns_from_triples(materialized)
@@ -413,7 +450,6 @@ def store_diffs(
     ref_profile = trailing_zero_profile(
         IPv6Prefix(key, 64) for key in sorted({t[2] for t in materialized})
     )
-    ref_stream = run_association_stream(iter(materialized), chunk_days=chunk_days)
 
     diffs: List[str] = []
     for count in shards:
@@ -439,8 +475,9 @@ def store_diffs(
         if analysis.delegation != ref_profile:
             diffs.append(f"{label}: trailing-zero profile diverges from reference")
         streamed = run_association_stream_over_store(store, chunk_days=chunk_days)
-        if streamed != ref_stream:
-            diffs.append(f"{label}: store-driven stream diverges from chunked stream")
+        diffs.extend(
+            association_oracle_diffs(streamed, materialized, f"{label}: store-driven stream")
+        )
 
     # Build-mode parity: every path that finalizes a store — serial
     # writer, parallel segment build + compaction, incremental two-half
@@ -676,6 +713,7 @@ __all__ = [
     "assert_store_equal",
     "assert_streaming_replay_equal",
     "assert_telemetry_invariant",
+    "association_oracle_diffs",
     "atlas_scenario_diffs",
     "cdn_scenario_diffs",
     "fused_engine_diffs",

@@ -596,6 +596,29 @@ class TripleStore:
             ):
                 yield (day, v4_key, v6_key << 64)
 
+    def iter_day_windows(
+        self, chunk_days: int, start_chunk: int = 0, stop_chunk: Optional[int] = None
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(index, days, v4, v6)`` for each day window of a pass.
+
+        Window ``index`` holds the rows with ``index * chunk_days <= day
+        < (index + 1) * chunk_days``, for ``start_chunk <= index <
+        stop_chunk`` (default: through :attr:`day_max`), empty windows
+        included.  Every shard is mapped once for the whole pass, as
+        plain ndarray views, and each window is one mask read per
+        shard.  Rows come shard by shard, **unsorted** across shards —
+        for consumers that sort anyway; :meth:`day_window_columns` is
+        the sorted form.
+        """
+        if chunk_days < 1:
+            raise ValueError("chunk_days must be >= 1")
+        if stop_chunk is None:
+            stop_chunk = (self.day_max or 0) // chunk_days + 1
+        shards = self._mapped_columns()
+        for index in range(start_chunk, stop_chunk):
+            lo = index * chunk_days
+            yield (index, *_window_rows(shards, lo, lo + chunk_days))
+
     def day_window_columns(
         self, start_day: int, end_day: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -606,25 +629,35 @@ class TripleStore:
         :func:`repro.stream.chunks.triple_chunks`.  Memory is bounded by
         the window's row count.
         """
-        parts_day: List[np.ndarray] = []
-        parts_v4: List[np.ndarray] = []
-        parts_v6: List[np.ndarray] = []
-        for shard in self.iter_shards():
-            if not len(shard):
-                continue
-            mask = (shard.days >= start_day) & (shard.days < end_day)
-            if mask.any():
-                parts_day.append(np.asarray(shard.days[mask]))
-                parts_v4.append(np.asarray(shard.v4[mask]))
-                parts_v6.append(np.asarray(shard.v6[mask]))
-        if not parts_day:
-            empty = np.empty(0, dtype=np.uint16)
-            return empty, np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint64)
-        days = np.concatenate(parts_day)
-        v4 = np.concatenate(parts_v4)
-        v6 = np.concatenate(parts_v6)
+        days, v4, v6 = _window_rows(self._mapped_columns(), start_day, end_day)
         order = np.lexsort((v6, v4, days))
         return days[order], v4[order], v6[order]
+
+    def _mapped_columns(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(days, v4, v6)`` plain ndarray views of every non-empty shard."""
+        return [
+            tuple(column.view(np.ndarray) for column in (shard.days, shard.v4, shard.v6))
+            for shard in self.iter_shards()
+            if len(shard)
+        ]
+
+
+def _window_rows(
+    shards: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]], start_day: int, end_day: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``shards`` with ``start_day <= day < end_day``, shard-major."""
+    parts: List[Tuple[np.ndarray, ...]] = []
+    for columns in shards:
+        rows = np.flatnonzero((columns[0] >= start_day) & (columns[0] < end_day))
+        if len(rows):
+            parts.append(tuple(column[rows] for column in columns))
+    if not parts:
+        return (
+            np.empty(0, dtype=np.uint16),
+            np.empty(0, dtype=np.uint32),
+            np.empty(0, dtype=np.uint64),
+        )
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def load_triple_store(directory, verify: bool = False) -> Optional[TripleStore]:

@@ -2,25 +2,53 @@
 
 Mirrors :mod:`repro.core.associations` exactly: per-/64 association runs
 (a run ends when the reported /24 changes), the Figure 3 five-number
-summary over run durations, and the Figure 4 degree structures.  Because
-the batch scan sorts each /64's reports by ``(day, v4_key)``, streaming
-triples in canonical ``(day, v4, v6)`` chunk order visits every /64's
-reports in the same sequence — so the incremental state (one open run
-per /64 plus degree dictionaries) reproduces the batch artifacts
-bit-identically.
+summary over run durations, and the Figure 4 degree structures.  Each
+window is scanned ``(v6, day, v4)`` — the batch scan order — and one
+open run per /64 carries across windows, so the artifacts are
+bit-identical to the batch ones.  The state is columnar (see
+:data:`_STATE_ARRAYS`) and every window folds in NumPy only; CSV streams
+and triple-store replays run this same fold.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.associations import BoxStats, box_stats, fraction_degree_one
+import numpy as np
+
+from repro.core.associations import BoxStats
+from repro.core.associations_np import (
+    box_stats_from_counts,
+    columns_from_triples,
+    v6_day_v4_order,
+)
 from repro.stream.chunks import TripleChunk
 
 #: Version of the association engine's checkpoint payload layout.
-STATE_VERSION = 1
+STATE_VERSION = 2
+
+#: Columnar state (attribute ``_<name>`` -> dtype): open runs as parallel
+#: arrays sorted by packed /64 with a stable first-seen id6 (every /64 seen
+#: has one), a closed-run duration histogram (index = days), sorted /24
+#: keys with stable id4s and hit counts, and the distinct (/64, /24) pair
+#: set as sorted ``id6 << 32 | id4`` codes (degrees are its bincounts).
+_STATE_ARRAYS = {
+    "run_v6": np.uint64,
+    "run_id6": np.int64,
+    "run_v4": np.uint64,
+    "run_start": np.int64,
+    "run_last": np.int64,
+    "durations": np.int64,
+    "v4_keys": np.uint64,
+    "v4_ids": np.int64,
+    "v4_hits": np.int64,
+    "pairs": np.uint64,
+}
+
+_ID_LIMIT = 1 << 32  # stable ids share one uint64 pair code
+_32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
 
 
 @dataclass
@@ -37,18 +65,34 @@ class AssociationStreamResult:
     chunks_folded: int
 
 
+def _histogram_add(histogram: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """``histogram`` with ``durations`` counted in (grown as needed)."""
+    if not len(durations):
+        return histogram
+    counts = np.bincount(durations)
+    if len(counts) > len(histogram):
+        counts[: len(histogram)] += histogram
+        return counts
+    histogram[: len(counts)] += counts
+    return histogram
+
+
+def _join(sorted_keys: np.ndarray, keys: np.ndarray):
+    """``(positions, found)`` of ``keys`` in ``sorted_keys`` (searchsorted)."""
+    positions = np.searchsorted(sorted_keys, keys)
+    found = positions < len(sorted_keys)
+    found[found] = sorted_keys[positions[found]] == keys[found]
+    return positions, found
+
+
 class AssociationStreamEngine:
     """Foldable, checkpointable equivalent of the Section 4 analyses."""
 
     def __init__(self) -> None:
         self._next_chunk = 0
         self._triples_seen = 0
-        # v6 -> [current v4, run start day, last day]
-        self._open: Dict[int, List[int]] = {}
-        self._durations: Counter = Counter()
-        self._v4_unique: Dict[int, set] = {}
-        self._v4_hits: Counter = Counter()
-        self._v6_partners: Dict[int, set] = {}
+        for name, dtype in _STATE_ARRAYS.items():
+            setattr(self, f"_{name}", np.empty(0, dtype=dtype))
 
     @property
     def next_chunk(self) -> int:
@@ -59,40 +103,20 @@ class AssociationStreamEngine:
         return self._triples_seen
 
     def fold_chunk(self, chunk: TripleChunk) -> None:
-        """Fold one day-window of triples into the incremental state."""
-        for day, v4_key, v6_key in chunk.triples:
-            run = self._open.get(v6_key)
-            if run is None:
-                self._open[v6_key] = [v4_key, day, day]
-            elif v4_key != run[0]:
-                self._durations[run[2] - run[1] + 1] += 1
-                run[0] = v4_key
-                run[1] = day
-                run[2] = day
-            else:
-                run[2] = day
-            self._v4_unique.setdefault(v4_key, set()).add(v6_key)
-            self._v4_hits[v4_key] += 1
-            self._v6_partners.setdefault(v6_key, set()).add(v4_key)
-        self._triples_seen += len(chunk.triples)
-        self._next_chunk = chunk.index + 1
+        """Fold one day-window of python triples (packs, then :meth:`fold_columns`)."""
+        self.fold_columns(*columns_from_triples(chunk.triples), chunk_index=chunk.index)
 
     def fold_columns(self, days, v4_keys, v6_keys, chunk_index: Optional[int] = None) -> None:
-        """Vectorized fold of one day-window given as columnar arrays.
+        """Fold one day-window given as columnar arrays, in any row order.
 
         ``v6_keys`` are packed upper-64-bit /64 keys (the triple-store
-        layout); state keys stay full 128-bit ints, so the resulting
-        engine state — and every downstream artifact, including
-        :meth:`state_dict` snapshots compared by value — equals
-        :meth:`fold_chunk` over the same window's sorted triples
-        exactly.  The work per call is a few lexsorts plus
-        per-*unique-key* (not per-row) dictionary updates: within one
-        window every /64's rows sort to the same ``(day, v4)`` sequence
-        the scalar fold visits, and runs of equal ``(v6, v4)`` collapse
-        to segment endpoints before touching python state.
+        layout).  Rows sort to ``(v6, day, v4)`` and collapse into
+        segments of one (/64, /24); each /64's first segment joins its
+        open run, every segment but the last closes, and the last
+        becomes the new open run.  No python loop runs per row, /64 or
+        pair.
         """
-        import numpy as np
-
+        days, v4_keys, v6_keys = (np.asarray(c) for c in (days, v4_keys, v6_keys))
         n = len(days)
         if n != len(v4_keys) or n != len(v6_keys):
             raise ValueError("column arrays must have equal length")
@@ -100,103 +124,88 @@ class AssociationStreamEngine:
             self._next_chunk = chunk_index + 1
         if n == 0:
             return
-        order = np.lexsort((np.asarray(v4_keys), np.asarray(days), np.asarray(v6_keys)))
-        day_sorted = np.asarray(days)[order].astype(np.int64)
-        v4_sorted = np.asarray(v4_keys)[order]
-        v6_sorted = np.asarray(v6_keys)[order]
+        order = v6_day_v4_order(days, v4_keys, v6_keys)
+        day = days[order].astype(np.int64)
+        v4 = v4_keys[order].astype(np.uint64)
+        v6 = v6_keys[order].astype(np.uint64)
 
         new_v6 = np.empty(n, dtype=bool)
         new_v6[0] = True
-        np.not_equal(v6_sorted[1:], v6_sorted[:-1], out=new_v6[1:])
+        np.not_equal(v6[1:], v6[:-1], out=new_v6[1:])
         new_seg = new_v6.copy()
-        new_seg[1:] |= v4_sorted[1:] != v4_sorted[:-1]
+        new_seg[1:] |= v4[1:] != v4[:-1]
+        seg_rows = np.flatnonzero(new_seg)
+        seg_v4 = v4[seg_rows]
+        seg_first = day[seg_rows]
+        seg_last = day[np.append(seg_rows[1:], n) - 1]
+        group_of_seg = np.cumsum(new_v6[seg_rows]) - 1
+        group_first = np.flatnonzero(new_v6[seg_rows])
+        group_last = np.append(group_first[1:], len(seg_rows)) - 1
+        group_v6 = v6[seg_rows[group_first]]
 
-        seg_starts = np.flatnonzero(new_seg)
-        seg_ends = np.empty_like(seg_starts)
-        seg_ends[:-1] = seg_starts[1:] - 1
-        seg_ends[-1] = n - 1
-        seg_v4 = v4_sorted[seg_starts]
-        seg_first = day_sorted[seg_starts]
-        seg_last = day_sorted[seg_ends]
+        # Carry: a /64's open run continues into its first segment when
+        # the /24 is unchanged, and closes at its old extent otherwise.
+        runs, seen = _join(self._run_v6, group_v6)
+        hit = runs[seen]
+        continues = self._run_v4[hit] == seg_v4[group_first[seen]]
+        seg_start = seg_first.copy()
+        seg_start[group_first[seen][continues]] = self._run_start[hit[continues]]
+        closing = np.ones(len(seg_rows), dtype=bool)
+        closing[group_last] = False
+        self._durations = _histogram_add(self._durations, np.concatenate((
+            (self._run_last[hit] - self._run_start[hit] + 1)[~continues],
+            (seg_last - seg_start + 1)[closing],
+        )))
+        last = group_last[seen]
+        self._run_v4[hit] = seg_v4[last]
+        self._run_start[hit] = seg_start[last]
+        self._run_last[hit] = seg_last[last]
+        fresh = ~seen
+        group_id6 = np.empty(len(group_v6), dtype=np.int64)
+        group_id6[seen] = self._run_id6[hit]
+        group_id6[fresh] = len(self._run_v6) + np.arange(np.count_nonzero(fresh))
+        if fresh.any():
+            at, last = runs[fresh], group_last[fresh]
+            self._run_v6 = np.insert(self._run_v6, at, group_v6[fresh])
+            self._run_id6 = np.insert(self._run_id6, at, group_id6[fresh])
+            self._run_v4 = np.insert(self._run_v4, at, seg_v4[last])
+            self._run_start = np.insert(self._run_start, at, seg_start[last])
+            self._run_last = np.insert(self._run_last, at, seg_last[last])
 
-        # Group segments by /64: the first segment of each group is where
-        # new_v6 held at the segment's start row.
-        group_first_seg = np.flatnonzero(new_v6[seg_starts])
-        group_last_seg = np.empty_like(group_first_seg)
-        group_last_seg[:-1] = group_first_seg[1:] - 1
-        group_last_seg[-1] = len(seg_starts) - 1
+        # /24 hits, summed per segment, then joined to the sorted keys.
+        window_v4, seg_slot = np.unique(seg_v4, return_inverse=True)
+        window_hits = np.zeros(len(window_v4), dtype=np.int64)
+        np.add.at(window_hits, seg_slot, np.diff(np.append(seg_rows, n)))
+        slots, known = _join(self._v4_keys, window_v4)
+        self._v4_hits[slots[known]] += window_hits[known]
+        window_id4 = np.empty(len(window_v4), dtype=np.int64)
+        window_id4[known] = self._v4_ids[slots[known]]
+        unknown = ~known
+        window_id4[unknown] = len(self._v4_keys) + np.arange(np.count_nonzero(unknown))
+        if unknown.any():
+            at = slots[unknown]
+            self._v4_keys = np.insert(self._v4_keys, at, window_v4[unknown])
+            self._v4_ids = np.insert(self._v4_ids, at, window_id4[unknown])
+            self._v4_hits = np.insert(self._v4_hits, at, window_hits[unknown])
+        if len(self._run_v6) > _ID_LIMIT or len(self._v4_keys) > _ID_LIMIT:
+            raise OverflowError("association stream exceeds 2**32 distinct keys")
 
-        # Middle segments (neither first nor last of their group) close
-        # unconditionally — their durations never interact with the open
-        # run, so they accumulate straight into the counter.
-        middle = np.ones(len(seg_starts), dtype=bool)
-        middle[group_first_seg] = False
-        middle[group_last_seg] = False
-        if middle.any():
-            mid_durations = seg_last[middle] - seg_first[middle] + 1
-            values, counts = np.unique(mid_durations, return_counts=True)
-            for value, count in zip(values.tolist(), counts.tolist()):
-                self._durations[value] += count
-
-        # First/last segments need the open-run state; one iteration per
-        # /64 seen this window.
-        group_v6 = v6_sorted[seg_starts[group_first_seg]]
-        for position, v6_packed in enumerate(group_v6.tolist()):
-            key = v6_packed << 64
-            first_seg = group_first_seg[position]
-            last_seg = group_last_seg[position]
-            first_v4 = int(seg_v4[first_seg])
-            start = int(seg_first[first_seg])
-            run = self._open.get(key)
-            if run is not None:
-                if run[0] == first_v4:
-                    start = run[1]  # the open run continues into this window
-                else:
-                    self._durations[run[2] - run[1] + 1] += 1
-            if first_seg == last_seg:
-                self._open[key] = [first_v4, start, int(seg_last[first_seg])]
-            else:
-                self._durations[int(seg_last[first_seg]) - start + 1] += 1
-                self._open[key] = [
-                    int(seg_v4[last_seg]),
-                    int(seg_first[last_seg]),
-                    int(seg_last[last_seg]),
-                ]
-
-        # Degree state: one update per distinct (v4, v6) pair and per
-        # distinct v4 — again per-key, not per-row.
-        pair_order = np.lexsort((v6_sorted, v4_sorted))
-        pair_v4 = v4_sorted[pair_order]
-        pair_v6 = v6_sorted[pair_order]
-        new_pair = np.empty(n, dtype=bool)
-        new_pair[0] = True
-        new_pair[1:] = (pair_v4[1:] != pair_v4[:-1]) | (pair_v6[1:] != pair_v6[:-1])
-        pair_starts = np.flatnonzero(new_pair)
-        for v4_key, v6_packed in zip(
-            pair_v4[pair_starts].tolist(), pair_v6[pair_starts].tolist()
-        ):
-            v6_full = v6_packed << 64
-            self._v4_unique.setdefault(v4_key, set()).add(v6_full)
-            self._v6_partners.setdefault(v6_full, set()).add(v4_key)
-        hit_keys, hit_counts = np.unique(v4_sorted, return_counts=True)
-        for v4_key, count in zip(hit_keys.tolist(), hit_counts.tolist()):
-            self._v4_hits[v4_key] += count
+        # Distinct (/64, /24) pairs merge into the sorted pair set.
+        # (A sort beats np.unique here: its hash path is ~20x slower on uint64.)
+        codes = np.sort((group_id6[group_of_seg].astype(np.uint64) << _32)
+                        | window_id4[seg_slot].astype(np.uint64))
+        codes = codes[np.append(True, codes[1:] != codes[:-1])]
+        slots, present = _join(self._pairs, codes)
+        if not present.all():
+            self._pairs = np.insert(self._pairs, slots[~present], codes[~present])
         self._triples_seen += n
 
     def state_dict(self) -> dict:
-        """Snapshot (references live containers — pickle before folding on)."""
-        return {
-            "state_version": STATE_VERSION,
-            "next_chunk": self._next_chunk,
-            "triples_seen": self._triples_seen,
-            "open": {key: list(run) for key, run in self._open.items()},
-            "durations": dict(self._durations),
-            "v4_unique": {key: sorted(members) for key, members in self._v4_unique.items()},
-            "v4_hits": dict(self._v4_hits),
-            "v6_partners": {
-                key: sorted(members) for key, members in self._v6_partners.items()
-            },
-        }
+        """Snapshot of the state; owns copies, so later folds never alter it."""
+        state = {name: getattr(self, f"_{name}").copy() for name in _STATE_ARRAYS}
+        state.update(state_version=STATE_VERSION, next_chunk=self._next_chunk,
+                     triples_seen=self._triples_seen)
+        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (checkpoint resume)."""
@@ -205,36 +214,64 @@ class AssociationStreamEngine:
             raise ValueError(f"unsupported association state version {version!r}")
         self._next_chunk = state["next_chunk"]
         self._triples_seen = state["triples_seen"]
-        self._open = {key: list(run) for key, run in state["open"].items()}
-        self._durations = Counter(state["durations"])
-        self._v4_unique = {key: set(members) for key, members in state["v4_unique"].items()}
-        self._v4_hits = Counter(state["v4_hits"])
-        self._v6_partners = {
-            key: set(members) for key, members in state["v6_partners"].items()
-        }
+        for name, dtype in _STATE_ARRAYS.items():
+            setattr(self, f"_{name}", np.array(state[name], dtype=dtype))
 
     def finalize(self, chunks_folded: int = 0) -> AssociationStreamResult:
         """Close every open run and assemble the batch-identical artifacts.
 
         State is left untouched, so the pass can be extended afterwards.
         """
-        durations = Counter(self._durations)
-        for _v4, start, last in self._open.values():
-            durations[last - start + 1] += 1
-        expanded: List[float] = []
-        for value in sorted(durations):
-            expanded.extend([float(value)] * durations[value])
-        v6_degrees = {key: len(members) for key, members in self._v6_partners.items()}
+        histogram = _histogram_add(self._durations.copy(), self._run_last - self._run_start + 1)
+        values = np.flatnonzero(histogram)
+        counts = histogram[values]
+        v6_by_id = np.empty(len(self._run_v6), dtype=np.uint64)
+        v6_by_id[self._run_id6] = self._run_v6
+        v6_degree = np.bincount((self._pairs >> _32).astype(np.int64), minlength=len(v6_by_id))
+        v4_degree = np.bincount((self._pairs & _LOW32).astype(np.int64),
+                                minlength=len(self._v4_keys))
+        v4_keys = self._v4_keys.tolist()
         return AssociationStreamResult(
-            durations=durations,
-            box=box_stats(expanded) if expanded else None,
-            v4_unique={key: len(members) for key, members in self._v4_unique.items()},
-            v4_hits=dict(self._v4_hits),
-            v6_degrees=v6_degrees,
-            fraction_v6_degree_one=fraction_degree_one(v6_degrees),
+            durations=Counter(dict(zip(values.tolist(), counts.tolist()))),
+            box=box_stats_from_counts(values, counts, empty_ok=True),
+            v4_unique=dict(zip(v4_keys, v4_degree[self._v4_ids].tolist())),
+            v4_hits=dict(zip(v4_keys, self._v4_hits.tolist())),
+            v6_degrees={key << 64: d for key, d in zip(v6_by_id.tolist(), v6_degree.tolist())},
+            fraction_v6_degree_one=(
+                int(np.count_nonzero(v6_degree == 1)) / len(v6_degree)
+                if len(v6_degree) else 0.0
+            ),
             triples_seen=self._triples_seen,
             chunks_folded=chunks_folded,
         )
+
+
+def _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks):
+    """The shared checkpointing fold loop of both stream drivers.
+
+    ``windows(start_chunk)`` yields ``(index, days, v4, v6)`` column
+    windows from ``start_chunk`` on.
+    """
+    engine = AssociationStreamEngine()
+    if store is not None and resume:
+        state = store.load("association-stream", key)
+        if state is not None:
+            engine.load_state(state)
+    folded = 0
+    for index, days, v4_keys, v6_keys in windows(engine.next_chunk):
+        engine.fold_columns(days, v4_keys, v6_keys, chunk_index=index)
+        folded += 1
+        at_checkpoint = store is not None and checkpoint_every and folded % checkpoint_every == 0
+        if at_checkpoint:
+            store.save("association-stream", key, engine.state_dict())
+        if stop_after_chunks is not None and folded >= stop_after_chunks:
+            if store is not None and not at_checkpoint:
+                store.save("association-stream", key, engine.state_dict())
+            return None
+    result = engine.finalize(chunks_folded=folded)
+    if store is not None:
+        store.save("association-stream", key, engine.state_dict())
+    return result
 
 
 def run_association_stream(
@@ -256,35 +293,19 @@ def run_association_stream(
     """
     from repro.stream.chunks import triple_chunks
 
-    engine = AssociationStreamEngine()
     key = None
     if store is not None:
         if stream_id is None:
             raise ValueError("checkpointing an association stream requires stream_id")
         key = store.key("association-stream", stream_id, {"chunk_days": chunk_days})
-        if resume:
-            state = store.load("association-stream", key)
-            if state is not None:
-                engine.load_state(state)
-    folded = 0
-    for chunk in triple_chunks(
-        triples, chunk_days, start_chunk=engine.next_chunk, min_days=min_days
-    ):
-        engine.fold_chunk(chunk)
-        folded += 1
-        at_checkpoint = (
-            store is not None and checkpoint_every and folded % checkpoint_every == 0
-        )
-        if at_checkpoint:
-            store.save("association-stream", key, engine.state_dict())
-        if stop_after_chunks is not None and folded >= stop_after_chunks:
-            if store is not None and not at_checkpoint:
-                store.save("association-stream", key, engine.state_dict())
-            return None
-    result = engine.finalize(chunks_folded=folded)
-    if store is not None:
-        store.save("association-stream", key, engine.state_dict())
-    return result
+
+    def windows(start_chunk):
+        for chunk in triple_chunks(
+            triples, chunk_days, start_chunk=start_chunk, min_days=min_days
+        ):
+            yield (chunk.index, *columns_from_triples(chunk.triples))
+
+    return _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks)
 
 
 def run_association_stream_over_store(
@@ -298,51 +319,29 @@ def run_association_stream_over_store(
 ) -> Optional[AssociationStreamResult]:
     """Out-of-core :func:`run_association_stream` over a sharded triple store.
 
-    Day windows are gathered straight off the memmapped shards
-    (:meth:`repro.store.TripleStore.day_window_columns`) and folded with
-    the vectorized :meth:`AssociationStreamEngine.fold_columns`, so
-    neither the triples nor any per-row python objects ever materialize.
-    The window schedule matches :func:`repro.stream.chunks.triple_chunks`
-    — ``[k*chunk_days, (k+1)*chunk_days)``, empty windows included — so
-    results and resume points line up with the CSV path exactly.
-    Checkpoint identity comes from the store's content digest.
+    Day windows come straight off the shards, mapped once for the pass
+    (:meth:`repro.store.TripleStore.iter_day_windows`), and go through
+    the same :meth:`AssociationStreamEngine.fold_columns` as the CSV
+    path, so neither the triples nor any per-row python objects ever
+    materialize.  The window schedule matches
+    :func:`repro.stream.chunks.triple_chunks` — ``[k*chunk_days,
+    (k+1)*chunk_days)``, empty windows included — so results and resume
+    points line up with the CSV path exactly.  Checkpoint identity
+    comes from the store's content digest.
     """
     if chunk_days < 1:
         raise ValueError("chunk_days must be >= 1")
-    engine = AssociationStreamEngine()
     key = None
     if store is not None:
-        key = store.key(
-            "association-stream",
-            triple_store.digest(),
-            {"chunk_days": chunk_days},
-        )
-        if resume:
-            state = store.load("association-stream", key)
-            if state is not None:
-                engine.load_state(state)
+        key = store.key("association-stream", triple_store.digest(), {"chunk_days": chunk_days})
     last_day = triple_store.day_max if triple_store.day_max is not None else 0
     min_chunks = max(1, -(-min_days // chunk_days)) if min_days else 1
     total_chunks = max(last_day // chunk_days + 1, min_chunks)
-    folded = 0
-    for index in range(engine.next_chunk, total_chunks):
-        lo = index * chunk_days
-        days, v4_keys, v6_keys = triple_store.day_window_columns(lo, lo + chunk_days)
-        engine.fold_columns(days, v4_keys, v6_keys, chunk_index=index)
-        folded += 1
-        at_checkpoint = (
-            store is not None and checkpoint_every and folded % checkpoint_every == 0
-        )
-        if at_checkpoint:
-            store.save("association-stream", key, engine.state_dict())
-        if stop_after_chunks is not None and folded >= stop_after_chunks:
-            if store is not None and not at_checkpoint:
-                store.save("association-stream", key, engine.state_dict())
-            return None
-    result = engine.finalize(chunks_folded=folded)
-    if store is not None:
-        store.save("association-stream", key, engine.state_dict())
-    return result
+
+    def windows(start_chunk):
+        return triple_store.iter_day_windows(chunk_days, start_chunk, total_chunks)
+
+    return _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks)
 
 
 __all__ = [

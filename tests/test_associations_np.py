@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.associations import (
+    association_box_stats,
     association_durations,
     box_stats,
     v4_degree_counts,
@@ -20,6 +21,7 @@ from repro.core.associations_np import (
     duration_percentiles_np,
     unpack_v6_degree_keys,
     v4_degree_counts_np,
+    v6_day_v4_order,
     v6_degree_counts_np,
 )
 
@@ -173,3 +175,40 @@ class TestSparsePopulationGuards:
         counts = np.array([count for _value, count in buckets])
         expanded = np.repeat(values, counts)
         assert box_stats_from_counts(values, counts) == box_stats_np(expanded)
+
+
+class TestKeyAlignment:
+    def test_unaligned_v64_key_raises(self):
+        with pytest.raises(ValueError):
+            columns_from_triples([(0, 1 << 8, 1 << 64), (0, 1 << 8, (2 << 64) | 5)])
+
+    def test_np_box_stats_do_not_drift_on_unaligned_keys(self):
+        # Two distinct /128 keys inside one /64 must stay distinct: the
+        # np engine falls back to the reference instead of merging them.
+        triples = [(0, 1 << 8, 1 << 64), (1, 2 << 8, (1 << 64) | 1), (5, 1 << 8, 1 << 64)]
+        assert association_box_stats(triples, engine="np") == association_box_stats(
+            triples, engine="py"
+        )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, 2, 59_999]),
+            st.one_of(st.integers(0, 3), st.just((1 << 40) + 1)),
+            st.integers(0, 5),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_v6_day_v4_order_sorts_like_lexsort(rows):
+    # Covers both the packed-key sort and its lexsort fallback (a /24
+    # key wider than 32 bits).
+    days = np.array([row[0] for row in rows], dtype=np.int64)
+    v4 = np.array([row[1] for row in rows], dtype=np.uint64)
+    v6 = np.array([row[2] for row in rows], dtype=np.uint64) << np.uint64(40)
+    order = v6_day_v4_order(days, v4, v6)
+    expected = np.lexsort((v4, days, v6))
+    for column in (days, v4, v6):
+        assert np.array_equal(column[order], column[expected])

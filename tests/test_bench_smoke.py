@@ -40,6 +40,9 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert store["tuples"] == 1_000_000
     assert store["build_tuples_per_second"] > 0
     assert store["analyze_tuples_per_second"] > 0
+    # The store-driven stream replay is timed and matches analyze_store.
+    assert store["stream_parity"] is True
+    assert store["stream_tuples_per_second"] > 0
     # The 1M-tuple parallel build ran against the same synthetic feed
     # and compacted to the byte-identical store as the serial build.
     assert store["parallel_digest_match"] is True
@@ -95,6 +98,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert report_main(["--history", str(history), "--check"]) == 0
     out = capsys.readouterr().out
     assert "report_fused" in out
+    assert "store_stream_rate" in out
     assert "end_to_end" in out
 
 

@@ -6,9 +6,14 @@ without a mid-stream checkpoint/restore — must reproduce the batch
 ``engine="np"`` artifacts bit-identically.
 """
 
+import itertools
 import pickle
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atlas.echo import EchoRecord, runs_from_hourly
 from repro.core.associations import (
@@ -18,9 +23,12 @@ from repro.core.associations import (
     v4_degree_counts,
     v6_degree_counts,
 )
+from repro.core.associations_np import columns_from_triples
 from repro.io.records import RecordFormatError
-from repro.perf.verify import streaming_replay_diffs
+from repro.perf.verify import association_oracle_diffs, streaming_replay_diffs
+from repro.store import build_store_from_triples
 from repro.stream import (
+    AssociationStreamEngine,
     AtlasStreamEngine,
     CheckpointStore,
     JsonlRunSource,
@@ -28,7 +36,9 @@ from repro.stream import (
     ScenarioRunSource,
     record_chunks,
     run_association_stream,
+    run_association_stream_over_store,
     run_atlas_stream,
+    triple_chunks,
     write_run_stream,
 )
 from repro.workloads import (
@@ -280,6 +290,129 @@ class TestAssociationStream:
         assert resumed.durations == full.durations
         assert resumed.box == full.box
         assert resumed.v6_degrees == full.v6_degrees
+
+
+def _aligned(raw):
+    """Day-sorted triples with /24 and /64 keys aligned as collected data is."""
+    return sorted((day, v4 << 8, (0x2001_0DB8_0000_0000 | v6) << 64) for day, v4, v6 in raw)
+
+
+aligned_triples = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=8),
+    ),
+    max_size=120,
+).map(_aligned)
+
+
+def _same_state(a, b):
+    return a.keys() == b.keys() and all(
+        np.array_equal(a[key], b[key]) if isinstance(a[key], np.ndarray) else a[key] == b[key]
+        for key in a
+    )
+
+
+def _fold_shuffled(triples, chunk_days, rng):
+    """Fold every window in a shuffled row order, reloading a pickled
+    state after each one; returns the engine and the per-window
+    snapshots (taken before the reload) with their pickled bytes."""
+    engine = AssociationStreamEngine()
+    snapshots = []
+    for chunk in triple_chunks(triples, chunk_days):
+        rows = list(chunk.triples)
+        rng.shuffle(rows)
+        engine.fold_columns(*columns_from_triples(rows), chunk_index=chunk.index)
+        state = engine.state_dict()
+        snapshots.append((state, pickle.dumps(state)))
+        engine = AssociationStreamEngine()
+        engine.load_state(pickle.loads(snapshots[-1][1]))
+    return engine, snapshots
+
+
+class TestColumnarFold:
+    @given(
+        aligned_triples,
+        st.sampled_from([1, 3, 7, 1000]),
+        st.integers(min_value=1, max_value=45),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_under_pickle_and_kill(self, triples, chunk_days, kill, rng):
+        engine, snapshots = _fold_shuffled(triples, chunk_days, rng)
+        assert association_oracle_diffs(engine.finalize(), triples) == []
+        for state, frozen in snapshots:
+            assert _same_state(state, pickle.loads(frozen))
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp)
+            killed = run_association_stream(
+                triples, chunk_days, stream_id="p", store=store, stop_after_chunks=kill
+            )
+            resumed = killed or run_association_stream(
+                triples, chunk_days, stream_id="p", store=store, resume=True
+            )
+        assert association_oracle_diffs(resumed, triples, "kill/resume") == []
+
+    def test_empty_windows_and_reappearing_v64(self):
+        # /64 1 keeps its /24 across five empty windows (one long run);
+        # /64 2 comes back on another /24 (its first run closes).
+        triples = _aligned([(0, 1, 1), (1, 1, 2), (17, 1, 1), (18, 2, 2)])
+        for chunk_days in (1, 3):
+            result = run_association_stream(triples, chunk_days)
+            assert association_oracle_diffs(result, triples) == []
+        assert run_association_stream(triples, 3).durations == {18: 1, 1: 2}
+
+    def test_empty_stream(self):
+        result = run_association_stream([], 7)
+        assert association_oracle_diffs(result, []) == []
+        assert result.box is None and result.chunks_folded == 1
+
+    def test_flips_within_one_day(self):
+        triples = _aligned([(5, 3, 1), (5, 1, 1), (5, 2, 1), (5, 1, 1), (6, 2, 1)])
+        result = run_association_stream(triples, 7)
+        assert association_oracle_diffs(result, triples) == []
+        assert result.v6_degrees == {triples[0][2]: 3}
+
+    def test_single_row_store(self, tmp_path):
+        triples = [(3, 7 << 8, 1 << 70)]
+        store = build_store_from_triples(triples, tmp_path / "store", shards=4)
+        result = run_association_stream_over_store(store, chunk_days=7)
+        assert association_oracle_diffs(result, triples) == []
+        assert result.durations == {1: 1}
+
+    def test_window_rows_in_any_permutation(self):
+        window = _aligned([(2, 1, 1), (0, 2, 1), (1, 1, 1), (1, 1, 3), (0, 1, 3)])
+        prior = _aligned([(0, 1, 1)])
+        states = []
+        for rows in itertools.permutations(window):
+            engine = AssociationStreamEngine()
+            engine.fold_columns(*columns_from_triples(prior), chunk_index=0)
+            engine.fold_columns(*columns_from_triples(list(rows)), chunk_index=1)
+            states.append(engine.state_dict())
+        assert all(_same_state(states[0], state) for state in states[1:])
+
+    def test_state_dict_is_not_aliased_by_later_folds(self):
+        engine = AssociationStreamEngine()
+        chunks = list(triple_chunks(_synthetic_triples(), 4))
+        for chunk in chunks[: len(chunks) // 2]:
+            engine.fold_chunk(chunk)
+        snapshot = engine.state_dict()
+        frozen = pickle.dumps(snapshot)
+        for chunk in chunks[len(chunks) // 2:]:
+            engine.fold_chunk(chunk)
+        assert _same_state(snapshot, pickle.loads(frozen))
+        assert not _same_state(snapshot, engine.state_dict())
+
+    def test_old_state_version_is_rejected(self):
+        engine = AssociationStreamEngine()
+        with pytest.raises(ValueError):
+            engine.load_state({"state_version": 1})
+
+    def test_unaligned_v64_key_is_rejected(self):
+        chunk = next(triple_chunks([(0, 1 << 8, (1 << 64) | 1)], 7))
+        with pytest.raises(ValueError):
+            AssociationStreamEngine().fold_chunk(chunk)
 
 
 @pytest.mark.stream
