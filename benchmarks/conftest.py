@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.report import resolve_engine
+from repro.core.engine import resolve_engine
 from repro.perf.cache import get_scenario_cache
 from repro.perf.parallel import resolve_workers
 from repro.perf.profiling import maybe_profile

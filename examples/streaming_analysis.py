@@ -31,8 +31,8 @@ CHUNK_HOURS = 24 * 14  # two-week chunks
 def main() -> None:
     print("Building scenario (11 ISPs, 4 probes each, 1 simulated year)...")
     scenario = build_atlas_scenario(probes_per_as=4, years=1.0, seed=2020)
-    batch = analyze_atlas_scenario(scenario, engine="np")
-    periods = periodicity_for_scenario(scenario, engine="np")
+    batch = analyze_atlas_scenario(scenario)  # default engine: fused
+    periods = periodicity_for_scenario(scenario)
 
     # 1. Plain streaming pass: any chunk size reproduces batch exactly.
     result = stream_analyze_atlas_scenario(scenario, chunk_hours=CHUNK_HOURS)

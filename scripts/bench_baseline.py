@@ -5,7 +5,7 @@ pool, verifies the parallel results are bit-identical to the serial
 ones, exercises a cache round-trip in a throwaway directory, then times
 the full Section 3/5 analysis stack (Table 1, Figure 1, Figure 5,
 Table 2, periodicity detection) under both analysis engines (``py``
-reference vs columnar ``np``), asserts the two produce bit-identical
+reference vs ``fused``), asserts the two produce bit-identical
 artifacts, replays the same scenario through the chunked streaming
 engine (asserting batch parity, recording throughput and sampled peak
 RSS, and checking the checkpointable state stays bounded as the stream
@@ -17,10 +17,10 @@ must compact to a byte-identical digest and — in full mode on
 multi-core hosts — beat the serial build by ``--min-store-build-speedup``
 in tuples/s, and a 7-day-window stream replay of the store checked
 against the out-of-core analysis), times the end-to-end report suite (all artifacts
-plus periodicity) under both the per-kernel ``np`` engine and the
-single-pass ``fused`` engine — enforcing bit-identity, a strict fused
-end-to-end win in full mode, and recording the peak-RSS delta of the
-zero-copy fused worker fan-out — exercises the ``repro.serve``
+plus periodicity) under the single-pass ``fused`` engine, serially and
+fanned out to ``--workers`` — enforcing bit-identity with each other and
+the ``py`` reference, and recording the peak-RSS delta of the zero-copy
+fused worker fan-out — exercises the ``repro.serve``
 query engine (cold-vs-warm artifact latency, batched-vs-sequential
 coalescing on 64 queries with a ``--min-serve-speedup`` gate in full
 mode, and a served-vs-direct parity sweep over every query family on
@@ -66,7 +66,7 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from repro.core.report import resolve_engine  # noqa: E402
+from repro.core.engine import resolve_engine  # noqa: E402
 from repro.obs import TELEMETRY_ENV, export_trace, telemetry  # noqa: E402
 from repro.perf.cache import CACHE_DIR_ENV  # noqa: E402
 from repro.perf.profiling import maybe_profile  # noqa: E402
@@ -139,7 +139,7 @@ def _timed(builder, **kwargs):
 
 
 #: Analysis stages timed per engine, in execution order.  The first
-#: stage pays for the one-time per-AS column packing on the np engine;
+#: stage pays for the one-time per-AS column packing and fused pass;
 #: the rest reuse the scenario-memoized packs.
 ANALYSIS_STAGES = ("table1", "figure1", "figure5", "table2", "periodicity")
 
@@ -148,11 +148,12 @@ def _run_analysis(scenario, engine: str):
     """Time the Section 3/5 analysis stages under one engine.
 
     Returns ``(results, timings)`` where both are keyed by stage; the
-    results are plain comparable values so py-vs-np parity is a ``==``.
+    results are plain comparable values so py-vs-fused parity is a ``==``.
     """
     from repro.core.report import (
         figure1_for_as,
         figure5_for_as,
+        periodic_networks,
         table1_row,
         table2_row,
     )
@@ -184,8 +185,8 @@ def _run_analysis(scenario, engine: str):
             )
             for name, _ in items
         },
-        "periodicity": lambda: periodicity_for_scenario(
-            scenario, min_probes=2, engine=engine
+        "periodicity": lambda: periodic_networks(
+            probes, min_probes=2, engine=engine, columns_by_network=columns
         ),
     }
     results = {}
@@ -213,7 +214,7 @@ def _materialized_triple_bytes(tuples: int) -> int:
 
 
 def _store_parity(store, analysis) -> bool:
-    """Does the out-of-core analysis match a single in-RAM np pass?
+    """Does the out-of-core analysis match a single in-RAM columnar pass?
 
     Concatenates every shard into one columnar array and recomputes all
     artifacts with the stock kernels — the reference the sharded
@@ -324,52 +325,43 @@ def run_baseline(args: argparse.Namespace) -> dict:
           f"({cache_cold_s / max(cache_warm_s, 1e-9):.0f}x)")
 
     # Analysis stages over the serial Atlas scenario: the pure-Python
-    # reference vs the columnar engine, with a hard parity check.
-    engine_available = resolve_engine("np") == "np"
+    # reference vs the fused engine, with a hard parity check.
     py_results, py_timings = _run_analysis(serial_atlas, "py")
-    if engine_available:
-        np_results, np_timings = _run_analysis(serial_atlas, "np")
-        if np_results != py_results:
-            failures.append("analysis engine parity violated: np != py artifacts")
-        analysis_stages = {}
-        for key in ANALYSIS_STAGES:
-            stage_speedup = py_timings[key] / max(np_timings[key], 1e-9)
-            analysis_stages[key] = {
-                "py_seconds": round(py_timings[key], 4),
-                "np_seconds": round(np_timings[key], 4),
-                "speedup": round(stage_speedup, 4),
-            }
-            print(f"analysis {key:8s} py {py_timings[key]:.3f}s "
-                  f"np {np_timings[key]:.3f}s ({stage_speedup:.1f}x) — "
-                  f"artifacts identical")
-        analysis_enforced = not args.check
-        if analysis_enforced:
-            for stage, required in (
-                ("table1", args.min_analysis_speedup),
-                ("table2", args.min_table2_speedup),
-                ("periodicity", args.min_periodicity_speedup),
-            ):
-                stage_speedup = analysis_stages[stage]["speedup"]
-                if stage_speedup < required:
-                    failures.append(
-                        f"{stage} analysis speedup {stage_speedup:.2f}x below "
-                        f"required {required:.2f}x"
-                    )
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        analysis_stages = {
-            key: {"py_seconds": round(py_timings[key], 4)} for key in ANALYSIS_STAGES
+    fused_results, fused_timings = _run_analysis(serial_atlas, "fused")
+    analysis_parity = fused_results == py_results
+    if not analysis_parity:
+        failures.append("analysis engine parity violated: fused != py artifacts")
+    analysis_stages = {}
+    for key in ANALYSIS_STAGES:
+        stage_speedup = py_timings[key] / max(fused_timings[key], 1e-9)
+        analysis_stages[key] = {
+            "py_seconds": round(py_timings[key], 4),
+            "fused_seconds": round(fused_timings[key], 4),
+            "speedup": round(stage_speedup, 4),
         }
-        analysis_enforced = False
-        print("analysis: numpy unavailable, columnar engine not benchmarked")
+        print(f"analysis {key:8s} py {py_timings[key]:.3f}s "
+              f"fused {fused_timings[key]:.3f}s ({stage_speedup:.1f}x) — "
+              f"artifacts identical")
+    analysis_enforced = not args.check
+    if analysis_enforced:
+        for stage, required in (
+            ("table1", args.min_analysis_speedup),
+            ("table2", args.min_table2_speedup),
+            ("periodicity", args.min_periodicity_speedup),
+        ):
+            stage_speedup = analysis_stages[stage]["speedup"]
+            if stage_speedup < required:
+                failures.append(
+                    f"{stage} analysis speedup {stage_speedup:.2f}x below "
+                    f"required {required:.2f}x"
+                )
 
     # Telemetry invariance: the same build + analysis with spans and
     # metrics recording must produce bit-identical artifacts, and the
     # instrumentation must stay near-free even when enabled.
     reference_engine = resolve_engine(None)
-    reference_results = np_results if engine_available else py_results
-    untraced_s = atlas_serial_s + sum(
-        (np_timings if engine_available else py_timings).values()
-    )
+    reference_results = fused_results
+    untraced_s = atlas_serial_s + sum(fused_timings.values())
     with maybe_profile("telemetry_invariance"):
         start = time.perf_counter()
         with telemetry(True, reset=True):
@@ -404,80 +396,76 @@ def run_baseline(args: argparse.Namespace) -> dict:
     }
 
     # Streaming replay over the serial Atlas scenario: the chunked
-    # incremental engine must reproduce the batch np artifacts
+    # incremental engine must reproduce the batch fused artifacts
     # bit-identically, and its checkpointable state must stay bounded by
     # the probe population rather than grow with the stream length (the
     # pickled state after all chunks vs after the first quarter).
-    streaming = None
-    if engine_available:
-        chunk_hours = 24 * 30
-        total_chunks = max(1, -(-serial_atlas.end_hour // chunk_hours))
-        quarter_chunks = max(1, total_chunks // 4)
-        state_bytes = {}
+    chunk_hours = 24 * 30
+    total_chunks = max(1, -(-serial_atlas.end_hour // chunk_hours))
+    quarter_chunks = max(1, total_chunks // 4)
+    state_bytes = {}
 
-        def _sample_state(engine_obj, chunk):
-            if chunk.index + 1 in (quarter_chunks, total_chunks):
-                state_bytes[chunk.index + 1] = len(
-                    pickle.dumps(
-                        engine_obj.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
-                    )
+    def _sample_state(engine_obj, chunk):
+        if chunk.index + 1 in (quarter_chunks, total_chunks):
+            state_bytes[chunk.index + 1] = len(
+                pickle.dumps(
+                    engine_obj.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
                 )
-
-        with maybe_profile("analysis_streaming"), RssSampler() as sampler:
-            start = time.perf_counter()
-            stream_result = stream_analyze_atlas_scenario(
-                serial_atlas,
-                chunk_hours=chunk_hours,
-                min_probes=2,
-                on_chunk=_sample_state,
             )
-            stream_s = time.perf_counter() - start
-        batch = analyze_atlas_scenario(serial_atlas, engine="np")
-        batch_periods = periodicity_for_scenario(serial_atlas, min_probes=2, engine="np")
-        stream_parity = (
-            stream_result.analysis == batch
-            and (stream_result.v4_periods, stream_result.v6_periods) == batch_periods
+
+    with maybe_profile("analysis_streaming"), RssSampler() as sampler:
+        start = time.perf_counter()
+        stream_result = stream_analyze_atlas_scenario(
+            serial_atlas,
+            chunk_hours=chunk_hours,
+            min_probes=2,
+            on_chunk=_sample_state,
         )
-        if not stream_parity:
-            failures.append("streaming replay parity violated: streamed != batch np")
-        runs_per_s = stream_result.stats.runs_seen / max(stream_s, 1e-9)
-        bytes_quarter = state_bytes.get(quarter_chunks)
-        bytes_end = state_bytes.get(total_chunks)
-        state_bounded = None
-        if bytes_quarter and bytes_end:
-            state_bounded = bytes_end <= 3 * bytes_quarter
-            if not args.check and not state_bounded:
-                failures.append(
-                    f"streaming state grew with the stream: {bytes_end} bytes "
-                    f"after {total_chunks} chunks vs {bytes_quarter} after "
-                    f"{quarter_chunks}"
-                )
-        rss_mib = (
-            f"{sampler.peak_bytes / 2**20:.0f} MiB"
-            if sampler.peak_bytes is not None
-            else "n/a"
-        )
-        print(
-            f"streaming: {stream_result.stats.runs_seen} runs in "
-            f"{stream_result.stats.chunks_folded} chunks of {chunk_hours}h, "
-            f"{stream_s:.3f}s ({runs_per_s:.0f} runs/s), peak RSS {rss_mib}, "
-            f"state {bytes_quarter}->{bytes_end} bytes — artifacts identical"
-        )
-        streaming = {
-            "chunk_hours": chunk_hours,
-            "chunks": stream_result.stats.chunks_folded,
-            "runs": stream_result.stats.runs_seen,
-            "seconds": round(stream_s, 4),
-            "runs_per_second": round(runs_per_s, 1),
-            "peak_rss_bytes": sampler.peak_bytes,
-            "state_bytes_quarter": bytes_quarter,
-            "state_bytes_end": bytes_end,
-            "state_bounded": state_bounded,
-            "state_bound_enforced": not args.check,
-            "parity": stream_parity,
-        }
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        print("streaming: numpy unavailable, streaming engine not benchmarked")
+        stream_s = time.perf_counter() - start
+    batch = analyze_atlas_scenario(serial_atlas, engine="fused")
+    batch_periods = periodicity_for_scenario(serial_atlas, min_probes=2, engine="fused")
+    stream_parity = (
+        stream_result.analysis == batch
+        and (stream_result.v4_periods, stream_result.v6_periods) == batch_periods
+    )
+    if not stream_parity:
+        failures.append("streaming replay parity violated: streamed != batch fused")
+    runs_per_s = stream_result.stats.runs_seen / max(stream_s, 1e-9)
+    bytes_quarter = state_bytes.get(quarter_chunks)
+    bytes_end = state_bytes.get(total_chunks)
+    state_bounded = None
+    if bytes_quarter and bytes_end:
+        state_bounded = bytes_end <= 3 * bytes_quarter
+        if not args.check and not state_bounded:
+            failures.append(
+                f"streaming state grew with the stream: {bytes_end} bytes "
+                f"after {total_chunks} chunks vs {bytes_quarter} after "
+                f"{quarter_chunks}"
+            )
+    rss_mib = (
+        f"{sampler.peak_bytes / 2**20:.0f} MiB"
+        if sampler.peak_bytes is not None
+        else "n/a"
+    )
+    print(
+        f"streaming: {stream_result.stats.runs_seen} runs in "
+        f"{stream_result.stats.chunks_folded} chunks of {chunk_hours}h, "
+        f"{stream_s:.3f}s ({runs_per_s:.0f} runs/s), peak RSS {rss_mib}, "
+        f"state {bytes_quarter}->{bytes_end} bytes — artifacts identical"
+    )
+    streaming = {
+        "chunk_hours": chunk_hours,
+        "chunks": stream_result.stats.chunks_folded,
+        "runs": stream_result.stats.runs_seen,
+        "seconds": round(stream_s, 4),
+        "runs_per_second": round(runs_per_s, 1),
+        "peak_rss_bytes": sampler.peak_bytes,
+        "state_bytes_quarter": bytes_quarter,
+        "state_bytes_end": bytes_end,
+        "state_bounded": state_bounded,
+        "state_bound_enforced": not args.check,
+        "parity": stream_parity,
+    }
 
     # Out-of-core sharded triple store: build a synthetic store at a
     # tuple volume the in-RAM path would have to materialize as Python
@@ -485,356 +473,332 @@ def run_baseline(args: argparse.Namespace) -> dict:
     # the analyzer's peak RSS *delta* against a fraction of that
     # materialized footprint.  The in-RAM parity pass runs after the
     # gated region so its own allocations cannot pollute the gate.
-    store_stats = None
-    if engine_available:
-        from repro.store import (
-            analyze_store,
-            build_store_from_columns,
-            synthetic_triple_batches,
+    from repro.store import (
+        analyze_store,
+        build_store_from_columns,
+        synthetic_triple_batches,
+    )
+
+    store_scale = dict(scale["store"])
+    if args.store_tuples is not None:
+        store_scale["tuples"] = args.store_tuples
+    store_tuples = store_scale["tuples"]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
+        with maybe_profile("store_build"):
+            start = time.perf_counter()
+            store = build_store_from_columns(
+                synthetic_triple_batches(
+                    store_tuples,
+                    batch_rows=store_scale["batch_rows"],
+                    seed=args.seed,
+                    v4_pool=store_scale["v4_pool"],
+                    v6_pool=store_scale["v6_pool"],
+                ),
+                Path(tmp) / "store",
+                shards=store_scale["shards"],
+                source={"kind": "synthetic", "seed": args.seed},
+            )
+            store_build_s = time.perf_counter() - start
+        build_rate = store_tuples / max(store_build_s, 1e-9)
+        print(
+            f"store: built {store_tuples} tuples into {store.shards} "
+            f"shard(s), {store.nbytes / 2**20:.0f} MiB on disk, "
+            f"{store_build_s:.2f}s ({build_rate:.0f} tuples/s)"
         )
 
-        store_scale = dict(scale["store"])
-        if args.store_tuples is not None:
-            store_scale["tuples"] = args.store_tuples
-        store_tuples = store_scale["tuples"]
-        with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
-            with maybe_profile("store_build"):
-                start = time.perf_counter()
-                store = build_store_from_columns(
-                    synthetic_triple_batches(
-                        store_tuples,
-                        batch_rows=store_scale["batch_rows"],
-                        seed=args.seed,
-                        v4_pool=store_scale["v4_pool"],
-                        v6_pool=store_scale["v6_pool"],
-                    ),
-                    Path(tmp) / "store",
-                    shards=store_scale["shards"],
-                    source={"kind": "synthetic", "seed": args.seed},
-                )
-                store_build_s = time.perf_counter() - start
-            build_rate = store_tuples / max(store_build_s, 1e-9)
-            print(
-                f"store: built {store_tuples} tuples into {store.shards} "
-                f"shard(s), {store.nbytes / 2**20:.0f} MiB on disk, "
-                f"{store_build_s:.2f}s ({build_rate:.0f} tuples/s)"
-            )
+        # Parallel segment build of the same feed: always exercised
+        # (serially on one core, so CI still covers the segment
+        # writer + compaction machinery) with digest parity against
+        # the serial store enforced unconditionally; the >= 2x
+        # tuples/s gate only applies where the hardware can deliver
+        # it (full mode, multi-core, >= 2 workers).
+        import shutil as _shutil
 
-            # Parallel segment build of the same feed: always exercised
-            # (serially on one core, so CI still covers the segment
-            # writer + compaction machinery) with digest parity against
-            # the serial store enforced unconditionally; the >= 2x
-            # tuples/s gate only applies where the hardware can deliver
-            # it (full mode, multi-core, >= 2 workers).
-            import shutil as _shutil
+        from repro.store import parallel_build_store
 
-            from repro.store import parallel_build_store
-
-            store_cores = os.cpu_count() or 1
-            with maybe_profile("store_build_parallel"):
-                start = time.perf_counter()
-                parallel_store = parallel_build_store(
-                    synthetic_triple_batches(
-                        store_tuples,
-                        batch_rows=store_scale["batch_rows"],
-                        seed=args.seed,
-                        v4_pool=store_scale["v4_pool"],
-                        v6_pool=store_scale["v6_pool"],
-                    ),
-                    Path(tmp) / "store-parallel",
-                    shards=store_scale["shards"],
-                    workers=args.workers,
-                    segment_rows=store_scale["segment_rows"],
-                    source={"kind": "synthetic", "seed": args.seed},
-                )
-                store_parallel_s = time.perf_counter() - start
-            parallel_rate = store_tuples / max(store_parallel_s, 1e-9)
-            parallel_digest_match = parallel_store.digest() == store.digest()
-            if not parallel_digest_match:
-                failures.append(
-                    "parallel store build digest differs from serial build"
-                )
-            build_speedup = store_build_s / max(store_parallel_s, 1e-9)
-            build_speedup_enforced = (
-                not args.check and store_cores >= 2 and args.workers >= 2
-            )
-            print(
-                f"store: parallel build ({args.workers} workers on "
-                f"{store_cores} core(s)) {store_parallel_s:.2f}s "
-                f"({parallel_rate:.0f} tuples/s), speedup {build_speedup:.2f}x"
-                + ("" if build_speedup_enforced else " (not enforced)")
-                + ", digest "
-                + ("identical" if parallel_digest_match else "DIVERGED")
-            )
-            if (
-                build_speedup_enforced
-                and build_speedup < args.min_store_build_speedup
-            ):
-                failures.append(
-                    f"parallel store build speedup {build_speedup:.2f}x below "
-                    f"required {args.min_store_build_speedup:.2f}x"
-                )
-            # Drop the parallel copy before the RSS-gated analyze pass —
-            # at full scale it doubles the stage's disk footprint.
-            _shutil.rmtree(parallel_store.directory, ignore_errors=True)
-
-            footprint = _materialized_triple_bytes(store_tuples)
-            rss_start = current_rss_bytes()
-            with maybe_profile("store_analyze"), RssSampler() as sampler:
-                start = time.perf_counter()
-                store_analysis = analyze_store(
-                    store,
-                    workers=args.workers,
-                    block_rows=store_scale["block_rows"],
-                )
-                store_analyze_s = time.perf_counter() - start
-            analyze_rate = store_tuples / max(store_analyze_s, 1e-9)
-            rss_delta = (
-                sampler.peak_bytes - rss_start
-                if sampler.peak_bytes is not None and rss_start is not None
-                else None
-            )
-            rss_fraction = rss_delta / footprint if rss_delta is not None else None
-            if rss_fraction is not None and rss_fraction > STORE_RSS_GATE:
-                failures.append(
-                    f"store analyze peak RSS delta {rss_delta / 2**20:.0f} MiB "
-                    f"exceeds {STORE_RSS_GATE:.0%} of the "
-                    f"{footprint / 2**20:.0f} MiB materialized-triples footprint"
-                )
-            if not args.check and analyze_rate < args.min_store_tuples_per_second:
-                failures.append(
-                    f"store analyze throughput {analyze_rate:.0f} tuples/s "
-                    f"below required {args.min_store_tuples_per_second:.0f}"
-                )
-            with maybe_profile("store_parity"):
-                store_parity = _store_parity(store, store_analysis)
-            if not store_parity:
-                failures.append(
-                    "store parity violated: out-of-core != in-RAM np artifacts"
-                )
-            # Store-driven stream replay: the same artifacts folded in
-            # day windows off the shards, checked against analyze_store.
-            from repro.stream import run_association_stream_over_store
-
-            with maybe_profile("store_stream"):
-                start = time.perf_counter()
-                streamed = run_association_stream_over_store(store, chunk_days=7)
-                store_stream_s = time.perf_counter() - start
-            stream_rate = store_tuples / max(store_stream_s, 1e-9)
-            stream_parity = _stream_parity(streamed, store_analysis, store_tuples)
-            if not stream_parity:
-                failures.append("store stream replay differs from analyze_store")
-            print(
-                f"store: streamed in 7-day windows in {store_stream_s:.2f}s "
-                f"({stream_rate:.0f} tuples/s) — "
-                f"{'matches' if stream_parity else 'DIFFERS FROM'} analyze_store"
-            )
-            rss_text = (
-                f"{rss_delta / 2**20:.0f} MiB ({rss_fraction:.1%} of "
-                f"{footprint / 2**20:.0f} MiB materialized, gate "
-                f"{STORE_RSS_GATE:.0%})"
-                if rss_fraction is not None
-                else "n/a"
-            )
-            print(
-                f"store: analyzed out-of-core in {store_analyze_s:.2f}s "
-                f"({analyze_rate:.0f} tuples/s), "
-                f"{store_analysis.duration_count} runs, peak RSS delta "
-                f"{rss_text} — artifacts identical"
-            )
-            store_stats = {
-                "tuples": store_tuples,
-                "shards": store.shards,
-                "batch_rows": store_scale["batch_rows"],
-                "block_rows": store_scale["block_rows"],
-                "store_bytes": store.nbytes,
-                "digest": store.digest(),
-                "build_seconds": round(store_build_s, 4),
-                "build_tuples_per_second": round(build_rate, 1),
-                "segment_rows": store_scale["segment_rows"],
-                "build_workers": args.workers,
-                "build_parallel_seconds": round(store_parallel_s, 4),
-                "build_parallel_tuples_per_second": round(parallel_rate, 1),
-                "build_speedup": round(build_speedup, 3),
-                "build_speedup_enforced": build_speedup_enforced,
-                "parallel_digest_match": parallel_digest_match,
-                "analyze_seconds": round(store_analyze_s, 4),
-                "analyze_tuples_per_second": round(analyze_rate, 1),
-                "stream_seconds": round(store_stream_s, 4),
-                "stream_tuples_per_second": round(stream_rate, 1),
-                "stream_parity": stream_parity,
-                "throughput_enforced": not args.check,
-                "associations": store_analysis.duration_count,
-                "distinct_v4": len(store_analysis.v4_keys),
-                "distinct_v6": len(store_analysis.v6_keys),
-                "peak_rss_delta_bytes": rss_delta,
-                "materialized_triples_bytes": footprint,
-                "rss_fraction_of_materialized": (
-                    round(rss_fraction, 4) if rss_fraction is not None else None
+        store_cores = os.cpu_count() or 1
+        with maybe_profile("store_build_parallel"):
+            start = time.perf_counter()
+            parallel_store = parallel_build_store(
+                synthetic_triple_batches(
+                    store_tuples,
+                    batch_rows=store_scale["batch_rows"],
+                    seed=args.seed,
+                    v4_pool=store_scale["v4_pool"],
+                    v6_pool=store_scale["v6_pool"],
                 ),
-                "rss_gate_fraction": STORE_RSS_GATE,
-                "parity": store_parity,
-            }
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        print("store: numpy unavailable, out-of-core store not benchmarked")
+                Path(tmp) / "store-parallel",
+                shards=store_scale["shards"],
+                workers=args.workers,
+                segment_rows=store_scale["segment_rows"],
+                source={"kind": "synthetic", "seed": args.seed},
+            )
+            store_parallel_s = time.perf_counter() - start
+        parallel_rate = store_tuples / max(store_parallel_s, 1e-9)
+        parallel_digest_match = parallel_store.digest() == store.digest()
+        if not parallel_digest_match:
+            failures.append(
+                "parallel store build digest differs from serial build"
+            )
+        build_speedup = store_build_s / max(store_parallel_s, 1e-9)
+        build_speedup_enforced = (
+            not args.check and store_cores >= 2 and args.workers >= 2
+        )
+        print(
+            f"store: parallel build ({args.workers} workers on "
+            f"{store_cores} core(s)) {store_parallel_s:.2f}s "
+            f"({parallel_rate:.0f} tuples/s), speedup {build_speedup:.2f}x"
+            + ("" if build_speedup_enforced else " (not enforced)")
+            + ", digest "
+            + ("identical" if parallel_digest_match else "DIVERGED")
+        )
+        if (
+            build_speedup_enforced
+            and build_speedup < args.min_store_build_speedup
+        ):
+            failures.append(
+                f"parallel store build speedup {build_speedup:.2f}x below "
+                f"required {args.min_store_build_speedup:.2f}x"
+            )
+        # Drop the parallel copy before the RSS-gated analyze pass —
+        # at full scale it doubles the stage's disk footprint.
+        _shutil.rmtree(parallel_store.directory, ignore_errors=True)
+
+        footprint = _materialized_triple_bytes(store_tuples)
+        rss_start = current_rss_bytes()
+        with maybe_profile("store_analyze"), RssSampler() as sampler:
+            start = time.perf_counter()
+            store_analysis = analyze_store(
+                store,
+                workers=args.workers,
+                block_rows=store_scale["block_rows"],
+            )
+            store_analyze_s = time.perf_counter() - start
+        analyze_rate = store_tuples / max(store_analyze_s, 1e-9)
+        rss_delta = (
+            sampler.peak_bytes - rss_start
+            if sampler.peak_bytes is not None and rss_start is not None
+            else None
+        )
+        rss_fraction = rss_delta / footprint if rss_delta is not None else None
+        if rss_fraction is not None and rss_fraction > STORE_RSS_GATE:
+            failures.append(
+                f"store analyze peak RSS delta {rss_delta / 2**20:.0f} MiB "
+                f"exceeds {STORE_RSS_GATE:.0%} of the "
+                f"{footprint / 2**20:.0f} MiB materialized-triples footprint"
+            )
+        if not args.check and analyze_rate < args.min_store_tuples_per_second:
+            failures.append(
+                f"store analyze throughput {analyze_rate:.0f} tuples/s "
+                f"below required {args.min_store_tuples_per_second:.0f}"
+            )
+        with maybe_profile("store_parity"):
+            store_parity = _store_parity(store, store_analysis)
+        if not store_parity:
+            failures.append(
+                "store parity violated: out-of-core != in-RAM columnar artifacts"
+            )
+        # Store-driven stream replay: the same artifacts folded in
+        # day windows off the shards, checked against analyze_store.
+        from repro.stream import run_association_stream_over_store
+
+        with maybe_profile("store_stream"):
+            start = time.perf_counter()
+            streamed = run_association_stream_over_store(store, chunk_days=7)
+            store_stream_s = time.perf_counter() - start
+        stream_rate = store_tuples / max(store_stream_s, 1e-9)
+        stream_parity = _stream_parity(streamed, store_analysis, store_tuples)
+        if not stream_parity:
+            failures.append("store stream replay differs from analyze_store")
+        print(
+            f"store: streamed in 7-day windows in {store_stream_s:.2f}s "
+            f"({stream_rate:.0f} tuples/s) — "
+            f"{'matches' if stream_parity else 'DIFFERS FROM'} analyze_store"
+        )
+        rss_text = (
+            f"{rss_delta / 2**20:.0f} MiB ({rss_fraction:.1%} of "
+            f"{footprint / 2**20:.0f} MiB materialized, gate "
+            f"{STORE_RSS_GATE:.0%})"
+            if rss_fraction is not None
+            else "n/a"
+        )
+        print(
+            f"store: analyzed out-of-core in {store_analyze_s:.2f}s "
+            f"({analyze_rate:.0f} tuples/s), "
+            f"{store_analysis.duration_count} runs, peak RSS delta "
+            f"{rss_text} — artifacts identical"
+        )
+        store_stats = {
+            "tuples": store_tuples,
+            "shards": store.shards,
+            "batch_rows": store_scale["batch_rows"],
+            "block_rows": store_scale["block_rows"],
+            "store_bytes": store.nbytes,
+            "digest": store.digest(),
+            "build_seconds": round(store_build_s, 4),
+            "build_tuples_per_second": round(build_rate, 1),
+            "segment_rows": store_scale["segment_rows"],
+            "build_workers": args.workers,
+            "build_parallel_seconds": round(store_parallel_s, 4),
+            "build_parallel_tuples_per_second": round(parallel_rate, 1),
+            "build_speedup": round(build_speedup, 3),
+            "build_speedup_enforced": build_speedup_enforced,
+            "parallel_digest_match": parallel_digest_match,
+            "analyze_seconds": round(store_analyze_s, 4),
+            "analyze_tuples_per_second": round(analyze_rate, 1),
+            "stream_seconds": round(store_stream_s, 4),
+            "stream_tuples_per_second": round(stream_rate, 1),
+            "stream_parity": stream_parity,
+            "throughput_enforced": not args.check,
+            "associations": store_analysis.duration_count,
+            "distinct_v4": len(store_analysis.v4_keys),
+            "distinct_v6": len(store_analysis.v6_keys),
+            "peak_rss_delta_bytes": rss_delta,
+            "materialized_triples_bytes": footprint,
+            "rss_fraction_of_materialized": (
+                round(rss_fraction, 4) if rss_fraction is not None else None
+            ),
+            "rss_gate_fraction": STORE_RSS_GATE,
+            "parity": store_parity,
+        }
 
     # End-to-end report stage: the full artifact suite
-    # (analyze_atlas_scenario + periodicity_for_scenario) timed per
-    # engine with column packs invalidated first, so each engine pays
-    # its own packing cost.  The fused single-pass engine must stay
-    # bit-identical to the per-kernel np path and, in full mode, be
-    # strictly faster end to end.  A second fused run fans the per-AS
-    # work out to a worker pool over the memmapped arena to record the
-    # zero-copy handoff's wall time and peak-RSS delta.
-    report_stats = None
-    if engine_available:
-
-        def _report_suite(engine_name, workers=None, profile_tag=None):
-            serial_atlas.invalidate_analysis_columns()
-            rss_start = current_rss_bytes()
-            with maybe_profile(profile_tag or f"report_{engine_name}"), \
-                    RssSampler() as sampler:
-                start = time.perf_counter()
-                analysis = analyze_atlas_scenario(
-                    serial_atlas, engine=engine_name, workers=workers
-                )
-                periods = periodicity_for_scenario(
-                    serial_atlas, min_probes=2, engine=engine_name
-                )
-                elapsed = time.perf_counter() - start
-            rss_delta = (
-                sampler.peak_bytes - rss_start
-                if sampler.peak_bytes is not None and rss_start is not None
-                else None
-            )
-            return analysis, periods, elapsed, rss_delta
-
-        np_report, np_report_periods, report_np_s, report_np_rss = _report_suite("np")
-        fused_report, fused_report_periods, report_fused_s, report_fused_rss = (
-            _report_suite("fused")
-        )
-        report_parity = (
-            (np_report.table1, np_report.table2, np_report.figure1, np_report.figure5)
-            == (fused_report.table1, fused_report.table2, fused_report.figure1,
-                fused_report.figure5)
-            and np_report_periods == fused_report_periods
-        )
-        if not report_parity:
-            failures.append("report stage parity violated: fused != np artifacts")
-        fused_par, fused_par_periods, report_fused_par_s, report_fused_par_rss = (
-            _report_suite("fused", workers=args.workers,
-                          profile_tag="report_fused_workers")
-        )
-        workers_parity = (
-            fused_par == fused_report and fused_par_periods == fused_report_periods
-        )
-        if not workers_parity:
-            failures.append(
-                "report stage parity violated: fused workers != fused serial"
-            )
-        report_speedup = report_np_s / max(report_fused_s, 1e-9)
-        report_enforced = not args.check
-        if report_enforced and report_fused_s >= report_np_s:
-            failures.append(
-                f"fused end-to-end report {report_fused_s:.3f}s not faster "
-                f"than per-kernel np {report_np_s:.3f}s"
-            )
-
-        def _mib(value):
-            return f"{value / 2**20:.0f} MiB" if value is not None else "n/a"
-
-        print(
-            f"report: np {report_np_s:.3f}s (peak RSS delta "
-            f"{_mib(report_np_rss)}), fused {report_fused_s:.3f}s "
-            f"({report_speedup:.2f}x, {_mib(report_fused_rss)}), fused "
-            f"{args.workers} workers {report_fused_par_s:.3f}s "
-            f"({_mib(report_fused_par_rss)}) — artifacts identical"
-        )
-        report_stats = {
-            "np_seconds": round(report_np_s, 4),
-            "fused_seconds": round(report_fused_s, 4),
-            "fused_speedup": round(report_speedup, 4),
-            "fused_workers_seconds": round(report_fused_par_s, 4),
-            "workers": args.workers,
-            "np_peak_rss_delta_bytes": report_np_rss,
-            "fused_peak_rss_delta_bytes": report_fused_rss,
-            "fused_workers_peak_rss_delta_bytes": report_fused_par_rss,
-            "parity": report_parity,
-            "workers_parity": workers_parity,
-            "speedup_enforced": report_enforced,
-        }
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        print("report: numpy unavailable, fused engine not benchmarked")
-
-    serve_stats = None
-    if engine_available:
-        serve_registry = ArtifactRegistry(name="bench")
-        serve_engine = QueryEngine(serial_atlas, registry=serve_registry)
-        observed = observed_prefixes(serial_atlas, 4, 24)
-        n_serve_queries = 64
-        serve_queries = [
-            StabilityQuery(observed[index % len(observed)])
-            for index in range(n_serve_queries)
-        ]
-        with maybe_profile("serve_cold"):
+    # (analyze_atlas_scenario + periodicity_for_scenario) timed under the
+    # fused engine with column packs invalidated first, so each run pays
+    # its own packing cost, and checked bit-identical to the pure-Python
+    # reference.  A second fused run fans the per-AS work out to a
+    # worker pool over the memmapped arena to record the zero-copy
+    # handoff's wall time and peak-RSS delta.
+    def _report_suite(engine_name, workers=None, profile_tag=None):
+        serial_atlas.invalidate_analysis_columns()
+        rss_start = current_rss_bytes()
+        with maybe_profile(profile_tag or f"report_{engine_name}"), \
+                RssSampler() as sampler:
             start = time.perf_counter()
-            serve_engine.run(serve_queries[0])
-            serve_cold_s = time.perf_counter() - start
+            analysis = analyze_atlas_scenario(
+                serial_atlas, engine=engine_name, workers=workers
+            )
+            periods = periodicity_for_scenario(
+                serial_atlas, min_probes=2, engine=engine_name
+            )
+            elapsed = time.perf_counter() - start
+        rss_delta = (
+            sampler.peak_bytes - rss_start
+            if sampler.peak_bytes is not None and rss_start is not None
+            else None
+        )
+        return analysis, periods, elapsed, rss_delta
+
+    def _artifacts(analysis):
+        return analysis.table1, analysis.table2, analysis.figure1, analysis.figure5
+
+    fused_report, fused_report_periods, report_fused_s, report_fused_rss = (
+        _report_suite("fused")
+    )
+    py_report = analyze_atlas_scenario(serial_atlas, engine="py")
+    py_report_periods = periodicity_for_scenario(serial_atlas, min_probes=2, engine="py")
+    report_parity = (
+        _artifacts(fused_report) == _artifacts(py_report)
+        and fused_report_periods == py_report_periods
+    )
+    if not report_parity:
+        failures.append("report stage parity violated: fused != py artifacts")
+    fused_par, fused_par_periods, report_fused_par_s, report_fused_par_rss = (
+        _report_suite("fused", workers=args.workers,
+                      profile_tag="report_fused_workers")
+    )
+    workers_parity = (
+        fused_par == fused_report and fused_par_periods == fused_report_periods
+    )
+    if not workers_parity:
+        failures.append(
+            "report stage parity violated: fused workers != fused serial"
+        )
+
+    def _mib(value):
+        return f"{value / 2**20:.0f} MiB" if value is not None else "n/a"
+
+    print(
+        f"report: fused {report_fused_s:.3f}s (peak RSS delta "
+        f"{_mib(report_fused_rss)}), fused {args.workers} workers "
+        f"{report_fused_par_s:.3f}s ({_mib(report_fused_par_rss)}) — "
+        f"artifacts identical"
+    )
+    report_stats = {
+        "fused_seconds": round(report_fused_s, 4),
+        "fused_workers_seconds": round(report_fused_par_s, 4),
+        "workers": args.workers,
+        "fused_peak_rss_delta_bytes": report_fused_rss,
+        "fused_workers_peak_rss_delta_bytes": report_fused_par_rss,
+        "parity": report_parity,
+        "workers_parity": workers_parity,
+    }
+
+    serve_registry = ArtifactRegistry(name="bench")
+    serve_engine = QueryEngine(serial_atlas, registry=serve_registry)
+    observed = observed_prefixes(serial_atlas, 4, 24)
+    n_serve_queries = 64
+    serve_queries = [
+        StabilityQuery(observed[index % len(observed)])
+        for index in range(n_serve_queries)
+    ]
+    with maybe_profile("serve_cold"):
         start = time.perf_counter()
         serve_engine.run(serve_queries[0])
-        serve_warm_s = time.perf_counter() - start
-        with maybe_profile("serve_sequential"):
-            start = time.perf_counter()
-            sequential_results = [serve_engine.run(q) for q in serve_queries]
-            serve_sequential_s = time.perf_counter() - start
-        with maybe_profile("serve_batched"):
-            start = time.perf_counter()
-            batched_results = serve_engine.run_batch(serve_queries)
-            serve_batched_s = time.perf_counter() - start
-        if batched_results != sequential_results:
-            failures.append(
-                "serve stage parity violated: batched != sequential results"
-            )
-        if serve_registry.stats.misses != 1:
-            failures.append(
-                "serve stage recomputed analysis on a warm registry "
-                f"(misses={serve_registry.stats.misses}, expected 1)"
-            )
-        # Full parity gate against the pure-Python reference on a small
-        # dedicated scenario: every query family, every run.
-        serve_parity = serve_diffs(
-            probes_per_as=2, years=0.4, seed=args.seed, max_prefixes=2, budget=4
+        serve_cold_s = time.perf_counter() - start
+    start = time.perf_counter()
+    serve_engine.run(serve_queries[0])
+    serve_warm_s = time.perf_counter() - start
+    with maybe_profile("serve_sequential"):
+        start = time.perf_counter()
+        sequential_results = [serve_engine.run(q) for q in serve_queries]
+        serve_sequential_s = time.perf_counter() - start
+    with maybe_profile("serve_batched"):
+        start = time.perf_counter()
+        batched_results = serve_engine.run_batch(serve_queries)
+        serve_batched_s = time.perf_counter() - start
+    if batched_results != sequential_results:
+        failures.append(
+            "serve stage parity violated: batched != sequential results"
         )
-        for diff in serve_parity:
-            failures.append(f"serve stage parity violated: {diff}")
-        serve_batch_speedup = serve_sequential_s / max(serve_batched_s, 1e-9)
-        serve_enforced = not args.check
-        if serve_enforced and serve_batch_speedup < args.min_serve_speedup:
-            failures.append(
-                f"serve batching speedup {serve_batch_speedup:.2f}x below "
-                f"required {args.min_serve_speedup:.2f}x on "
-                f"{n_serve_queries} coalesced queries"
-            )
-        print(
-            f"serve: cold {serve_cold_s:.3f}s, warm {serve_warm_s * 1e3:.2f}ms, "
-            f"{n_serve_queries} queries sequential {serve_sequential_s:.3f}s vs "
-            f"batched {serve_batched_s:.3f}s ({serve_batch_speedup:.2f}x), "
-            f"direct-parity diffs {len(serve_parity)}"
+    if serve_registry.stats.misses != 1:
+        failures.append(
+            "serve stage recomputed analysis on a warm registry "
+            f"(misses={serve_registry.stats.misses}, expected 1)"
         )
-        serve_stats = {
-            "cold_seconds": round(serve_cold_s, 4),
-            "warm_seconds": round(serve_warm_s, 6),
-            "queries": n_serve_queries,
-            "sequential_seconds": round(serve_sequential_s, 4),
-            "batched_seconds": round(serve_batched_s, 4),
-            "batch_speedup": round(serve_batch_speedup, 4),
-            "parity_diffs": len(serve_parity),
-            "registry": serve_registry.stats.as_dict(),
-            "artifact_bytes": serve_registry.total_bytes,
-            "speedup_enforced": serve_enforced,
-        }
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        print("serve: numpy unavailable, batched query engine not benchmarked")
+    # Full parity gate against the pure-Python reference on a small
+    # dedicated scenario: every query family, every run.
+    serve_parity = serve_diffs(
+        probes_per_as=2, years=0.4, seed=args.seed, max_prefixes=2, budget=4
+    )
+    for diff in serve_parity:
+        failures.append(f"serve stage parity violated: {diff}")
+    serve_batch_speedup = serve_sequential_s / max(serve_batched_s, 1e-9)
+    serve_enforced = not args.check
+    if serve_enforced and serve_batch_speedup < args.min_serve_speedup:
+        failures.append(
+            f"serve batching speedup {serve_batch_speedup:.2f}x below "
+            f"required {args.min_serve_speedup:.2f}x on "
+            f"{n_serve_queries} coalesced queries"
+        )
+    print(
+        f"serve: cold {serve_cold_s:.3f}s, warm {serve_warm_s * 1e3:.2f}ms, "
+        f"{n_serve_queries} queries sequential {serve_sequential_s:.3f}s vs "
+        f"batched {serve_batched_s:.3f}s ({serve_batch_speedup:.2f}x), "
+        f"direct-parity diffs {len(serve_parity)}"
+    )
+    serve_stats = {
+        "cold_seconds": round(serve_cold_s, 4),
+        "warm_seconds": round(serve_warm_s, 6),
+        "queries": n_serve_queries,
+        "sequential_seconds": round(serve_sequential_s, 4),
+        "batched_seconds": round(serve_batched_s, 4),
+        "batch_speedup": round(serve_batch_speedup, 4),
+        "parity_diffs": len(serve_parity),
+        "registry": serve_registry.stats.as_dict(),
+        "artifact_bytes": serve_registry.total_bytes,
+        "speedup_enforced": serve_enforced,
+    }
 
     # Observability plane: the instrumentation must be near-free when
     # telemetry is *disabled* (the default), and the cross-process trace
@@ -842,55 +806,51 @@ def run_baseline(args: argparse.Namespace) -> dict:
     # gate re-times the same analysis stages measured earlier — both
     # runs execute every guarded metric/span call site, so the ratio
     # catches a disabled-path helper growing real work.
-    obs_stats = None
-    if engine_available:
-        with maybe_profile("obs_disabled_overhead"):
-            start = time.perf_counter()
-            obs_results, obs_timings = _run_analysis(serial_atlas, reference_engine)
-            obs_disabled_s = time.perf_counter() - start
-        if obs_results != reference_results:
-            failures.append(
-                "obs stage parity violated: instrumented rerun != reference"
-            )
-        obs_baseline_s = sum(np_timings.values())
-        obs_overhead = obs_disabled_s / max(obs_baseline_s, 1e-9)
-        obs_enforced = not args.check
-        if obs_enforced and obs_overhead > args.max_obs_overhead:
-            failures.append(
-                f"disabled-telemetry overhead {obs_overhead:.3f}x exceeds "
-                f"allowed {args.max_obs_overhead:.2f}x"
-            )
-        # Stitched-trace invariance: pooled fused analysis with worker
-        # span buffers flowing back to the parent must stay bit-identical
-        # to the untraced run.  Always enforced — determinism does not
-        # depend on the hardware.
-        with maybe_profile("obs_stitch_invariance"):
-            start = time.perf_counter()
-            stitch_diffs = telemetry_invariance_diffs(
-                probes_per_as=4, years=0.4, seed=args.seed, workers=2
-            )
-            obs_stitch_s = time.perf_counter() - start
-        for diff in stitch_diffs:
-            failures.append(f"obs stage invariance violated: {diff}")
-        print(
-            f"obs: disabled-telemetry analysis {obs_disabled_s:.3f}s vs "
-            f"{obs_baseline_s:.3f}s baseline ({obs_overhead:.2f}x"
-            + ("" if obs_enforced else ", not enforced")
-            + f"), stitched pooled invariance {obs_stitch_s:.2f}s "
-            + ("clean" if not stitch_diffs else f"{len(stitch_diffs)} DIFFS")
+    with maybe_profile("obs_disabled_overhead"):
+        start = time.perf_counter()
+        obs_results, obs_timings = _run_analysis(serial_atlas, reference_engine)
+        obs_disabled_s = time.perf_counter() - start
+    if obs_results != reference_results:
+        failures.append(
+            "obs stage parity violated: instrumented rerun != reference"
         )
-        obs_stats = {
-            "disabled_seconds": round(obs_disabled_s, 4),
-            "baseline_seconds": round(obs_baseline_s, 4),
-            "disabled_overhead": round(obs_overhead, 4),
-            "max_overhead": args.max_obs_overhead,
-            "overhead_enforced": obs_enforced,
-            "stitch_seconds": round(obs_stitch_s, 4),
-            "stitch_workers": 2,
-            "stitch_diffs": len(stitch_diffs),
-        }
-    else:  # pragma: no cover - numpy is a baked-in dependency
-        print("obs: numpy unavailable, observability plane not benchmarked")
+    obs_baseline_s = sum(fused_timings.values())
+    obs_overhead = obs_disabled_s / max(obs_baseline_s, 1e-9)
+    obs_enforced = not args.check
+    if obs_enforced and obs_overhead > args.max_obs_overhead:
+        failures.append(
+            f"disabled-telemetry overhead {obs_overhead:.3f}x exceeds "
+            f"allowed {args.max_obs_overhead:.2f}x"
+        )
+    # Stitched-trace invariance: pooled fused analysis with worker
+    # span buffers flowing back to the parent must stay bit-identical
+    # to the untraced run.  Always enforced — determinism does not
+    # depend on the hardware.
+    with maybe_profile("obs_stitch_invariance"):
+        start = time.perf_counter()
+        stitch_diffs = telemetry_invariance_diffs(
+            probes_per_as=4, years=0.4, seed=args.seed, workers=2
+        )
+        obs_stitch_s = time.perf_counter() - start
+    for diff in stitch_diffs:
+        failures.append(f"obs stage invariance violated: {diff}")
+    print(
+        f"obs: disabled-telemetry analysis {obs_disabled_s:.3f}s vs "
+        f"{obs_baseline_s:.3f}s baseline ({obs_overhead:.2f}x"
+        + ("" if obs_enforced else ", not enforced")
+        + f"), stitched pooled invariance {obs_stitch_s:.2f}s "
+        + ("clean" if not stitch_diffs else f"{len(stitch_diffs)} DIFFS")
+    )
+    obs_stats = {
+        "disabled_seconds": round(obs_disabled_s, 4),
+        "baseline_seconds": round(obs_baseline_s, 4),
+        "disabled_overhead": round(obs_overhead, 4),
+        "max_overhead": args.max_obs_overhead,
+        "overhead_enforced": obs_enforced,
+        "stitch_seconds": round(obs_stitch_s, 4),
+        "stitch_workers": 2,
+        "stitch_diffs": len(stitch_diffs),
+    }
 
     total_serial = atlas_serial_s + cdn_serial_s
     total_parallel = atlas_parallel_s + cdn_parallel_s
@@ -928,7 +888,7 @@ def run_baseline(args: argparse.Namespace) -> dict:
         "analysis": {
             "default_engine": resolve_engine(None),
             "stages": analysis_stages,
-            "parity": engine_available,
+            "parity": analysis_parity,
             "table1_speedup_enforced": analysis_enforced,
             "table2_speedup_enforced": analysis_enforced,
             "periodicity_speedup_enforced": analysis_enforced,
@@ -972,13 +932,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="required serial/parallel speedup on multi-core "
                         "hosts (default: 2.0)")
     parser.add_argument("--min-analysis-speedup", type=float, default=3.0,
-                        help="required py/np speedup on the Table 1 analysis "
+                        help="required py/fused speedup on the Table 1 analysis "
                         "stage in full mode (default: 3.0)")
     parser.add_argument("--min-table2-speedup", type=float, default=5.0,
-                        help="required py/np speedup on the Table 2 analysis "
+                        help="required py/fused speedup on the Table 2 analysis "
                         "stage in full mode (default: 5.0)")
     parser.add_argument("--min-periodicity-speedup", type=float, default=20.0,
-                        help="required py/np speedup on the periodicity "
+                        help="required py/fused speedup on the periodicity "
                         "detection stage in full mode (default: 20.0)")
     parser.add_argument("--store-tuples", type=int, default=None,
                         help="override the out-of-core store tuple count "

@@ -1,13 +1,12 @@
 """Render the ``BENCH_history.jsonl`` perf trend and gate regressions.
 
-Reads the JSONL history that ``scripts.bench_baseline`` appends on
-every run and prints the per-stage wall times (scenario builds, the
-per-kernel analysis stages, telemetry, streaming, the out-of-core
-store, and the end-to-end report suite under both the ``np`` and
-``fused`` engines) plus the store build/analyze/stream throughputs (tuples/s)
-as one fixed-width table per benchmark mode (``check`` vs ``full``
-runs are never compared against each other — they run at different
-scales).
+Reads the JSONL history that ``scripts.bench_baseline`` appends on every
+run and prints the per-stage wall times (scenario builds, the analysis
+stages, telemetry, streaming, the out-of-core store, and the end-to-end
+fused report suite, serial and pooled) plus the store
+build/analyze/stream throughputs (tuples/s) as one fixed-width table per
+benchmark mode (``check`` vs ``full`` runs are never compared against
+each other — they run at different scales).
 
 Usage::
 
@@ -54,6 +53,16 @@ def _get(entry: dict, *path):
     return value
 
 
+def _analysis_seconds(entry: dict, stage: str) -> Optional[float]:
+    """Fast-engine seconds of one analysis stage: ``fused_seconds``, or
+    the ``np_seconds`` that history recorded before the fused engine
+    became the only fast path (so new runs gate against old ones)."""
+    seconds = _get(entry, "analysis", "stages", stage, "fused_seconds")
+    if seconds is None:
+        seconds = _get(entry, "analysis", "stages", stage, "np_seconds")
+    return seconds
+
+
 #: Stage label -> extractor over one history entry, in display order.
 #: Extractors return seconds (float) or None when the entry predates
 #: the stage or the stage was skipped (e.g. numpy unavailable).
@@ -62,9 +71,7 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "build_cdn": lambda e: _get(e, "build", "cdn", "serial_seconds"),
     "cache_warm": lambda e: _get(e, "cache", "warm_seconds"),
     **{
-        f"analysis_{stage}": (
-            lambda e, s=stage: _get(e, "analysis", "stages", s, "np_seconds")
-        )
+        f"analysis_{stage}": lambda e, s=stage: _analysis_seconds(e, s)
         for stage in ("table1", "figure1", "figure5", "table2", "periodicity")
     },
     "telemetry": lambda e: _get(e, "telemetry", "enabled_seconds"),
@@ -72,7 +79,6 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "store_build": lambda e: _get(e, "store", "build_seconds"),
     "store_analyze": lambda e: _get(e, "store", "analyze_seconds"),
     "store_stream": lambda e: _get(e, "store", "stream_seconds"),
-    "report_np": lambda e: _get(e, "report", "np_seconds"),
     "report_fused": lambda e: _get(e, "report", "fused_seconds"),
     "report_fused_workers": lambda e: _get(e, "report", "fused_workers_seconds"),
 }

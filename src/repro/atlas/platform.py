@@ -251,19 +251,19 @@ class AtlasPlatform:
     def probe_data(self, spec: ProbeSpec, engine: Optional[str] = None) -> ProbeData:
         """Run-length-encoded echo data plus probe metadata.
 
-        Dispatched through the analysis-engine knob: the ``"np"`` engine
-        clips packed timeline-interval arrays with searchsorted slices
+        Dispatched through the analysis-engine knob: the ``"fused"`` fast
+        path clips packed timeline-interval arrays with searchsorted slices
         and run-length-encodes them with vectorized window intersection
         — bit-identical runs, identical RNG draw order — instead of the
         per-interval Python loops of the reference path.
         """
-        if resolve_engine(engine) == "np":
+        if resolve_engine(engine) != "py":
             try:
                 return self._record_collection(spec, self._probe_data_np(spec))
             except FALLBACK_ERRORS as exc:
                 metric_inc("collection.engine_fallbacks", stage="probe_data")
                 _log.debug(
-                    "np probe_data fell back to python",
+                    "columnar probe_data fell back to python",
                     extra={"probe": spec.probe_id, "error": type(exc).__name__},
                 )
         return self._record_collection(spec, self._probe_data_py(spec))

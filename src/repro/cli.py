@@ -16,14 +16,14 @@ Commands
     pipeline's echo-record JSONL.
 ``stream``
     Run the chunked, checkpointable streaming analysis (bit-identical
-    to ``report``'s batch np artifacts) over a built scenario or an
+    to ``report``'s batch fused artifacts) over a built scenario or an
     exported run-stream file, optionally resuming from a checkpoint.
 ``store build`` / ``store analyze`` / ``store compact``
     Build a sharded memory-mapped triple store (from a CSV, a synthetic
     feed, or a CDN simulation — ``--workers N`` fans the build out to
     parallel segment writers, byte-identical to the serial build),
     analyze it shard-by-shard out-of-core (artifacts bit-identical to
-    the in-RAM ``engine="np"`` path), and merge finalized stores via
+    the in-RAM columnar path), and merge finalized stores via
     k-way compaction (incremental append-then-compact).
 """
 
@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.atlas.convert import convert_results
+from repro.core.engine import ENGINES
 from repro.core.report import render_table, table1_row, table2_row
 from repro.io.records import write_association_csv, write_echo_records, write_echo_runs
 from repro.obs import configure_logging, dump_telemetry, enable_telemetry, span
@@ -85,11 +86,11 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("np", "py", "fused"), default=None,
-                        help="analysis kernels: columnar numpy ('np'), the "
-                        "pure-Python reference ('py'), or the single-pass "
-                        "fused engine ('fused'); all are bit-identical "
-                        "(default: $REPRO_ANALYSIS_ENGINE, else np)")
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help="analysis kernels: the single-pass fused engine "
+                        "('fused') or the pure-Python reference ('py'); both "
+                        "are bit-identical "
+                        "(default: $REPRO_ANALYSIS_ENGINE, else fused)")
 
 
 def _cache_flag(args: argparse.Namespace):
@@ -330,7 +331,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     from repro.core.changes import sandwiched_durations, v6_runs_to_prefix_runs
     from repro.core.periodicity import detect_periods
-    from repro.core.report import figure1_series, resolve_engine
+    from repro.core.engine import resolve_engine
+    from repro.core.report import figure1_series
     from repro.core.timefraction import CANONICAL_LABELS
     from repro.io.records import read_echo_runs
 
@@ -341,7 +343,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             by_probe[run.probe_id][run.family].append(run)
 
     durations = {4: [], 6: []}
-    if engine in ("np", "fused"):
+    if engine == "fused":
         try:
             from repro.core import analysis_np as anp
 
@@ -382,7 +384,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{label}: n={len(sample)} total={series.total_years:.1f}y "
             f"cumulative-TTF {summary}"
         )
-        if engine in ("np", "fused"):
+        if engine == "fused":
             from repro.core.analysis_np import detect_periods_np
 
             modes = detect_periods_np(sample)

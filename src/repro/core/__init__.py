@@ -24,8 +24,8 @@ Module                 Paper section
 ``targetgen``          2.3/6 — target-generation baselines + informed
 ``anonymize``          6 — truncation anonymization audit
 ``associations_np``    vectorized variant of ``associations``
-``analysis_np``        columnar engine behind ``changes``/``timefraction``/
-                       ``periodicity``/``spatial`` (``engine="np"``)
+``analysis_np``        columnar kernels behind ``changes``/``timefraction``/
+                       ``periodicity``/``spatial`` (used by ``fused``)
 ``report``             rendering of the paper's tables
 =====================  =====================================================
 """

@@ -1,4 +1,4 @@
-"""NumPy-vectorized Section 3/5 analysis kernels (the columnar engine).
+"""NumPy-vectorized Section 3/5 analysis kernels (the columnar layer).
 
 The pure-Python modules :mod:`repro.core.changes`,
 :mod:`repro.core.timefraction`, :mod:`repro.core.periodicity`,
@@ -8,8 +8,9 @@ over a *columnar* representation of per-probe echo runs and are
 **bit-identical** to the references on the pipeline's data (hourly,
 integer-valued durations — see the note below).  The test suite and the
 ``repro.perf.verify`` parity harness assert exact agreement on random
-inputs; :mod:`repro.core.report` dispatches to this module behind its
-``engine="np"|"py"`` knob.
+inputs.  They are the building blocks of the fused engine
+(:mod:`repro.core.fused`, ``engine="fused"``), the streaming engine,
+collection and delegation inference.
 
 Representation
 --------------
@@ -40,10 +41,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.atlas.echo import EchoRun
-from repro.bgp.table import RoutingTable
 from repro.core.arena import ColumnArena
 from repro.core.periodicity import CANONICAL_PERIODS, PeriodicMode
-from repro.core.spatial import CplHistogram, CrossingRates
 from repro.core.timefraction import CANONICAL_GRID, YEAR
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.ip.prefix import IPPrefix
@@ -194,37 +193,6 @@ def _last_run_mask(cols: RunColumns) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Change detection (changes.py semantics)
-# ---------------------------------------------------------------------------
-
-
-def change_counts(cols: RunColumns) -> np.ndarray:
-    """Changes per probe: ``max(0, runs - 1)`` (``changes_from_runs`` length)."""
-    return np.maximum(cols.run_counts() - 1, 0)
-
-
-def change_table(cols: RunColumns) -> ChangeColumns:
-    """All changes of all probes, in probe-major time order.
-
-    Row ``k`` matches the ``k``-th event of concatenating
-    :func:`repro.core.changes.changes_from_runs` over the probes in
-    population order.
-    """
-    current = np.flatnonzero(~_first_run_mask(cols))
-    previous = current - 1
-    probe_of = cols.probe_of_run()
-    return ChangeColumns(
-        probe_index=probe_of[current],
-        hour=cols.first[current],
-        old_hi=cols.value_hi[previous],
-        old_lo=cols.value_lo[previous],
-        new_hi=cols.value_hi[current],
-        new_lo=cols.value_lo[current],
-        boundary_gap=cols.first[current] - cols.last[previous] - 1,
-    )
-
-
-# ---------------------------------------------------------------------------
 # IPv6 prefix rekeying and adjacent-equal merging
 # ---------------------------------------------------------------------------
 
@@ -324,50 +292,9 @@ def duration_table(
     )
 
 
-def observation_flags(
-    cols: RunColumns,
-    max_boundary_gap: int = 0,
-    max_internal_gap: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-run ``(sandwiched, exact)`` flags — columnar
-    :func:`repro.core.changes.observations_from_runs`."""
-    n = cols.n_runs
-    if n == 0:
-        empty = np.empty(0, dtype=bool)
-        return empty, empty.copy()
-    sandwiched = ~_first_run_mask(cols) & ~_last_run_mask(cols)
-    gap_before = np.zeros(n, dtype=np.int64)
-    gap_before[1:] = cols.first[1:] - cols.last[:-1] - 1
-    gap_after = np.zeros(n, dtype=np.int64)
-    gap_after[:-1] = cols.first[1:] - cols.last[:-1] - 1
-    exact = sandwiched & (gap_before <= max_boundary_gap) & (gap_after <= max_boundary_gap)
-    if max_internal_gap is not None:
-        exact &= cols.max_gap <= max_internal_gap
-    return sandwiched, exact
-
-
 # ---------------------------------------------------------------------------
 # Dual-stack coverage (dualstack.py semantics)
 # ---------------------------------------------------------------------------
-
-
-def split_durations_by_stack_np(
-    v6_cols: RunColumns,
-    durations: DurationColumns,
-    min_coverage: float = 0.9,
-) -> Tuple[DurationColumns, DurationColumns]:
-    """Columnar :func:`repro.core.dualstack.split_durations_by_stack`
-    over a whole population: ``(dual, non_dual)`` duration tables."""
-    mask = dual_stack_mask(v6_cols, durations, min_coverage)
-
-    def take(selector: np.ndarray) -> DurationColumns:
-        return DurationColumns(
-            probe_index=durations.probe_index[selector],
-            start=durations.start[selector],
-            end=durations.end[selector],
-        )
-
-    return take(mask), take(~mask)
 
 
 def dual_stack_mask(
@@ -501,23 +428,6 @@ def detect_periods_np(
     return modes
 
 
-def probe_exhibits_period_np(
-    durations: np.ndarray,
-    period: float,
-    tolerance: float = 1.0,
-    min_mass: float = 0.5,
-    min_count: int = 3,
-) -> bool:
-    """Columnar :func:`repro.core.periodicity.probe_exhibits_period`."""
-    durations = np.asarray(durations, dtype=np.float64)
-    if len(durations) == 0:
-        return False
-    in_mode = np.abs(durations - period) <= tolerance
-    if int(np.count_nonzero(in_mode)) < min_count:
-        return False
-    return bool(durations[in_mode].sum() / durations.sum() >= min_mass)
-
-
 def probe_period_flags(
     durations: np.ndarray,
     probe_index: np.ndarray,
@@ -555,27 +465,6 @@ def probe_period_flags(
         )
         flags[:, j] = (counts >= min_count) & (ratio >= min_mass)
     return flags
-
-
-def consistent_network_period(
-    durations: np.ndarray,
-    probe_index: np.ndarray,
-    n_probes: int,
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
-    tolerance: float = 1.0,
-    min_probes: int = 3,
-) -> Optional[float]:
-    """One network of :func:`repro.core.periodicity.consistent_periodic_networks`:
-    the first candidate period exhibited by at least ``min_probes``
-    probes (``None`` when no candidate qualifies)."""
-    flags = probe_period_flags(
-        durations, probe_index, n_probes, candidate_periods, tolerance
-    )
-    exhibiting = flags.sum(axis=0)
-    for j, period in enumerate(candidate_periods):
-        if int(exhibiting[j]) >= min_probes:
-            return float(period)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +524,7 @@ def inferred_plen_counts_np(
 
 
 # ---------------------------------------------------------------------------
-# CPL histograms and boundary crossings (spatial.py semantics)
+# Change CPLs (spatial.py semantics)
 # ---------------------------------------------------------------------------
 
 
@@ -660,63 +549,6 @@ def cpl_of_changes(changes: ChangeColumns, plen: int = 64) -> np.ndarray:
         xor_hi != 0, 64 - _bit_length_u64(xor_hi), 128 - _bit_length_u64(xor_lo)
     )
     return np.minimum(cpl128, plen)
-
-
-def cpl_histogram_np(prefix_cols: RunColumns, plen: int = 64) -> CplHistogram:
-    """Columnar :func:`repro.core.spatial.cpl_histogram` over merged
-    /``plen`` prefix runs (see :func:`rekey_v6_runs`)."""
-    changes = change_table(prefix_cols)
-    if changes.n_changes == 0:
-        return CplHistogram(changes_by_cpl={}, probes_by_cpl={})
-    cpls = cpl_of_changes(changes, plen)
-    values, counts = np.unique(cpls, return_counts=True)
-    changes_by_cpl = {int(v): int(c) for v, c in zip(values, counts)}
-    pair_keys = changes.probe_index * np.int64(129) + cpls
-    probe_cpls = np.unique(pair_keys) % 129
-    probe_values, probe_counts = np.unique(probe_cpls, return_counts=True)
-    probes_by_cpl = {int(v): int(c) for v, c in zip(probe_values, probe_counts)}
-    return CplHistogram(changes_by_cpl=changes_by_cpl, probes_by_cpl=probes_by_cpl)
-
-
-def crossing_rates_np(
-    v4_changes: ChangeColumns,
-    v6_changes: ChangeColumns,
-    table: RoutingTable,
-    v6_plen: int = 64,
-) -> CrossingRates:
-    """Columnar :func:`repro.core.spatial.crossing_rates`.
-
-    The /24 test is pure bit arithmetic; BGP longest-prefix matches go
-    through the table's cached flat index
-    (:meth:`~repro.bgp.table.RoutingTable.route_index`) instead of
-    per-value trie walks.  IPv6 lookups run in the top-64-bit
-    space, which is exact because only routes with plen <= ``v6_plen``
-    (<= 64) can cover a /``v6_plen`` prefix.
-    """
-    if v6_plen > 64:
-        raise ValueError("crossing_rates_np supports v6_plen <= 64 only")
-    v4_total = int(v4_changes.n_changes)
-    if v4_total:
-        v4_diff24 = int(np.count_nonzero((v4_changes.old_lo ^ v4_changes.new_lo) >> np.uint64(8)))
-        crosses = table.route_index(4).crosses(v4_changes.old_lo, v4_changes.new_lo)
-        v4_diffbgp = int(np.count_nonzero(crosses))
-    else:
-        v4_diff24 = v4_diffbgp = 0
-
-    v6_total = int(v6_changes.n_changes)
-    if v6_total:
-        index6 = table.route_index(6, max_plen=v6_plen)
-        v6_diffbgp = int(np.count_nonzero(index6.crosses(v6_changes.old_hi, v6_changes.new_hi)))
-    else:
-        v6_diffbgp = 0
-
-    return CrossingRates(
-        v4_changes=v4_total,
-        v4_diff_slash24=v4_diff24,
-        v4_diff_bgp=v4_diffbgp,
-        v6_changes=v6_total,
-        v6_diff_bgp=v6_diffbgp,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +600,10 @@ class ProbeColumns:
     """Lazily packed, buffer-backed columnar views of one probe population.
 
     Packs a (sanitized) probe population's v4/v6 runs once and caches
-    every derived table — the /``plen``-rekeyed prefix runs, change and
-    duration tables, and the dual-stack mask — so each table/figure over
-    the same probes reuses a single pack instead of re-packing per
-    artifact.  Probes must expose ``v4_runs``/``v6_runs``/``dual_stack``
+    every derived table — the /``plen``-rekeyed prefix runs, the
+    per-probe metadata columns and the fused engine's stats — so each
+    table/figure over the same probes reuses a single pack instead of
+    re-packing per artifact.  Probes must expose ``v4_runs``/``v6_runs``/``dual_stack``
     (:class:`repro.atlas.sanitize.SanitizedProbe` does).
 
     The pack is *buffer-backed*: :meth:`arena` flattens both families
@@ -824,39 +656,6 @@ class ProbeColumns:
     def v6_prefix(self) -> RunColumns:
         """IPv6 runs rekeyed to /``plen`` prefixes, adjacent equals merged."""
         return self._get("v6_prefix", lambda: rekey_v6_runs(self.v6(), self.plen))
-
-    def v4_changes(self) -> ChangeColumns:
-        """IPv4 change events (see :func:`change_table`)."""
-        return self._get("v4_changes", lambda: change_table(self.v4()))
-
-    def v6_prefix_changes(self) -> ChangeColumns:
-        """IPv6 /``plen`` prefix change events."""
-        return self._get("v6_prefix_changes", lambda: change_table(self.v6_prefix()))
-
-    def v4_change_counts(self) -> np.ndarray:
-        """Per-probe IPv4 change counts (see :func:`change_counts`)."""
-        return self._get("v4_change_counts", lambda: change_counts(self.v4()))
-
-    def v6_prefix_change_counts(self) -> np.ndarray:
-        """Per-probe IPv6 /``plen`` prefix change counts."""
-        return self._get(
-            "v6_prefix_change_counts", lambda: change_counts(self.v6_prefix())
-        )
-
-    def v4_durations(self) -> DurationColumns:
-        """IPv4 exact sandwiched durations (see :func:`duration_table`)."""
-        return self._get("v4_durations", lambda: duration_table(self.v4()))
-
-    def v6_prefix_durations(self) -> DurationColumns:
-        """IPv6 /``plen`` prefix exact sandwiched durations."""
-        return self._get("v6_prefix_durations", lambda: duration_table(self.v6_prefix()))
-
-    def dual_mask(self, min_coverage: float = 0.9) -> np.ndarray:
-        """Dual-stack flag of each v4 duration (see :func:`dual_stack_mask`)."""
-        return self._get(
-            ("dual_mask", min_coverage),
-            lambda: dual_stack_mask(self.v6(), self.v4_durations(), min_coverage),
-        )
 
     def dual_flags(self) -> np.ndarray:
         """Per-probe ``dual_stack`` attribute as a bool column."""
@@ -1003,25 +802,17 @@ __all__ = [
     "DurationColumns",
     "ProbeColumns",
     "RunColumns",
-    "change_counts",
-    "change_table",
     "columns_from_runs",
-    "consistent_network_period",
-    "cpl_histogram_np",
     "cpl_of_changes",
-    "crossing_rates_np",
     "cumulative_ttf_columns",
     "detect_periods_np",
     "dual_stack_mask",
     "duration_table",
     "evaluate_cdf_columns",
     "inferred_plen_counts_np",
-    "observation_flags",
-    "probe_exhibits_period_np",
     "probe_period_flags",
     "rekey_v6_runs",
     "select_runs",
-    "split_durations_by_stack_np",
     "total_duration_years_np",
     "total_time_fraction_columns",
 ]

@@ -119,14 +119,14 @@ def association_box_stats(records: Iterable[Triple], engine: Optional[str] = Non
 
     The Figure 3 composition (:func:`association_durations` piped into
     :func:`box_stats`), dispatched through the analysis-engine knob: the
-    ``"np"`` engine runs the columnar
+    ``"fused"`` fast path runs the columnar
     :func:`repro.core.associations_np.association_durations_np` +
     ``box_stats_np`` pair, bit-identical to the pure-Python reference.
     """
     from repro.core.engine import FALLBACK_ERRORS, resolve_engine
 
     materialized = records if isinstance(records, Sequence) else list(records)
-    if resolve_engine(engine) == "np":
+    if resolve_engine(engine) != "py":
         try:
             from repro.core.associations_np import (
                 association_durations_np,

@@ -190,8 +190,8 @@ def inferred_plen_distribution_for_probes(
     """Figures 6/9 end to end: per-probe /``plen`` prefixes from the
     sanitized probes' v6 runs, then the inferred-delegation histogram.
 
-    Dispatched through the analysis-engine knob: the ``"np"`` engine
-    runs :func:`repro.core.analysis_np.inferred_plen_counts_np` over a
+    Dispatched through the analysis-engine knob: the ``"fused"`` fast
+    path runs :func:`repro.core.analysis_np.inferred_plen_counts_np` over a
     shared :class:`~repro.core.analysis_np.ProbeColumns` pack
     (``columns``, when the caller already holds one for these probes),
     bit-identical to the pure-Python composition of
@@ -200,7 +200,7 @@ def inferred_plen_distribution_for_probes(
     from repro.core.engine import FALLBACK_ERRORS, resolve_engine
 
     materialized = probes if isinstance(probes, Sequence) else list(probes)
-    if resolve_engine(engine) == "np":
+    if resolve_engine(engine) != "py":
         try:
             from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
 

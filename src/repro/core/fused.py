@@ -1,12 +1,8 @@
 """Fused single-pass analysis engine over buffer-backed run packs.
 
-The per-kernel columnar engine (:mod:`repro.core.analysis_np`) re-walks
-the same CSR run columns once per artifact — change tables, duration
-tables, dual-stack masks, periodicity reductions and crossing lookups
-each traverse the pack independently, so end-to-end report wall time is
-bounded by redundant memory traffic.  This module fuses them: **one**
-cache-friendly traversal per address family computes every per-probe
-intermediate at once —
+Rather than walking the CSR run columns (:mod:`repro.core.analysis_np`)
+once per artifact, **one** cache-friendly traversal per address family
+computes every per-probe intermediate at once —
 
 - change events *and* their boundary gaps (the run-gap array is shared
   between the change table and the sandwiched-duration test),
@@ -24,8 +20,9 @@ is bit-identical to re-analyzing each AS's probes separately because
 every artifact is per-probe local and masking a probe-major pack
 preserves per-AS relative order.
 
-Dispatched as ``engine="fused"`` through :mod:`repro.core.engine`; the
-parity contract with ``"np"`` and ``"py"`` is enforced by
+Dispatched as ``engine="fused"`` (the default) through
+:mod:`repro.core.engine`; the parity contract with the pure-Python
+reference (``"py"``) is enforced by
 ``repro.perf.verify.fused_engine_diffs`` and the randomized tests in
 ``tests/test_fused.py``.
 """
@@ -40,9 +37,8 @@ import numpy as np
 from repro.bgp.table import RoutingTable
 from repro.core import analysis_np as anp
 from repro.core.periodicity import CANONICAL_PERIODS
-from repro.core.report import AsDurations, Figure1Series, Table1Row
+from repro.core.report import AsDurations, Figure1Series, Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
-from repro.core.timefraction import CANONICAL_GRID
 from repro.obs import metric_inc, span
 
 
@@ -132,8 +128,7 @@ def _family_pass(
 ) -> Tuple[np.ndarray, anp.ChangeColumns, anp.DurationColumns]:
     """One traversal over a packed family: change counts, the change
     table and the exact sandwiched durations share a single run-gap
-    array and one pair of first/last-run masks (the per-kernel engine
-    recomputes each of these per artifact)."""
+    array and one pair of first/last-run masks."""
     counts = np.diff(cols.offsets)
     change_counts = np.maximum(counts - 1, 0)
     n = cols.n_runs
@@ -272,18 +267,6 @@ def as_durations_from_stats(
     )
 
 
-def _series(label: str, durations: np.ndarray) -> Figure1Series:
-    """Eq. 1 cumulative-TTF curve on the canonical grid (np kernels)."""
-    xs, ys = anp.cumulative_ttf_columns(durations)
-    return Figure1Series(
-        label=label,
-        total_years=anp.total_duration_years_np(durations),
-        grid_values=tuple(
-            float(v) for v in anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
-        ),
-    )
-
-
 def figure1_from_stats(
     stats: FusedProbeStats, name: str, sel: Optional[np.ndarray] = None
 ) -> Dict[str, Figure1Series]:
@@ -292,12 +275,17 @@ def figure1_from_stats(
     in4 = sel[stats.v4_durations.probe_index]
     in6 = sel[stats.v6_durations.probe_index]
     dual = stats.v4_duration_dual
+    hours4 = stats.v4_duration_hours
     return {
-        "v4_nds": _series(
-            f"{name} IPv4 non-dual-stack", stats.v4_duration_hours[in4 & ~dual]
+        "v4_nds": figure1_series(
+            f"{name} IPv4 non-dual-stack", hours4[in4 & ~dual], engine="fused"
         ),
-        "v4_ds": _series(f"{name} IPv4 dual-stack", stats.v4_duration_hours[in4 & dual]),
-        "v6": _series(f"{name} IPv6", stats.v6_duration_hours[in6]),
+        "v4_ds": figure1_series(
+            f"{name} IPv4 dual-stack", hours4[in4 & dual], engine="fused"
+        ),
+        "v6": figure1_series(
+            f"{name} IPv6", stats.v6_duration_hours[in6], engine="fused"
+        ),
     }
 
 

@@ -5,14 +5,16 @@ benchmark harness: each ``figureN_*`` / ``tableN`` function computes the
 data behind one of the paper's artifacts, and ``render_table`` produces
 the ASCII form the benchmarks print.
 
-Every analysis entry point takes an ``engine="np"|"py"|"fused"`` knob
-choosing between the pure-Python reference kernels, the per-kernel
-columnar NumPy engine (:mod:`repro.core.analysis_np`), and the fused
-single-pass engine (:mod:`repro.core.fused`).  The default
+Every analysis entry point takes an ``engine="fused"|"py"`` knob
+(resolved by :mod:`repro.core.engine`): ``"py"`` runs the pure-Python
+reference kernels, ``"fused"`` the single-pass engine of
+:mod:`repro.core.fused` over a columnar
+:class:`~repro.core.analysis_np.ProbeColumns` pack.  The default
 (``engine=None``) reads ``$REPRO_ANALYSIS_ENGINE`` and otherwise picks
-``"np"`` whenever NumPy is importable; all engines produce bit-identical
-artifacts (the parity tests enforce this), and the columnar paths fall
-back to the reference automatically on inputs they cannot pack.
+``"fused"``; both engines produce bit-identical artifacts (the parity
+tests enforce this), and the fused path falls back to the reference
+automatically on inputs it cannot pack, counting each fallback under
+``analysis.fused.fallbacks{artifact=...}``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from repro.core.changes import (
     v6_runs_to_prefix_runs,
 )
 from repro.core.dualstack import split_durations_by_stack
-from repro.core.engine import ENGINE_ENV, resolve_engine
 from repro.core.engine import FALLBACK_ERRORS as _FALLBACK_ERRORS
+from repro.core.engine import resolve_engine as _resolve_engine
 from repro.core.periodicity import CANONICAL_PERIODS, consistent_periodic_networks
 from repro.core.spatial import CplHistogram, CrossingRates, cpl_histogram, crossing_rates
 from repro.core.timefraction import (
@@ -47,15 +49,6 @@ _log = get_logger("core.report")
 
 
 def _note_fallback(artifact: str, exc: BaseException) -> None:
-    """Record one np-engine fallback to the reference path."""
-    metric_inc("analysis.fallbacks", artifact=artifact)
-    _log.debug(
-        "np engine fell back to python",
-        extra={"artifact": artifact, "error": type(exc).__name__},
-    )
-
-
-def _note_fused_fallback(artifact: str, exc: BaseException) -> None:
     """Record one fused-engine fallback to the reference path."""
     metric_inc("analysis.fused.fallbacks", artifact=artifact)
     _log.debug(
@@ -66,8 +59,6 @@ def _note_fused_fallback(artifact: str, exc: BaseException) -> None:
 
 def _fused_stats(probes, plen: int = 64, columns=None):
     """Fused stats for a probe population (pack reused when supplied)."""
-    from repro.core import fused as _fused
-
     if columns is None or columns.plen != plen:
         columns = _anp.ProbeColumns(probes, plen=plen)
     return _fused.fused_probe_stats(columns)
@@ -114,19 +105,11 @@ def as_durations(
 
     ``columns`` optionally supplies a pre-packed (memoized)
     :class:`~repro.core.analysis_np.ProbeColumns` for these probes so
-    the NumPy path reuses one pack across artifacts.
+    the fused path reuses one pack across artifacts.
     """
-    resolved = resolve_engine(engine)
-    if resolved == "fused":
+    if _resolve_engine(engine) == "fused":
         try:
-            from repro.core import fused as _fused
-
             return _fused.as_durations_from_stats(_fused_stats(probes, columns=columns))
-        except _FALLBACK_ERRORS as exc:
-            _note_fused_fallback("as_durations", exc)
-    elif resolved == "np":
-        try:
-            return _as_durations_np(probes, columns=columns)
         except _FALLBACK_ERRORS as exc:
             _note_fallback("as_durations", exc)
     result = AsDurations()
@@ -137,29 +120,6 @@ def as_durations(
         result.v4_non_dual_stack.extend(float(d.hours) for d in non_dual)
         result.v6.extend(float(d.hours) for d in probe_v6_durations(probe))
     return result
-
-
-def _as_durations_np(
-    probes: Sequence[SanitizedProbe],
-    plen: int = 64,
-    columns: Optional["_anp.ProbeColumns"] = None,
-) -> AsDurations:
-    """Columnar :func:`as_durations`: one kernel pass per population.
-
-    Probe-major run order of the columnar tables reproduces the
-    reference's per-probe ``extend`` ordering exactly.
-    """
-    if columns is None or columns.plen != plen:
-        columns = _anp.ProbeColumns(probes, plen=plen)
-    v4_durations = columns.v4_durations()
-    dual = columns.dual_mask()
-    v4_hours = v4_durations.hours().astype(float)
-    v6_hours = columns.v6_prefix_durations().hours()
-    return AsDurations(
-        v4_non_dual_stack=v4_hours[~dual].tolist(),
-        v4_dual_stack=v4_hours[dual].tolist(),
-        v6=v6_hours.astype(float).tolist(),
-    )
 
 
 # -- Table 1 ------------------------------------------------------------------
@@ -192,19 +152,11 @@ def table1_row(
     columns: Optional["_anp.ProbeColumns"] = None,
 ) -> Table1Row:
     """Aggregate one AS's probes into its Table 1 row."""
-    resolved = resolve_engine(engine)
-    if resolved == "fused":
+    if _resolve_engine(engine) == "fused":
         try:
-            from repro.core import fused as _fused
-
             return _fused.table1_from_stats(
                 _fused_stats(probes, columns=columns), name, asn, country
             )
-        except _FALLBACK_ERRORS as exc:
-            _note_fused_fallback("table1", exc)
-    elif resolved == "np":
-        try:
-            return _table1_row_np(name, asn, country, probes, columns=columns)
         except _FALLBACK_ERRORS as exc:
             _note_fallback("table1", exc)
     all_v4 = ds_v4 = ds_v6 = ds_probes = 0
@@ -223,39 +175,6 @@ def table1_row(
         all_v4_changes=all_v4,
         ds_probes=ds_probes,
         ds_v4_changes=ds_v4,
-        ds_v6_changes=ds_v6,
-    )
-
-
-def _table1_row_np(
-    name: str,
-    asn: int,
-    country: str,
-    probes: Sequence[SanitizedProbe],
-    plen: int = 64,
-    columns: Optional["_anp.ProbeColumns"] = None,
-) -> Table1Row:
-    """Columnar :func:`table1_row`: change counts from run counts.
-
-    Change counts are per-probe independent, so summing the shared
-    pack's v6 counts over the dual-stack flags equals the reference's
-    dual-stack-only aggregation.
-    """
-    import numpy as np
-
-    if columns is None or columns.plen != plen:
-        columns = _anp.ProbeColumns(probes, plen=plen)
-    v4_counts = columns.v4_change_counts()
-    dual = columns.dual_flags()
-    ds_v6 = int(columns.v6_prefix_change_counts()[dual].sum())
-    return Table1Row(
-        name=name,
-        asn=asn,
-        country=country,
-        all_probes=len(probes),
-        all_v4_changes=int(v4_counts.sum()),
-        ds_probes=int(np.count_nonzero(dual)),
-        ds_v4_changes=int(v4_counts[dual].sum()),
         ds_v6_changes=ds_v6,
     )
 
@@ -279,10 +198,22 @@ class Figure1Series:
 def figure1_series(
     label: str, durations: Sequence[float], engine: Optional[str] = None
 ) -> Figure1Series:
-    """One cumulative-TTF curve sampled on the canonical grid."""
-    if resolve_engine(engine) in ("np", "fused"):
+    """One cumulative-TTF curve sampled on the canonical grid.
+
+    The fused path runs the columnar Eq. 1 + CDF + grid-sampling
+    kernels of :mod:`repro.core.analysis_np` over ``durations`` (a list
+    or a float array).
+    """
+    if _resolve_engine(engine) == "fused":
         try:
-            return _figure1_series_np(label, durations)
+            xs, ys = _anp.cumulative_ttf_columns(durations)
+            return Figure1Series(
+                label=label,
+                total_years=_anp.total_duration_years_np(durations),
+                grid_values=tuple(
+                    float(v) for v in _anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
+                ),
+            )
         except _FALLBACK_ERRORS as exc:
             _note_fallback("figure1", exc)
     xs, ys = cumulative_total_time_fraction(durations)
@@ -290,18 +221,6 @@ def figure1_series(
         label=label,
         total_years=total_duration_years(durations),
         grid_values=tuple(evaluate_cdf(xs, ys, CANONICAL_GRID)),
-    )
-
-
-def _figure1_series_np(label: str, durations: Sequence[float]) -> Figure1Series:
-    """Columnar :func:`figure1_series` (Eq. 1 + CDF + grid sampling)."""
-    xs, ys = _anp.cumulative_ttf_columns(durations)
-    return Figure1Series(
-        label=label,
-        total_years=_anp.total_duration_years_np(durations),
-        grid_values=tuple(
-            float(v) for v in _anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
-        ),
     )
 
 
@@ -334,17 +253,9 @@ def table2_row(
     columns: Optional["_anp.ProbeColumns"] = None,
 ) -> CrossingRates:
     """Aggregate one AS's probes into its Table 2 crossing rates."""
-    resolved = resolve_engine(engine)
-    if resolved == "fused":
+    if _resolve_engine(engine) == "fused":
         try:
-            from repro.core import fused as _fused
-
             return _fused.table2_from_stats(_fused_stats(probes, columns=columns), table)
-        except _FALLBACK_ERRORS as exc:
-            _note_fused_fallback("table2", exc)
-    elif resolved == "np":
-        try:
-            return _table2_row_np(probes, table, columns=columns)
         except _FALLBACK_ERRORS as exc:
             _note_fallback("table2", exc)
     v4_changes: List[ChangeEvent] = []
@@ -355,56 +266,19 @@ def table2_row(
     return crossing_rates(v4_changes, v6_changes, table)
 
 
-def _table2_row_np(
-    probes: Sequence[SanitizedProbe],
-    table: RoutingTable,
-    plen: int = 64,
-    columns: Optional["_anp.ProbeColumns"] = None,
-) -> CrossingRates:
-    """Columnar :func:`table2_row`: bit-level /24 tests, interval-index
-    BGP longest-prefix matching."""
-    if columns is None or columns.plen != plen:
-        columns = _anp.ProbeColumns(probes, plen=plen)
-    return _anp.crossing_rates_np(
-        columns.v4_changes(),
-        columns.v6_prefix_changes(),
-        table,
-        v6_plen=plen,
-    )
-
-
 def figure5_for_as(
     probes: Sequence[SanitizedProbe],
     engine: Optional[str] = None,
     columns: Optional["_anp.ProbeColumns"] = None,
 ) -> CplHistogram:
     """The Figure 5 CPL histogram for one AS's probes."""
-    resolved = resolve_engine(engine)
-    if resolved == "fused":
+    if _resolve_engine(engine) == "fused":
         try:
-            from repro.core import fused as _fused
-
             return _fused.figure5_from_stats(_fused_stats(probes, columns=columns))
-        except _FALLBACK_ERRORS as exc:
-            _note_fused_fallback("figure5", exc)
-    elif resolved == "np":
-        try:
-            return _figure5_for_as_np(probes, columns=columns)
         except _FALLBACK_ERRORS as exc:
             _note_fallback("figure5", exc)
     by_probe = {probe.probe_id: probe_v6_changes(probe) for probe in probes}
     return cpl_histogram(by_probe)
-
-
-def _figure5_for_as_np(
-    probes: Sequence[SanitizedProbe],
-    plen: int = 64,
-    columns: Optional["_anp.ProbeColumns"] = None,
-) -> CplHistogram:
-    """Columnar :func:`figure5_for_as` (vectorized CPL-of-change)."""
-    if columns is None or columns.plen != plen:
-        columns = _anp.ProbeColumns(probes, plen=plen)
-    return _anp.cpl_histogram_np(columns.v6_prefix(), plen)
 
 
 # -- Section 3.2 periodicity ---------------------------------------------------
@@ -424,28 +298,15 @@ def periodic_networks(
     first candidate period exhibited by at least ``min_probes`` probes —
     over IPv4 non-dual-stack exact durations and IPv6 /64 prefix
     durations respectively; networks with no consistent period are
-    absent.  The NumPy engine replaces the reference's per-probe
+    absent.  The fused engine replaces the reference's per-probe
     duration extraction and O(periods x probes x durations) mode
-    counting with per-network bincount reductions over the (optionally
-    memoized) :class:`~repro.core.analysis_np.ProbeColumns` packs.
+    counting with per-probe bincount flag reductions over the
+    (optionally memoized) :class:`~repro.core.analysis_np.ProbeColumns`
+    packs.
     """
-    resolved = resolve_engine(engine)
-    if resolved == "fused":
+    if _resolve_engine(engine) == "fused":
         try:
-            from repro.core import fused as _fused
-
             return _fused.periodic_networks_fused(
-                probes_by_network,
-                candidate_periods,
-                tolerance,
-                min_probes,
-                columns_by_network,
-            )
-        except _FALLBACK_ERRORS as exc:
-            _note_fused_fallback("periodicity", exc)
-    elif resolved == "np":
-        try:
-            return _periodic_networks_np(
                 probes_by_network,
                 candidate_periods,
                 tolerance,
@@ -483,46 +344,6 @@ def periodic_networks(
             min_probes=min_probes,
         ),
     )
-
-
-def _periodic_networks_np(
-    probes_by_network: Dict[str, Sequence[SanitizedProbe]],
-    candidate_periods: Sequence[float],
-    tolerance: float,
-    min_probes: int,
-    columns_by_network: Optional[Dict[str, "_anp.ProbeColumns"]] = None,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Columnar :func:`periodic_networks`, one pack per network."""
-    v4_periods: Dict[str, float] = {}
-    v6_periods: Dict[str, float] = {}
-    for name, probes in probes_by_network.items():
-        columns = (columns_by_network or {}).get(name)
-        if columns is None or columns.plen != 64:
-            columns = _anp.ProbeColumns(probes)
-        v4_durations = columns.v4_durations()
-        non_dual = ~columns.dual_mask()
-        period = _anp.consistent_network_period(
-            v4_durations.hours().astype(float)[non_dual],
-            v4_durations.probe_index[non_dual],
-            columns.n_probes,
-            candidate_periods,
-            tolerance,
-            min_probes,
-        )
-        if period is not None:
-            v4_periods[name] = period
-        v6_durations = columns.v6_prefix_durations()
-        period = _anp.consistent_network_period(
-            v6_durations.hours().astype(float),
-            v6_durations.probe_index,
-            columns.n_probes,
-            candidate_periods,
-            tolerance,
-            min_probes,
-        )
-        if period is not None:
-            v6_periods[name] = period
-    return v4_periods, v6_periods
 
 
 # -- rendering ----------------------------------------------------------------
@@ -598,13 +419,15 @@ def render_cdf(
     return "\n".join(lines)
 
 
+# The fused engine builds on the dataclasses above, so it is imported
+# last (it imports this module's names at its own import time).
+from repro.core import fused as _fused  # noqa: E402
+
 __all__ = [
     "AsDurations",
-    "ENGINE_ENV",
     "Figure1Series",
     "Table1Row",
     "as_durations",
-    "resolve_engine",
     "figure1_for_as",
     "figure1_series",
     "figure5_for_as",

@@ -11,19 +11,17 @@ CDN classifier's lookup caches (a warm cache is an optimization, not an
 observable).
 
 The same contract applies to the analysis engines:
-:func:`analysis_engine_diffs` compares every report-layer artifact
-(Table 1/2, Figures 1/5, duration populations) computed by the columnar
-NumPy engine against the pure-Python reference, field by field — and
-:func:`streaming_replay_diffs` holds the streaming layer to it too:
-chunk-by-chunk replay (any chunk size, with or without a mid-stream
-checkpoint/restore) must be bit-identical to the batch np report.
-:func:`store_diffs` extends the contract to the out-of-core sharded
-memmap store: shard-by-shard analysis must match the in-RAM np path
-artifact for artifact, at every shard count.  :func:`fused_engine_diffs`
-holds the fused single-pass engine (:mod:`repro.core.fused`) to the
-same bar: ``engine="fused"`` must be bit-identical to both ``"np"`` and
-``"py"`` across every report artifact, including after an arena
-save/memmap round-trip of the buffer-backed pack.
+:func:`fused_engine_diffs` holds the fused single-pass engine
+(:mod:`repro.core.fused`, the default) to the pure-Python reference
+(``engine="py"``) across every report artifact plus the delegation and
+association artifacts, including after an arena save/memmap round-trip
+of the buffer-backed pack — and :func:`streaming_replay_diffs` holds the
+streaming layer to it too: chunk-by-chunk replay (any chunk size, with
+or without a mid-stream checkpoint/restore) must be bit-identical to
+the batch fused report.  :func:`store_diffs` extends the contract to
+the out-of-core sharded memmap store: shard-by-shard analysis must
+match the in-RAM columnar path artifact for artifact, at every shard
+count.
 """
 
 from __future__ import annotations
@@ -94,67 +92,6 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
     return diffs
 
 
-def analysis_engine_diffs(probes: Sequence, table=None, triples=None) -> List[str]:
-    """Artifact-by-artifact py-vs-np engine differences ([] if equal).
-
-    Runs every report-layer entry point over ``probes`` under both
-    engines and names each artifact that diverges.  ``table`` (a
-    :class:`~repro.bgp.table.RoutingTable`) additionally enables the
-    Table 2 comparison; ``triples`` (CDN association triples) the
-    Figure 3 box-stats comparison.
-    """
-    from repro.core import report
-    from repro.core.associations import association_box_stats
-    from repro.core.delegation import inferred_plen_distribution_for_probes
-
-    artifacts = [
-        (
-            "table1_row",
-            lambda engine: report.table1_row("AS", 0, "XX", probes, engine=engine),
-        ),
-        ("as_durations", lambda engine: report.as_durations(probes, engine=engine)),
-        (
-            "figure1_for_as",
-            lambda engine: report.figure1_for_as("AS", probes, engine=engine),
-        ),
-        ("figure5_for_as", lambda engine: report.figure5_for_as(probes, engine=engine)),
-        (
-            "periodic_networks",
-            lambda engine: report.periodic_networks({"AS": probes}, engine=engine),
-        ),
-        (
-            "inferred_plen_distribution",
-            lambda engine: inferred_plen_distribution_for_probes(probes, engine=engine),
-        ),
-    ]
-    if table is not None:
-        artifacts.append(
-            ("table2_row", lambda engine: report.table2_row(probes, table, engine=engine))
-        )
-    if triples is not None:
-        materialized = list(triples)
-        artifacts.append(
-            (
-                "association_box_stats",
-                lambda engine: association_box_stats(materialized, engine=engine),
-            )
-        )
-    diffs: List[str] = []
-    for label, compute in artifacts:
-        reference = compute("py")
-        columnar = compute("np")
-        if reference != columnar:
-            diffs.append(f"{label}: np engine diverges from py reference")
-    return diffs
-
-
-def assert_analysis_engines_equal(probes: Sequence, table=None, triples=None) -> None:
-    """Raise AssertionError naming every py-vs-np diverging artifact."""
-    diffs = analysis_engine_diffs(probes, table, triples)
-    if diffs:
-        raise AssertionError("analysis engines differ: " + "; ".join(diffs))
-
-
 def fused_engine_diffs(
     scenario: "AtlasScenario" = None,
     probes_per_as: int = 4,
@@ -162,24 +99,29 @@ def fused_engine_diffs(
     seed: int = 0,
     min_probes: int = 2,
     arena_dir=None,
+    triples=None,
 ) -> List[str]:
-    """Fused-engine parity differences ([] if bit-identical).
+    """Fused-vs-reference parity differences ([] if bit-identical).
 
-    The fused-parity contract, at two levels:
+    The engine-parity contract, at two levels:
 
     1. **Scenario level** — ``engine="fused"`` must reproduce every
        ``analyze_atlas_scenario`` artifact and the periodicity result of
-       both ``"np"`` and ``"py"`` bit-identically (a small scenario is
-       built when none is supplied).
-    2. **Report-entry level** — each report entry point called with
-       ``engine="fused"`` over the scenario's probes must match the
-       ``"py"`` reference.
+       the ``"py"`` reference bit-identically (a small scenario is built
+       when none is supplied).
+    2. **Entry-point level** — each report entry point, plus the
+       delegation histogram (``inferred_plen_distribution_for_probes``)
+       and, when ``triples`` (CDN association triples) are given, the
+       Figure 3 ``association_box_stats``, called with ``engine="fused"``
+       must match the ``"py"`` reference.
 
     With ``arena_dir`` set, a buffer round-trip is verified too: the
     global pack is saved as an arena file, reopened memory-mapped, and
     the fused artifacts recomputed from the mapped pack must match.
     """
     from repro.core import report
+    from repro.core.associations import association_box_stats
+    from repro.core.delegation import inferred_plen_distribution_for_probes
     from repro.workloads import (
         analyze_atlas_scenario,
         build_atlas_scenario,
@@ -190,22 +132,16 @@ def fused_engine_diffs(
         scenario = build_atlas_scenario(
             probes_per_as=probes_per_as, years=years, seed=seed, cache=False
         )
-    results = {}
-    for engine in ("py", "np", "fused"):
-        analysis = analyze_atlas_scenario(scenario, engine=engine)
-        periods = periodicity_for_scenario(
-            scenario, min_probes=min_probes, engine=engine
-        )
-        results[engine] = (analysis, periods)
     diffs: List[str] = []
-    fused_analysis, fused_periods = results["fused"]
-    for other in ("np", "py"):
-        other_analysis, other_periods = results[other]
-        for artifact in ("table1", "table2", "figure1", "figure5"):
-            if getattr(fused_analysis, artifact) != getattr(other_analysis, artifact):
-                diffs.append(f"{artifact}: fused diverges from {other}")
-        if fused_periods != other_periods:
-            diffs.append(f"periodicity: fused diverges from {other}")
+    fused_analysis = analyze_atlas_scenario(scenario, engine="fused")
+    py_analysis = analyze_atlas_scenario(scenario, engine="py")
+    for artifact in ("table1", "table2", "figure1", "figure5"):
+        if getattr(fused_analysis, artifact) != getattr(py_analysis, artifact):
+            diffs.append(f"{artifact}: fused diverges from py")
+    fused_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
+    py_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="py")
+    if fused_periods != py_periods:
+        diffs.append("periodicity: fused diverges from py")
 
     probes = scenario.probes
     entry_points = [
@@ -229,7 +165,19 @@ def fused_engine_diffs(
                 {"AS": probes}, min_probes=min_probes, engine=engine
             ),
         ),
+        (
+            "inferred_plen_distribution",
+            lambda engine: inferred_plen_distribution_for_probes(probes, engine=engine),
+        ),
     ]
+    if triples is not None:
+        materialized = list(triples)
+        entry_points.append(
+            (
+                "association_box_stats",
+                lambda engine: association_box_stats(materialized, engine=engine),
+            )
+        )
     for label, compute in entry_points:
         if compute("fused") != compute("py"):
             diffs.append(f"{label}: fused entry point diverges from py reference")
@@ -261,6 +209,7 @@ def assert_fused_engines_equal(
     seed: int = 0,
     min_probes: int = 2,
     arena_dir=None,
+    triples=None,
 ) -> None:
     """Raise AssertionError naming every fused-engine divergence."""
     diffs = fused_engine_diffs(
@@ -270,6 +219,7 @@ def assert_fused_engines_equal(
         seed=seed,
         min_probes=min_probes,
         arena_dir=arena_dir,
+        triples=triples,
     )
     if diffs:
         raise AssertionError("fused engine differs: " + "; ".join(diffs))
@@ -283,9 +233,9 @@ def _streaming_result_diffs(result, batch, periods, label: str) -> List[str]:
     analysis = result.analysis
     for artifact in ("table1", "table2", "figure1", "figure5"):
         if getattr(analysis, artifact) != getattr(batch, artifact):
-            diffs.append(f"{label}: {artifact} diverges from batch np report")
+            diffs.append(f"{label}: {artifact} diverges from batch fused report")
     if (result.v4_periods, result.v6_periods) != periods:
-        diffs.append(f"{label}: periodicity diverges from batch np report")
+        diffs.append(f"{label}: periodicity diverges from batch fused report")
     return diffs
 
 
@@ -299,7 +249,7 @@ def streaming_replay_diffs(
 
     The replay-parity contract: streaming ``scenario`` chunk-by-chunk
     (each size in ``chunk_hours``) must reproduce the batch
-    ``engine="np"`` artifacts bit-identically.  When ``checkpoint_dir``
+    ``engine="fused"`` artifacts bit-identically.  When ``checkpoint_dir``
     is given, a kill/checkpoint/resume pass (stopped halfway, resumed
     from its persisted state) is verified too.
     """
@@ -309,8 +259,8 @@ def streaming_replay_diffs(
         stream_analyze_atlas_scenario,
     )
 
-    batch = analyze_atlas_scenario(scenario, engine="np")
-    periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="np")
+    batch = analyze_atlas_scenario(scenario, engine="fused")
+    periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
     diffs: List[str] = []
     for hours in chunk_hours:
         result = stream_analyze_atlas_scenario(
@@ -409,13 +359,13 @@ def store_diffs(
     The store-parity contract: building a sharded memmap store from
     ``triples`` and analyzing it shard-by-shard
     (:func:`repro.store.analyze_store`) must reproduce every in-RAM
-    ``engine="np"`` Section-5 artifact — duration multiset and box
-    stats, both degree structures, degree-one fraction, the Figure-7
-    trailing-zero profile — and the store-driven streaming pass must
-    match the pure-Python oracle (:func:`association_oracle_diffs`).
-    Each shard count in ``shards`` is verified independently (1
-    exercises the degenerate single-shard merge, >1 the k-way pivot
-    merge).  Build-mode digest parity is
+    columnar (:mod:`repro.core.associations_np`) Section-5 artifact —
+    duration multiset and box stats, both degree structures, degree-one
+    fraction, the Figure-7 trailing-zero profile — and the store-driven
+    streaming pass must match the pure-Python oracle
+    (:func:`association_oracle_diffs`). Each shard count in ``shards``
+    is verified independently (1 exercises the degenerate single-shard
+    merge, >1 the k-way pivot merge).  Build-mode digest parity is
     checked too: the parallel segment build and a compaction of two
     incrementally built halves must both produce byte-identical stores
     (same ``digest()``) to the serial single-pass build.  ``directory``
@@ -462,16 +412,16 @@ def store_diffs(
             continue
         analysis = analyze_store(store)
         if analysis.duration_counts != dict(ref_durations):
-            diffs.append(f"{label}: duration multiset diverges from in-RAM np")
+            diffs.append(f"{label}: duration multiset diverges from in-RAM columnar")
         if analysis.box != ref_box:
-            diffs.append(f"{label}: box stats diverge from in-RAM np")
+            diffs.append(f"{label}: box stats diverge from in-RAM columnar")
         got_unique, got_hits = analysis.v4_degree_dicts()
         if got_unique != ref_v4_unique or got_hits != ref_v4_hits:
-            diffs.append(f"{label}: v4 degree counts diverge from in-RAM np")
+            diffs.append(f"{label}: v4 degree counts diverge from in-RAM columnar")
         if analysis.v6_degree_dict() != ref_v6:
-            diffs.append(f"{label}: v6 degree counts diverge from in-RAM np")
+            diffs.append(f"{label}: v6 degree counts diverge from in-RAM columnar")
         if analysis.fraction_v6_degree_one != ref_fraction:
-            diffs.append(f"{label}: degree-one fraction diverges from in-RAM np")
+            diffs.append(f"{label}: degree-one fraction diverges from in-RAM columnar")
         if analysis.delegation != ref_profile:
             diffs.append(f"{label}: trailing-zero profile diverges from reference")
         streamed = run_association_stream_over_store(store, chunk_days=chunk_days)
@@ -569,13 +519,11 @@ def telemetry_invariance_diffs(
     with telemetry(False):
         plain = build_atlas_scenario(**params)
         plain_analysis = analyze_atlas_scenario(plain)
-        plain_fused = analyze_atlas_scenario(plain, engine="fused")
         plain_pooled = _fan_out(plain)
         plain_periods = periodicity_for_scenario(plain)
     with telemetry(True, reset=True):
         traced = build_atlas_scenario(**params)
         traced_analysis = analyze_atlas_scenario(traced)
-        traced_fused = analyze_atlas_scenario(traced, engine="fused")
         traced_pooled = _fan_out(traced)
         traced_periods = periodicity_for_scenario(traced)
     diffs = [
@@ -584,10 +532,6 @@ def telemetry_invariance_diffs(
     for artifact in ("table1", "table2", "figure1", "figure5"):
         if getattr(plain_analysis, artifact) != getattr(traced_analysis, artifact):
             diffs.append(f"telemetry: {artifact} diverges with telemetry enabled")
-        if getattr(plain_fused, artifact) != getattr(traced_fused, artifact):
-            diffs.append(
-                f"telemetry: fused {artifact} diverges with telemetry enabled"
-            )
         if plain_pooled is not None and (
             getattr(plain_pooled, artifact) != getattr(traced_pooled, artifact)
         ):
@@ -704,8 +648,6 @@ def assert_cdn_scenarios_equal(a: CdnScenario, b: CdnScenario) -> None:
 
 
 __all__ = [
-    "analysis_engine_diffs",
-    "assert_analysis_engines_equal",
     "assert_atlas_scenarios_equal",
     "assert_cdn_scenarios_equal",
     "assert_fused_engines_equal",

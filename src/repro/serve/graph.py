@@ -114,7 +114,8 @@ def build_graph(scenario: Any) -> KnowledgeGraph:
     from repro.workloads import periodicity_for_scenario
 
     builder = _Builder()
-    v4_periods, v6_periods = periodicity_for_scenario(scenario, engine="py")
+    # The default (fused) engine reuses the scenario's memoized pack.
+    v4_periods, v6_periods = periodicity_for_scenario(scenario)
     with span("serve/graph", networks=len(scenario.isps)):
         for name, isp in scenario.isps.items():
             probes = scenario.probes_in(isp.asn)

@@ -5,7 +5,8 @@ hash-sharded struct-of-arrays column files and re-derives the paper's
 Section-5 artifacts shard-by-shard, so billion-row populations are
 bounded by disk, not RAM.  See :mod:`repro.store.triples` for the
 on-disk format and :mod:`repro.store.kernels` for the out-of-core
-analysis (bit-identical to the in-RAM ``engine="np"`` path).
+analysis (bit-identical to the in-RAM columnar path of
+:mod:`repro.core.associations_np`).
 """
 
 from repro.store.kernels import (

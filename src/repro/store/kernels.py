@@ -26,7 +26,7 @@ not the store:
    (:func:`~repro.core.associations_np.box_stats_from_counts`), degree
    arrays from the merged partials, and the Figure-7 trailing-zero
    profile from the global distinct-/64 key set — all bit-identical to
-   the in-RAM ``engine="np"`` artifacts (enforced by
+   the in-RAM :mod:`~repro.core.associations_np` artifacts (enforced by
    :func:`repro.perf.verify.store_diffs`).
 """
 

@@ -3,7 +3,7 @@
 This subsystem processes echo runs/records and CDN association triples
 in bounded-size chunks, maintaining per-probe incremental state that
 folds each chunk through the existing ``analysis_np`` kernels.  A full
-streaming pass is **bit-identical** to the batch ``engine="np"`` report
+streaming pass is **bit-identical** to the batch ``engine="fused"`` report
 for any chunk size, with or without a mid-stream checkpoint/restore —
 see :func:`repro.perf.verify.streaming_replay_diffs`.
 

@@ -7,7 +7,7 @@ merged IPv6 coverage intervals, and per-network accumulators (duration
 multisets, periodicity counters, CPL tallies, crossing counts).  Because
 every batch artifact is a function of order-independent multisets and
 exact integral-float sums, folding chunk-by-chunk reproduces the batch
-``engine="np"`` report *bit-identically* — any chunk size, with or
+``engine="fused"`` report *bit-identically* — any chunk size, with or
 without a checkpoint/restore in the middle (the replay-parity tests and
 :func:`repro.perf.verify.streaming_replay_diffs` enforce this).
 
@@ -494,15 +494,15 @@ class AtlasStreamEngine:
                     "v4_nds": figure1_series(
                         f"{info.name} IPv4 non-dual-stack",
                         _expand(durations["v4_nds"]),
-                        engine="np",
+                        engine="fused",
                     ),
                     "v4_ds": figure1_series(
                         f"{info.name} IPv4 dual-stack",
                         _expand(durations["v4_ds"]),
-                        engine="np",
+                        engine="fused",
                     ),
                     "v6": figure1_series(
-                        f"{info.name} IPv6", _expand(durations["v6"]), engine="np"
+                        f"{info.name} IPv6", _expand(durations["v6"]), engine="fused"
                     ),
                 }
                 figure5[info.name] = CplHistogram(
@@ -516,7 +516,7 @@ class AtlasStreamEngine:
                 if period is not None:
                     v6_periods[info.name] = period
             analysis = AtlasAnalysis(
-                engine="np",
+                engine="fused",
                 table1=table1,
                 table2=table2,
                 figure1=figure1,
@@ -531,9 +531,10 @@ class AtlasStreamEngine:
     def _consistent_period(self, accs: Dict[int, list]) -> Optional[float]:
         """First candidate period exhibited by >= ``min_probes`` probes.
 
-        Replays :func:`repro.core.analysis_np.consistent_network_period`
-        from the integer accumulators: the mass ratio is the same exact
-        float division the kernel performs (integral sums < 2**53).
+        Replays the fused engine's per-network reduction of
+        :func:`repro.core.analysis_np.probe_period_flags` from the
+        integer accumulators: the mass ratio is the same exact float
+        division the kernel performs (integral sums < 2**53).
         """
         exhibiting = [0] * self._n_periods
         for total, counts, masses in accs.values():

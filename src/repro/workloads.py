@@ -11,10 +11,8 @@ Three entry points:
   RUM association dataset for the Section 4/5.3 analyses.
 * :func:`analyze_atlas_scenario` — run the full Section 3/5 analysis
   stack (Table 1/2, Figures 1/5) over a built Atlas scenario, through
-  the pure-Python reference kernels, the per-kernel columnar NumPy
-  engine, or the fused single-pass engine
-  (``engine="py"|"np"|"fused"``, see :mod:`repro.core.analysis_np` and
-  :mod:`repro.core.fused`).
+  the fused single-pass engine or the pure-Python reference kernels
+  (``engine="fused"|"py"``, see :mod:`repro.core.fused`).
 
 Both are deterministic in their ``seed``, *independent of the*
 ``workers=`` *knob*: the per-ISP simulations and per-population CDN
@@ -129,8 +127,8 @@ class AtlasScenario:
         Returns the shared :class:`repro.core.analysis_np.ProbeColumns`
         for ``asn``'s probes (all probes when ``asn is None``) so every
         table/figure computed from this scenario reuses one CSR pack.
-        Both columnar engines (``"np"`` and ``"fused"``) share the same
-        packs; the pure-Python engine gets ``None``.  The cache key leads
+        The fused engine gets the pack; the pure-Python engine gets
+        ``None``.  The cache key leads
         with the pack format version
         (:data:`repro.core.analysis_np.COLUMNS_FORMAT_VERSION`) — so
         entries from an older buffer layout repack instead of being
@@ -141,8 +139,7 @@ class AtlasScenario:
         """
         from repro.core.engine import resolve_engine
 
-        resolved = resolve_engine(engine)
-        if resolved not in ("np", "fused"):
+        if resolve_engine(engine) == "py":
             return None
         from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
 
@@ -181,11 +178,11 @@ def analyze_atlas_scenario(
 ) -> AtlasAnalysis:
     """Compute Table 1/2 and Figures 1/5 for every featured AS.
 
-    ``engine`` picks the analysis kernels: ``"py"`` is the pure-Python
-    reference, ``"np"`` the per-kernel columnar engine, ``"fused"`` the
-    single-pass engine of :mod:`repro.core.fused` (``None`` reads
-    ``$REPRO_ANALYSIS_ENGINE``, defaulting to ``"np"``).  All engines
-    yield bit-identical artifacts.
+    ``engine`` picks the analysis kernels: ``"fused"`` is the
+    single-pass engine of :mod:`repro.core.fused`, ``"py"`` the
+    pure-Python reference (``None`` reads ``$REPRO_ANALYSIS_ENGINE``,
+    defaulting to ``"fused"``).  Both engines yield bit-identical
+    artifacts.
 
     ``workers`` only applies to the fused engine: with ``workers > 1``
     the per-AS assembly fans out over a process pool that memory-maps
@@ -193,11 +190,10 @@ def analyze_atlas_scenario(
     (:func:`repro.perf.parallel.run_fused_analysis`) — zero-copy, and
     bit-identical to the serial fused run.
     """
-    from repro.core.engine import FALLBACK_ERRORS
+    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
     from repro.core.report import (
         figure1_for_as,
         figure5_for_as,
-        resolve_engine,
         table1_row,
         table2_row,
     )
@@ -284,14 +280,13 @@ def periodicity_for_scenario(
 
     Returns ``(v4_nds_periods, v6_periods)`` from
     :func:`repro.core.report.periodic_networks`, dispatched through the
-    analysis-engine knob and reusing the scenario's memoized column
-    packs on the columnar paths.  The fused engine detects every
-    network's periods from one global pass
+    analysis-engine knob.  The fused engine detects every network's
+    periods from one global pass
     (:func:`repro.core.fused.fused_network_periods`), reusing the
-    scenario's global pack and its cached fused stats.
+    scenario's memoized global pack and its cached fused stats.
     """
-    from repro.core.engine import FALLBACK_ERRORS
-    from repro.core.report import periodic_networks, resolve_engine
+    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.report import periodic_networks
 
     resolved = resolve_engine(engine)
     if resolved == "fused":
@@ -321,19 +316,12 @@ def periodicity_for_scenario(
     probes_by_network = {
         name: scenario.probes_in(isp.asn) for name, isp in scenario.isps.items()
     }
-    columns_by_network = None
-    if resolved in ("np", "fused"):
-        columns_by_network = {
-            name: scenario.analysis_columns(isp.asn, engine=resolved)
-            for name, isp in scenario.isps.items()
-        }
     with span("analysis/periodicity", engine=resolved, networks=len(probes_by_network)):
         return periodic_networks(
             probes_by_network,
             tolerance=tolerance,
             min_probes=min_probes,
             engine=resolved,
-            columns_by_network=columns_by_network,
         )
 
 
@@ -763,7 +751,7 @@ def stream_analyze_atlas_scenario(
     chunks and folds them through the incremental
     :class:`repro.stream.engine.AtlasStreamEngine`; the returned
     :class:`~repro.stream.engine.AtlasStreamResult` carries artifacts
-    bit-identical to ``analyze_atlas_scenario(scenario, engine="np")``
+    bit-identical to ``analyze_atlas_scenario(scenario)``
     plus the ``periodicity_for_scenario`` periods for the same
     ``min_probes``/``tolerance``.
 
@@ -834,7 +822,7 @@ def analyze_triple_store(store, workers: Optional[int] = None, block_rows=None):
     Accepts an open :class:`repro.store.TripleStore` or a directory
     path; ``workers`` fans the per-shard pass out over the zero-copy
     pool (``None`` = ``$REPRO_WORKERS``).  Artifacts are bit-identical
-    to the in-RAM ``engine="np"`` path (see
+    to the in-RAM columnar path (see
     :func:`repro.perf.verify.store_diffs`).
     """
     from repro.store import DEFAULT_BLOCK_ROWS, TripleStore, analyze_store

@@ -1,10 +1,11 @@
-"""Parity tests: the columnar engine vs the pure-Python reference.
+"""Parity tests: the columnar kernels vs the pure-Python reference.
 
-Every kernel in ``repro.core.analysis_np`` must be *bit-identical* to
-its reference in ``changes.py``/``timefraction.py``/``periodicity.py``/
-``dualstack.py``/``spatial.py``.  The randomized streams here cover the
-awkward shapes: observation gaps, single-run probes, all-identical
-values, probes with no runs at all.
+Every kernel in ``repro.core.analysis_np`` — and the fused engine
+tables built from them — must be *bit-identical* to its reference in
+``changes.py``/``timefraction.py``/``periodicity.py``/``dualstack.py``/
+``spatial.py``.  The randomized streams here cover the awkward shapes:
+observation gaps, single-run probes, all-identical values, probes with
+no runs at all.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.bgp.table import RoutingTable  # noqa: E402
 from repro.core import analysis_np as anp  # noqa: E402
 from repro.core.changes import (  # noqa: E402
     changes_from_runs,
-    observations_from_runs,
     sandwiched_durations,
     v6_runs_to_prefix_runs,
 )
@@ -33,6 +33,11 @@ from repro.core.timefraction import (  # noqa: E402
     evaluate_cdf,
     total_duration_years,
     total_time_fraction,
+)
+from repro.core.fused import (  # noqa: E402
+    figure5_from_stats,
+    fused_probe_stats,
+    table2_from_stats,
 )
 from repro.ip.addr import IPv4Address, IPv6Address  # noqa: E402
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix  # noqa: E402
@@ -122,9 +127,10 @@ def _packed(hi, lo) -> list:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_change_table_matches_reference(seed):
+    """The fused pass's change table and per-probe change counts."""
     probes = _random_probes(seed)
-    cols = anp.columns_from_runs([probe.v4_runs for probe in probes])
-    table = anp.change_table(cols)
+    stats = fused_probe_stats(anp.ProbeColumns(probes))
+    table = stats.v4_changes
     expected = []
     for index, probe in enumerate(probes):
         for change in changes_from_runs(probe.v4_runs):
@@ -142,7 +148,7 @@ def test_change_table_matches_reference(seed):
         )
     )
     assert got == expected
-    assert anp.change_counts(cols).tolist() == [
+    assert stats.v4_change_counts.tolist() == [
         len(changes_from_runs(probe.v4_runs)) for probe in probes
     ]
 
@@ -190,20 +196,6 @@ def test_duration_table_matches_reference(seed, kwargs):
         zip(table.probe_index.tolist(), table.start.tolist(), table.end.tolist())
     )
     assert got == expected
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_observation_flags_match_reference(seed):
-    probes = _random_probes(seed)
-    cols = anp.columns_from_runs([probe.v4_runs for probe in probes])
-    sandwiched, exact = anp.observation_flags(cols, max_internal_gap=1)
-    reference = [
-        observation
-        for probe in probes
-        for observation in observations_from_runs(probe.v4_runs, max_internal_gap=1)
-    ]
-    assert sandwiched.tolist() == [obs.sandwiched for obs in reference]
-    assert exact.tolist() == [obs.exact for obs in reference]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -269,25 +261,18 @@ def test_periodicity_matches_reference(seed):
         else:
             durations.append(float(rng.randrange(1, 400)))
     assert anp.detect_periods_np(durations) == detect_periods(durations)
-    for period in (24.0, 168.0):
-        assert anp.probe_exhibits_period_np(durations, period) == probe_exhibits_period(
-            durations, period
-        )
     assert anp.detect_periods_np([]) == detect_periods([]) == []
 
 
 # ---------------------------------------------------------------------------
-# CPL histograms and boundary crossings
+# CPL histograms and boundary crossings (through the fused engine)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cpl_histogram_matches_reference(seed):
     probes = _random_probes(seed)
-    cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    got = anp.cpl_histogram_np(anp.rekey_v6_runs(cols, 64), 64)
+    got = figure5_from_stats(fused_probe_stats(anp.ProbeColumns(probes)))
     by_probe = {
         probe.probe_id: changes_from_runs(v6_runs_to_prefix_runs(probe.v6_runs, 64))
         for probe in probes
@@ -299,17 +284,7 @@ def test_cpl_histogram_matches_reference(seed):
 def test_crossing_rates_match_reference(seed):
     probes = _random_probes(seed)
     table = _routing_table()
-    v4_cols = anp.columns_from_runs(
-        [probe.v4_runs for probe in probes], value_type=IPv4Address
-    )
-    v6_cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    got = anp.crossing_rates_np(
-        anp.change_table(v4_cols),
-        anp.change_table(anp.rekey_v6_runs(v6_cols, 64)),
-        table,
-    )
+    got = table2_from_stats(fused_probe_stats(anp.ProbeColumns(probes)), table)
     v4_changes = [
         change for probe in probes for change in changes_from_runs(probe.v4_runs)
     ]
@@ -337,27 +312,35 @@ def test_columns_from_runs_type_enforcement():
 def test_empty_population_kernels():
     cols = anp.columns_from_runs([])
     assert cols.n_probes == 0 and cols.n_runs == 0
-    assert anp.change_table(cols).n_changes == 0
     assert anp.duration_table(cols).n_durations == 0
     assert anp.rekey_v6_runs(cols).n_runs == 0
-    assert anp.cpl_histogram_np(cols) == cpl_histogram({})
+    stats = fused_probe_stats(anp.ProbeColumns([]))
+    assert stats.v4_changes.n_changes == 0
+    assert figure5_from_stats(stats) == cpl_histogram({})
 
 
 def test_resolve_engine_dispatch(monkeypatch):
+    from repro.core.engine import ENGINE_ENV, ENGINES, resolve_engine
+
+    assert ENGINES == ("fused", "py")
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert resolve_engine() == "fused"
+    assert resolve_engine("py") == "py"
+    monkeypatch.setenv(ENGINE_ENV, "py")
+    assert resolve_engine() == "py"
+    assert resolve_engine("fused") == "fused"  # explicit beats the environment
+    for retired in ("np", "fast"):
+        with pytest.raises(ValueError, match="fused"):
+            resolve_engine(retired)
+    monkeypatch.setenv(ENGINE_ENV, "np")
+    with pytest.raises(ValueError, match="fused"):
+        resolve_engine()
+    assert resolve_engine("py") == "py"  # an explicit engine never reads it
+
+
+def test_fused_engine_falls_back_to_reference(monkeypatch):
     from repro.core import report
-
-    monkeypatch.delenv(report.ENGINE_ENV, raising=False)
-    assert report.resolve_engine() == "np"
-    assert report.resolve_engine("py") == "py"
-    monkeypatch.setenv(report.ENGINE_ENV, "py")
-    assert report.resolve_engine() == "py"
-    assert report.resolve_engine("np") == "np"  # explicit beats the environment
-    with pytest.raises(ValueError):
-        report.resolve_engine("fast")
-
-
-def test_np_engine_falls_back_to_reference(monkeypatch):
-    from repro.core import report
+    from repro.obs import get_registry, telemetry
 
     probes = _random_probes(3)
     expected = report.table1_row("AS", 64500, "DE", probes, engine="py")
@@ -366,19 +349,40 @@ def test_np_engine_falls_back_to_reference(monkeypatch):
         raise TypeError("unpackable")
 
     monkeypatch.setattr(report._anp, "columns_from_runs", boom)
-    assert report.table1_row("AS", 64500, "DE", probes, engine="np") == expected
+    with telemetry(True, reset=True):
+        assert report.table1_row("AS", 64500, "DE", probes, engine="fused") == expected
+        assert get_registry().counter("analysis.fused.fallbacks", artifact="table1") == 1
+
+
+def test_figure1_fallback_counts_under_fused_counter(monkeypatch):
+    """A fused Figure 1 fallback is counted as a fused fallback."""
+    from repro.core import report
+    from repro.obs import get_registry, telemetry
+
+    durations = [float(hours) for hours in (24, 24, 48, 168, 3)]
+    expected = report.figure1_series("curve", durations, engine="py")
+
+    def boom(*args, **kwargs):
+        raise TypeError("unpackable")
+
+    monkeypatch.setattr(anp, "cumulative_ttf_columns", boom)
+    with telemetry(True, reset=True):
+        assert report.figure1_series("curve", durations, engine="fused") == expected
+        registry = get_registry()
+        assert registry.counter("analysis.fused.fallbacks", artifact="figure1") == 1
+        assert registry.counter("analysis.fallbacks", artifact="figure1") == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_report_layer_parity_harness(seed):
-    from repro.perf.verify import assert_analysis_engines_equal
+    from repro.perf.verify import assert_fused_engines_equal
 
     rng = random.Random(seed + 4000)
     triples = [
         (rng.randrange(60), rng.randrange(8), rng.randrange(6) << 64)
         for _ in range(rng.randrange(1, 120))
     ]
-    assert_analysis_engines_equal(_random_probes(seed), _routing_table(), triples)
+    assert_fused_engines_equal(probes_per_as=2, years=0.3, seed=seed, triples=triples)
 
 
 # ---------------------------------------------------------------------------
@@ -416,61 +420,6 @@ def test_probe_period_flags_match_reference(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_consistent_network_period_matches_reference(seed):
-    import numpy as np
-
-    from repro.core.periodicity import consistent_periodic_networks
-
-    rng = random.Random(seed + 200)
-    per_probe = {}
-    for probe in range(rng.randrange(2, 10)):
-        mode = rng.choice([24.0, 36.0, 168.0, None])
-        durations = []
-        for _ in range(rng.randrange(0, 14)):
-            if mode is not None and rng.random() < 0.7:
-                durations.append(mode + rng.choice([-1.0, 0.0, 1.0]))
-            else:
-                durations.append(float(rng.randrange(1, 400)))
-        if durations:
-            per_probe[str(probe)] = durations
-    expected = consistent_periodic_networks({"AS": per_probe}, min_probes=2)
-    flat = np.array(
-        [d for durations in per_probe.values() for d in durations], dtype=np.float64
-    )
-    index = np.array(
-        [p for p, durations in enumerate(per_probe.values()) for _ in durations],
-        dtype=np.int64,
-    )
-    got = anp.consistent_network_period(flat, index, len(per_probe), min_probes=2)
-    assert got == expected.get("AS")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_split_durations_by_stack_np_matches_reference(seed):
-    from repro.core.changes import sandwiched_durations
-
-    probes = _random_probes(seed)
-    v4_cols = anp.columns_from_runs(
-        [probe.v4_runs for probe in probes], value_type=IPv4Address
-    )
-    v6_cols = anp.columns_from_runs(
-        [probe.v6_runs for probe in probes], value_type=IPv6Address
-    )
-    durations = anp.duration_table(v4_cols)
-    dual, non_dual = anp.split_durations_by_stack_np(v6_cols, durations)
-    expected_dual = []
-    expected_non_dual = []
-    for probe in probes:
-        ref_dual, ref_non_dual = split_durations_by_stack(
-            sandwiched_durations(probe.v4_runs), probe.v6_runs
-        )
-        expected_dual.extend(float(d.hours) for d in ref_dual)
-        expected_non_dual.extend(float(d.hours) for d in ref_non_dual)
-    assert dual.hours().astype(float).tolist() == expected_dual
-    assert non_dual.hours().astype(float).tolist() == expected_non_dual
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_box_stats_np_matches_reference(seed):
     import numpy as np
 
@@ -484,7 +433,7 @@ def test_box_stats_np_matches_reference(seed):
         (rng.randrange(90), rng.randrange(10), rng.randrange(8) << 64)
         for _ in range(rng.randrange(1, 150))
     ]
-    assert association_box_stats(triples, engine="np") == association_box_stats(
+    assert association_box_stats(triples, engine="fused") == association_box_stats(
         triples, engine="py"
     )
     with pytest.raises(ValueError):
@@ -501,12 +450,12 @@ def test_inferred_plen_distribution_matches_reference(seed):
 
     probes = _random_probes(seed)
     expected = inferred_plen_distribution(per_probe_prefixes_from_runs(probes, 64))
-    assert inferred_plen_distribution_for_probes(probes, engine="np") == expected
+    assert inferred_plen_distribution_for_probes(probes, engine="fused") == expected
     assert inferred_plen_distribution_for_probes(probes, engine="py") == expected
     # Shared-pack path: a caller-supplied ProbeColumns yields the same.
     columns = anp.ProbeColumns(probes)
     assert (
-        inferred_plen_distribution_for_probes(probes, engine="np", columns=columns)
+        inferred_plen_distribution_for_probes(probes, engine="fused", columns=columns)
         == expected
     )
 
@@ -516,8 +465,7 @@ def test_probe_columns_memoizes_packs():
     columns = anp.ProbeColumns(probes)
     assert columns.n_probes == len(probes)
     assert columns.v4() is columns.v4()
+    assert columns.v6() is columns.v6()
     assert columns.v6_prefix() is columns.v6_prefix()
-    assert columns.v4_changes() is columns.v4_changes()
-    assert columns.dual_mask() is columns.dual_mask()
-    # Distinct min_coverage values are distinct cache entries.
-    assert columns.dual_mask(0.5) is not columns.dual_mask(0.9)
+    assert columns.asns() is columns.asns()
+    assert columns.dual_flags() is columns.dual_flags()

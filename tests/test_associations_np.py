@@ -184,9 +184,9 @@ class TestKeyAlignment:
 
     def test_np_box_stats_do_not_drift_on_unaligned_keys(self):
         # Two distinct /128 keys inside one /64 must stay distinct: the
-        # np engine falls back to the reference instead of merging them.
+        # columnar path falls back to the reference instead of merging them.
         triples = [(0, 1 << 8, 1 << 64), (1, 2 << 8, (1 << 64) | 1), (5, 1 << 8, 1 << 64)]
-        assert association_box_stats(triples, engine="np") == association_box_stats(
+        assert association_box_stats(triples, engine="fused") == association_box_stats(
             triples, engine="py"
         )
 

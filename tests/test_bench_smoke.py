@@ -32,9 +32,10 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert payload["deterministic"] is True
     analysis = payload["analysis"]
     assert analysis["parity"] is True
-    assert analysis["default_engine"] in ("np", "py")
+    assert analysis["default_engine"] in ("fused", "py")
     for stage in ("table1", "figure1", "figure5", "table2", "periodicity"):
         assert analysis["stages"][stage]["py_seconds"] >= 0.0
+        assert analysis["stages"][stage]["fused_seconds"] >= 0.0
     store = payload["store"]
     assert store["parity"] is True
     assert store["tuples"] == 1_000_000
@@ -57,8 +58,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     report = payload["report"]
     assert report["parity"] is True
     assert report["workers_parity"] is True
-    assert report["speedup_enforced"] is False  # --check records, full gates
-    assert report["np_seconds"] >= 0.0
+    assert "np_seconds" not in report  # the fused engine is the one fast path
     assert report["fused_seconds"] >= 0.0
     assert report["fused_workers_seconds"] >= 0.0
     serve = payload["serve"]
@@ -87,7 +87,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "results identical" in out
     assert "artifacts identical" in out
-    assert "report: np" in out
+    assert "report: fused" in out
     assert "serve: cold" in out
     assert "obs: disabled-telemetry" in out
 
@@ -98,6 +98,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert report_main(["--history", str(history), "--check"]) == 0
     out = capsys.readouterr().out
     assert "report_fused" in out
+    assert "report_np" not in out
     assert "store_stream_rate" in out
     assert "end_to_end" in out
 

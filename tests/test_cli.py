@@ -203,6 +203,20 @@ class TestAnalyze:
         assert "IPv4:" in out
         assert "periodic renumbering detected" in out  # DTAG et al. at 24h
 
+    def test_engines_print_identical_output(self, tmp_path, capsys):
+        output = tmp_path / "atlas"
+        main([
+            "simulate-atlas", "--probes-per-as", "2", "--years", "0.5",
+            "--seed", "4", "--output", str(output),
+        ])
+        capsys.readouterr()
+        outputs = []
+        for engine in ("fused", "py"):
+            runs = str(output / "echo_runs.jsonl")
+            assert main(["analyze", "--input", runs, "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestStream:
     def test_scenario_mode_prints_tables_and_stats(self, capsys):
@@ -247,3 +261,9 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_engine_rejects_retired_np(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--engine", "np"])
+        err = capsys.readouterr().err
+        assert "'fused'" in err and "'py'" in err

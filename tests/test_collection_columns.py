@@ -34,7 +34,7 @@ def test_collection_fast_path_matches_reference(scenario):
     anomalies = set()
     for spec in _specs(scenario):
         anomalies.add(spec.anomaly)
-        fast = platform.probe_data(spec, engine="np")
+        fast = platform.probe_data(spec, engine="fused")
         reference = platform.probe_data(spec, engine="py")
         assert fast == reference, f"collection diverges for {spec}"
     # The scenario's anomaly cycle must actually be exercised.
@@ -45,7 +45,7 @@ def test_collection_fast_path_privacy_iid(scenario):
     platform = scenario.platform
     for spec in _specs(scenario)[:6]:
         private = dataclasses.replace(spec, iid_mode="privacy")
-        assert platform.probe_data(private, engine="np") == platform.probe_data(
+        assert platform.probe_data(private, engine="fused") == platform.probe_data(
             private, engine="py"
         )
 
@@ -79,7 +79,7 @@ def test_engine_flip_never_serves_stale_columns(scenario, monkeypatch):
     assert scenario.analysis_columns() is columns  # memoized
     monkeypatch.setenv(ENGINE_ENV, "py")
     assert scenario.analysis_columns() is None  # flip: columnar pack not served
-    monkeypatch.setenv(ENGINE_ENV, "np")
+    monkeypatch.setenv(ENGINE_ENV, "fused")
     assert scenario.analysis_columns() is columns  # flip back: same pack
     assert scenario.analysis_columns(engine="py") is None  # explicit beats env
 
@@ -98,6 +98,6 @@ def test_engine_flip_never_serves_stale_columns(scenario, monkeypatch):
 def test_per_asn_columns_cover_asn_probes(scenario):
     scenario.invalidate_analysis_columns()
     for name, isp in scenario.isps.items():
-        columns = scenario.analysis_columns(isp.asn, engine="np")
+        columns = scenario.analysis_columns(isp.asn, engine="fused")
         assert columns.n_probes == len(scenario.probes_in(isp.asn))
     scenario.invalidate_analysis_columns()

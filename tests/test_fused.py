@@ -2,15 +2,16 @@
 
 The fused engine (``repro.core.fused``) computes every per-probe
 intermediate in one traversal of the packed run columns; everything it
-emits must be *bit-identical* to both the per-kernel columnar engine
-(``"np"``) and the pure-Python reference (``"py"``).  The randomized
-streams here reuse the awkward shapes of ``test_analysis_np.py`` —
-observation gaps, single-run probes, probes with no runs, v6-only
-probes — across several ASes so the per-AS selection paths are
-exercised too.  The second half covers the buffer-backed pack: arena
-byte/file/pickle round-trips, memory-mapped zero-copy rehydration, the
-format-version guards, and the worker-pool fan-out that shares one
-arena by path.
+emits must be *bit-identical* to the pure-Python reference (``"py"``).
+The randomized streams here reuse the awkward shapes of
+``test_analysis_np.py`` — observation gaps, single-run probes, probes
+with no runs, v6-only probes — across several ASes so the per-AS
+selection paths are exercised too, and hand-built edge populations
+(empty, single run, v6-only, a change crossing both /24 and BGP
+boundaries) pin the degenerate cases.  The second half covers the
+buffer-backed pack: arena byte/file/pickle round-trips, memory-mapped
+zero-copy rehydration, the format-version guards, and the worker-pool
+fan-out that shares one arena by path.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.perf.parallel import run_fused_analysis  # noqa: E402
 pytestmark = pytest.mark.fused
 
 SEEDS = (0, 1, 2, 7, 2020)
-ENGINES = ("py", "np", "fused")
 
 _V4_POOL = [0xC6336400 + i for i in range(0, 96, 7)]  # 198.51.100.0/24 area
 _V6_BASE = 0x20010DB8 << 96
@@ -144,15 +144,17 @@ def _artifacts(probes, table, engine):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_three_way_engine_parity(seed):
-    """fused == np == py on every report artifact, randomized streams."""
+def test_engine_parity(seed):
+    """fused == py on every report artifact, randomized streams, with no
+    fused entry point falling back to the reference."""
+    from repro.obs import get_registry, telemetry
+
     probes = _random_probes(seed)
     table = _routing_table()
-    py = _artifacts(probes, table, "py")
-    np_result = _artifacts(probes, table, "np")
-    fused_result = _artifacts(probes, table, "fused")
-    assert np_result == py
-    assert fused_result == py
+    with telemetry(True, reset=True):
+        fused_result = _artifacts(probes, table, "fused")
+        assert not get_registry().snapshot()["counters"].get("analysis.fused.fallbacks")
+    assert fused_result == _artifacts(probes, table, "py")
 
 
 @pytest.mark.parametrize(
@@ -176,24 +178,37 @@ def test_three_way_engine_parity(seed):
                 ],
             )
         ],
+        [  # changes crossing both the /24 and the BGP-prefix boundary
+            SanitizedProbe(
+                "0", 64500, True,
+                [
+                    EchoRun(0, 4, IPv4Address(0xC6336405), 0, 3, 4, 0),  # .100.5
+                    EchoRun(0, 4, IPv4Address(0xC6336509), 4, 9, 6, 0),  # .101.9
+                    EchoRun(0, 4, IPv4Address(0xC6336428), 10, 12, 3, 0),  # .100.40
+                ],
+                [
+                    EchoRun(0, 6, IPv6Address(_V6_BASE | (1 << 64)), 0, 5, 6, 0),
+                    EchoRun(0, 6, IPv6Address(_V6_BASE | (2 << 64)), 6, 12, 7, 0),
+                ],
+            )
+        ],
     ],
-    ids=["empty", "no-runs", "single-run", "v6-only"],
+    ids=["empty", "no-runs", "single-run", "v6-only", "crosses-24-and-bgp"],
 )
 def test_edge_case_parity(probes):
-    """Degenerate populations agree across all three engines."""
+    """Degenerate populations agree between the fused engine and py."""
     table = _routing_table()
-    reference = None
-    for engine in ENGINES:
-        artifacts = (
+
+    def artifacts(engine):
+        return (
             table1_row("edge", 64500, "US", probes, engine=engine),
             as_durations(probes, engine=engine),
+            figure1_for_as("edge", probes, engine=engine),
             figure5_for_as(probes, engine=engine),
             table2_row(probes, table, engine=engine),
         )
-        if reference is None:
-            reference = artifacts
-        else:
-            assert artifacts == reference, engine
+
+    assert artifacts("fused") == artifacts("py")
 
 
 def test_fused_stats_memoized_on_pack():
@@ -290,9 +305,9 @@ def test_scenario_memo_drops_stale_format_entries():
     revived = scenario.__class__.__new__(scenario.__class__)
     revived.__setstate__(state)
     assert revived._columns_state == {}  # stale entries dropped, not served
-    repacked = revived.analysis_columns(None, engine="np")
+    repacked = revived.analysis_columns(None, engine="fused")
     assert repacked is not None  # repacks lazily instead of failing
-    assert revived.analysis_columns(None, engine="np") is repacked
+    assert revived.analysis_columns(None, engine="fused") is repacked
 
 
 def test_worker_fanout_matches_serial(tmp_path):
@@ -320,7 +335,7 @@ def test_worker_fanout_matches_serial(tmp_path):
 
 
 def test_workloads_fused_engine_end_to_end():
-    """analyze/periodicity under engine='fused' match 'np', workers too."""
+    """analyze/periodicity under engine='fused' match 'py', workers too."""
     from repro.workloads import (
         analyze_atlas_scenario,
         build_atlas_scenario,
@@ -328,7 +343,7 @@ def test_workloads_fused_engine_end_to_end():
     )
 
     scenario = build_atlas_scenario(probes_per_as=3, years=0.4, seed=7, cache=False)
-    np_analysis = analyze_atlas_scenario(scenario, engine="np")
+    py_analysis = analyze_atlas_scenario(scenario, engine="py")
     fused_analysis = analyze_atlas_scenario(scenario, engine="fused")
     assert fused_analysis.engine == "fused"
     assert (
@@ -336,17 +351,25 @@ def test_workloads_fused_engine_end_to_end():
         fused_analysis.table2,
         fused_analysis.figure1,
         fused_analysis.figure5,
-    ) == (np_analysis.table1, np_analysis.table2, np_analysis.figure1,
-          np_analysis.figure5)
+    ) == (py_analysis.table1, py_analysis.table2, py_analysis.figure1,
+          py_analysis.figure5)
     pooled = analyze_atlas_scenario(scenario, engine="fused", workers=2)
     assert pooled == fused_analysis
     assert periodicity_for_scenario(
         scenario, min_probes=2, engine="fused"
-    ) == periodicity_for_scenario(scenario, min_probes=2, engine="np")
+    ) == periodicity_for_scenario(scenario, min_probes=2, engine="py")
 
 
-def test_fused_verify_helper():
-    """perf.verify's fused gate passes on a fresh scenario."""
+def test_fused_verify_helper(tmp_path):
+    """perf.verify's fused gate passes on a fresh scenario, covering the
+    arena round-trip and the delegation and association artifacts."""
     from repro.perf.verify import fused_engine_diffs
 
-    assert fused_engine_diffs(probes_per_as=3, years=0.3, seed=1) == []
+    rng = random.Random(11)
+    triples = [
+        (rng.randrange(60), rng.randrange(8), rng.randrange(6) << 64)
+        for _ in range(100)
+    ]
+    assert fused_engine_diffs(
+        probes_per_as=3, years=0.3, seed=1, arena_dir=tmp_path, triples=triples
+    ) == []

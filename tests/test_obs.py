@@ -210,7 +210,8 @@ def test_pipeline_emits_spans_and_counters():
 
     with telemetry(True, reset=True):
         scenario = build_atlas_scenario(seed=5, **ATLAS_SCALE)
-        analyze_atlas_scenario(scenario)
+        analyze_atlas_scenario(scenario)  # the default engine: fused
+        analyze_atlas_scenario(scenario, engine="py")
         snapshot = telemetry_snapshot()
 
     counters = snapshot["metrics"]["counters"]
@@ -224,8 +225,13 @@ def test_pipeline_emits_spans_and_counters():
     assert "collection/isp_simulations" in children
     assert "collection/probes" in children
     assert "collection/sanitize" in children
-    report = roots["analysis/report"]
-    assert {child["name"] for child in report["children"]} == {
+    fused_report, py_report = [
+        root for root in snapshot["spans"] if root["name"] == "analysis/report"
+    ]
+    assert {child["name"] for child in fused_report["children"]} == {
+        "analysis/fused/pass", "analysis/fused/network",
+    }
+    assert {child["name"] for child in py_report["children"]} == {
         "analysis/table1", "analysis/table2", "analysis/figure1", "analysis/figure5",
     }
 

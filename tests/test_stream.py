@@ -3,7 +3,7 @@
 The load-bearing property is *replay parity*: folding a scenario
 chunk-by-chunk through the incremental engine — any chunk size, with or
 without a mid-stream checkpoint/restore — must reproduce the batch
-``engine="np"`` artifacts bit-identically.
+``engine="fused"`` artifacts bit-identically.
 """
 
 import itertools
@@ -56,8 +56,8 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def batch(scenario):
-    analysis = analyze_atlas_scenario(scenario, engine="np")
-    periods = periodicity_for_scenario(scenario, min_probes=2, engine="np")
+    analysis = analyze_atlas_scenario(scenario, engine="fused")
+    periods = periodicity_for_scenario(scenario, min_probes=2, engine="fused")
     return analysis, periods
 
 
