@@ -1,17 +1,39 @@
-"""Process-pool fan-out for the independent stages of scenario builds.
+"""Process-pool fan-out: one primitive, :func:`map_units`, and its adapters.
 
-The scenario builders in :mod:`repro.workloads` spend almost all of
-their time in two embarrassingly parallel stages:
+Every pooled stage runs through :func:`map_units`, a generator that maps
+``task`` over a (possibly unbounded) stream of work units and owns what
+every fan-out site needs:
 
-* the per-ISP :class:`~repro.netsim.sim.IspSimulation` runs (each ISP's
-  event queue only touches that ISP's address plans and a private RNG
-  seeded from ``(seed, asn)``), and
-* the per-population CDN association collection (each population draws
-  from its own RNG and only mutates its own ISP's plans).
+* **Worker count** — :func:`resolve_workers`, then
+  :func:`effective_workers`: clamped to the number of units (when the
+  stream has a length) and always to the number of cores.  One
+  effective worker is a plain serial loop in this process, no pool.
+* **Per-process state** — an optional picklable ``setup`` callable runs
+  once per worker (once in the parent on the serial path) and the task
+  is called as ``task(state, unit)``.  Large inputs — a triple store, a
+  probe-pack arena — are opened *by path* there, so no column array is
+  ever pickled across the process boundary.
+* **Bounded submission** — at most ``2 * workers`` units are in flight,
+  so unit generation overlaps worker execution and parent memory stays
+  bounded on unbounded streams; results come back in submission order.
+* **Telemetry** — the pool initializer ships the parent's enabled flag
+  and :class:`~repro.obs.context.TraceContext`, each unit runs inside a
+  ``pool/task`` span tallied by ``pool.tasks{kind,worker}``, and the
+  worker's metric delta + finished span trees travel back with the
+  result, merged/stitched in submission order — one coherent trace tree
+  per run regardless of worker count.
 
-Both stages fan out here.  The determinism contract: a ``workers=N``
-build is **bit-identical** to the serial build for the same seed.  That
-holds because
+The adapters shape one domain each onto it: :func:`run_isp_simulations`
+(per-ISP event simulations, plan state grafted back onto the parent's
+ISPs), :func:`collect_associations` (per-population CDN collection),
+:func:`map_store_shards` (per-shard triple-store passes, scratch files
+discarded on failure) and :func:`run_fused_analysis` (per-AS fused
+analysis over a memmapped probe pack).  The store's segment writers and
+compaction (:mod:`repro.store.segments`) call :func:`map_units`
+directly.
+
+The determinism contract: a ``workers=N`` run is **bit-identical** to
+the serial run.  That holds because
 
 1. shared state (registry, routing table) is only mutated during ISP
    *construction*, which stays serial and in the original order;
@@ -23,22 +45,19 @@ holds because
 
 Anything unpicklable (e.g. an exotic user-supplied config) falls back
 to the serial path — the fallback is a behaviour no-op by construction.
-
-Telemetry crosses the pool boundary in both directions: initializers
-ship the parent's enabled flag and
-:class:`~repro.obs.context.TraceContext`, each task runs inside a
-``pool/task`` span, and the worker's metric delta + finished span trees
-travel back with the result, merged/stitched in submission order — one
-coherent trace tree per run regardless of worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
+import shutil
+import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -98,18 +117,25 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def effective_workers(workers: int, units: int) -> int:
+def effective_workers(workers: int, units: Optional[int]) -> int:
     """Workers actually worth spawning for ``units`` work items.
 
     Clamps the requested count to the number of units *and* to
-    ``os.cpu_count()``: with a single core (or a single unit) the pool
-    only adds pickling overhead — the shipped baseline measured parallel
-    builds at 0.48x serial on a 1-core host — so the fan-out sites treat
-    an effective count of 1 as "take the serial path".
+    ``os.cpu_count()``; ``units=None`` stands for an unsized stream and
+    clamps to the cores only.  With a single core (or a single unit)
+    the pool only adds pickling overhead — the shipped baseline measured
+    parallel builds at 0.48x serial on a 1-core host — so an effective
+    count of 1 means "take the serial path".
     """
-    if units < 1:
-        return 1
-    return max(1, min(int(workers), units, os.cpu_count() or 1))
+    limit = os.cpu_count() or 1
+    if units is not None:
+        limit = min(limit, units)
+    return max(1, min(int(workers), limit))
+
+
+def _fans_out(workers: Optional[int], units: int) -> bool:
+    """Whether :func:`map_units` would start a pool for ``units`` units."""
+    return effective_workers(resolve_workers(workers), units) > 1
 
 
 def _mp_context():
@@ -130,139 +156,111 @@ def _all_picklable(items: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side telemetry plumbing
+# The pool primitive
 # ---------------------------------------------------------------------------
 
+#: Worker-process state installed by :func:`_worker_init`: the leading
+#: task arguments — ``(setup(),)`` with a ``setup``, else ``()``.
+_WORKER_STATE: dict = {}
 
-def _worker_telemetry_init(
-    enabled: bool, context: Optional[TraceContext] = None
+
+def _worker_init(
+    setup, telemetry: bool, context: Optional[TraceContext] = None
 ) -> None:
-    """Pool initializer: mirror the parent's telemetry switch + trace.
+    """Pool initializer: mirror the parent's telemetry + trace, run ``setup``.
 
-    Under ``fork`` the child inherits the flag anyway; under ``spawn``
-    this is what turns the child's registry on.  When enabled, the
-    inherited tracer is *detached* — a forked child starts with a copy
-    of the parent's finished roots and open-span stack, neither of
+    Under ``fork`` the child inherits the telemetry flag anyway; under
+    ``spawn`` this is what turns the child's registry on.  When enabled,
+    the inherited tracer is *detached* — a forked child starts with a
+    copy of the parent's finished roots and open-span stack, neither of
     which this worker should re-ship — and the parent's
     :class:`~repro.obs.context.TraceContext` is installed so every span
     the worker records belongs to the parent's trace.
     """
-    if enabled:
+    if telemetry:
         enable_telemetry()
         get_tracer().detach()
         set_worker_context(context)
+    _WORKER_STATE["args"] = (setup(),) if setup is not None else ()
 
 
-def _with_worker_metrics(task, unit, *, kind: str):
-    """Run ``task(unit)`` capturing the child's metric delta and spans.
+def _run_unit(payload):
+    """Pool task: run one unit, capturing the worker's metric delta and spans.
 
     Returns ``(result, delta_or_None, spans_or_None)``.  The delta is
-    the difference between the child registry before and after the task
-    (a forked child starts with a *copy* of the parent's counts), so
-    merging it in the parent never double-counts.  Each task also
-    tallies ``pool.tasks{kind=,worker=}`` — the worker-utilization
-    signal — and runs inside a ``pool/task`` span tagged with the
-    propagated trace context; the span trees the task finished are
-    popped off the worker tracer and shipped back with the result for
-    the parent to stitch (:func:`repro.obs.context.adopt_worker_spans`).
+    the difference between the worker registry before and after the
+    unit (a forked child starts with a *copy* of the parent's counts),
+    so merging it in the parent never double-counts.  Each unit tallies
+    ``pool.tasks{kind=,worker=}`` — the worker-utilization signal — and
+    runs inside a ``pool/task`` span tagged with the propagated trace
+    context; the span trees it finished are popped off the worker
+    tracer and shipped back for the parent to stitch
+    (:func:`repro.obs.context.adopt_worker_spans`).
     """
+    task, kind, unit = payload
+    args = (*_WORKER_STATE["args"], unit)
     if not telemetry_enabled():
-        return task(unit), None, None
+        return task(*args), None, None
     registry = get_registry()
     tracer = get_tracer()
     baseline = len(tracer.roots)
     before = registry.snapshot()
-    metric_inc("pool.tasks", kind=kind, worker=os.getpid())
+    worker = os.getpid()
+    metric_inc("pool.tasks", kind=kind, worker=worker)
     attrs = context_attrs(get_worker_context())
-    with span("pool/task", kind=kind, worker=os.getpid(), **attrs):
-        result = task(unit)
+    with span("pool/task", kind=kind, worker=worker, **attrs):
+        result = task(*args)
     delta = subtract_snapshots(registry.snapshot(), before)
     return result, delta, tracer.pop_roots(baseline)
 
 
-def _run_sim_job_with_metrics(job):
-    return _with_worker_metrics(run_simulation_job, job, kind="isp_sim")
-
-
-def _merge_worker_results(outcomes):
-    """Split ``(result, delta, spans)`` triples, folding both into the parent.
-
-    Deltas merge into the parent registry and span buffers graft under
-    the parent's currently open span — in submission order for both, so
-    the stitched tree and merged counts are deterministic regardless of
-    worker scheduling.
-    """
-    registry = get_registry()
-    results = []
-    for result, delta, spans in outcomes:
-        registry.merge(delta)
-        adopt_worker_spans(spans)
-        results.append(result)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Streamed fan-out over an unbounded unit stream
-# ---------------------------------------------------------------------------
-
-
-def _streamed_unit_task(payload):
-    task, unit, kind = payload
-    return _with_worker_metrics(task, unit, kind=kind)
-
-
-def map_streamed(
+def map_units(
     task,
     units: Iterable,
+    *,
+    kind: str,
     workers: Optional[int] = None,
-    kind: str = "stream",
-    max_inflight: Optional[int] = None,
+    setup=None,
 ) -> Iterator:
-    """Yield ``task(unit)`` results in submission order, bounded fan-out.
+    """Yield ``task(unit)`` — ``task(state, unit)`` with ``setup`` — per unit.
 
-    Unlike :func:`map_store_shards`, ``units`` may be an *unbounded*
-    lazily generated stream (e.g. column slabs off a 100M-row synthetic
-    feed): at most ``max_inflight`` (default ``2 * workers``) units are
-    ever pickled into the pool at once, so parent memory stays bounded
-    while unit generation overlaps worker execution.  ``task`` must be
-    a module-level callable (or ``functools.partial`` of one).  Results
-    come back in submission order regardless of completion order, and
-    worker telemetry deltas fold into the parent as each result is
-    drained.  With one effective worker this degrades to the serial
-    loop — the generator must be consumed fully either way.
+    ``task`` and ``setup`` must pickle by reference: module-level
+    callables or ``functools.partial`` objects of them.  ``setup()``
+    builds the per-process ``state`` once per worker, or once in this
+    process on the serial path.  ``units`` may be a sized collection or
+    an unbounded lazy stream: at most ``2 * workers`` units are pickled
+    into the pool at once, and results come back in submission order
+    regardless of completion order, with each worker's telemetry folded
+    into the parent as its result drains.  ``kind`` labels the
+    ``pool.tasks`` tally and ``pool/task`` spans.  A unit that raises
+    propagates its exception; the stream is not consumed past the
+    in-flight window.
     """
-    if max_inflight is not None and max_inflight < 1:
-        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-    effective = max(1, min(resolve_workers(workers), os.cpu_count() or 1))
+    size = len(units) if hasattr(units, "__len__") else None
+    effective = effective_workers(resolve_workers(workers), size)
     if effective <= 1:
+        args = (setup(),) if setup is not None else ()
         for unit in units:
-            yield task(unit)
+            yield task(*args, unit)
         return
-    registry = get_registry()
-    inflight = max_inflight if max_inflight is not None else 2 * effective
     _log.debug(
-        "fanning out unit stream",
-        extra={"workers": effective, "max_inflight": inflight, "kind": kind},
+        "fanning out work units",
+        extra={"kind": kind, "units": size, "workers": effective},
     )
+    registry = get_registry()
+    stream = iter(units)
+    pending: deque = deque()
     with ProcessPoolExecutor(
         max_workers=effective,
         mp_context=_mp_context(),
-        initializer=_worker_telemetry_init,
-        initargs=(telemetry_enabled(), current_trace_context()),
+        initializer=_worker_init,
+        initargs=(setup, telemetry_enabled(), current_trace_context()),
     ) as pool:
-        pending: deque = deque()
-        iterator = iter(units)
-        exhausted = False
         while True:
-            while not exhausted and len(pending) < inflight:
-                try:
-                    unit = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    break
-                pending.append(pool.submit(_streamed_unit_task, (task, unit, kind)))
+            for unit in itertools.islice(stream, 2 * effective - len(pending)):
+                pending.append(pool.submit(_run_unit, (task, kind, unit)))
             if not pending:
-                break
+                return
             result, delta, spans = pending.popleft().result()
             registry.merge(delta)
             adopt_worker_spans(spans)
@@ -287,25 +285,14 @@ def run_isp_simulations(
     plans are grafted back onto the parent's :class:`Isp` objects, so
     the outcome is bit-identical to the serial path.
     """
-    effective = effective_workers(workers, len(jobs))
-    if effective > 1:
+    if _fans_out(workers, len(jobs)):
         sim_jobs = [
             SimulationJob.from_isp(isp, count, end_hour, seed) for isp, count in jobs
         ]
         if _all_picklable(sim_jobs):
-            _log.debug(
-                "fanning out ISP simulations",
-                extra={"jobs": len(sim_jobs), "workers": effective},
+            results = list(
+                map_units(run_simulation_job, sim_jobs, kind="isp_sim", workers=workers)
             )
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_worker_telemetry_init,
-                initargs=(telemetry_enabled(), current_trace_context()),
-            ) as pool:
-                results = _merge_worker_results(
-                    pool.map(_run_sim_job_with_metrics, sim_jobs)
-                )
             for (isp, _count), result in zip(jobs, results):
                 result.graft_onto(isp)
             return [result.timelines for result in results]
@@ -319,39 +306,13 @@ def run_isp_simulations(
 # Per-population CDN collection fan-out
 # ---------------------------------------------------------------------------
 
-#: Worker-process state installed by :func:`_collect_init` (one pickle of the
-#: routing table/registry per worker instead of one per population).
-_COLLECT_STATE: dict = {}
 
-
-def _collect_init(
-    table: RoutingTable,
-    registry: Registry,
-    filter_asn_mismatch: bool,
-    telemetry: bool = False,
-    context: Optional[TraceContext] = None,
-) -> None:
-    _COLLECT_STATE["table"] = table
-    _COLLECT_STATE["registry"] = registry
-    _COLLECT_STATE["filter"] = filter_asn_mismatch
-    _worker_telemetry_init(telemetry, context)
-
-
-def _collect_one_dataset(population) -> CdnDataset:
-    dataset = collect(
-        [population],
-        _COLLECT_STATE["table"],
-        _COLLECT_STATE["registry"],
-        filter_asn_mismatch=_COLLECT_STATE["filter"],
-    )
+def _collect_one_dataset(state: dict, population) -> CdnDataset:
+    dataset = collect([population], **state)
     # The classifier only holds lookup caches over worker-side copies of
     # the table/registry; drop it rather than ship it back.
     dataset.classifier = None
     return dataset
-
-
-def _collect_one(population):
-    return _with_worker_metrics(_collect_one_dataset, population, kind="cdn_collect")
 
 
 def collect_associations(
@@ -363,31 +324,29 @@ def collect_associations(
 ) -> CdnDataset:
     """Parallel-aware :func:`repro.cdn.collector.collect`.
 
-    Each population's triples are generated and classified in a worker,
-    then the per-population datasets are merged in population order —
-    yielding the exact per-AS triple lists of the serial path (serial
-    collection appends population by population).
+    Each population's triples are generated and classified in a worker
+    (the routing table and registry pickle once per worker, not once per
+    population), then the per-population datasets are merged in
+    population order — yielding the exact per-AS triple lists of the
+    serial path (serial collection appends population by population).
     """
-    effective = effective_workers(workers, len(populations))
-    if effective > 1 and _all_picklable([table, registry, *populations]):
-        _log.debug(
-            "fanning out CDN collection",
-            extra={"populations": len(populations), "workers": effective},
+    if _fans_out(workers, len(populations)) and _all_picklable(
+        [table, registry, *populations]
+    ):
+        setup = partial(
+            dict, table=table, registry=registry, filter_asn_mismatch=filter_asn_mismatch
         )
-        with ProcessPoolExecutor(
-            max_workers=effective,
-            mp_context=_mp_context(),
-            initializer=_collect_init,
-            initargs=(
-                table,
-                registry,
-                filter_asn_mismatch,
-                telemetry_enabled(),
-                current_trace_context(),
-            ),
-        ) as pool:
-            batches = _merge_worker_results(pool.map(_collect_one, populations))
-        merged = merge_datasets(batches)
+        merged = merge_datasets(
+            list(
+                map_units(
+                    _collect_one_dataset,
+                    populations,
+                    kind="cdn_collect",
+                    workers=workers,
+                    setup=setup,
+                )
+            )
+        )
         merged.classifier = PrefixClassifier(table, registry)
         return merged
     return collect(
@@ -398,34 +357,6 @@ def collect_associations(
 # ---------------------------------------------------------------------------
 # Zero-copy triple-store shard fan-out
 # ---------------------------------------------------------------------------
-
-#: Worker-process store handle installed by :func:`_store_worker_init`.
-_STORE_STATE: dict = {}
-
-
-def _store_worker_init(
-    directory: str, telemetry: bool, context: Optional[TraceContext] = None
-) -> None:
-    """Pool initializer: each worker opens the store by *path*.
-
-    The worker memory-maps shard columns straight off disk, so the
-    parent never pickles an array into the pool — the only bytes that
-    cross the process boundary are the directory string here and the
-    (task, shard index) pair per work unit.
-    """
-    from repro.store.triples import TripleStore
-
-    _STORE_STATE["store"] = TripleStore.open(directory)
-    _worker_telemetry_init(telemetry, context)
-
-
-def _store_shard_task(unit):
-    task, index = unit
-    return _with_worker_metrics(
-        lambda shard_index: task(_STORE_STATE["store"], shard_index),
-        index,
-        kind="store_shard",
-    )
 
 
 def _discard_scratch_files(scratch) -> None:
@@ -455,42 +386,30 @@ def map_store_shards(
 
     ``task`` must be a module-level callable (or a ``functools.partial``
     of one) so it pickles by reference.  The handoff is zero-copy in
-    both directions by convention: workers map shard columns from the
-    store path (installed once per worker by the pool initializer) and
-    should write any large intermediate arrays to scratch files for the
-    parent to memmap, returning only small metadata.  Results come back
-    in shard-index order, so the reduction is deterministic regardless
-    of scheduling.  With one core/shard/worker this degrades to the
-    serial loop.
+    both directions by convention: every process opens the store by
+    its directory path (the :func:`map_units` ``setup``) and maps shard
+    columns locally, and tasks should write any large intermediate
+    arrays to scratch files for the parent to memmap, returning only
+    small metadata.  Results come back in shard-index order, so the
+    reduction is deterministic regardless of scheduling.
 
     ``scratch`` names the directory those intermediates land in: when a
-    task raises mid-pool, the files completed shards already wrote
-    there are deleted before the exception propagates, instead of being
-    leaked into the temp dir for the caller to trip over.
+    task raises, the files completed shards already wrote there are
+    deleted before the exception propagates, instead of being leaked
+    into the temp dir for the caller to trip over.
     """
-    effective = effective_workers(resolve_workers(workers), store.shards)
+    from repro.store.triples import TripleStore
+
     try:
-        if effective > 1:
-            _log.debug(
-                "fanning out store shards",
-                extra={"shards": store.shards, "workers": effective},
+        return list(
+            map_units(
+                task,
+                range(store.shards),
+                kind="store_shard",
+                workers=workers,
+                setup=partial(TripleStore.open, str(store.directory)),
             )
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_store_worker_init,
-                initargs=(
-                    str(store.directory),
-                    telemetry_enabled(),
-                    current_trace_context(),
-                ),
-            ) as pool:
-                return _merge_worker_results(
-                    pool.map(
-                        _store_shard_task, [(task, i) for i in range(store.shards)]
-                    )
-                )
-        return [task(store, index) for index in range(store.shards)]
+        )
     except Exception:
         _discard_scratch_files(scratch)
         raise
@@ -500,28 +419,21 @@ def map_store_shards(
 # Zero-copy fused-analysis fan-out
 # ---------------------------------------------------------------------------
 
-#: Worker-process pack handle installed by :func:`_fused_worker_init`.
-_FUSED_STATE: dict = {}
 
+def _open_fused_pack(arena_path: str, table) -> tuple:
+    """Worker setup: map the probe pack by *path*, read-only.
 
-def _fused_worker_init(
-    arena_path: str, table, telemetry: bool, context: Optional[TraceContext] = None
-) -> None:
-    """Pool initializer: each worker maps the probe pack by *path*.
-
-    The arena is opened as a read-only memmap, so every worker (and the
-    parent) shares the pack's pages — no column array is ever pickled
-    into the pool; the only per-task bytes are the ``(name, asn,
-    country)`` group tuple in and the small artifact objects out.
+    Every worker (and the parent) shares the pack's pages — no column
+    array is ever pickled into the pool; the only per-unit bytes are the
+    ``(name, asn, country)`` group tuple in and the small artifact
+    objects out.
     """
     from repro.core.analysis_np import ProbeColumns
 
-    _FUSED_STATE["columns"] = ProbeColumns.from_arena(arena_path)
-    _FUSED_STATE["table"] = table
-    _worker_telemetry_init(telemetry, context)
+    return ProbeColumns.from_arena(arena_path), table
 
 
-def _fused_group_artifacts(group):
+def _fused_group_artifacts(state: tuple, group) -> dict:
     """One AS's artifacts from the worker's memmapped pack.
 
     Selecting the AS's probes out of the global pack and running the
@@ -533,11 +445,10 @@ def _fused_group_artifacts(group):
 
     import numpy as np
 
+    columns, table = state
     name, asn, country = group
-    columns = _FUSED_STATE["columns"]
     sub = columns.select(np.flatnonzero(columns.asns() == asn))
     stats = fused.fused_probe_stats(sub)
-    table = _FUSED_STATE["table"]
     result = {
         "table1": fused.table1_from_stats(stats, name, asn, country),
         "figure1": fused.figure1_from_stats(stats, name),
@@ -546,10 +457,6 @@ def _fused_group_artifacts(group):
     if table is not None:
         result["table2"] = fused.table2_from_stats(stats, table)
     return result
-
-
-def _fused_group_task(group):
-    return _with_worker_metrics(_fused_group_artifacts, group, kind="fused_analysis")
 
 
 def run_fused_analysis(
@@ -568,45 +475,31 @@ def run_fused_analysis(
     :func:`repro.core.fused.fused_analysis_artifacts`, bit-identically —
     with one worker (or an unpicklable table) it *is* that serial call.
     """
-    import shutil
-    import tempfile
+    if not (_fans_out(workers, len(groups)) and _all_picklable([table])):
+        from repro.core.fused import fused_analysis_artifacts
 
-    effective = effective_workers(resolve_workers(workers), len(groups))
-    if effective > 1 and (table is None or _all_picklable([table])):
-        _log.debug(
-            "fanning out fused analysis",
-            extra={"groups": len(groups), "workers": effective},
+        return fused_analysis_artifacts(columns, groups, table)
+    scratch = tempfile.mkdtemp(prefix="repro-fused-")
+    try:
+        arena_path = columns.save_arena(os.path.join(scratch, "probes.arena"))
+        per_group = list(
+            map_units(
+                _fused_group_artifacts,
+                groups,
+                kind="fused_analysis",
+                workers=workers,
+                setup=partial(_open_fused_pack, str(arena_path), table),
+            )
         )
-        scratch = tempfile.mkdtemp(prefix="repro-fused-")
-        try:
-            arena_path = columns.save_arena(os.path.join(scratch, "probes.arena"))
-            with ProcessPoolExecutor(
-                max_workers=effective,
-                mp_context=_mp_context(),
-                initializer=_fused_worker_init,
-                initargs=(
-                    str(arena_path),
-                    table,
-                    telemetry_enabled(),
-                    current_trace_context(),
-                ),
-            ) as pool:
-                per_group = _merge_worker_results(pool.map(_fused_group_task, groups))
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-        merged: Dict[str, dict] = {
-            "table1": {},
-            "table2": {},
-            "figure1": {},
-            "figure5": {},
-        }
-        for (name, _asn, _country), artifacts in zip(groups, per_group):
-            for kind, value in artifacts.items():
-                merged[kind][name] = value
-        return merged
-    from repro.core.fused import fused_analysis_artifacts
-
-    return fused_analysis_artifacts(columns, groups, table)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    merged: Dict[str, dict] = {
+        artifact: {} for artifact in ("table1", "table2", "figure1", "figure5")
+    }
+    for (name, _asn, _country), artifacts in zip(groups, per_group):
+        for artifact, value in artifacts.items():
+            merged[artifact][name] = value
+    return merged
 
 
 __all__ = [
@@ -614,7 +507,7 @@ __all__ = [
     "collect_associations",
     "effective_workers",
     "map_store_shards",
-    "map_streamed",
+    "map_units",
     "resolve_workers",
     "run_fused_analysis",
     "run_isp_simulations",

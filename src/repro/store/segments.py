@@ -7,7 +7,7 @@ the way the CDN-log literature does (partitioned ingest, deterministic
 merge):
 
 1. **Segment write** (:func:`write_segment`, fanned out via
-   :func:`repro.perf.parallel.map_streamed`): the input column stream
+   :func:`repro.perf.parallel.map_units`): the input column stream
    is re-chunked into ~``segment_rows``-row slabs and each worker
    shard-scatters its slab into a private *segment* directory — the
    same ``shard-NNNN.<column>`` file layout as a store, per-shard
@@ -295,13 +295,13 @@ def compact_sources(
     """K-way merge shard sources into a new finalized store directory.
 
     Fans :func:`compact_shard` out over the output shards via
-    :func:`repro.perf.parallel.map_streamed` (each merge is
+    :func:`repro.perf.parallel.map_units` (each merge is
     independent), then writes the store manifest from the per-shard
     results.  The output directory must not exist yet — like the serial
     writer, a killed compaction leaves no manifest and therefore no
     openable store.
     """
-    from repro.perf.parallel import map_streamed
+    from repro.perf.parallel import map_units
 
     directory = Path(directory).expanduser()
     if directory.exists():
@@ -315,7 +315,7 @@ def compact_sources(
             out_directory=str(directory),
         )
         results = list(
-            map_streamed(task, range(shards), workers=workers, kind="store_compact")
+            map_units(task, range(shards), kind="store_compact", workers=workers)
         )
     day_mins = [meta["day_min"] for meta in results if meta["day_min"] is not None]
     day_maxs = [meta["day_max"] for meta in results if meta["day_max"] is not None]
@@ -455,7 +455,7 @@ def parallel_build_store(
     )
     if rows_per_segment < 1:
         raise ValueError(f"segment_rows must be >= 1, got {rows_per_segment}")
-    from repro.perf.parallel import map_streamed
+    from repro.perf.parallel import map_units
 
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(
@@ -467,7 +467,7 @@ def parallel_build_store(
         with span("store/parallel_build", shards=shards):
             task = partial(_write_segment_unit, base=str(staging), shards=shards)
             metas = list(
-                map_streamed(
+                map_units(
                     task,
                     _slab_units(batches, rows_per_segment),
                     workers=workers,

@@ -727,7 +727,7 @@ def build_store_from_columns(
     """
     from repro.perf.parallel import effective_workers, resolve_workers
 
-    if effective_workers(resolve_workers(workers), units=1 << 30) > 1:
+    if effective_workers(resolve_workers(workers), units=None) > 1:
         from repro.store.segments import parallel_build_store
 
         return parallel_build_store(

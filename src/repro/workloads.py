@@ -58,6 +58,7 @@ from repro.perf.cache import get_scenario_cache, resolve_cache_flag
 from repro.perf.parallel import (
     collect_associations,
     resolve_workers,
+    run_fused_analysis,
     run_isp_simulations,
 )
 
@@ -210,18 +211,9 @@ def analyze_atlas_scenario(
             ]
             try:
                 with span("analysis/report", engine=resolved, networks=len(groups)):
-                    if resolve_workers(workers) > 1:
-                        from repro.perf.parallel import run_fused_analysis
-
-                        artifacts = run_fused_analysis(
-                            columns, groups, scenario.table, workers=workers
-                        )
-                    else:
-                        from repro.core.fused import fused_analysis_artifacts
-
-                        artifacts = fused_analysis_artifacts(
-                            columns, groups, scenario.table
-                        )
+                    artifacts = run_fused_analysis(
+                        columns, groups, scenario.table, workers=workers
+                    )
                 return AtlasAnalysis(
                     engine=resolved,
                     table1=artifacts["table1"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 
 import pytest
 
@@ -255,17 +256,141 @@ def test_stream_and_checkpoint_counters(tmp_path):
     assert counters["stream.resumes"][""] == 1
 
 
-def test_worker_pool_merges_child_metrics():
+def test_worker_pool_merges_child_metrics(monkeypatch):
+    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    scenario = build_atlas_scenario(seed=5, **ATLAS_SCALE)
+    probes = {}
+    for workers in (1, 2):
+        with telemetry(True, reset=True):
+            analyze_atlas_scenario(scenario, engine="fused", workers=workers)
+            counters = telemetry_snapshot()["metrics"]["counters"]
+        probes[workers] = counters["analysis.fused.probes"][""]
+    # Worker-side counters ride back to the parent exactly once: the
+    # pooled per-AS passes add up to the serial whole-pack pass.
+    assert probes[2] == probes[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# Pool-layer counter conservation: one pool.tasks tally and one stitched
+# pool/task span per work unit, for every fan-out adapter.
+# ---------------------------------------------------------------------------
+
+
+def _span_attr(nodes, name, attr):
+    """Sum ``attr`` over every span called ``name`` in a span forest."""
+    return sum(
+        (node["attrs"][attr] if node["name"] == name else 0)
+        + _span_attr(node.get("children", ()), name, attr)
+        for node in nodes
+    )
+
+
+def _count_spans(nodes, name):
+    return sum(
+        (node["name"] == name) + _count_spans(node.get("children", ()), name)
+        for node in nodes
+    )
+
+
+def _shard_rows(store, index):
+    return store.shard_rows[index]
+
+
+def _pooled_isp_simulations(tmp_path):
+    from repro.netsim.profiles import default_profiles
     from repro.workloads import build_atlas_scenario
 
+    build_atlas_scenario(seed=5, workers=2, **ATLAS_SCALE)
+    return {"isp_sim": len(default_profiles())}
+
+
+def _pooled_cdn_collection(tmp_path):
+    from repro.workloads import build_cdn_scenario
+
+    build_cdn_scenario(
+        days=6,
+        seed=5,
+        workers=2,
+        cache=False,
+        fixed_subscribers_per_registry=12,
+        mobile_devices_per_registry=12,
+        featured_subscribers=12,
+    )
+    spans = telemetry_snapshot()["spans"]
+    return {
+        "isp_sim": _span_attr(spans, "collection/isp_simulations", "isps"),
+        "cdn_collect": _span_attr(spans, "collection/associations", "populations"),
+    }
+
+
+def _pooled_store_shards(tmp_path):
+    from repro.perf.parallel import map_store_shards
+    from repro.store import build_store_from_triples
+
+    store = build_store_from_triples(
+        [(day, (day % 7) << 8, (day + 1) << 64) for day in range(60)],
+        tmp_path / "store",
+        shards=3,
+        workers=1,
+    )
+    assert map_store_shards(_shard_rows, store, workers=2) == list(store.shard_rows)
+    return {"store_shard": 3}
+
+
+def _pooled_fused_analysis(tmp_path):
+    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
+
+    with telemetry(False):
+        scenario = build_atlas_scenario(seed=5, **ATLAS_SCALE)
+    analyze_atlas_scenario(scenario, engine="fused", workers=2)
+    return {"fused_analysis": len(scenario.isps)}
+
+
+def _pooled_store_segments(tmp_path):
+    import numpy as np
+
+    from repro.store.segments import parallel_build_store
+
+    batches = [
+        (
+            np.arange(10) + 10 * part,
+            (np.arange(10) % 4) << 8,
+            (np.arange(10) + 1) << 64,
+        )
+        for part in range(4)
+    ]
+    parallel_build_store(batches, tmp_path / "store", shards=2, workers=2, segment_rows=10)
+    return {"store_segment": 4, "store_compact": 2}
+
+
+@pytest.mark.parametrize(
+    "run_adapter",
+    [
+        _pooled_isp_simulations,
+        _pooled_cdn_collection,
+        _pooled_store_shards,
+        _pooled_fused_analysis,
+        _pooled_store_segments,
+    ],
+    ids=["isp_sim", "cdn_collect", "store_shard", "fused_analysis", "store_segments"],
+)
+def test_pool_tasks_conserve_units(run_adapter, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # force the fan-out
     with telemetry(True, reset=True):
-        build_atlas_scenario(seed=5, workers=2, **ATLAS_SCALE)
-        counters = telemetry_snapshot()["metrics"]["counters"]
-    # Worker-side per-probe counters must ride back to the parent; the
-    # pool.tasks series carries one entry per worker pid when the fan-out
-    # actually ran (single-core hosts take the serial path).
-    assert counters["collection.probes_collected"][""] > 0
-    assert counters["pool.tasks"][""] >= 0
+        units = run_adapter(tmp_path)
+        snap = telemetry_snapshot()
+    total = sum(units.values())
+    series = snap["metrics"]["counters"]["pool.tasks"]
+    assert series[""] == total
+    per_kind = {}
+    for key, count in series.items():
+        if key:
+            labels = dict(part.split("=", 1) for part in key.split(","))
+            per_kind[labels["kind"]] = per_kind.get(labels["kind"], 0) + count
+    assert per_kind == units
+    assert _count_spans(snap["spans"], "pool/task") == total
 
 
 def test_telemetry_invariance():

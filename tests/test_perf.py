@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import pickle
@@ -21,7 +23,7 @@ from repro.perf.parallel import (
     collect_associations,
     effective_workers,
     map_store_shards,
-    map_streamed,
+    map_units,
     resolve_workers,
     run_isp_simulations,
 )
@@ -208,20 +210,20 @@ def _square(value):
     return value * value
 
 
-def test_map_streamed_serial_preserves_order():
-    assert list(map_streamed(_square, range(7), workers=1)) == [
+def test_map_units_serial_preserves_order():
+    assert list(map_units(_square, range(7), kind="test", workers=1)) == [
         v * v for v in range(7)
     ]
 
 
-def test_map_streamed_pool_preserves_order(monkeypatch):
+def test_map_units_pool_preserves_order(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert list(map_streamed(_square, range(23), workers=2)) == [
+    assert list(map_units(_square, range(23), kind="test", workers=2)) == [
         v * v for v in range(23)
     ]
 
 
-def test_map_streamed_consumes_unbounded_streams_lazily(monkeypatch):
+def test_map_units_consumes_unbounded_streams_lazily(monkeypatch):
     # A generator longer than any in-flight window must not be drained
     # eagerly: stop consuming results and the stream stops advancing.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -232,16 +234,119 @@ def test_map_streamed_consumes_unbounded_streams_lazily(monkeypatch):
             pulled.append(value)
             yield value
 
-    results = map_streamed(_square, stream(), workers=2, max_inflight=4)
+    results = map_units(_square, stream(), kind="test", workers=2)
     head = [next(results) for _ in range(8)]
     assert head == [v * v for v in range(8)]
-    assert len(pulled) < 64  # bounded look-ahead, not full materialization
+    assert len(pulled) <= 8 + 2 * 2  # consumed + the 2 * workers window
     results.close()
 
 
-def test_map_streamed_rejects_bad_inflight():
-    with pytest.raises(ValueError):
-        list(map_streamed(_square, range(3), workers=1, max_inflight=0))
+def _fail_on_zero(value):
+    if value == 0:
+        raise RuntimeError("unit 0 failed")
+    return value
+
+
+def test_map_units_propagates_errors_without_draining_the_stream(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pulled = []
+
+    def stream():
+        for value in itertools.count():
+            pulled.append(value)
+            yield value
+
+    with pytest.raises(RuntimeError, match="unit 0 failed"):
+        list(map_units(_fail_on_zero, stream(), kind="test", workers=2))
+    assert len(pulled) <= 2 * 2 + 1
+
+
+def _record_setup(log_path):
+    with open(log_path, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    return "state"
+
+
+def _pid_with_state(state, unit):
+    return os.getpid(), state, unit
+
+
+def _setup_pids(log_path):
+    return [int(line) for line in log_path.read_text().split()]
+
+
+def test_map_units_runs_setup_once_per_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    log_path = tmp_path / "setup.log"
+    results = list(
+        map_units(
+            _pid_with_state,
+            range(12),
+            kind="test",
+            workers=2,
+            setup=functools.partial(_record_setup, str(log_path)),
+        )
+    )
+    assert [(state, unit) for _pid, state, unit in results] == [
+        ("state", unit) for unit in range(12)
+    ]
+    setup_pids = _setup_pids(log_path)
+    # One setup call per worker process, never one per unit.
+    assert len(setup_pids) == len(set(setup_pids)) <= 2
+    assert os.getpid() not in setup_pids
+    assert {pid for pid, _state, _unit in results} <= set(setup_pids)
+
+
+def test_map_units_serial_path_runs_setup_once(tmp_path):
+    log_path = tmp_path / "setup.log"
+    results = list(
+        map_units(
+            _pid_with_state,
+            range(5),
+            kind="test",
+            workers=1,
+            setup=functools.partial(_record_setup, str(log_path)),
+        )
+    )
+    assert results == [(os.getpid(), "state", unit) for unit in range(5)]
+    assert _setup_pids(log_path) == [os.getpid()]
+
+
+def test_compact_sources_clamps_workers_to_shards(tmp_path, monkeypatch):
+    # Regression: the compaction fan-out clamped only to the cores, so
+    # compacting 2 shards with workers=4 started a 4-process pool.
+    import repro.perf.parallel as parallel_mod
+    from repro.obs import telemetry, telemetry_snapshot
+    from repro.store import build_store_from_triples
+    from repro.store.segments import ShardSource, compact_sources
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pool_sizes = []
+    real_pool = parallel_mod.ProcessPoolExecutor
+
+    def spy_pool(*args, max_workers, **kwargs):
+        pool_sizes.append(max_workers)
+        return real_pool(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", spy_pool)
+    store = build_store_from_triples(
+        [(day, (day % 5) << 8, (day + 1) << 64) for day in range(40)],
+        tmp_path / "source",
+        shards=2,
+        workers=1,
+    )
+    source = ShardSource(str(store.directory), store.shards, tuple(store.shard_rows))
+    with telemetry(True, reset=True):
+        compacted = compact_sources([source], tmp_path / "out", shards=2, workers=4)
+        series = telemetry_snapshot()["metrics"]["counters"]["pool.tasks"]
+    assert compacted.digest() == store.digest()
+    assert pool_sizes == [2]
+    workers = {
+        key.split("worker=")[1]
+        for key in series
+        if "kind=store_compact" in key
+    }
+    assert 1 <= len(workers) <= 2
 
 
 def _build_scratch_store(tmp_path):
@@ -267,8 +372,6 @@ def _boom_task(store, index, scratch):
 
 
 def test_map_store_shards_discards_scratch_on_serial_failure(tmp_path):
-    import functools
-
     store, scratch = _build_scratch_store(tmp_path)
     task = functools.partial(_boom_task, scratch=str(scratch))
     with pytest.raises(RuntimeError, match="shard task failed"):
@@ -280,8 +383,6 @@ def test_map_store_shards_discards_scratch_on_serial_failure(tmp_path):
 
 
 def test_map_store_shards_discards_scratch_on_pool_failure(tmp_path, monkeypatch):
-    import functools
-
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     store, scratch = _build_scratch_store(tmp_path)
     task = functools.partial(_boom_task, scratch=str(scratch))
