@@ -39,14 +39,12 @@ from repro.atlas.echo import (
     merge_adjacent_equal,
 )
 from repro.atlas.probe import Probe
-from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+from repro.core.engine import resolve_engine
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.netsim.cpe import eui64_iid
 from repro.netsim.isp import Isp
 from repro.netsim.sim import SubscriberTimeline
-from repro.obs import get_logger, metric_inc, telemetry_enabled
-
-_log = get_logger("atlas.platform")
+from repro.obs import metric_inc, telemetry_enabled
 
 _M64 = (1 << 64) - 1
 
@@ -257,16 +255,9 @@ class AtlasPlatform:
         — bit-identical runs, identical RNG draw order — instead of the
         per-interval Python loops of the reference path.
         """
-        if resolve_engine(engine) != "py":
-            try:
-                return self._record_collection(spec, self._probe_data_np(spec))
-            except FALLBACK_ERRORS as exc:
-                metric_inc("collection.engine_fallbacks", stage="probe_data")
-                _log.debug(
-                    "columnar probe_data fell back to python",
-                    extra={"probe": spec.probe_id, "error": type(exc).__name__},
-                )
-        return self._record_collection(spec, self._probe_data_py(spec))
+        if resolve_engine(engine) == "py":
+            return self._record_collection(spec, self._probe_data_py(spec))
+        return self._record_collection(spec, self._probe_data_np(spec))
 
     def _record_collection(self, spec: ProbeSpec, data: ProbeData) -> ProbeData:
         """Tally per-probe collection telemetry (no-op when disabled)."""
@@ -588,8 +579,8 @@ class _PackedIntervals:
 def _pack_intervals(intervals: Sequence, family: int) -> _PackedIntervals:
     """Pack assignment intervals for searchsorted clipping.
 
-    Raises ``ValueError`` on out-of-order intervals (the reference path
-    has no ordering requirement, so the caller falls back to it).
+    Raises ``ValueError`` on out-of-order intervals, which the simulator
+    never produces; only the reference path (``engine="py"``) accepts them.
     """
     count = len(intervals)
     cstart = np.fromiter((_ceil(i.start) for i in intervals), dtype=np.int64, count=count)

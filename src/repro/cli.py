@@ -36,11 +36,12 @@ from typing import Optional, Sequence
 
 from repro.atlas.convert import convert_results
 from repro.core.engine import ENGINES
-from repro.core.report import render_table, table1_row, table2_row
+from repro.core.report import render_table
 from repro.io.records import write_association_csv, write_echo_records, write_echo_runs
 from repro.obs import configure_logging, dump_telemetry, enable_telemetry, span
 from repro.perf.cache import iter_cache_stats
 from repro.workloads import (
+    analyze_atlas_scenario,
     build_atlas_scenario,
     build_cdn_scenario,
     periodicity_for_scenario,
@@ -162,71 +163,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=_cache_flag(args),
     )
-    table1_rows = []
-    table2_rows = []
-    table1_by_name = {}
-    table2_by_name = {}
-    with span("analysis/report", networks=len(scenario.isps)):
-        for name, isp in scenario.isps.items():
-            probes = scenario.probes_in(isp.asn)
-            columns = scenario.analysis_columns(isp.asn, engine=args.engine)
-            with span("analysis/table1", network=name):
-                row = table1_row(
-                    name, isp.asn, isp.config.country, probes,
-                    engine=args.engine, columns=columns,
-                )
-            table1_by_name[name] = row
-            table1_rows.append(
-                [row.name, row.asn, row.all_probes, row.all_v4_changes, row.ds_probes,
-                 f"{row.ds_v4_changes} ({row.ds_v4_share_pct:.0f}%)", row.ds_v6_changes]
-            )
-            with span("analysis/table2", network=name):
-                rates = table2_row(
-                    probes, scenario.table, engine=args.engine, columns=columns
-                )
-            table2_by_name[name] = rates
-            table2_rows.append(
-                [name, f"{rates.diff_slash24_pct:.0f}%", f"{rates.v4_diff_bgp_pct:.0f}%",
-                 f"{rates.v6_diff_bgp_pct:.0f}%"]
-            )
+    analysis = analyze_atlas_scenario(scenario, engine=args.engine)
     v4_periods, v6_periods = periodicity_for_scenario(scenario, engine=args.engine)
-    with span("report/render"):
-        print(render_table(
-            ["AS", "ASN", "probes", "v4 changes", "DS probes", "DS v4 changes",
-             "v6 changes"],
-            table1_rows,
-            title="Table 1: assignment changes per AS",
-        ))
-        print()
-        print(render_table(
-            ["AS", "Diff /24", "Diff BGP (v4)", "Diff BGP (v6)"],
-            table2_rows,
-            title="Table 2: boundary crossings",
-        ))
-        period_rows = [
-            [name,
-             f"{v4_periods[name]:.0f}h" if name in v4_periods else "-",
-             f"{v6_periods[name]:.0f}h" if name in v6_periods else "-"]
-            for name in scenario.isps
-            if name in v4_periods or name in v6_periods
-        ]
-        print()
-        if period_rows:
-            print(render_table(
-                ["AS", "v4 NDS period", "v6 period"],
-                period_rows,
-                title="Periodic renumbering (Section 3.2)",
-            ))
-        else:
-            print("Periodic renumbering: none detected")
+    _print_report(analysis, v4_periods, v6_periods, streamed=False)
     if args.json:
-        from repro.core.engine import resolve_engine
         from repro.serve.wire import report_payload, write_json
 
         payload = report_payload(
-            resolve_engine(args.engine),
-            table1_by_name,
-            table2_by_name,
+            analysis.engine,
+            analysis.table1,
+            analysis.table2,
             v4_periods,
             v6_periods,
             scenario=scenario,
@@ -234,6 +180,55 @@ def cmd_report(args: argparse.Namespace) -> int:
         path = write_json(payload, Path(args.json))
         print(f"report written to {path}")
     return 0
+
+
+def _print_report(analysis, v4_periods, v6_periods, streamed: bool) -> None:
+    """Print Table 1, Table 2 (when computed) and the periodicity table.
+
+    ``streamed`` labels the titles for ``repro stream`` and lists the
+    periodic networks by name instead of in the analysis order.
+    """
+    suffix = " (streamed)" if streamed else ""
+    names = sorted(set(v4_periods) | set(v6_periods)) if streamed else analysis.table1
+    with span("report/render"):
+        table1_rows = [
+            [row.name, row.asn, row.all_probes, row.all_v4_changes, row.ds_probes,
+             f"{row.ds_v4_changes} ({row.ds_v4_share_pct:.0f}%)", row.ds_v6_changes]
+            for row in analysis.table1.values()
+        ]
+        print(render_table(
+            ["AS", "ASN", "probes", "v4 changes", "DS probes", "DS v4 changes", "v6 changes"],
+            table1_rows,
+            title=f"Table 1: assignment changes per AS{suffix}",
+        ))
+        if analysis.table2:
+            table2_rows = [
+                [name, f"{rates.diff_slash24_pct:.0f}%", f"{rates.v4_diff_bgp_pct:.0f}%",
+                 f"{rates.v6_diff_bgp_pct:.0f}%"]
+                for name, rates in analysis.table2.items()
+            ]
+            print()
+            print(render_table(
+                ["AS", "Diff /24", "Diff BGP (v4)", "Diff BGP (v6)"],
+                table2_rows,
+                title=f"Table 2: boundary crossings{suffix}",
+            ))
+        period_rows = [
+            [name,
+             f"{v4_periods[name]:.0f}h" if name in v4_periods else "-",
+             f"{v6_periods[name]:.0f}h" if name in v6_periods else "-"]
+            for name in names
+            if name in v4_periods or name in v6_periods
+        ]
+        print()
+        if period_rows:
+            print(render_table(
+                ["AS", "v4 NDS period", "v6 period"],
+                period_rows,
+                title=f"Periodic renumbering ({'streamed' if streamed else 'Section 3.2'})",
+            ))
+        else:
+            print("Periodic renumbering: none detected")
 
 
 def _print_serve_status(app=None) -> None:
@@ -344,22 +339,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     durations = {4: [], 6: []}
     if engine == "fused":
-        try:
-            from repro.core import analysis_np as anp
+        from repro.core import analysis_np as anp
 
-            families = list(by_probe.values())
-            v4_cols = anp.columns_from_runs([fam[4] for fam in families])
-            durations[4] = anp.duration_table(v4_cols).hours().astype(float).tolist()
-            v6_cols = anp.columns_from_runs([fam[6] for fam in families if fam[6]])
-            durations[6] = (
-                anp.duration_table(anp.rekey_v6_runs(v6_cols))
-                .hours()
-                .astype(float)
-                .tolist()
-            )
-        except (TypeError, ValueError, OverflowError):
-            engine = "py"
-    if engine == "py":
+        families = list(by_probe.values())
+        v4_cols = anp.columns_from_runs([fam[4] for fam in families])
+        durations[4] = anp.duration_table(v4_cols).hours().astype(float).tolist()
+        v6_cols = anp.columns_from_runs([fam[6] for fam in families if fam[6]])
+        durations[6] = (
+            anp.duration_table(anp.rekey_v6_runs(v6_cols)).hours().astype(float).tolist()
+        )
+    else:
         for families in by_probe.values():
             for duration in sandwiched_durations(families[4]):
                 durations[4].append(float(duration.hours))
@@ -449,44 +438,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
         return 0
 
-    analysis = result.analysis
-    table1_rows = [
-        [row.name, row.asn, row.all_probes, row.all_v4_changes, row.ds_probes,
-         f"{row.ds_v4_changes} ({row.ds_v4_share_pct:.0f}%)", row.ds_v6_changes]
-        for row in analysis.table1.values()
-    ]
-    print(render_table(
-        ["AS", "ASN", "probes", "v4 changes", "DS probes", "DS v4 changes", "v6 changes"],
-        table1_rows,
-        title="Table 1: assignment changes per AS (streamed)",
-    ))
-    if analysis.table2:
-        table2_rows = [
-            [name, f"{rates.diff_slash24_pct:.0f}%", f"{rates.v4_diff_bgp_pct:.0f}%",
-             f"{rates.v6_diff_bgp_pct:.0f}%"]
-            for name, rates in analysis.table2.items()
-        ]
-        print()
-        print(render_table(
-            ["AS", "Diff /24", "Diff BGP (v4)", "Diff BGP (v6)"],
-            table2_rows,
-            title="Table 2: boundary crossings (streamed)",
-        ))
-    period_rows = [
-        [name,
-         f"{result.v4_periods[name]:.0f}h" if name in result.v4_periods else "-",
-         f"{result.v6_periods[name]:.0f}h" if name in result.v6_periods else "-"]
-        for name in sorted(set(result.v4_periods) | set(result.v6_periods))
-    ]
-    print()
-    if period_rows:
-        print(render_table(
-            ["AS", "v4 NDS period", "v6 period"],
-            period_rows,
-            title="Periodic renumbering (streamed)",
-        ))
-    else:
-        print("Periodic renumbering: none detected")
+    _print_report(result.analysis, result.v4_periods, result.v6_periods, streamed=True)
 
     stats = result.stats
     print()

@@ -26,6 +26,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Triple = Tuple[int, int, int]  # (day, v4_/24_key, v6_/64_key)
 
+#: Host-bit mask of a /64 key: a key with any of these bits set is not a
+#: /64 network address.
+LOW64 = (1 << 64) - 1
+
 
 def association_durations(records: Iterable[Triple]) -> List[int]:
     """Durations (days) of stable /64 -> /24 associations.
@@ -122,23 +126,20 @@ def association_box_stats(records: Iterable[Triple], engine: Optional[str] = Non
     ``"fused"`` fast path runs the columnar
     :func:`repro.core.associations_np.association_durations_np` +
     ``box_stats_np`` pair, bit-identical to the pure-Python reference.
+    A /64 key with host bits set cannot be packed into the fast path's
+    64-bit columns, so such input runs the reference on either engine.
     """
-    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
 
     materialized = records if isinstance(records, Sequence) else list(records)
-    if resolve_engine(engine) != "py":
-        try:
-            from repro.core.associations_np import (
-                association_durations_np,
-                box_stats_np,
-                columns_from_triples,
-            )
+    if resolve_engine(engine) != "py" and not any(t[2] & LOW64 for t in materialized):
+        from repro.core.associations_np import (
+            association_durations_np,
+            box_stats_np,
+            columns_from_triples,
+        )
 
-            return box_stats_np(
-                association_durations_np(*columns_from_triples(materialized))
-            )
-        except FALLBACK_ERRORS:
-            pass
+        return box_stats_np(association_durations_np(*columns_from_triples(materialized)))
     return box_stats(association_durations(materialized))
 
 
@@ -208,6 +209,7 @@ def weighted_peak(centers: Sequence[float], densities: Sequence[float]) -> float
 
 
 __all__ = [
+    "LOW64",
     "BoxStats",
     "Triple",
     "association_box_stats",

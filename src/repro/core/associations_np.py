@@ -20,9 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.associations import BoxStats, Triple
-
-_LOW64 = (1 << 64) - 1
+from repro.core.associations import LOW64, BoxStats, Triple
 
 
 def columns_from_triples(triples: Iterable[Triple]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,7 +53,7 @@ def _packed_v6(triples: Sequence[Triple]) -> Iterator[int]:
     """
     for triple in triples:
         key = triple[2]
-        if key & _LOW64:
+        if key & LOW64:
             raise ValueError(f"v6 key {key:#x} is not a /64 network address")
         yield key >> 64
 

@@ -196,30 +196,23 @@ def inferred_plen_distribution_for_probes(
     (``columns``, when the caller already holds one for these probes),
     bit-identical to the pure-Python composition of
     :func:`per_probe_prefixes_from_runs` + :func:`inferred_plen_distribution`.
+    Only ``plen == 64`` takes the fast path; any other length runs the
+    reference, which rejects non-/64 prefixes, on either engine.
     """
-    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
 
     materialized = probes if isinstance(probes, Sequence) else list(probes)
-    if resolve_engine(engine) != "py":
-        try:
-            from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
+    if resolve_engine(engine) != "py" and plen == 64:
+        from repro.core.analysis_np import ProbeColumns, inferred_plen_counts_np
 
-            if plen != 64:
-                # The reference rejects non-/64 prefixes; let it raise.
-                raise ValueError(f"expected /64 prefixes, got /{plen}")
-            if columns is None or columns.plen != plen:
-                columns = ProbeColumns(materialized, plen=plen)
-            eligible, counts = inferred_plen_counts_np(
-                columns.v6_prefix(), plen=plen, min_distinct=min_distinct
-            )
-            if not eligible:
-                return {}
-            return {
-                length: 100.0 * count / eligible
-                for length, count in sorted(counts.items())
-            }
-        except FALLBACK_ERRORS:
-            pass
+        if columns is None or columns.plen != plen:
+            columns = ProbeColumns(materialized, plen=plen)
+        eligible, counts = inferred_plen_counts_np(
+            columns.v6_prefix(), plen=plen, min_distinct=min_distinct
+        )
+        if not eligible:
+            return {}
+        return {length: 100.0 * count / eligible for length, count in sorted(counts.items())}
     return inferred_plen_distribution(
         per_probe_prefixes_from_runs(materialized, plen), min_distinct
     )

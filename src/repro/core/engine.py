@@ -5,11 +5,16 @@ collection (:mod:`repro.atlas.platform`), associations and delegation —
 offers two bit-identical implementations: ``"py"``, the pure-Python
 reference that serves as the oracle, and ``"fused"``, the fast path
 (the single-pass engine of :mod:`repro.core.fused` for the report
-artifacts, the columnar NumPy kernels elsewhere).  This module owns the
-single knob selecting between them, so layers below the report can
-resolve the engine without importing it (the report layer imports the
-sanitization pipeline, which imports the platform — a cycle if the knob
-lived in ``report``).
+artifacts, the columnar NumPy kernels elsewhere).  Each engine runs
+exactly one path: an error on the fast path propagates rather than being
+retried on the reference.  Only two inputs are routed by a check on the
+input itself — association triples whose /64 key has host bits set, and
+delegation prefixes other than /64 — and both go to the reference.
+
+This module owns the single knob selecting between the engines, so
+layers below the report can resolve the engine without importing it
+(the report layer imports the sanitization pipeline, which imports the
+platform — a cycle if the knob lived in ``report``).
 """
 
 from __future__ import annotations
@@ -25,11 +30,6 @@ ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
 #: pure-Python reference.
 ENGINES = ("fused", "py")
 
-#: Errors on which a fast path silently falls back to the reference
-#: (unpackable value types, out-of-range integers); genuine input
-#: errors re-raise identically from the reference path.
-FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
-
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Effective analysis engine: explicit value, else the environment,
@@ -43,4 +43,4 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-__all__ = ["ENGINE_ENV", "ENGINES", "FALLBACK_ERRORS", "resolve_engine"]
+__all__ = ["ENGINE_ENV", "ENGINES", "resolve_engine"]

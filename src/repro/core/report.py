@@ -11,10 +11,10 @@ reference kernels, ``"fused"`` the single-pass engine of
 :mod:`repro.core.fused` over a columnar
 :class:`~repro.core.analysis_np.ProbeColumns` pack.  The default
 (``engine=None``) reads ``$REPRO_ANALYSIS_ENGINE`` and otherwise picks
-``"fused"``; both engines produce bit-identical artifacts (the parity
-tests enforce this), and the fused path falls back to the reference
-automatically on inputs it cannot pack, counting each fallback under
-``analysis.fused.fallbacks{artifact=...}``.
+``"fused"``.  Each entry point runs exactly one path per engine; the
+two produce bit-identical artifacts (the parity tests enforce this),
+and an error raised by the fused path propagates instead of being
+retried on the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.changes import (
     v6_runs_to_prefix_runs,
 )
 from repro.core.dualstack import split_durations_by_stack
-from repro.core.engine import FALLBACK_ERRORS as _FALLBACK_ERRORS
 from repro.core.engine import resolve_engine as _resolve_engine
 from repro.core.periodicity import CANONICAL_PERIODS, consistent_periodic_networks
 from repro.core.spatial import CplHistogram, CrossingRates, cpl_histogram, crossing_rates
@@ -43,19 +42,6 @@ from repro.core.timefraction import (
     evaluate_cdf,
     total_duration_years,
 )
-from repro.obs import get_logger, metric_inc
-
-_log = get_logger("core.report")
-
-
-def _note_fallback(artifact: str, exc: BaseException) -> None:
-    """Record one fused-engine fallback to the reference path."""
-    metric_inc("analysis.fused.fallbacks", artifact=artifact)
-    _log.debug(
-        "fused engine fell back to python",
-        extra={"artifact": artifact, "error": type(exc).__name__},
-    )
-
 
 def _fused_stats(probes, plen: int = 64, columns=None):
     """Fused stats for a probe population (pack reused when supplied)."""
@@ -108,10 +94,7 @@ def as_durations(
     the fused path reuses one pack across artifacts.
     """
     if _resolve_engine(engine) == "fused":
-        try:
-            return _fused.as_durations_from_stats(_fused_stats(probes, columns=columns))
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("as_durations", exc)
+        return _fused.as_durations_from_stats(_fused_stats(probes, columns=columns))
     result = AsDurations()
     for probe in probes:
         v4_durations = probe_v4_durations(probe)
@@ -153,12 +136,9 @@ def table1_row(
 ) -> Table1Row:
     """Aggregate one AS's probes into its Table 1 row."""
     if _resolve_engine(engine) == "fused":
-        try:
-            return _fused.table1_from_stats(
-                _fused_stats(probes, columns=columns), name, asn, country
-            )
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("table1", exc)
+        return _fused.table1_from_stats(
+            _fused_stats(probes, columns=columns), name, asn, country
+        )
     all_v4 = ds_v4 = ds_v6 = ds_probes = 0
     for probe in probes:
         v4_changes = len(probe_v4_changes(probe))
@@ -205,17 +185,14 @@ def figure1_series(
     or a float array).
     """
     if _resolve_engine(engine) == "fused":
-        try:
-            xs, ys = _anp.cumulative_ttf_columns(durations)
-            return Figure1Series(
-                label=label,
-                total_years=_anp.total_duration_years_np(durations),
-                grid_values=tuple(
-                    float(v) for v in _anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
-                ),
-            )
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("figure1", exc)
+        xs, ys = _anp.cumulative_ttf_columns(durations)
+        return Figure1Series(
+            label=label,
+            total_years=_anp.total_duration_years_np(durations),
+            grid_values=tuple(
+                float(v) for v in _anp.evaluate_cdf_columns(xs, ys, CANONICAL_GRID)
+            ),
+        )
     xs, ys = cumulative_total_time_fraction(durations)
     return Figure1Series(
         label=label,
@@ -254,10 +231,7 @@ def table2_row(
 ) -> CrossingRates:
     """Aggregate one AS's probes into its Table 2 crossing rates."""
     if _resolve_engine(engine) == "fused":
-        try:
-            return _fused.table2_from_stats(_fused_stats(probes, columns=columns), table)
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("table2", exc)
+        return _fused.table2_from_stats(_fused_stats(probes, columns=columns), table)
     v4_changes: List[ChangeEvent] = []
     v6_changes: List[ChangeEvent] = []
     for probe in probes:
@@ -273,10 +247,7 @@ def figure5_for_as(
 ) -> CplHistogram:
     """The Figure 5 CPL histogram for one AS's probes."""
     if _resolve_engine(engine) == "fused":
-        try:
-            return _fused.figure5_from_stats(_fused_stats(probes, columns=columns))
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("figure5", exc)
+        return _fused.figure5_from_stats(_fused_stats(probes, columns=columns))
     by_probe = {probe.probe_id: probe_v6_changes(probe) for probe in probes}
     return cpl_histogram(by_probe)
 
@@ -305,16 +276,13 @@ def periodic_networks(
     packs.
     """
     if _resolve_engine(engine) == "fused":
-        try:
-            return _fused.periodic_networks_fused(
-                probes_by_network,
-                candidate_periods,
-                tolerance,
-                min_probes,
-                columns_by_network,
-            )
-        except _FALLBACK_ERRORS as exc:
-            _note_fallback("periodicity", exc)
+        return _fused.periodic_networks_fused(
+            probes_by_network,
+            candidate_periods,
+            tolerance,
+            min_probes,
+            columns_by_network,
+        )
     v4_nds: Dict[str, Dict[str, List[float]]] = {}
     v6: Dict[str, Dict[str, List[float]]] = {}
     for name, probes in probes_by_network.items():

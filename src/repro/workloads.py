@@ -191,45 +191,28 @@ def analyze_atlas_scenario(
     (:func:`repro.perf.parallel.run_fused_analysis`) — zero-copy, and
     bit-identical to the serial fused run.
     """
-    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
     from repro.core.report import (
         figure1_for_as,
         figure5_for_as,
         table1_row,
         table2_row,
     )
-    from repro.obs import metric_inc
 
     resolved = resolve_engine(engine)
     _log.info("analysis engine resolved", extra={"engine": resolved})
     if resolved == "fused":
         columns = scenario.analysis_columns(None, engine=resolved)
-        if columns is not None:
-            groups = [
-                (name, isp.asn, isp.config.country)
-                for name, isp in scenario.isps.items()
-            ]
-            try:
-                with span("analysis/report", engine=resolved, networks=len(groups)):
-                    artifacts = run_fused_analysis(
-                        columns, groups, scenario.table, workers=workers
-                    )
-                return AtlasAnalysis(
-                    engine=resolved,
-                    table1=artifacts["table1"],
-                    table2=artifacts["table2"],
-                    figure1=artifacts["figure1"],
-                    figure5=artifacts["figure5"],
-                )
-            except FALLBACK_ERRORS as exc:
-                metric_inc("analysis.fused.fallbacks", artifact="report")
-                _log.debug(
-                    "fused scenario analysis fell back to the per-AS path",
-                    extra={"error": type(exc).__name__},
-                )
-        # Fall through to the per-AS loop; the report-layer entry points
-        # still dispatch each artifact through the fused (or reference)
-        # path as appropriate.
+        groups = [(name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()]
+        with span("analysis/report", engine=resolved, networks=len(groups)):
+            artifacts = run_fused_analysis(columns, groups, scenario.table, workers=workers)
+        return AtlasAnalysis(
+            engine=resolved,
+            table1=artifacts["table1"],
+            table2=artifacts["table2"],
+            figure1=artifacts["figure1"],
+            figure5=artifacts["figure5"],
+        )
     table1 = {}
     table2 = {}
     figure1 = {}
@@ -237,26 +220,16 @@ def analyze_atlas_scenario(
     with span("analysis/report", engine=resolved, networks=len(scenario.isps)):
         for name, isp in scenario.isps.items():
             probes = scenario.probes_in(isp.asn)
-            columns = scenario.analysis_columns(isp.asn, engine=resolved)
             with span("analysis/table1", network=name):
                 table1[name] = table1_row(
-                    name,
-                    isp.asn,
-                    isp.config.country,
-                    probes,
-                    engine=resolved,
-                    columns=columns,
+                    name, isp.asn, isp.config.country, probes, engine=resolved
                 )
             with span("analysis/table2", network=name):
-                table2[name] = table2_row(
-                    probes, scenario.table, engine=resolved, columns=columns
-                )
+                table2[name] = table2_row(probes, scenario.table, engine=resolved)
             with span("analysis/figure1", network=name):
-                figure1[name] = figure1_for_as(
-                    name, probes, engine=resolved, columns=columns
-                )
+                figure1[name] = figure1_for_as(name, probes, engine=resolved)
             with span("analysis/figure5", network=name):
-                figure5[name] = figure5_for_as(probes, engine=resolved, columns=columns)
+                figure5[name] = figure5_for_as(probes, engine=resolved)
     return AtlasAnalysis(
         engine=resolved, table1=table1, table2=table2, figure1=figure1, figure5=figure5
     )
@@ -277,34 +250,19 @@ def periodicity_for_scenario(
     (:func:`repro.core.fused.fused_network_periods`), reusing the
     scenario's memoized global pack and its cached fused stats.
     """
-    from repro.core.engine import FALLBACK_ERRORS, resolve_engine
+    from repro.core.engine import resolve_engine
     from repro.core.report import periodic_networks
 
     resolved = resolve_engine(engine)
     if resolved == "fused":
+        from repro.core.fused import fused_network_periods
+
         columns = scenario.analysis_columns(None, engine=resolved)
-        if columns is not None:
-            groups = [
-                (name, isp.asn, isp.config.country)
-                for name, isp in scenario.isps.items()
-            ]
-            try:
-                with span(
-                    "analysis/periodicity", engine=resolved, networks=len(groups)
-                ):
-                    from repro.core.fused import fused_network_periods
-
-                    return fused_network_periods(
-                        columns, groups, tolerance=tolerance, min_probes=min_probes
-                    )
-            except FALLBACK_ERRORS as exc:
-                from repro.obs import metric_inc
-
-                metric_inc("analysis.fused.fallbacks", artifact="periodicity")
-                _log.debug(
-                    "fused periodicity fell back to the per-network path",
-                    extra={"error": type(exc).__name__},
-                )
+        groups = [(name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()]
+        with span("analysis/periodicity", engine=resolved, networks=len(groups)):
+            return fused_network_periods(
+                columns, groups, tolerance=tolerance, min_probes=min_probes
+            )
     probes_by_network = {
         name: scenario.probes_in(isp.asn) for name, isp in scenario.isps.items()
     }
@@ -359,7 +317,7 @@ def build_atlas_scenario(
 
     with span(
         "collection/atlas", probes_per_as=probes_per_as, seed=seed, workers=worker_count
-    ) as build_span, _gc_paused():
+    ) as build_span:
         scenario_cache = cache_key = None
         if resolve_cache_flag(cache):
             scenario_cache = get_scenario_cache()
@@ -379,89 +337,92 @@ def build_atlas_scenario(
                 build_span.set(cache="hit")
                 return cached
 
-        end_hour = int(years * 365 * DAY)
+        # Only a real build pauses the collector: a cache hit returned above
+        # and must not pay for the full pass on exit.
+        with _gc_paused():
+            end_hour = int(years * 365 * DAY)
 
-        registry = Registry()
-        table = RoutingTable()
-        rng = random.Random(seed)
+            registry = Registry()
+            table = RoutingTable()
+            rng = random.Random(seed)
 
-        # ISP construction mutates the shared registry/routing table and must
-        # stay serial and ordered; the simulations are independent per ISP
-        # (each only touches its own plans with a private (seed, asn) RNG)
-        # and fan out across workers.
-        isps: Dict[str, Isp] = {
-            config.name: Isp(config, registry, table) for config in profiles
-        }
-        # Anomalous probes need a secondary network to flap to / move to.
-        num_subscribers = probes_per_as + 2  # spares for secondary attachments
-        with span("collection/isp_simulations", isps=len(profiles)):
-            timeline_list = run_isp_simulations(
-                [(isps[config.name], num_subscribers) for config in profiles],
+            # ISP construction mutates the shared registry/routing table and must
+            # stay serial and ordered; the simulations are independent per ISP
+            # (each only touches its own plans with a private (seed, asn) RNG)
+            # and fan out across workers.
+            isps: Dict[str, Isp] = {
+                config.name: Isp(config, registry, table) for config in profiles
+            }
+            # Anomalous probes need a secondary network to flap to / move to.
+            num_subscribers = probes_per_as + 2  # spares for secondary attachments
+            with span("collection/isp_simulations", isps=len(profiles)):
+                timeline_list = run_isp_simulations(
+                    [(isps[config.name], num_subscribers) for config in profiles],
+                    end_hour=end_hour,
+                    seed=seed,
+                    workers=worker_count,
+                )
+            timelines: Dict[int, Dict[int, SubscriberTimeline]] = {
+                config.asn: result for config, result in zip(profiles, timeline_list)
+            }
+
+            platform = AtlasPlatform(
+                {isp.asn: (isp, timelines[isp.asn]) for isp in isps.values()},
                 end_hour=end_hour,
                 seed=seed,
-                workers=worker_count,
             )
-        timelines: Dict[int, Dict[int, SubscriberTimeline]] = {
-            config.asn: result for config, result in zip(profiles, timeline_list)
-        }
 
-        platform = AtlasPlatform(
-            {isp.asn: (isp, timelines[isp.asn]) for isp in isps.values()},
-            end_hour=end_hour,
-            seed=seed,
-        )
-
-        specs: List[ProbeSpec] = []
-        probe_id = 0
-        asns = [isp.asn for isp in isps.values()]
-        for config in profiles:
-            for subscriber_id in range(probes_per_as):
-                roll = rng.random()
-                anomaly = "none"
-                tags: tuple = ()
-                secondary = None
-                if roll < anomaly_fraction:
-                    anomaly = ANOMALY_CYCLE[probe_id % len(ANOMALY_CYCLE)]
-                    if anomaly in ("multihomed", "as_move"):
-                        other_asn = rng.choice(
-                            [asn for asn in asns if asn != config.asn]
+            specs: List[ProbeSpec] = []
+            probe_id = 0
+            asns = [isp.asn for isp in isps.values()]
+            for config in profiles:
+                for subscriber_id in range(probes_per_as):
+                    roll = rng.random()
+                    anomaly = "none"
+                    tags: tuple = ()
+                    secondary = None
+                    if roll < anomaly_fraction:
+                        anomaly = ANOMALY_CYCLE[probe_id % len(ANOMALY_CYCLE)]
+                        if anomaly in ("multihomed", "as_move"):
+                            other_asn = rng.choice(
+                                [asn for asn in asns if asn != config.asn]
+                            )
+                            secondary = (other_asn, probes_per_as)  # a spare line
+                    elif roll < anomaly_fraction + bad_tag_fraction:
+                        tags = ("datacentre",)
+                    specs.append(
+                        ProbeSpec(
+                            probe_id=probe_id,
+                            asn=config.asn,
+                            subscriber_id=subscriber_id,
+                            tags=tags,
+                            anomaly=anomaly,
+                            secondary=secondary,
                         )
-                        secondary = (other_asn, probes_per_as)  # a spare line
-                elif roll < anomaly_fraction + bad_tag_fraction:
-                    tags = ("datacentre",)
-                specs.append(
-                    ProbeSpec(
-                        probe_id=probe_id,
-                        asn=config.asn,
-                        subscriber_id=subscriber_id,
-                        tags=tags,
-                        anomaly=anomaly,
-                        secondary=secondary,
                     )
-                )
-                probe_id += 1
+                    probe_id += 1
 
-        with span("collection/probes", specs=len(specs)):
-            raw_probes = [platform.probe_data(spec) for spec in specs]
-        probes, report = sanitize(raw_probes, table)
-        scenario = AtlasScenario(
-            registry=registry,
-            table=table,
-            isps=isps,
-            timelines=timelines,
-            platform=platform,
-            raw_probes=raw_probes,
-            probes=probes,
-            report=report,
-            end_hour=end_hour,
-        )
-        if scenario_cache is not None and cache_key is not None:
-            scenario_cache.put("atlas", cache_key, scenario)
-        _log.info(
-            "atlas scenario built",
-            extra={"probes": len(probes), "raw": len(raw_probes), "seed": seed},
-        )
-        return scenario
+            with span("collection/probes", specs=len(specs)):
+                raw_probes = [platform.probe_data(spec) for spec in specs]
+            probes, report = sanitize(raw_probes, table)
+            scenario = AtlasScenario(
+                registry=registry,
+                table=table,
+                isps=isps,
+                timelines=timelines,
+                platform=platform,
+                raw_probes=raw_probes,
+                probes=probes,
+                report=report,
+                end_hour=end_hour,
+            )
+            if scenario_cache is not None and cache_key is not None:
+                scenario_cache.put("atlas", cache_key, scenario)
+            _log.info(
+                "atlas scenario built",
+                extra={"probes": len(probes), "raw": len(raw_probes), "seed": seed},
+            )
+            return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -338,39 +338,36 @@ def test_resolve_engine_dispatch(monkeypatch):
     assert resolve_engine("py") == "py"  # an explicit engine never reads it
 
 
-def test_fused_engine_falls_back_to_reference(monkeypatch):
+def test_fused_engine_errors_propagate(monkeypatch):
+    """A fused-path error surfaces instead of being retried on the reference."""
     from repro.core import report
-    from repro.obs import get_registry, telemetry
+    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
 
     probes = _random_probes(3)
-    expected = report.table1_row("AS", 64500, "DE", probes, engine="py")
+    scenario = build_atlas_scenario(probes_per_as=2, years=0.3, seed=1, cache=False)
 
     def boom(*args, **kwargs):
         raise TypeError("unpackable")
 
     monkeypatch.setattr(report._anp, "columns_from_runs", boom)
-    with telemetry(True, reset=True):
-        assert report.table1_row("AS", 64500, "DE", probes, engine="fused") == expected
-        assert get_registry().counter("analysis.fused.fallbacks", artifact="table1") == 1
+    with pytest.raises(TypeError, match="unpackable"):
+        report.table1_row("AS", 64500, "DE", probes, engine="fused")
+    with pytest.raises(TypeError, match="unpackable"):
+        analyze_atlas_scenario(scenario, engine="fused")
 
 
-def test_figure1_fallback_counts_under_fused_counter(monkeypatch):
-    """A fused Figure 1 fallback is counted as a fused fallback."""
+def test_figure1_fused_errors_propagate(monkeypatch):
+    """A fused Figure 1 error surfaces instead of being retried on the reference."""
     from repro.core import report
-    from repro.obs import get_registry, telemetry
 
     durations = [float(hours) for hours in (24, 24, 48, 168, 3)]
-    expected = report.figure1_series("curve", durations, engine="py")
 
     def boom(*args, **kwargs):
         raise TypeError("unpackable")
 
     monkeypatch.setattr(anp, "cumulative_ttf_columns", boom)
-    with telemetry(True, reset=True):
-        assert report.figure1_series("curve", durations, engine="fused") == expected
-        registry = get_registry()
-        assert registry.counter("analysis.fused.fallbacks", artifact="figure1") == 1
-        assert registry.counter("analysis.fallbacks", artifact="figure1") == 0
+    with pytest.raises(TypeError, match="unpackable"):
+        report.figure1_series("curve", durations, engine="fused")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -458,6 +455,22 @@ def test_inferred_plen_distribution_matches_reference(seed):
         inferred_plen_distribution_for_probes(probes, engine="fused", columns=columns)
         == expected
     )
+
+
+def test_inferred_plen_non_64_raises_on_both_engines():
+    """Only /64 takes the fused path; other lengths hit the reference's
+    own rejection on either engine."""
+    from repro.core.delegation import inferred_plen_distribution_for_probes
+
+    probes = _random_probes(2)
+    errors = []
+    for engine in ("fused", "py"):
+        with pytest.raises(ValueError) as excinfo:
+            inferred_plen_distribution_for_probes(
+                probes, min_distinct=1, plen=56, engine=engine
+            )
+        errors.append(str(excinfo.value))
+    assert errors[0] == errors[1]
 
 
 def test_probe_columns_memoizes_packs():

@@ -66,6 +66,22 @@ class TestReport:
         assert {"name", "asn", "all_probes", "all_v4_changes"} <= set(row)
         assert set(payload["periodicity"]) == {"v4", "v6"}
 
+    def test_engines_print_identical_output(self, tmp_path, capsys):
+        outputs, payloads = [], []
+        for engine in ("fused", "py"):
+            path = tmp_path / f"report_{engine}.json"
+            assert main([
+                "report", "--probes-per-as", "3", "--years", "0.5", "--seed", "3",
+                "--engine", engine, "--json", str(path),
+            ]) == 0
+            out = capsys.readouterr().out
+            outputs.append(out.replace(str(path), "<json>"))
+            payload = json.loads(path.read_text())
+            assert payload.pop("engine") == engine
+            payloads.append(payload)
+        assert outputs[0] == outputs[1]
+        assert payloads[0] == payloads[1]
+
 
 def _leading_json(out):
     """Parse the JSON document at the start of ``out``.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import os
@@ -412,6 +413,25 @@ def test_cache_round_trip(cache_dir):
     warm = build_atlas_scenario(seed=21, workers=1, cache=True, **ATLAS_SCALE)
     assert cache.stats.hits == hits_before + 1
     assert_atlas_scenarios_equal(cold, warm)
+
+
+def test_cache_hit_skips_full_collection(cache_dir):
+    """Only a real build pauses the GC and pays a full pass on exit."""
+    build_atlas_scenario(seed=21, workers=1, cache=True, **ATLAS_SCALE)
+    hits_before = get_scenario_cache().stats.hits
+    full_passes = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full_passes.append(info)
+
+    gc.callbacks.append(count)
+    try:
+        build_atlas_scenario(seed=21, workers=1, cache=True, **ATLAS_SCALE)
+    finally:
+        gc.callbacks.remove(count)
+    assert get_scenario_cache().stats.hits == hits_before + 1
+    assert full_passes == []
 
 
 def test_cache_cdn_round_trip(cache_dir):
