@@ -4,7 +4,9 @@
 subscriber timelines) and "deploys" probes onto subscriber lines
 according to :class:`ProbeSpec`.  For each probe it produces IP echo
 data in two equivalent encodings — hourly :class:`EchoRecord` streams
-and run-length :class:`EchoRun` lists.
+and run-length runs.  Runs are stored as per-family run columns
+(:class:`ProbeData`); :class:`EchoRun` lists are built from them only
+when read.
 
 The platform also injects the deployment anomalies Appendix A.1 is
 designed to catch:
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +42,7 @@ from repro.atlas.echo import (
     merge_adjacent_equal,
 )
 from repro.atlas.probe import Probe
+from repro.core.analysis_np import RunColumns, columns_from_runs, runs_from_columns
 from repro.core.engine import resolve_engine
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.netsim.cpe import eui64_iid
@@ -96,16 +100,122 @@ class ProbeSpec:
             raise ValueError("iid_rotation_hours must be >= 1")
 
 
-@dataclass
-class ProbeData:
-    """Everything the sanitization pipeline needs for one probe."""
+class EchoColumns:
+    """One probe's echo runs stored as per-family run columns.
 
-    probe: Probe
-    spec: ProbeSpec
-    v4_runs: List[EchoRun]
-    v6_runs: List[EchoRun]
-    v4_src_public: bool = False
-    v6_src_mismatch: bool = False
+    ``v4``/``v6`` are one-probe :class:`repro.core.analysis_np.RunColumns`
+    packs (``first``, ``last``, ``observed``, ``max_gap``, ``value_hi``,
+    ``value_lo``, in time order).  ``v4_runs``/``v6_runs`` are the same
+    runs as :class:`EchoRun` lists, built on first read and cached; they
+    never enter comparisons or pickles, so reading them changes nothing
+    a pack, a key or a cache entry sees.  Equality compares columns
+    value by value.
+    """
+
+    #: Attributes besides the columns that equality compares.
+    _compared: Tuple[str, ...] = ()
+
+    v4: RunColumns
+    v6: RunColumns
+    #: The integer probe id every materialized run carries.
+    run_probe_id: int
+
+    def _set_columns(
+        self,
+        v4: Optional[RunColumns],
+        v6: Optional[RunColumns],
+        v4_runs: Optional[Sequence[EchoRun]],
+        v6_runs: Optional[Sequence[EchoRun]],
+    ) -> None:
+        """Store the columns, packing (and keeping) run lists when given."""
+        for family, columns, runs in ((4, v4, v4_runs), (6, v6, v6_runs)):
+            if runs is None:
+                columns = columns if columns is not None else _probe_columns(_EMPTY_RUN_ARRAYS)
+            elif columns is not None:
+                raise TypeError(f"pass v{family} columns or v{family}_runs, not both")
+            else:
+                runs = list(runs)
+                columns = columns_from_runs(
+                    [runs], value_type=IPv4Address if family == 4 else IPv6Address
+                )
+                self.__dict__[f"v{family}_runs"] = runs
+            setattr(self, f"v{family}", columns)
+
+    @cached_property
+    def v4_runs(self) -> List[EchoRun]:
+        """The IPv4 runs as :class:`EchoRun` objects (built on demand)."""
+        return runs_from_columns(self.v4, self.run_probe_id, 4)
+
+    @cached_property
+    def v6_runs(self) -> List[EchoRun]:
+        """The IPv6 runs as :class:`EchoRun` objects (built on demand)."""
+        return runs_from_columns(self.v6, self.run_probe_id, 6)
+
+    @property
+    def v4_span(self) -> int:
+        """Hours from the first to the last IPv4 observation (0: none)."""
+        return columns_span(self.v4)
+
+    @property
+    def v6_span(self) -> int:
+        """Hours from the first to the last IPv6 observation (0: none)."""
+        return columns_span(self.v6)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            all(getattr(self, name) == getattr(other, name) for name in self._compared)
+            and self.v4 == other.v4
+            and self.v6 == other.v6
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("v4_runs", None)
+        state.pop("v6_runs", None)
+        return state
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        runs = f"v4={self.v4.n_runs} runs, v6={self.v6.n_runs} runs"
+        return f"{type(self).__name__}({fields}, {runs})"
+
+
+class ProbeData(EchoColumns):
+    """One probe's collected echo data: metadata plus ``v4``/``v6`` run columns.
+
+    Collection fills the run columns ``v4``/``v6``; callers building
+    one by hand may pass ``v4_runs``/``v6_runs`` lists instead, which
+    are packed into the columns.
+    """
+
+    _compared = ("probe", "spec", "v4_src_public", "v6_src_mismatch")
+
+    def __init__(
+        self,
+        probe: Probe,
+        spec: ProbeSpec,
+        v4_runs: Optional[Sequence[EchoRun]] = None,
+        v6_runs: Optional[Sequence[EchoRun]] = None,
+        v4_src_public: bool = False,
+        v6_src_mismatch: bool = False,
+        *,
+        v4: Optional[RunColumns] = None,
+        v6: Optional[RunColumns] = None,
+    ) -> None:
+        self.probe = probe
+        self.spec = spec
+        self.v4_src_public = v4_src_public
+        self.v6_src_mismatch = v6_src_mismatch
+        self._set_columns(v4, v6, v4_runs, v6_runs)
+
+    @property
+    def run_probe_id(self) -> int:
+        """The probe's integer id, carried by each of its runs."""
+        return self.probe.probe_id
 
 
 class AtlasPlatform:
@@ -263,9 +373,7 @@ class AtlasPlatform:
         """Tally per-probe collection telemetry (no-op when disabled)."""
         if telemetry_enabled():
             metric_inc("collection.probes_collected")
-            metric_inc(
-                "collection.records_generated", len(data.v4_runs) + len(data.v6_runs)
-            )
+            metric_inc("collection.records_generated", data.v4.n_runs + data.v6.n_runs)
             if spec.anomaly != "none":
                 metric_inc("collection.anomalies", kind=spec.anomaly)
         return data
@@ -305,14 +413,12 @@ class AtlasPlatform:
         timeline = self._timeline(spec.asn, spec.subscriber_id)
         dual_stack = timeline.dual_stack
 
-        v4_runs = _runs_from_arrays(
-            spec.probe_id, 4, self._run_arrays_for(spec, 4, rng_segments, windows)
+        v4 = _probe_columns(self._run_arrays_for(spec, 4, rng_segments, windows))
+        v6 = _probe_columns(
+            self._run_arrays_for(spec, 6, rng_segments, windows)
+            if dual_stack
+            else _EMPTY_RUN_ARRAYS
         )
-        v6_runs: List[EchoRun] = []
-        if dual_stack:
-            v6_runs = _runs_from_arrays(
-                spec.probe_id, 6, self._run_arrays_for(spec, 6, rng_segments, windows)
-            )
 
         probe = Probe(
             probe_id=spec.probe_id, asn=spec.asn, tags=spec.tags, dual_stack=dual_stack
@@ -320,53 +426,10 @@ class AtlasPlatform:
         return ProbeData(
             probe=probe,
             spec=spec,
-            v4_runs=v4_runs,
-            v6_runs=v6_runs,
+            v4=v4,
+            v6=v6,
             v4_src_public=spec.anomaly == "public_v4_src",
             v6_src_mismatch=spec.anomaly == "v6_src_mismatch",
-        )
-
-    def run_columns(self, specs: Sequence[ProbeSpec], family: int):
-        """CSR run columns of many probes, packed straight from timelines.
-
-        Returns a :class:`repro.core.analysis_np.RunColumns` over
-        ``specs`` (one slice per spec, in order) without materializing
-        per-hour :class:`EchoRecord` streams or per-run
-        :class:`EchoRun` objects — the collection-side columnar fast
-        path.  Dual-stack gating matches :meth:`probe_data`: a spec on a
-        v4-only subscriber line contributes an empty IPv6 slice.
-        """
-        from repro.core.analysis_np import RunColumns
-
-        per_probe: List[Tuple[np.ndarray, ...]] = []
-        for spec in specs:
-            rng = self._rng_for(spec)
-            windows = self.observation_windows(spec)
-            rng_segments = random.Random(rng.getrandbits(32))
-            if family == 6 and not self._timeline(spec.asn, spec.subscriber_id).dual_stack:
-                per_probe.append(_EMPTY_RUN_ARRAYS)
-                continue
-            per_probe.append(self._run_arrays_for(spec, family, rng_segments, windows))
-
-        counts = np.fromiter(
-            (len(arrays[0]) for arrays in per_probe), dtype=np.int64, count=len(per_probe)
-        )
-        offsets = np.zeros(len(per_probe) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-
-        def cat(index: int, dtype) -> np.ndarray:
-            if not per_probe:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate([arrays[index] for arrays in per_probe]).astype(dtype)
-
-        return RunColumns(
-            offsets=offsets,
-            first=cat(0, np.int64),
-            last=cat(1, np.int64),
-            observed=cat(2, np.int64),
-            max_gap=cat(3, np.int64),
-            value_hi=cat(4, np.uint64),
-            value_lo=cat(5, np.uint64),
         )
 
     # -- columnar collection internals ------------------------------------
@@ -699,28 +762,27 @@ def _merge_equal_run_arrays(
     )
 
 
-def _runs_from_arrays(
-    probe_id: int, family: int, arrays: Tuple[np.ndarray, ...]
-) -> List[EchoRun]:
-    """Materialize merged run arrays as the reference's EchoRun list."""
+def _probe_columns(arrays: Tuple[np.ndarray, ...]) -> RunColumns:
+    """One probe's merged run arrays (first, last, observed, max_gap,
+    hi, lo) as a one-probe :class:`RunColumns` pack."""
     first, last, observed, max_gap, value_hi, value_lo = arrays
-    value_of = (
-        (lambda hi, lo: IPv4Address(int(lo)))
-        if family == 4
-        else (lambda hi, lo: IPv6Address((int(hi) << 64) | int(lo)))
+    return RunColumns(
+        offsets=np.array([0, len(first)], dtype=np.int64),
+        value_hi=np.asarray(value_hi, dtype=np.uint64),
+        value_lo=np.asarray(value_lo, dtype=np.uint64),
+        first=np.asarray(first, dtype=np.int64),
+        last=np.asarray(last, dtype=np.int64),
+        observed=np.asarray(observed, dtype=np.int64),
+        max_gap=np.asarray(max_gap, dtype=np.int64),
     )
-    return [
-        EchoRun(
-            probe_id=probe_id,
-            family=family,
-            value=value_of(hi, lo),
-            first=int(f),
-            last=int(l),
-            observed=int(o),
-            max_gap=int(g),
-        )
-        for f, l, o, g, hi, lo in zip(first, last, observed, max_gap, value_hi, value_lo)
-    ]
+
+
+def columns_span(columns: RunColumns) -> int:
+    """Hours from a one-probe pack's first observation to its last
+    (0 when it has no runs)."""
+    if columns.n_runs == 0:
+        return 0
+    return int(columns.last[-1]) - int(columns.first[0]) + 1
 
 
 def _segments_to_runs(
@@ -754,4 +816,4 @@ def _segments_to_runs(
     return list(merge_adjacent_equal(runs))
 
 
-__all__ = ["ANOMALIES", "AtlasPlatform", "ProbeData", "ProbeSpec"]
+__all__ = ["ANOMALIES", "AtlasPlatform", "EchoColumns", "ProbeData", "ProbeSpec", "columns_span"]

@@ -20,6 +20,13 @@ and a routing table, :func:`sanitize` applies, in order:
 
 The output is a list of :class:`SanitizedProbe` plus a
 :class:`SanitizationReport` with per-filter counts.
+
+The cascade reads the probes' run columns, never run objects: steps 1–2
+are masks over all candidate probes' runs at once (one vectorized
+routing lookup per family through ``RoutingTable.route_index``), value
+reversions and AS changes are array compares, and virtual-probe cuts
+are ``searchsorted`` on the runs' first hours.  Survivors hold views of
+the kept columns.
 """
 
 from __future__ import annotations
@@ -27,9 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.atlas.echo import TEST_ADDRESS, EchoRun
-from repro.atlas.platform import ProbeData
+from repro.atlas.platform import EchoColumns, ProbeData, columns_span
 from repro.bgp.table import RoutingTable
+from repro.core.analysis_np import RunColumns, concat_run_columns
 from repro.obs import get_logger, metric_inc, span, telemetry_enabled
 
 _log = get_logger("atlas.sanitize")
@@ -42,23 +52,40 @@ MIN_SPAN_HOURS = 30 * 24
 REVERSION_THRESHOLD = 2
 
 
-@dataclass
-class SanitizedProbe:
-    """One (possibly virtual) probe that survived sanitization."""
+class SanitizedProbe(EchoColumns):
+    """A (possibly virtual) probe that survived sanitization, runs as columns.
 
-    probe_id: str  # "1234" or "1234#2" for the 2nd virtual probe
-    asn: int
-    dual_stack: bool
-    v4_runs: List[EchoRun]
-    v6_runs: List[EchoRun]
+    Its runs are the one-probe run packs ``v4``/``v6``; ``v4_runs`` and
+    ``v6_runs`` build :class:`EchoRun` lists from them on first read.
+    Pass run lists instead of columns to build one by hand.
+    ``run_probe_id`` is the integer id the runs carry: the raw probe's
+    id (by default the id of the given runs).
+    """
 
-    @property
-    def v4_span(self) -> int:
-        return _span(self.v4_runs)
+    _compared = ("probe_id", "asn", "dual_stack", "run_probe_id")
 
-    @property
-    def v6_span(self) -> int:
-        return _span(self.v6_runs)
+    def __init__(
+        self,
+        probe_id: str,  # "1234" or "1234#2" for the 2nd virtual probe
+        asn: int,
+        dual_stack: bool,
+        v4_runs: Optional[Sequence[EchoRun]] = None,
+        v6_runs: Optional[Sequence[EchoRun]] = None,
+        *,
+        v4: Optional[RunColumns] = None,
+        v6: Optional[RunColumns] = None,
+        run_probe_id: Optional[int] = None,
+    ) -> None:
+        self.probe_id = probe_id
+        self.asn = asn
+        self.dual_stack = dual_stack
+        if run_probe_id is None:
+            ids = {run.probe_id for runs in (v4_runs or (), v6_runs or ()) for run in runs}
+            if len(ids) > 1:
+                raise ValueError(f"probe {probe_id!r}: runs carry several probe ids {sorted(ids)}")
+            run_probe_id = ids.pop() if ids else 0
+        self.run_probe_id = run_probe_id
+        self._set_columns(v4, v6, v4_runs, v6_runs)
 
 
 @dataclass
@@ -77,31 +104,6 @@ class SanitizationReport:
     notes: List[str] = field(default_factory=list)
 
 
-def _span(runs: Sequence[EchoRun]) -> int:
-    if not runs:
-        return 0
-    return runs[-1].last - runs[0].first + 1
-
-
-def _count_reversions(runs: Sequence[EchoRun]) -> int:
-    return sum(
-        1
-        for index in range(2, len(runs))
-        if runs[index].value == runs[index - 2].value
-        and runs[index].value != runs[index - 1].value
-    )
-
-
-def _as_sequence(runs: Sequence[EchoRun], asns: Sequence[int]) -> List[Tuple[int, int]]:
-    """Collapsed (asn, first_hour) sequence of the probe's runs, given
-    each run's origin ASN."""
-    sequence: List[Tuple[int, int]] = []
-    for run, asn in zip(runs, asns):
-        if not sequence or sequence[-1][0] != asn:
-            sequence.append((asn, run.first))
-    return sequence
-
-
 def _alternates(sequence: Sequence[Tuple[int, int]]) -> bool:
     """True when an AS appears, disappears, and reappears."""
     seen = set()
@@ -112,26 +114,6 @@ def _alternates(sequence: Sequence[Tuple[int, int]]) -> bool:
         seen.add(asn)
         previous = asn
     return False
-
-
-def _strip_runs(
-    runs: Sequence[EchoRun], table: RoutingTable, report: SanitizationReport
-) -> Tuple[List[EchoRun], List[int]]:
-    """Drop test-address and unrouted runs; returns the kept runs and
-    each kept run's origin ASN."""
-    kept: List[EchoRun] = []
-    asns: List[int] = []
-    for run in runs:
-        if run.value == TEST_ADDRESS:
-            report.test_address_runs_removed += 1
-            continue
-        asn = table.origin_asn(run.value)
-        if asn is None:
-            report.unrouted_runs_removed += 1
-            continue
-        kept.append(run)
-        asns.append(asn)
-    return kept, asns
 
 
 def _split_hours(
@@ -148,6 +130,75 @@ def _split_hours(
         if not collapsed or collapsed[-1][0] != asn:
             collapsed.append((asn, first))
     return collapsed
+
+
+class _RoutedRuns:
+    """One family's routed runs of many probes: a CSR pack over the
+    probes with test-address and unrouted runs removed, plus each kept
+    run's origin ASN."""
+
+    def __init__(
+        self,
+        parts: Sequence[RunColumns],
+        family: int,
+        table: RoutingTable,
+        report: SanitizationReport,
+    ) -> None:
+        packed = concat_run_columns(parts)
+        if family == 4:
+            test = (packed.value_hi == 0) & (packed.value_lo == np.uint64(int(TEST_ADDRESS)))
+            asns = table.route_index(4).origin_asns(packed.value_lo)
+        else:
+            test = np.zeros(packed.n_runs, dtype=bool)
+            asns = table.route_index(6).origin_asns(packed.value_lo, packed.value_hi)
+        unrouted = ~test & (asns < 0)
+        report.test_address_runs_removed += int(np.count_nonzero(test))
+        report.unrouted_runs_removed += int(np.count_nonzero(unrouted))
+        keep = ~(test | unrouted)
+
+        probe = packed.probe_of_run()[keep]
+        offsets = np.zeros(packed.n_probes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(probe, minlength=packed.n_probes), out=offsets[1:])
+        self.columns = RunColumns(
+            offsets,
+            packed.value_hi[keep],
+            packed.value_lo[keep],
+            packed.first[keep],
+            packed.last[keep],
+            packed.observed[keep],
+            packed.max_gap[keep],
+        )
+        self.asns = asns[keep]
+        self._probe = probe
+        self.offsets = offsets.tolist()
+        # A run opens an AS sequence entry when its AS differs from the
+        # previous kept run's, or it is its probe's first kept run.
+        opens = np.ones(len(probe), dtype=bool)
+        opens[1:] = (self.asns[1:] != self.asns[:-1]) | (probe[1:] != probe[:-1])
+        self._opens = opens
+
+    def reversions(self) -> np.ndarray:
+        """Per probe: kept runs whose value equals the one two runs back
+        but not the previous one."""
+        cols = self.columns
+        hi, lo, probe = cols.value_hi, cols.value_lo, self._probe
+        back2 = (hi[2:] == hi[:-2]) & (lo[2:] == lo[:-2]) & (probe[2:] == probe[:-2])
+        back1 = (hi[2:] == hi[1:-1]) & (lo[2:] == lo[1:-1])
+        return np.bincount(probe[2:][back2 & ~back1], minlength=cols.n_probes)
+
+    def as_sequence(self, index: int) -> List[Tuple[int, int]]:
+        """Collapsed ``(asn, first_hour)`` sequence of probe ``index``."""
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        opens = np.flatnonzero(self._opens[start:stop]) + start
+        return list(zip(self.asns[opens].tolist(), self.columns.first[opens].tolist()))
+
+    def cut(self, index: int, boundaries: Sequence[int]) -> List[RunColumns]:
+        """Probe ``index``'s runs split at the ``boundaries`` hours: piece
+        ``k`` holds the runs starting in ``[boundaries[k-1], boundaries[k])``."""
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        cuts = np.searchsorted(self.columns.first[start:stop], boundaries, side="left")
+        edges = [start] + (cuts + start).tolist() + [stop]
+        return [self.columns.run_slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def sanitize(
@@ -203,29 +254,31 @@ def _sanitize(
     reversion_threshold: int,
     report: SanitizationReport,
 ) -> List[SanitizedProbe]:
-    """The per-probe filter cascade (counts accumulate on ``report``)."""
-    survivors: List[SanitizedProbe] = []
-
+    """The filter cascade over the probes' run columns (counts accumulate
+    on ``report``)."""
+    candidates: List[ProbeData] = []
     for data in probes:
         if data.probe.has_bad_tag:
             report.dropped_bad_tag += 1
-            continue
-        if data.v4_src_public or data.v6_src_mismatch:
+        elif data.v4_src_public or data.v6_src_mismatch:
             report.dropped_atypical_nat += 1
-            continue
+        else:
+            candidates.append(data)
 
-        v4_runs, v4_asns = _strip_runs(data.v4_runs, table, report)
-        v6_runs, v6_asns = _strip_runs(data.v6_runs, table, report)
+    v4 = _RoutedRuns([data.v4 for data in candidates], 4, table, report)
+    v6 = _RoutedRuns([data.v6 for data in candidates], 6, table, report)
+    reverting = (v4.reversions() >= reversion_threshold) | (
+        v6.reversions() >= reversion_threshold
+    )
 
-        if (
-            _count_reversions(v4_runs) >= reversion_threshold
-            or _count_reversions(v6_runs) >= reversion_threshold
-        ):
+    survivors: List[SanitizedProbe] = []
+    for index, data in enumerate(candidates):
+        if reverting[index]:
             report.dropped_multihomed += 1
             continue
 
-        v4_sequence = _as_sequence(v4_runs, v4_asns)
-        v6_sequence = _as_sequence(v6_runs, v6_asns)
+        v4_sequence = v4.as_sequence(index)
+        v6_sequence = v6.as_sequence(index)
         if _alternates(v4_sequence) or _alternates(v6_sequence):
             report.dropped_multihomed += 1
             continue
@@ -239,53 +292,30 @@ def _sanitize(
             report.dropped_multihomed += 1
             continue
 
-        pieces = _cut_into_virtual_probes(data, v4_runs, v6_runs, segments)
-        if len(pieces) > 1:
-            report.virtual_probes_created += len(pieces)
-        for probe_id, asn, piece_v4, piece_v6 in pieces:
-            if max(_span(piece_v4), _span(piece_v6)) < min_span_hours:
+        # Virtual-probe splitting: one piece per AS segment of the
+        # probe's life.
+        boundaries = [first for _asn, first in segments[1:]]
+        pieces = zip(segments, v4.cut(index, boundaries), v6.cut(index, boundaries))
+        if len(segments) > 1:
+            report.virtual_probes_created += len(segments)
+        raw_id = data.probe.probe_id
+        for piece, ((asn, _first), piece_v4, piece_v6) in enumerate(pieces):
+            v4_span, v6_span = columns_span(piece_v4), columns_span(piece_v6)
+            if max(v4_span, v6_span) < min_span_hours:
                 report.dropped_short += 1
                 continue
-            dual_stack = _span(piece_v6) >= min_span_hours and _span(piece_v4) >= min_span_hours
             survivors.append(
                 SanitizedProbe(
-                    probe_id=probe_id,
+                    probe_id=str(raw_id) if len(segments) == 1 else f"{raw_id}#{piece}",
                     asn=asn,
-                    dual_stack=dual_stack,
-                    v4_runs=piece_v4,
-                    v6_runs=piece_v6,
+                    dual_stack=v6_span >= min_span_hours and v4_span >= min_span_hours,
+                    v4=piece_v4,
+                    v6=piece_v6,
+                    run_probe_id=raw_id,
                 )
             )
 
     return survivors
-
-
-def _cut_into_virtual_probes(
-    data: ProbeData,
-    v4_runs: List[EchoRun],
-    v6_runs: List[EchoRun],
-    segments: List[Tuple[int, int]],
-) -> List[Tuple[str, int, List[EchoRun], List[EchoRun]]]:
-    """One (id, asn, v4, v6) tuple per AS segment of the probe's life."""
-    if len(segments) == 1:
-        return [(str(data.probe.probe_id), segments[0][0], v4_runs, v6_runs)]
-    pieces = []
-    boundaries = [first for _asn, first in segments[1:]] + [None]
-    start: Optional[int] = None
-    for index, ((asn, _first), end) in enumerate(zip(segments, boundaries)):
-        piece_v4 = [run for run in v4_runs if _in_piece(run, start, end)]
-        piece_v6 = [run for run in v6_runs if _in_piece(run, start, end)]
-        pieces.append((f"{data.probe.probe_id}#{index}", asn, piece_v4, piece_v6))
-        start = end
-    return pieces
-
-
-def _in_piece(run: EchoRun, start: Optional[int], end: Optional[int]) -> bool:
-    if start is not None and run.first < start:
-        return False
-    if end is not None and run.first >= end:
-        return False
-    return True
 
 
 __all__ = [

@@ -41,6 +41,8 @@ class Route:
 #: A longest-prefix match: the covering prefix and its origin ASN.
 Match = Tuple[IPPrefix, int]
 
+_M64 = (1 << 64) - 1
+
 
 @dataclass(frozen=True, eq=False)
 class RouteIndex:
@@ -103,6 +105,33 @@ class RouteIndex:
         """The most specific route covering ``key``."""
         route_id = self.ids[bisect_right(self.bounds, key) - 1]
         return None if route_id < 0 else self.routes[route_id]
+
+    def origin_asns(self, lo: np.ndarray, hi: Optional[np.ndarray] = None) -> np.ndarray:
+        """Vectorized :meth:`route_of`: the origin ASN covering each key
+        (int64, ``-1`` when unrouted).
+
+        Keys are the uint64 words ``lo``, or the 128-bit ``(hi, lo)``
+        word pairs when ``hi`` is given (the full IPv6 index).
+        """
+        if hi is None:
+            if self.bounds_u64 is None:
+                raise ValueError("the 128-bit IPv6 index needs (hi, lo) keys")
+            slots = np.searchsorted(self.bounds_u64, lo, side="right") - 1
+        else:
+            bounds_hi = np.array([b >> 64 for b in self.bounds], dtype=np.uint64)
+            bounds_lo = np.array([b & _M64 for b in self.bounds], dtype=np.uint64)
+            slots = np.searchsorted(bounds_hi, hi, side="right") - 1
+            # The last bound with a high word <= the key's may still sit
+            # above it in the low word; step back over those (bounds[0]
+            # is 0, so the walk stops there at the latest).
+            while True:
+                over = (bounds_hi[slots] == hi) & (bounds_lo[slots] > lo)
+                if not over.any():
+                    break
+                slots[over] -= 1
+        # Route id -1 (unrouted) picks the trailing -1.
+        asns = np.array([asn for _prefix, asn in self.routes] + [-1], dtype=np.int64)
+        return asns[np.asarray(self.ids, dtype=np.int64)[slots]]
 
     def crosses(self, old: np.ndarray, new: np.ndarray) -> np.ndarray:
         """Per pair of uint64 keys: True unless both sit under the same

@@ -55,7 +55,7 @@ _M64 = (1 << 64) - 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class RunColumns:
     """CSR-packed run series of a probe population (one slice per probe).
 
@@ -63,6 +63,7 @@ class RunColumns:
     flat indices ``offsets[p]:offsets[p + 1]``, in time order.  Values
     are 128-bit integers split into ``(value_hi, value_lo)`` uint64
     pairs (IPv4 addresses occupy the low 32 bits of ``value_lo``).
+    Packs compare equal when every column holds the same values.
     """
 
     offsets: np.ndarray  # int64, (n_probes + 1,)
@@ -88,6 +89,28 @@ class RunColumns:
     def probe_of_run(self) -> np.ndarray:
         """Probe index of every flat run (int64, one entry per run)."""
         return np.repeat(np.arange(self.n_probes, dtype=np.int64), self.run_counts())
+
+    def run_slice(self, start: int, stop: int) -> "RunColumns":
+        """One-probe pack of the flat runs ``start:stop`` (views, no copy)."""
+        return RunColumns(
+            np.array([0, stop - start], dtype=np.int64),
+            self.value_hi[start:stop],
+            self.value_lo[start:stop],
+            self.first[start:stop],
+            self.last[start:stop],
+            self.observed[start:stop],
+            self.max_gap[start:stop],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _FAMILY_FIELDS
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -174,6 +197,61 @@ def columns_from_runs(
         observed=observed,
         max_gap=max_gap,
     )
+
+
+def concat_run_columns(parts: Sequence[RunColumns]) -> RunColumns:
+    """Stack packs probe-major into one pack (offsets re-based).
+
+    Packing a population from its probes' own one-probe packs
+    (:attr:`repro.atlas.sanitize.SanitizedProbe.v4` and friends) is a
+    handful of concatenations instead of a walk over run objects.
+    """
+    counts = [part.run_counts() for part in parts]
+    offsets = np.zeros(1 + sum(len(c) for c in counts), dtype=np.int64)
+    if counts:
+        np.cumsum(np.concatenate(counts), out=offsets[1:])
+
+    def cat(name: str, dtype) -> np.ndarray:
+        if not parts:
+            return np.empty(0, dtype=dtype)
+        columns = [getattr(part, name) for part in parts]
+        return np.concatenate(columns).astype(dtype, copy=False)
+
+    return RunColumns(
+        offsets=offsets,
+        value_hi=cat("value_hi", np.uint64),
+        value_lo=cat("value_lo", np.uint64),
+        first=cat("first", np.int64),
+        last=cat("last", np.int64),
+        observed=cat("observed", np.int64),
+        max_gap=cat("max_gap", np.int64),
+    )
+
+
+def runs_from_columns(cols: RunColumns, probe_id: int, family: int) -> List[EchoRun]:
+    """The flat runs of ``cols`` as :class:`EchoRun` objects.
+
+    The inverse of :func:`columns_from_runs` for one probe's pack:
+    ``family`` picks the value class (IPv4 from ``value_lo``, IPv6 from
+    both words) and every run carries ``probe_id``.
+    """
+    if family == 4:
+        values: List[IPAddress] = [IPv4Address(lo) for lo in cols.value_lo.tolist()]
+    else:
+        values = [
+            IPv6Address((hi << 64) | lo)
+            for hi, lo in zip(cols.value_hi.tolist(), cols.value_lo.tolist())
+        ]
+    return [
+        EchoRun(probe_id, family, value, first, last, observed, max_gap)
+        for value, first, last, observed, max_gap in zip(
+            values,
+            cols.first.tolist(),
+            cols.last.tolist(),
+            cols.observed.tolist(),
+            cols.max_gap.tolist(),
+        )
+    ]
 
 
 def _first_run_mask(cols: RunColumns) -> np.ndarray:
@@ -603,8 +681,10 @@ class ProbeColumns:
     every derived table — the /``plen``-rekeyed prefix runs, the
     per-probe metadata columns and the fused engine's stats — so each
     table/figure over the same probes reuses a single pack instead of
-    re-packing per artifact.  Probes must expose ``v4_runs``/``v6_runs``/``dual_stack``
-    (:class:`repro.atlas.sanitize.SanitizedProbe` does).
+    re-packing per artifact.  Probes must expose their one-probe run packs
+    as ``v4``/``v6`` plus ``dual_stack``
+    (:class:`repro.atlas.sanitize.SanitizedProbe` does), so packing is a
+    concatenation of columns, not a walk over run objects.
 
     The pack is *buffer-backed*: :meth:`arena` flattens both families
     plus per-probe metadata into one
@@ -637,21 +717,11 @@ class ProbeColumns:
 
     def v4(self) -> RunColumns:
         """IPv4 address runs, packed once (CSR over the population)."""
-        return self._get(
-            "v4",
-            lambda: columns_from_runs(
-                (p.v4_runs for p in self.probes), value_type=IPv4Address
-            ),
-        )
+        return self._get("v4", lambda: concat_run_columns([p.v4 for p in self.probes]))
 
     def v6(self) -> RunColumns:
         """IPv6 address runs, packed once (CSR over the population)."""
-        return self._get(
-            "v6",
-            lambda: columns_from_runs(
-                (p.v6_runs for p in self.probes), value_type=IPv6Address
-            ),
-        )
+        return self._get("v6", lambda: concat_run_columns([p.v6 for p in self.probes]))
 
     def v6_prefix(self) -> RunColumns:
         """IPv6 runs rekeyed to /``plen`` prefixes, adjacent equals merged."""
@@ -803,6 +873,7 @@ __all__ = [
     "ProbeColumns",
     "RunColumns",
     "columns_from_runs",
+    "concat_run_columns",
     "cpl_of_changes",
     "cumulative_ttf_columns",
     "detect_periods_np",
@@ -812,6 +883,7 @@ __all__ = [
     "inferred_plen_counts_np",
     "probe_period_flags",
     "rekey_v6_runs",
+    "runs_from_columns",
     "select_runs",
     "total_duration_years_np",
     "total_time_fraction_columns",

@@ -26,15 +26,16 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.analysis_np import concat_run_columns
 from repro.core.changes import v6_runs_to_prefix_runs
 from repro.core.hitlist import plan_rescan
 from repro.core.report import probe_v4_changes, probe_v6_changes
-from repro.ip import IPPrefix, IPv6Prefix
-from repro.ip.prefix import address_prefix
+from repro.ip import IPPrefix, IPv4Prefix, IPv6Prefix
+from repro.ip.addr import AddressError
 from repro.obs import get_logger, metric_inc, metric_observe, span
 from repro.serve.queries import (
     DualStackQuery,
@@ -466,24 +467,25 @@ def observed_prefixes(
     """Distinct /``plen`` prefixes observed in the scenario's runs.
 
     First-seen order over the probe-major run walk — deterministic, so
-    benchmarks and examples can harvest stable query targets.
+    benchmarks and examples can harvest stable query targets.  Reads the
+    probes' run columns (IPv6 runs count by their /64), so harvesting
+    targets builds no run objects.
     """
-    seen: Dict[IPPrefix, None] = {}
-    for probe in scenario.probes:
-        if family == 4:
-            values: Iterable[IPPrefix] = (
-                address_prefix(run.value, plen) for run in probe.v4_runs
-            )
-        else:
-            values = (
-                run.value.supernet(plen)
-                for run in v6_runs_to_prefix_runs(probe.v6_runs, 64)
-            )
-        for value in values:
-            seen.setdefault(value, None)
-            if limit is not None and len(seen) >= limit:
-                return list(seen)
-    return list(seen)
+    columns = concat_run_columns(
+        [probe.v4 if family == 4 else probe.v6 for probe in scenario.probes]
+    )
+    # IPv4 keys are addresses; IPv6 keys are /64s (the high word).
+    words, bits, prefix_class = (
+        (columns.value_lo, 32, IPv4Prefix) if family == 4 else (columns.value_hi, 64, IPv6Prefix)
+    )
+    if not 0 <= plen <= bits:
+        raise AddressError(f"/{plen} is not a /{bits} or shorter IPv{family} prefix")
+    shift = bits - plen
+    keys = words >> np.uint64(shift) if shift < 64 else np.zeros_like(words)
+    _, first_seen = np.unique(keys, return_index=True)
+    distinct = keys[np.sort(first_seen)][:limit].tolist()
+    host_bits = shift + (0 if family == 4 else 64)
+    return [prefix_class(key << host_bits, plen) for key in distinct]
 
 
 __all__ = [

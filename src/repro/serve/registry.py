@@ -19,7 +19,6 @@ is enabled.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import weakref
 from collections import OrderedDict
 from typing import Any, Iterator, Optional, Tuple
@@ -34,6 +33,9 @@ from repro.perf.cache import (
 
 #: Default byte budget — enough for a handful of bench-scale artifacts.
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
+
+#: Run-column fields hashed into a scenario's key, offsets first.
+_RUN_FIELDS = ("offsets", "first", "last", "observed", "max_gap", "value_hi", "value_lo")
 
 _registries: "weakref.WeakSet[ArtifactRegistry]" = weakref.WeakSet()
 
@@ -129,8 +131,9 @@ def scenario_artifact_key(
     so a registry entry survives process restarts conceptually (same
     code + params → same key).  For an in-memory scenario without known
     build parameters the key hashes the code fingerprint plus the
-    pickled sanitized probes — still content-addressed, just derived
-    from the data instead of its recipe.
+    sanitized probes' identities and run columns — still
+    content-addressed, just derived from the data instead of its recipe.
+    Run objects built on demand (``probe.v4_runs``) never enter it.
     """
     if params is not None:
         return f"scenario:{builder}:{ScenarioCache().key(builder, params)}"
@@ -139,7 +142,13 @@ def scenario_artifact_key(
     digest = hashlib.sha256()
     digest.update(code_fingerprint().encode())
     digest.update(str(scenario.end_hour).encode())
-    digest.update(pickle.dumps(scenario.probes, protocol=pickle.HIGHEST_PROTOCOL))
+    for probe in scenario.probes:
+        identity = (probe.probe_id, probe.asn, probe.dual_stack, probe.run_probe_id)
+        digest.update(repr(identity).encode())
+        for columns in (probe.v4, probe.v6):
+            # Offsets come first, so each column's length is fixed.
+            for name in _RUN_FIELDS:
+                digest.update(getattr(columns, name).tobytes())
     return f"scenario:{builder}:{digest.hexdigest()}"
 
 

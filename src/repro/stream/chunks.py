@@ -31,10 +31,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
+import numpy as np
+
 from repro.atlas.echo import EchoRecord, EchoRun
+from repro.core.analysis_np import concat_run_columns
 from repro.core.associations import Triple
 from repro.io.records import (
     RecordFormatError,
@@ -224,20 +228,45 @@ class ScenarioRunSource:
     def __init__(self, manifest: StreamManifest, events: Sequence[RunEvent]) -> None:
         self.manifest = manifest
         self._events: List[RunEvent] = sorted(events)
-        digest = hashlib.sha256(manifest.to_json().encode("utf-8"))
+
+    @cached_property
+    def stream_id(self) -> str:
+        """Content hash of the manifest and every event (the checkpoint
+        identity); computed on first use, since only checkpointing reads it."""
+        digest = hashlib.sha256(self.manifest.to_json().encode("utf-8"))
         for event in self._events:
             digest.update(repr(event).encode("utf-8"))
-        self.stream_id = digest.hexdigest()
+        return digest.hexdigest()
 
     @classmethod
     def from_scenario(cls, scenario) -> "ScenarioRunSource":
+        """The events of ``scenario``'s sanitized probes, read from their
+        run columns (no run objects are built)."""
         manifest = manifest_from_scenario(scenario)
-        events: List[RunEvent] = []
-        for ref, probe in enumerate(scenario.probes):
-            for run in probe.v4_runs:
-                events.append((run.first, ref, 4, int(run.value), run.last))
-            for run in probe.v6_runs:
-                events.append((run.first, ref, 6, int(run.value), run.last))
+        packs = [
+            concat_run_columns([probe.v4 for probe in scenario.probes]),
+            concat_run_columns([probe.v6 for probe in scenario.probes]),
+        ]
+        first = np.concatenate([cols.first for cols in packs])
+        ref = np.concatenate([cols.probe_of_run() for cols in packs])
+        family = np.repeat([4, 6], [cols.n_runs for cols in packs])
+        last = np.concatenate([cols.last for cols in packs])
+        values = packs[0].value_lo.tolist() + [
+            (hi << 64) | lo
+            for hi, lo in zip(packs[1].value_hi.tolist(), packs[1].value_lo.tolist())
+        ]
+        # (first, ref, family) is unique per run, so this is the events'
+        # sort order; the constructor's sort then finds them in order.
+        order = np.lexsort((family, ref, first))
+        events = list(
+            zip(
+                first[order].tolist(),
+                ref[order].tolist(),
+                family[order].tolist(),
+                [values[i] for i in order.tolist()],
+                last[order].tolist(),
+            )
+        )
         return cls(manifest, events)
 
     def __len__(self) -> int:

@@ -277,9 +277,10 @@ def periodicity_for_scenario(
 
 @contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a scenario build: its ~540k
-    small, acyclic objects made the collector's repeated full passes cost
-    a third of the build for nothing.  On exit (if it was on) one full pass
+    """Pause the cyclic garbage collector for a scenario build: its ~300k
+    small, acyclic objects (mostly simulated timelines; echo runs are
+    columns) made the collector's repeated full passes cost a large share
+    of the build for nothing.  On exit (if it was on) one full pass
     moves them to the oldest generation, so later code does not re-walk them."""
     enabled = gc.isenabled()
     gc.disable()

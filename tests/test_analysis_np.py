@@ -349,7 +349,7 @@ def test_fused_engine_errors_propagate(monkeypatch):
     def boom(*args, **kwargs):
         raise TypeError("unpackable")
 
-    monkeypatch.setattr(report._anp, "columns_from_runs", boom)
+    monkeypatch.setattr(report._anp, "concat_run_columns", boom)
     with pytest.raises(TypeError, match="unpackable"):
         report.table1_row("AS", 64500, "DE", probes, engine="fused")
     with pytest.raises(TypeError, match="unpackable"):

@@ -60,11 +60,19 @@ def _probe_values(routes, family, extra):
 def _assert_matches_trie(table, routes, family, extra=()):
     trie = _trie_of(routes, family)
     address_class = _FAMILIES[family][1]
-    for value in _probe_values(routes, family, extra):
+    values = _probe_values(routes, family, extra)
+    expected_asns = []
+    for value in values:
         address = address_class(value)
         match = trie.longest_match(address)
         assert table.origin_asn(address) == (None if match is None else match[1])
         assert table.routed_prefix(address) == (None if match is None else match[0])
+        expected_asns.append(-1 if match is None else match[1])
+    # The vectorized lookup agrees key for key (128-bit keys as word pairs).
+    index = table.route_index(family)
+    lo = np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64)
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64) if family == 6 else None
+    assert index.origin_asns(lo, hi).tolist() == expected_asns
 
 
 @given(st.sampled_from([4, 6]).flatmap(lambda f: st.tuples(st.just(f), route_sets(f))),

@@ -1,9 +1,9 @@
 """Collection fast path and scenario column memoization.
 
-The Atlas platform can pack a probe's interval timeline straight into
-run arrays (the ``np`` collection path) instead of materializing
-per-hour echo records; both paths must produce bit-identical
-``ProbeData``.  The scenario object memoizes per-AS ``ProbeColumns``
+The Atlas platform packs a probe's interval timeline straight into run
+columns (the ``fused`` collection path) instead of materializing
+per-hour echo records or run objects; it must produce ``ProbeData``
+equal to the reference path's.  The scenario object memoizes per-AS ``ProbeColumns``
 packs keyed by engine, so every table/figure reuses one pack — and an
 engine flip mid-session must never serve stale columns.
 """
@@ -55,20 +55,22 @@ def test_run_columns_matches_columns_from_runs(scenario):
     from repro.ip.addr import IPv4Address, IPv6Address
 
     platform = scenario.platform
-    specs = _specs(scenario)
-    probes = [platform.probe_data(spec, engine="py") for spec in specs]
-    for family, value_type in ((4, IPv4Address), (6, IPv6Address)):
-        direct = platform.run_columns(specs, family)
-        reference = columns_from_runs(
-            [probe.v4_runs if family == 4 else probe.v6_runs for probe in probes],
-            value_type=value_type,
-        )
-        for field in (
-            "offsets", "value_hi", "value_lo", "first", "last", "observed", "max_gap"
-        ):
-            assert np.array_equal(
-                getattr(direct, field), getattr(reference, field)
-            ), f"run_columns field {field} diverges for family {family}"
+    for spec in _specs(scenario):
+        fast = platform.probe_data(spec, engine="fused")
+        reference = platform.probe_data(spec, engine="py")
+        for family, value_type in ((4, IPv4Address), (6, IPv6Address)):
+            direct = fast.v4 if family == 4 else fast.v6
+            packed = columns_from_runs(
+                [reference.v4_runs if family == 4 else reference.v6_runs],
+                value_type=value_type,
+            )
+            for field in (
+                "offsets", "value_hi", "value_lo", "first", "last", "observed", "max_gap"
+            ):
+                assert np.array_equal(
+                    getattr(direct, field), getattr(packed, field)
+                ), f"collected v{family} column {field} diverges for {spec}"
+                assert getattr(direct, field).dtype == getattr(packed, field).dtype
 
 
 def test_engine_flip_never_serves_stale_columns(scenario, monkeypatch):
