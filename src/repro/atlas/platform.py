@@ -47,7 +47,7 @@ from repro.core.engine import resolve_engine
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
 from repro.netsim.cpe import eui64_iid
 from repro.netsim.isp import Isp
-from repro.netsim.sim import SubscriberTimeline
+from repro.netsim.sim import IntervalColumns, SubscriberTimeline
 from repro.obs import metric_inc, telemetry_enabled
 
 _M64 = (1 << 64) - 1
@@ -439,8 +439,9 @@ class AtlasPlatform:
         packed = self._packed_intervals.get(key)
         if packed is None:
             timeline = self._timeline(asn, subscriber_id)
-            intervals = timeline.v4 if family == 4 else timeline.v6_lan
-            packed = _pack_intervals(intervals, family)
+            packed = _PackedIntervals.from_columns(
+                timeline.columns("v4" if family == 4 else "v6_lan"), family
+            )
             self._packed_intervals[key] = packed
         return packed
 
@@ -638,28 +639,21 @@ class _PackedIntervals:
     value_hi: np.ndarray  # uint64
     value_lo: np.ndarray  # uint64 (v6: network low bits, IID OR'd in later)
 
+    @classmethod
+    def from_columns(cls, columns: IntervalColumns, family: int) -> "_PackedIntervals":
+        """Pack one timeline family's columns for searchsorted clipping.
 
-def _pack_intervals(intervals: Sequence, family: int) -> _PackedIntervals:
-    """Pack assignment intervals for searchsorted clipping.
-
-    Raises ``ValueError`` on out-of-order intervals, which the simulator
-    never produces; only the reference path (``engine="py"``) accepts them.
-    """
-    count = len(intervals)
-    cstart = np.fromiter((_ceil(i.start) for i in intervals), dtype=np.int64, count=count)
-    cend = np.fromiter((_ceil(i.end) for i in intervals), dtype=np.int64, count=count)
-    if np.any(cstart[1:] < cstart[:-1]) or np.any(cend[1:] < cend[:-1]):
-        raise ValueError("timeline intervals are not time-ordered")
-    if family == 4:
-        values = [int(interval.value) for interval in intervals]
-    else:
-        values = [int(interval.value.network) for interval in intervals]
-    return _PackedIntervals(
-        cstart=cstart,
-        cend=cend,
-        value_hi=np.fromiter((v >> 64 for v in values), dtype=np.uint64, count=count),
-        value_lo=np.fromiter((v & _M64 for v in values), dtype=np.uint64, count=count),
-    )
+        Raises ``ValueError`` on out-of-order intervals, which the simulator
+        never produces; only the reference path (``engine="py"``) accepts them.
+        """
+        cstart = np.ceil(columns.start).astype(np.int64)
+        cend = np.ceil(columns.end).astype(np.int64)
+        if np.any(cstart[1:] < cstart[:-1]) or np.any(cend[1:] < cend[:-1]):
+            raise ValueError("timeline intervals are not time-ordered")
+        zeros = np.zeros(len(columns.value), dtype=np.uint64)
+        if family == 4:
+            return cls(cstart=cstart, cend=cend, value_hi=zeros, value_lo=columns.value)
+        return cls(cstart=cstart, cend=cend, value_hi=columns.value, value_lo=zeros)
 
 
 def _pack_segments(

@@ -70,21 +70,25 @@ class Cpe:
         if behavior.lan_selection == "constant":
             self._constant_subnet = rng.randrange(1, 1 << 16)
 
-    def select_lan_prefix(self, delegation: IPv6Prefix, rng: random.Random) -> IPv6Prefix:
-        """The /64 the CPE advertises on the LAN out of ``delegation``."""
-        free_bits = 64 - delegation.plen
+    def lan_network(self, delegation: int, delegation_plen: int, rng: random.Random) -> int:
+        """The network integer of the LAN /64 out of the ``delegation`` network."""
+        free_bits = 64 - delegation_plen
         if free_bits == 0:
-            return IPv6Prefix(delegation.network, 64)
-        count = 1 << free_bits
+            return delegation
         mode = self.behavior.lan_selection
         if mode == "zero":
-            subnet = 0
-        elif mode == "scramble":
+            return delegation
+        count = 1 << free_bits
+        if mode == "scramble":
             subnet = rng.randrange(count)
         else:
             assert self._constant_subnet is not None
             subnet = self._constant_subnet % count
-        return delegation.nth_subprefix(64, subnet)
+        return delegation | (subnet << 64)
+
+    def select_lan_prefix(self, delegation: IPv6Prefix, rng: random.Random) -> IPv6Prefix:
+        """The /64 the CPE advertises on the LAN out of ``delegation``."""
+        return IPv6Prefix(self.lan_network(int(delegation.network), delegation.plen, rng), 64)
 
     def next_reboot_delay(self, rng: random.Random) -> float | None:
         """Hours until the next reboot, or ``None`` when reboots are disabled."""

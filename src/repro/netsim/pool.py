@@ -14,7 +14,9 @@ Two allocators model the spatial structure the paper infers:
 
 Both allocators track in-use assignments so that no two subscribers hold
 the same address/delegation simultaneously (the driving simulation
-releases and allocates in global time order).
+releases and allocates in global time order).  They draw and track
+plain integers (``draw``: the v4 address, the v6 delegation's network);
+``allocate`` wraps the same draw in an address or prefix object.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.ip.addr import AddressError, IPv4Address
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix
@@ -80,33 +82,62 @@ class V4AddressPlan:
     def in_use_count(self) -> int:
         return len(self._in_use)
 
+    @property
+    def in_use(self) -> FrozenSet[int]:
+        """The integer values of every address currently held."""
+        return frozenset(self._in_use)
+
+    def _block_index(self, value: int) -> Optional[int]:
+        for index, (lo, hi) in enumerate(self._spans):
+            if lo <= value < hi:
+                return index
+        return None
+
     def block_of(self, address: IPv4Address) -> Optional[IPv4Prefix]:
         """The announced block containing ``address`` (None when outside)."""
         if type(address) is not IPv4Address:
             return None
-        value = int(address)
-        for block, (lo, hi) in zip(self._blocks, self._spans):
-            if lo <= value < hi:
-                return block
-        return None
+        index = self._block_index(int(address))
+        return None if index is None else self._blocks[index]
 
-    def release(self, address: IPv4Address) -> None:
-        """Return ``address`` to the pool (idempotent)."""
+    def release(self, address: Union[IPv4Address, int]) -> None:
+        """Return ``address`` (or its integer value) to the pool (idempotent)."""
         self._in_use.discard(int(address))
 
-    def _draw_in(
-        self,
-        scope: IPv4Prefix,
-        rng: random.Random,
-        exclude: Optional[int] = None,
-    ) -> Optional[IPv4Address]:
-        for _ in range(_MAX_DRAW_ATTEMPTS):
-            value = int(scope.network) + rng.randrange(scope.num_addresses)
-            if value in self._in_use or value == exclude:
-                continue
-            self._in_use.add(value)
-            return IPv4Address(value)
-        return None
+    def draw(self, rng: random.Random, previous: Optional[int] = None) -> int:
+        """Draw a fresh address as an integer, honouring spatial affinities
+        to the ``previous`` address value.
+
+        The /24 scope is the previous /24 intersected with the previous
+        block, so a block longer than /24 never leaks draws outside it.
+        """
+        scopes: List[Tuple[int, int]] = []  # (lo, size) integer spans
+        if previous is not None:
+            index = self._block_index(previous)
+            if index is not None:
+                lo, hi = self._spans[index]
+                roll = rng.random()
+                if roll < self._same_slash24:
+                    slash24 = previous & ~0xFF
+                    lo24, hi24 = max(lo, slash24), min(hi, slash24 + 256)
+                    scopes.append((lo24, hi24 - lo24))
+                elif roll < self._same_slash24 + self._same_block * (1 - self._same_slash24):
+                    scopes.append((lo, hi - lo))
+        # The single random() draw random.choices(weights=..., k=1) makes.
+        pick = bisect_right(
+            self._cum_weights, rng.random() * self._total_weight, 0, len(self._spans) - 1
+        )
+        lo, hi = self._spans[pick]
+        scopes.append((lo, hi - lo))
+        in_use = self._in_use
+        for lo, size in scopes:
+            for _ in range(_MAX_DRAW_ATTEMPTS):
+                value = lo + rng.randrange(size)
+                if value in in_use or value == previous:
+                    continue
+                in_use.add(value)
+                return value
+        raise PoolExhaustedError("IPv4 plan exhausted (all draw attempts collided)")
 
     def allocate(
         self,
@@ -114,26 +145,7 @@ class V4AddressPlan:
         previous: Optional[IPv4Address] = None,
     ) -> IPv4Address:
         """Draw a fresh address, honouring spatial affinities to ``previous``."""
-        exclude = int(previous) if previous is not None else None
-        scopes: List[IPv4Prefix] = []
-        if previous is not None:
-            prev_block = self.block_of(previous)
-            if prev_block is not None:
-                roll = rng.random()
-                if roll < self._same_slash24:
-                    scopes.append(IPv4Prefix(int(previous), 24))
-                elif roll < self._same_slash24 + self._same_block * (1 - self._same_slash24):
-                    scopes.append(prev_block)
-        # The single random() draw random.choices(weights=..., k=1) makes.
-        pick = bisect_right(
-            self._cum_weights, rng.random() * self._total_weight, 0, len(self._blocks) - 1
-        )
-        scopes.append(self._blocks[pick])
-        for scope in scopes:
-            address = self._draw_in(scope, rng, exclude=exclude)
-            if address is not None:
-                return address
-        raise PoolExhaustedError("IPv4 plan exhausted (all draw attempts collided)")
+        return IPv4Address(self.draw(rng, None if previous is None else int(previous)))
 
 
 class V6PrefixPlan:
@@ -167,22 +179,28 @@ class V6PrefixPlan:
             raise ValueError(f"num_pools must be in 1..{available}, got {num_pools}")
         if not 0.0 <= pool_switch_prob <= 1.0:
             raise ValueError(f"pool_switch_prob must be in [0, 1], got {pool_switch_prob}")
-        self._allocation = allocation
+        # Plain integers only: the allocation and pools are rebuilt as
+        # prefix objects on read, so a pickled plan ships no prefix objects.
+        self._allocation = (int(allocation.network), allocation.plen)
+        self._pool_plen = pool_plen
         self._delegation_plen = delegation_plen
         # Spread the pools across the allocation rather than packing them at
         # the bottom, mimicking structured internal addressing plans.
         stride = max(1, available // num_pools)
-        self._pools = [allocation.nth_subprefix(pool_plen, i * stride) for i in range(num_pools)]
+        self._pool_bases = [
+            int(allocation.nth_subprefix(pool_plen, i * stride).network) for i in range(num_pools)
+        ]
+        self._delegations_per_pool = 1 << (delegation_plen - pool_plen)
         self._pool_switch_prob = pool_switch_prob
         self._in_use: set[int] = set()
 
     @property
     def allocation(self) -> IPv6Prefix:
-        return self._allocation
+        return IPv6Prefix(*self._allocation)
 
     @property
     def pools(self) -> List[IPv6Prefix]:
-        return list(self._pools)
+        return [IPv6Prefix(base, self._pool_plen) for base in self._pool_bases]
 
     @property
     def delegation_plen(self) -> int:
@@ -192,20 +210,57 @@ class V6PrefixPlan:
     def in_use_count(self) -> int:
         return len(self._in_use)
 
+    @property
+    def in_use(self) -> FrozenSet[int]:
+        """The network integers of every delegation currently held."""
+        return frozenset(self._in_use)
+
     def home_pool_index(self, rng: random.Random) -> int:
         """Pick the pool a new subscriber is homed to."""
-        return rng.randrange(len(self._pools))
+        return rng.randrange(len(self._pool_bases))
 
     def pool_index_of(self, delegation: IPv6Prefix) -> Optional[int]:
         """Which pool contains ``delegation`` (None when outside all)."""
-        for index, pool in enumerate(self._pools):
+        for index, pool in enumerate(self.pools):
             if pool.contains_prefix(delegation):
                 return index
         return None
 
-    def release(self, delegation: IPv6Prefix) -> None:
-        """Return ``delegation`` to its pool (idempotent)."""
-        self._in_use.discard(int(delegation.network))
+    def release(self, delegation: Union[IPv6Prefix, int]) -> None:
+        """Return ``delegation`` (or its network integer) to its pool (idempotent)."""
+        self._in_use.discard(delegation if type(delegation) is int else int(delegation.network))
+
+    def draw(
+        self,
+        rng: random.Random,
+        home_pool: int,
+        previous: Optional[int] = None,
+    ) -> Tuple[int, int]:
+        """Draw a delegation; returns ``(network integer, pool_index)``.
+
+        With probability ``pool_switch_prob`` the subscriber is re-homed
+        to a different pool (administrative renumbering), otherwise the
+        draw stays in its home pool.  ``previous`` is the network integer
+        of the delegation being replaced, which is never re-drawn.
+        """
+        pool_count = len(self._pool_bases)
+        if not 0 <= home_pool < pool_count:
+            raise ValueError(f"home_pool {home_pool} out of range")
+        pool_index = home_pool
+        if pool_count > 1 and rng.random() < self._pool_switch_prob:
+            other = rng.randrange(pool_count - 1)
+            pool_index = other if other < home_pool else other + 1
+        base = self._pool_bases[pool_index]
+        count = self._delegations_per_pool
+        shift = 128 - self._delegation_plen
+        in_use = self._in_use
+        for _ in range(_MAX_DRAW_ATTEMPTS):
+            network = base | (rng.randrange(count) << shift)
+            if network in in_use or network == previous:
+                continue
+            in_use.add(network)
+            return network, pool_index
+        raise PoolExhaustedError("IPv6 plan exhausted (all draw attempts collided)")
 
     def allocate(
         self,
@@ -213,30 +268,11 @@ class V6PrefixPlan:
         home_pool: int,
         previous: Optional[IPv6Prefix] = None,
     ) -> tuple[IPv6Prefix, int]:
-        """Draw a delegation; returns ``(delegation, pool_index)``.
-
-        With probability ``pool_switch_prob`` the subscriber is re-homed
-        to a different pool (administrative renumbering), otherwise the
-        draw stays in its home pool.
-        """
-        if not 0 <= home_pool < len(self._pools):
-            raise ValueError(f"home_pool {home_pool} out of range")
-        pool_index = home_pool
-        if len(self._pools) > 1 and rng.random() < self._pool_switch_prob:
-            other = rng.randrange(len(self._pools) - 1)
-            pool_index = other if other < home_pool else other + 1
-        pool = self._pools[pool_index]
-        for _ in range(_MAX_DRAW_ATTEMPTS):
-            index = rng.randrange(pool.num_subprefixes(self._delegation_plen))
-            delegation = pool.nth_subprefix(self._delegation_plen, index)
-            key = int(delegation.network)
-            if key in self._in_use:
-                continue
-            if previous is not None and delegation == previous:
-                continue
-            self._in_use.add(key)
-            return delegation, pool_index
-        raise PoolExhaustedError("IPv6 plan exhausted (all draw attempts collided)")
+        """Draw a delegation; returns ``(delegation, pool_index)`` (see :meth:`draw`)."""
+        network, pool_index = self.draw(
+            rng, home_pool, None if previous is None else int(previous.network)
+        )
+        return IPv6Prefix(network, self._delegation_plen), pool_index
 
 
 def build_v4_blocks(base: IPv4Prefix, count: int, plen: int, rng: random.Random) -> List[IPv4Prefix]:

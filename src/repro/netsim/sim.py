@@ -19,16 +19,23 @@ Event kinds:
     CPE-local re-draw of the LAN /64 within the current delegation
     (DTAG-style privacy scrambling) — no ISP involvement.
 
-The output is a :class:`SubscriberTimeline` per subscriber: interval
-lists for the IPv4 address, the IPv6 LAN /64, and (as ground truth for
-the delegated-prefix inference experiments) the IPv6 delegation.
+The output is a :class:`SubscriberTimeline` per subscriber: what it
+held of the IPv4 address, the IPv6 LAN /64, and (as ground truth for
+the delegated-prefix inference experiments) the IPv6 delegation.  The
+simulation draws and tracks plain integers and stores each family as
+:class:`IntervalColumns` (start hours, end hours, integer values);
+the :class:`AssignmentInterval` lists ``timeline.v4``/``v6_lan``/
+``v6_delegation`` are a view built from the columns on first read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro.ip.addr import IPv4Address
 from repro.ip.prefix import IPv6Prefix
@@ -39,6 +46,9 @@ from repro.netsim.policy import ChangePolicy
 from repro.netsim.pool import V4AddressPlan, V6PrefixPlan
 
 Value = Union[IPv4Address, IPv6Prefix]
+
+#: The per-subscriber timeline families, in digest order.
+TIMELINE_FAMILIES = ("v4", "v6_lan", "v6_delegation")
 
 
 @dataclass(frozen=True)
@@ -54,15 +64,132 @@ class AssignmentInterval:
         return self.end - self.start
 
 
-@dataclass
-class SubscriberTimeline:
-    """Everything one subscriber held over the simulation."""
+class IntervalColumns(NamedTuple):
+    """One timeline family as columns, in time order.
 
-    subscriber_id: int
-    dual_stack: bool
-    v4: List[AssignmentInterval] = field(default_factory=list)
-    v6_lan: List[AssignmentInterval] = field(default_factory=list)
-    v6_delegation: List[AssignmentInterval] = field(default_factory=list)
+    ``start``/``end`` are float64 hours; ``value`` is uint64: the IPv4
+    address, or the high 64 bits of the IPv6 network (the low 64 bits
+    are zero, since delegations are never longer than /64).
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    value: np.ndarray
+
+    def equals(self, other: "IntervalColumns") -> bool:
+        """Value-by-value equality of all three columns."""
+        return all(np.array_equal(a, b) for a, b in zip(self, other))
+
+
+class _IntervalLog:
+    """Append-only interval lists for one family while simulating."""
+
+    __slots__ = ("start", "end", "value")
+
+    def __init__(self) -> None:
+        self.start: List[float] = []
+        self.end: List[float] = []
+        self.value: List[int] = []
+
+    def add(self, start: float, end: float, value: int) -> None:
+        self.start.append(start)
+        self.end.append(end)
+        self.value.append(value)
+
+    def freeze(self) -> IntervalColumns:
+        return IntervalColumns(
+            np.array(self.start, dtype=np.float64),
+            np.array(self.end, dtype=np.float64),
+            np.array(self.value, dtype=np.uint64),
+        )
+
+
+class SubscriberTimeline:
+    """Everything one subscriber held over the simulation.
+
+    ``columns(family)`` is the stored form, one :class:`IntervalColumns`
+    per family of :data:`TIMELINE_FAMILIES`; ``delegation_plen`` is the
+    plan's delegation length (``None`` without IPv6).  ``v4``,
+    ``v6_lan`` and ``v6_delegation`` are the same intervals as
+    :class:`AssignmentInterval` lists, built on first read and cached;
+    they never enter comparisons or pickles.  Equality compares columns.
+    """
+
+    def __init__(
+        self,
+        subscriber_id: int,
+        dual_stack: bool,
+        columns: Dict[str, IntervalColumns],
+        delegation_plen: Optional[int] = None,
+    ) -> None:
+        self.subscriber_id = subscriber_id
+        self.dual_stack = dual_stack
+        self.delegation_plen = delegation_plen
+        self._columns = columns
+
+    def columns(self, family: str) -> IntervalColumns:
+        """The stored columns of ``family`` (``"v4"``, ``"v6_lan"``, ``"v6_delegation"``)."""
+        return self._columns[family]
+
+    def _intervals(self, family: str) -> List[AssignmentInterval]:
+        columns = self._columns[family]
+        values = columns.value.tolist()
+        if family == "v4":
+            objects = [IPv4Address(value) for value in values]
+        else:
+            plen = 64 if family == "v6_lan" else self.delegation_plen
+            objects = [IPv6Prefix(value << 64, plen) for value in values]
+        return [
+            AssignmentInterval(start, end, value)
+            for start, end, value in zip(columns.start.tolist(), columns.end.tolist(), objects)
+        ]
+
+    @cached_property
+    def v4(self) -> List[AssignmentInterval]:
+        """The IPv4 address intervals."""
+        return self._intervals("v4")
+
+    @cached_property
+    def v6_lan(self) -> List[AssignmentInterval]:
+        """The IPv6 LAN /64 intervals."""
+        return self._intervals("v6_lan")
+
+    @cached_property
+    def v6_delegation(self) -> List[AssignmentInterval]:
+        """The IPv6 delegated-prefix intervals."""
+        return self._intervals("v6_delegation")
+
+    def first_difference(self, other: "SubscriberTimeline") -> Optional[str]:
+        """The first attribute or family that differs from ``other`` (None if equal)."""
+        for name in ("subscriber_id", "dual_stack", "delegation_plen"):
+            if getattr(self, name) != getattr(other, name):
+                return name
+        for family in TIMELINE_FAMILIES:
+            if not self._columns[family].equals(other._columns[family]):
+                return family
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubscriberTimeline):
+            return NotImplemented
+        return self.first_difference(other) is None
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        for family in TIMELINE_FAMILIES:
+            state.pop(family, None)
+        return state
+
+    def __repr__(self) -> str:
+        counts = ", ".join(
+            f"{family}={len(self._columns[family].start)}" for family in TIMELINE_FAMILIES
+        )
+        return (
+            f"SubscriberTimeline(subscriber_id={self.subscriber_id}, "
+            f"dual_stack={self.dual_stack}, {counts})"
+        )
 
 
 class _SubscriberState:
@@ -81,7 +208,9 @@ class _SubscriberState:
         "v6_lan_since",
         "v4_event",
         "v6_event",
-        "timeline",
+        "v4_log",
+        "v6_lan_log",
+        "v6_delegation_log",
     )
 
     def __init__(self, sub_id: int, dual_stack: bool, v4_policy: ChangePolicy, cpe: Cpe) -> None:
@@ -91,15 +220,19 @@ class _SubscriberState:
         self.is_legacy = False
         self.cpe = cpe
         self.home_pool = 0
-        self.v4_addr: Optional[IPv4Address] = None
+        # Held values as integers: the v4 address and the v6 networks.
+        self.v4_addr: Optional[int] = None
         self.v4_since = 0.0
-        self.v6_delegation: Optional[IPv6Prefix] = None
+        self.v6_delegation: Optional[int] = None
         self.v6_delegation_since = 0.0
-        self.v6_lan: Optional[IPv6Prefix] = None
+        self.v6_lan: Optional[int] = None
         self.v6_lan_since = 0.0
         self.v4_event = None
         self.v6_event = None
-        self.timeline = SubscriberTimeline(subscriber_id=sub_id, dual_stack=dual_stack)
+        # Closed intervals so far; v6 logs hold the networks' high 64 bits.
+        self.v4_log = _IntervalLog()
+        self.v6_lan_log = _IntervalLog()
+        self.v6_delegation_log = _IntervalLog()
 
 
 class IspSimulation:
@@ -119,6 +252,7 @@ class IspSimulation:
         self.isp = isp
         self.end_hour = float(end_hour)
         self._rng = random.Random((seed << 16) ^ isp.asn)
+        self._delegation_plen = isp.v6_plan.delegation_plen if isp.v6_plan is not None else None
         self._queue = EventQueue()
         self._subs: Dict[int, _SubscriberState] = {}
         self._build_population(num_subscribers)
@@ -150,17 +284,17 @@ class IspSimulation:
                 if epoch.start_hour < self.end_hour:
                     self._queue.schedule(epoch.start_hour, ("policy", sub_id, epoch_index))
 
-            state.v4_addr = self.isp.v4_plan.allocate(rng)
+            state.v4_addr = self.isp.v4_plan.draw(rng)
             state.v4_since = 0.0
             self._schedule_v4(state, 0.0, first=True)
 
             if dual_stack:
                 assert self.isp.v6_plan is not None and cpe is not None
                 state.home_pool = self.isp.v6_plan.home_pool_index(rng)
-                delegation, pool = self.isp.v6_plan.allocate(rng, state.home_pool)
+                delegation, pool = self.isp.v6_plan.draw(rng, state.home_pool)
                 state.home_pool = pool
                 state.v6_delegation = delegation
-                state.v6_lan = cpe.select_lan_prefix(delegation, rng)
+                state.v6_lan = cpe.lan_network(delegation, self._delegation_plen, rng)
                 self._schedule_v6(state, 0.0, first=True)
                 scramble_delay = cpe.next_scramble_delay(rng)
                 if scramble_delay is not None:
@@ -196,9 +330,9 @@ class IspSimulation:
     def _renumber_v4(self, state: _SubscriberState, now: float) -> None:
         old = state.v4_addr
         assert old is not None
-        state.timeline.v4.append(AssignmentInterval(state.v4_since, now, old))
+        state.v4_log.add(state.v4_since, now, old)
         self.isp.v4_plan.release(old)
-        state.v4_addr = self.isp.v4_plan.allocate(self._rng, previous=old)
+        state.v4_addr = self.isp.v4_plan.draw(self._rng, previous=old)
         state.v4_since = now
 
     def _renumber_v6(self, state: _SubscriberState, now: float) -> None:
@@ -206,25 +340,23 @@ class IspSimulation:
         assert plan is not None and state.cpe is not None
         old = state.v6_delegation
         assert old is not None and state.v6_lan is not None
-        state.timeline.v6_delegation.append(
-            AssignmentInterval(state.v6_delegation_since, now, old)
-        )
-        state.timeline.v6_lan.append(AssignmentInterval(state.v6_lan_since, now, state.v6_lan))
+        state.v6_delegation_log.add(state.v6_delegation_since, now, old >> 64)
+        state.v6_lan_log.add(state.v6_lan_since, now, state.v6_lan >> 64)
         plan.release(old)
-        delegation, pool = plan.allocate(self._rng, state.home_pool, previous=old)
+        delegation, pool = plan.draw(self._rng, state.home_pool, previous=old)
         state.home_pool = pool
         state.v6_delegation = delegation
         state.v6_delegation_since = now
-        state.v6_lan = state.cpe.select_lan_prefix(delegation, self._rng)
+        state.v6_lan = state.cpe.lan_network(delegation, self._delegation_plen, self._rng)
         state.v6_lan_since = now
 
     def _rescramble(self, state: _SubscriberState, now: float) -> None:
         assert state.cpe is not None and state.v6_delegation is not None
         assert state.v6_lan is not None
-        new_lan = state.cpe.select_lan_prefix(state.v6_delegation, self._rng)
+        new_lan = state.cpe.lan_network(state.v6_delegation, self._delegation_plen, self._rng)
         if new_lan == state.v6_lan:
             return
-        state.timeline.v6_lan.append(AssignmentInterval(state.v6_lan_since, now, state.v6_lan))
+        state.v6_lan_log.add(state.v6_lan_since, now, state.v6_lan >> 64)
         state.v6_lan = new_lan
         state.v6_lan_since = now
 
@@ -335,18 +467,27 @@ class IspSimulation:
 
     def _close_timelines(self) -> Dict[int, SubscriberTimeline]:
         end = self.end_hour
-        for state in self._subs.values():
+        timelines: Dict[int, SubscriberTimeline] = {}
+        for sub_id, state in self._subs.items():
             if state.v4_addr is not None:
-                state.timeline.v4.append(AssignmentInterval(state.v4_since, end, state.v4_addr))
+                state.v4_log.add(state.v4_since, end, state.v4_addr)
             if state.v6_lan is not None:
-                state.timeline.v6_lan.append(
-                    AssignmentInterval(state.v6_lan_since, end, state.v6_lan)
-                )
+                state.v6_lan_log.add(state.v6_lan_since, end, state.v6_lan >> 64)
             if state.v6_delegation is not None:
-                state.timeline.v6_delegation.append(
-                    AssignmentInterval(state.v6_delegation_since, end, state.v6_delegation)
+                state.v6_delegation_log.add(
+                    state.v6_delegation_since, end, state.v6_delegation >> 64
                 )
-        return {sub_id: state.timeline for sub_id, state in self._subs.items()}
+            timelines[sub_id] = SubscriberTimeline(
+                subscriber_id=sub_id,
+                dual_stack=state.dual_stack,
+                columns={
+                    "v4": state.v4_log.freeze(),
+                    "v6_lan": state.v6_lan_log.freeze(),
+                    "v6_delegation": state.v6_delegation_log.freeze(),
+                },
+                delegation_plen=self._delegation_plen,
+            )
+        return timelines
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +581,11 @@ def run_simulation_job(job: SimulationJob) -> SimulationResult:
 
 __all__ = [
     "AssignmentInterval",
+    "IntervalColumns",
     "IspSimulation",
     "SimulationJob",
     "SimulationResult",
     "SubscriberTimeline",
+    "TIMELINE_FAMILIES",
     "run_simulation_job",
 ]

@@ -26,7 +26,7 @@ count.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.workloads import AtlasScenario, CdnScenario
 
@@ -43,17 +43,15 @@ def atlas_scenario_diffs(a: AtlasScenario, b: AtlasScenario) -> List[str]:
         isp_b = b.isps[name]
         if isp_a.config != isp_b.config:
             diffs.append(f"isps[{name}].config differs")
-        if isp_a.v4_plan.in_use_count != isp_b.v4_plan.in_use_count:
-            diffs.append(
-                f"isps[{name}].v4_plan.in_use_count: "
-                f"{isp_a.v4_plan.in_use_count} != {isp_b.v4_plan.in_use_count}"
-            )
-        count_a = isp_a.v6_plan.in_use_count if isp_a.v6_plan is not None else None
-        count_b = isp_b.v6_plan.in_use_count if isp_b.v6_plan is not None else None
-        if count_a != count_b:
-            diffs.append(f"isps[{name}].v6_plan.in_use_count: {count_a} != {count_b}")
-    if a.timelines != b.timelines:
-        diffs.append("timelines differ")
+        for plan in ("v4_plan", "v6_plan"):
+            plan_a, plan_b = getattr(isp_a, plan), getattr(isp_b, plan)
+            in_use_a = plan_a.in_use if plan_a is not None else None
+            in_use_b = plan_b.in_use if plan_b is not None else None
+            if in_use_a != in_use_b:
+                diffs.append(_in_use_diff(f"isps[{name}].{plan}", in_use_a, in_use_b))
+    timeline_diff = _timelines_diff(a.timelines, b.timelines)
+    if timeline_diff is not None:
+        diffs.append(timeline_diff)
     if a.raw_probes != b.raw_probes:
         diffs.append("raw_probes differ")
     if a.probes != b.probes:
@@ -61,6 +59,30 @@ def atlas_scenario_diffs(a: AtlasScenario, b: AtlasScenario) -> List[str]:
     if a.report != b.report:
         diffs.append(f"report: {a.report} != {b.report}")
     return diffs
+
+
+def _in_use_diff(where: str, a, b) -> str:
+    """Describe two differing plan in-use sets (``None``: no plan)."""
+    if a is None or b is None:
+        return f"{where}: present in only one scenario"
+    return (
+        f"{where}.in_use differs: {len(a)} vs {len(b)} held, "
+        f"{len(a - b)} only in the first, {len(b - a)} only in the second"
+    )
+
+
+def _timelines_diff(a, b) -> Optional[str]:
+    """The first differing ``(asn, subscriber, family)`` of two timeline maps."""
+    if sorted(a) != sorted(b):
+        return f"timelines ASNs: {sorted(a)} != {sorted(b)}"
+    for asn in sorted(a):
+        if sorted(a[asn]) != sorted(b[asn]):
+            return f"timelines[{asn}] subscribers differ"
+        for sub_id in sorted(a[asn]):
+            field = a[asn][sub_id].first_difference(b[asn][sub_id])
+            if field is not None:
+                return f"timelines differ first at (asn={asn}, subscriber={sub_id}, {field})"
+    return None
 
 
 def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:

@@ -27,11 +27,9 @@ entirely.
 
 from __future__ import annotations
 
-import gc
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atlas.platform import AtlasPlatform, ProbeData, ProbeSpec
 from repro.atlas.sanitize import SanitizationReport, SanitizedProbe, sanitize
@@ -275,23 +273,6 @@ def periodicity_for_scenario(
         )
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a scenario build: its ~300k
-    small, acyclic objects (mostly simulated timelines; echo runs are
-    columns) made the collector's repeated full passes cost a large share
-    of the build for nothing.  On exit (if it was on) one full pass
-    moves them to the oldest generation, so later code does not re-walk them."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-            gc.collect()
-
-
 def build_atlas_scenario(
     probes_per_as: int = 20,
     years: float = 2.0,
@@ -338,92 +319,89 @@ def build_atlas_scenario(
                 build_span.set(cache="hit")
                 return cached
 
-        # Only a real build pauses the collector: a cache hit returned above
-        # and must not pay for the full pass on exit.
-        with _gc_paused():
-            end_hour = int(years * 365 * DAY)
+        end_hour = int(years * 365 * DAY)
 
-            registry = Registry()
-            table = RoutingTable()
-            rng = random.Random(seed)
+        registry = Registry()
+        table = RoutingTable()
+        rng = random.Random(seed)
 
-            # ISP construction mutates the shared registry/routing table and must
-            # stay serial and ordered; the simulations are independent per ISP
-            # (each only touches its own plans with a private (seed, asn) RNG)
-            # and fan out across workers.
-            isps: Dict[str, Isp] = {
-                config.name: Isp(config, registry, table) for config in profiles
-            }
-            # Anomalous probes need a secondary network to flap to / move to.
-            num_subscribers = probes_per_as + 2  # spares for secondary attachments
-            with span("collection/isp_simulations", isps=len(profiles)):
-                timeline_list = run_isp_simulations(
-                    [(isps[config.name], num_subscribers) for config in profiles],
-                    end_hour=end_hour,
-                    seed=seed,
-                    workers=worker_count,
-                )
-            timelines: Dict[int, Dict[int, SubscriberTimeline]] = {
-                config.asn: result for config, result in zip(profiles, timeline_list)
-            }
-
-            platform = AtlasPlatform(
-                {isp.asn: (isp, timelines[isp.asn]) for isp in isps.values()},
+        # ISP construction mutates the shared registry/routing table and must
+        # stay serial and ordered; the simulations are independent per ISP
+        # (each only touches its own plans with a private (seed, asn) RNG)
+        # and fan out across workers.
+        isps: Dict[str, Isp] = {
+            config.name: Isp(config, registry, table) for config in profiles
+        }
+        # Anomalous probes need a secondary network to flap to / move to.
+        num_subscribers = probes_per_as + 2  # spares for secondary attachments
+        with span("collection/isp_simulations", isps=len(profiles)):
+            timeline_list = run_isp_simulations(
+                [(isps[config.name], num_subscribers) for config in profiles],
                 end_hour=end_hour,
                 seed=seed,
+                workers=worker_count,
             )
+        timelines: Dict[int, Dict[int, SubscriberTimeline]] = {
+            config.asn: result for config, result in zip(profiles, timeline_list)
+        }
 
-            specs: List[ProbeSpec] = []
-            probe_id = 0
-            asns = [isp.asn for isp in isps.values()]
-            for config in profiles:
-                for subscriber_id in range(probes_per_as):
-                    roll = rng.random()
-                    anomaly = "none"
-                    tags: tuple = ()
-                    secondary = None
-                    if roll < anomaly_fraction:
-                        anomaly = ANOMALY_CYCLE[probe_id % len(ANOMALY_CYCLE)]
-                        if anomaly in ("multihomed", "as_move"):
-                            other_asn = rng.choice(
-                                [asn for asn in asns if asn != config.asn]
-                            )
-                            secondary = (other_asn, probes_per_as)  # a spare line
-                    elif roll < anomaly_fraction + bad_tag_fraction:
-                        tags = ("datacentre",)
-                    specs.append(
-                        ProbeSpec(
-                            probe_id=probe_id,
-                            asn=config.asn,
-                            subscriber_id=subscriber_id,
-                            tags=tags,
-                            anomaly=anomaly,
-                            secondary=secondary,
+        platform = AtlasPlatform(
+            {isp.asn: (isp, timelines[isp.asn]) for isp in isps.values()},
+            end_hour=end_hour,
+            seed=seed,
+        )
+
+        specs: List[ProbeSpec] = []
+        probe_id = 0
+        asns = [isp.asn for isp in isps.values()]
+        for config in profiles:
+            for subscriber_id in range(probes_per_as):
+                roll = rng.random()
+                anomaly = "none"
+                tags: tuple = ()
+                secondary = None
+                if roll < anomaly_fraction:
+                    anomaly = ANOMALY_CYCLE[probe_id % len(ANOMALY_CYCLE)]
+                    if anomaly in ("multihomed", "as_move"):
+                        other_asn = rng.choice(
+                            [asn for asn in asns if asn != config.asn]
                         )
+                        secondary = (other_asn, probes_per_as)  # a spare line
+                elif roll < anomaly_fraction + bad_tag_fraction:
+                    tags = ("datacentre",)
+                specs.append(
+                    ProbeSpec(
+                        probe_id=probe_id,
+                        asn=config.asn,
+                        subscriber_id=subscriber_id,
+                        tags=tags,
+                        anomaly=anomaly,
+                        secondary=secondary,
                     )
-                    probe_id += 1
+                )
+                probe_id += 1
 
-            with span("collection/probes", specs=len(specs)):
-                raw_probes = [platform.probe_data(spec) for spec in specs]
-            probes, report = sanitize(raw_probes, table)
-            scenario = AtlasScenario(
-                registry=registry,
-                table=table,
-                isps=isps,
-                timelines=timelines,
-                platform=platform,
-                raw_probes=raw_probes,
-                probes=probes,
-                report=report,
-                end_hour=end_hour,
-            )
-            if scenario_cache is not None and cache_key is not None:
-                scenario_cache.put("atlas", cache_key, scenario)
-            _log.info(
-                "atlas scenario built",
-                extra={"probes": len(probes), "raw": len(raw_probes), "seed": seed},
-            )
-            return scenario
+        with span("collection/probes", specs=len(specs)):
+            raw_probes = [platform.probe_data(spec) for spec in specs]
+        probes, report = sanitize(raw_probes, table)
+        scenario = AtlasScenario(
+            registry=registry,
+            table=table,
+            isps=isps,
+            timelines=timelines,
+            platform=platform,
+            raw_probes=raw_probes,
+            probes=probes,
+            report=report,
+            end_hour=end_hour,
+        )
+        if scenario_cache is not None and cache_key is not None:
+            scenario_cache.put("atlas", cache_key, scenario)
+        _log.info(
+            "atlas scenario built",
+            extra={"probes": len(probes), "raw": len(raw_probes), "seed": seed},
+        )
+        return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,17 @@ class TestV4AddressPlan:
             assert IPv4Prefix(int(current), 24) == IPv4Prefix(int(previous), 24)
             previous = current
 
+    def test_slash24_affinity_stays_inside_longer_block(self):
+        # The /24 scope of a /26 block is the /26 itself, not the whole /24.
+        block = IPv4Prefix.parse("31.0.0.64/26")
+        plan = V4AddressPlan([block], same_slash24_affinity=1.0)
+        rng = random.Random(6)
+        previous = plan.allocate(rng)
+        for _ in range(200):
+            plan.release(previous)
+            previous = plan.allocate(rng, previous=previous)
+            assert block.contains_address(previous)
+
     def test_same_block_affinity_statistics(self):
         plan = self._plan(same_slash24_affinity=0.0, same_block_affinity=1.0)
         rng = random.Random(5)
