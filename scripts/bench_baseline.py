@@ -12,8 +12,8 @@ RSS, and checking the checkpointable state stays bounded as the stream
 grows), builds and analyzes a synthetic sharded memmap triple store
 out-of-core (gating build/analyze throughput and the analyzer's peak
 RSS against a fraction of what materializing the same tuples as Python
-triples would cost, plus a parallel segment build of the same feed that
-must compact to a byte-identical digest and — in full mode on
+triples would cost, plus a ``--workers`` build of the same feed that
+must produce a byte-identical digest and — in full mode on
 multi-core hosts — beat the serial build by ``--min-store-build-speedup``
 in tuples/s, and a 7-day-window stream replay of the store checked
 against the out-of-core analysis), times the end-to-end report suite (all artifacts
@@ -109,7 +109,6 @@ FULL_SCALE = {
     # hold as Python triples, the point of the out-of-core store.
     "store": {"tuples": 100_000_000, "shards": 64,
               "batch_rows": 1 << 20, "block_rows": 1 << 18,
-              "segment_rows": 1 << 22,
               "v4_pool": 200_000, "v6_pool": 2_000_000},
 }
 #: CI smoke scales (sub-second serial builds).
@@ -127,7 +126,6 @@ CHECK_SCALE = {
     # matches the full-scale regime instead of being nearly all-unique.
     "store": {"tuples": 1_000_000, "shards": 16,
               "batch_rows": 1 << 16, "block_rows": 1 << 13,
-              "segment_rows": 1 << 18,
               "v4_pool": 2_000, "v6_pool": 20_000},
 }
 
@@ -506,20 +504,17 @@ def run_baseline(args: argparse.Namespace) -> dict:
             f"{store_build_s:.2f}s ({build_rate:.0f} tuples/s)"
         )
 
-        # Parallel segment build of the same feed: always exercised
-        # (serially on one core, so CI still covers the segment
-        # writer + compaction machinery) with digest parity against
-        # the serial store enforced unconditionally; the >= 2x
-        # tuples/s gate only applies where the hardware can deliver
-        # it (full mode, multi-core, >= 2 workers).
+        # The same feed built with --workers: always exercised (serially
+        # on one core) with digest parity against the serial store
+        # enforced unconditionally; the >= 2x tuples/s gate only
+        # applies where the hardware can deliver it (full mode,
+        # multi-core, >= 2 workers).
         import shutil as _shutil
-
-        from repro.store import parallel_build_store
 
         store_cores = os.cpu_count() or 1
         with maybe_profile("store_build_parallel"):
             start = time.perf_counter()
-            parallel_store = parallel_build_store(
+            parallel_store = build_store_from_columns(
                 synthetic_triple_batches(
                     store_tuples,
                     batch_rows=store_scale["batch_rows"],
@@ -530,7 +525,6 @@ def run_baseline(args: argparse.Namespace) -> dict:
                 Path(tmp) / "store-parallel",
                 shards=store_scale["shards"],
                 workers=args.workers,
-                segment_rows=store_scale["segment_rows"],
                 source={"kind": "synthetic", "seed": args.seed},
             )
             store_parallel_s = time.perf_counter() - start
@@ -637,7 +631,6 @@ def run_baseline(args: argparse.Namespace) -> dict:
             "digest": store.digest(),
             "build_seconds": round(store_build_s, 4),
             "build_tuples_per_second": round(build_rate, 1),
-            "segment_rows": store_scale["segment_rows"],
             "build_workers": args.workers,
             "build_parallel_seconds": round(store_parallel_s, 4),
             "build_parallel_tuples_per_second": round(parallel_rate, 1),

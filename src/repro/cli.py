@@ -20,8 +20,9 @@ Commands
     exported run-stream file, optionally resuming from a checkpoint.
 ``store build`` / ``store analyze`` / ``store compact``
     Build a sharded memory-mapped triple store (from a CSV, a synthetic
-    feed, or a CDN simulation — ``--workers N`` fans the build out to
-    parallel segment writers, byte-identical to the serial build),
+    feed, or a CDN simulation — ``--workers N`` fans the per-shard
+    finalize out to a pool, byte-identical to the serial build, and
+    ``--spill-rows`` bounds the writer's buffers at every worker count),
     analyze it shard-by-shard out-of-core (artifacts bit-identical to
     the in-RAM columnar path), and merge finalized stores via
     k-way compaction (incremental append-then-compact).

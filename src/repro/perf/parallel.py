@@ -28,9 +28,10 @@ The adapters shape one domain each onto it: :func:`run_isp_simulations`
 ISPs), :func:`collect_associations` (per-population CDN collection),
 :func:`map_store_shards` (per-shard triple-store passes, scratch files
 discarded on failure) and :func:`run_fused_analysis` (per-AS fused
-analysis over a memmapped probe pack).  The store's segment writers and
-compaction (:mod:`repro.store.segments`) call :func:`map_units`
-directly.
+analysis over a memmapped probe pack).  The store's per-shard finalize
+(:func:`repro.store.triples.compact_shard`, behind every build and
+every compaction) calls :func:`map_units` directly, shipping a shard
+index per unit.
 
 The determinism contract: a ``workers=N`` run is **bit-identical** to
 the serial run.  That holds because

@@ -388,9 +388,9 @@ def store_diffs(
     (:func:`association_oracle_diffs`). Each shard count in ``shards``
     is verified independently (1 exercises the degenerate single-shard
     merge, >1 the k-way pivot merge).  Build-mode digest parity is
-    checked too: the parallel segment build and a compaction of two
-    incrementally built halves must both produce byte-identical stores
-    (same ``digest()``) to the serial single-pass build.  ``directory``
+    checked too: a ``workers=2`` build with a small ``spill_rows`` and a
+    compaction of two incrementally built halves must both produce
+    byte-identical stores (same ``digest()``) to the serial build.  ``directory``
     holds the temporary stores (one subdirectory per shard count).
     """
     from pathlib import Path
@@ -451,27 +451,24 @@ def store_diffs(
             association_oracle_diffs(streamed, materialized, f"{label}: store-driven stream")
         )
 
-    # Build-mode parity: every path that finalizes a store — serial
-    # writer, parallel segment build + compaction, incremental two-half
-    # merge — must emit byte-identical shards (same digest()) for the
-    # same triple multiset.
-    from repro.store import compact_stores, parallel_build_store
-    from repro.store.triples import triple_column_batches
+    # Build-mode parity: a serial build, a pooled build that spills
+    # often, and an incremental two-half merge must emit byte-identical
+    # shards (same digest()) for the same triple multiset.
+    from repro.store import compact_stores
 
     count = shards[-1] if shards else 4
     serial = build_store_from_triples(
         iter(materialized), Path(directory) / "parity-serial", shards=count
     )
-    segment_rows = max(1, len(materialized) // 3)
-    parallel = parallel_build_store(
-        triple_column_batches(iter(materialized)),
-        Path(directory) / "parity-parallel",
+    pooled = build_store_from_triples(
+        iter(materialized),
+        Path(directory) / "parity-pooled",
         shards=count,
+        spill_rows=max(1, len(materialized) // (4 * count)),
         workers=2,
-        segment_rows=segment_rows,
     )
-    if parallel.digest() != serial.digest():
-        diffs.append("parallel segment build digest diverges from serial build")
+    if pooled.digest() != serial.digest():
+        diffs.append("pooled build with small spills diverges from serial build")
     half = len(materialized) // 2
     first = build_store_from_triples(
         iter(materialized[:half]), Path(directory) / "parity-half-a", shards=count

@@ -4,7 +4,9 @@
 hash-sharded struct-of-arrays column files and re-derives the paper's
 Section-5 artifacts shard-by-shard, so billion-row populations are
 bounded by disk, not RAM.  See :mod:`repro.store.triples` for the
-on-disk format and :mod:`repro.store.kernels` for the out-of-core
+on-disk format, the one build path (writer scatter, then a per-shard
+:func:`compact_shard` finalize at any worker count) and store
+compaction, and :mod:`repro.store.kernels` for the out-of-core
 analysis (bit-identical to the in-RAM columnar path of
 :mod:`repro.core.associations_np`).
 """
@@ -14,20 +16,7 @@ from repro.store.kernels import (
     StoreAnalysis,
     analyze_store,
     merged_duration_histogram,
-    sort_shard_to_scratch,
-)
-from repro.store.segments import (
-    DEFAULT_SEGMENT_ROWS,
-    SEGMENT_FORMAT,
-    SEGMENT_FORMAT_VERSION,
-    SEGMENT_MANIFEST_NAME,
-    ShardSource,
-    compact_shard,
-    compact_sources,
-    compact_stores,
-    load_segment,
-    parallel_build_store,
-    write_segment,
+    shard_partials_to_scratch,
 )
 from repro.store.synthetic import synthetic_triple_batches
 from repro.store.triples import (
@@ -37,29 +26,28 @@ from repro.store.triples import (
     STORE_FORMAT,
     STORE_FORMAT_VERSION,
     ShardColumns,
+    ShardSource,
     StoreCorruptError,
     TripleStore,
     TripleStoreWriter,
     build_store_from_columns,
     build_store_from_triples,
     canonical_order,
+    compact_shard,
+    compact_sources,
+    compact_stores,
     load_triple_store,
     normalize_columns,
     shard_of_v4,
     triple_column_batches,
     write_shard_columns,
-    write_store_manifest,
 )
 
 __all__ = [
     "COLUMN_DTYPES",
     "DEFAULT_BLOCK_ROWS",
-    "DEFAULT_SEGMENT_ROWS",
     "MANIFEST_NAME",
     "ROW_ORDER",
-    "SEGMENT_FORMAT",
-    "SEGMENT_FORMAT_VERSION",
-    "SEGMENT_MANIFEST_NAME",
     "STORE_FORMAT",
     "STORE_FORMAT_VERSION",
     "ShardColumns",
@@ -75,15 +63,11 @@ __all__ = [
     "compact_shard",
     "compact_sources",
     "compact_stores",
-    "load_segment",
     "merged_duration_histogram",
     "normalize_columns",
-    "parallel_build_store",
     "shard_of_v4",
-    "sort_shard_to_scratch",
+    "shard_partials_to_scratch",
     "synthetic_triple_batches",
     "triple_column_batches",
-    "write_segment",
     "write_shard_columns",
-    "write_store_manifest",
 ]

@@ -5,19 +5,19 @@ The in-RAM path feeds one giant columnar array into
 are computed shard by shard so peak memory tracks the largest *shard*,
 not the store:
 
-1. **Per-shard pass** (:func:`sort_shard_to_scratch`, fanned out via
-   :func:`repro.perf.parallel.map_store_shards`): memmap one shard,
-   lexsort it ``(v6, day, v4)`` into scratch column files, and drop the
-   shard's degree partials next to them.  Because rows are sharded by
-   /24, per-/24 degree partials are *complete* (a /24 never spans
-   shards) and per-/64 partials count disjoint ``(v6, v4)`` pair sets —
-   both merge with a concatenate-and-sort, no re-counting.
-2. **Streamed k-way merge** (:func:`merged_duration_histogram`): the
-   sorted scratch runs are memmapped and consumed in blocks bounded by
-   a *pivot* — the smallest ``v6`` value at any shard's candidate block
-   end.  Taking every row with ``v6 <= pivot`` from every shard (a
-   ``searchsorted`` per shard) guarantees each block holds only
-   **complete /64 groups**, so the stock
+1. **Per-shard pass** (:func:`shard_partials_to_scratch`, fanned out
+   via :func:`repro.perf.parallel.map_store_shards`): memmap one shard
+   and drop its degree partials into scratch files.  Because rows are
+   sharded by /24, per-/24 degree partials are *complete* (a /24 never
+   spans shards) and per-/64 partials count disjoint ``(v6, v4)`` pair
+   sets — both merge with a concatenate-and-sort, no re-counting.
+2. **Streamed k-way merge** (:func:`merged_duration_histogram`): every
+   shard is finalized in :data:`~repro.store.triples.ROW_ORDER`
+   ``(v6, day, v4)``, so the memmapped shards are themselves the
+   sorted runs, consumed in blocks bounded by a *pivot* — the smallest
+   ``v6`` value at any shard's candidate block end.  Taking every row
+   with ``v6 <= pivot`` from every shard (a ``searchsorted`` per shard)
+   guarantees each block holds only **complete /64 groups**, so the stock
    :func:`~repro.core.associations_np.association_durations_np` kernel
    runs per block with no carry state, and durations accumulate into a
    bounded histogram (days are uint16, so durations fit in <=65537
@@ -57,7 +57,7 @@ _log = get_logger("store.kernels")
 #: Default merge block size (rows per shard per merge step).
 DEFAULT_BLOCK_ROWS = 1 << 20
 
-_SCRATCH_DTYPES = {"day": "<u2", "v4": "<u4", "v6": "<u8", "count": "<i8"}
+_SCRATCH_DTYPES = {"v4": "<u4", "v6": "<u8", "count": "<i8"}
 
 
 def _scratch_file(scratch: Path, kind: str, shard: int, column: str) -> Path:
@@ -86,32 +86,19 @@ def _read_scratch(
     )
 
 
-def sort_shard_to_scratch(store: TripleStore, index: int, scratch: str) -> dict:
-    """Per-shard pass: sorted run + degree partials, written to scratch.
+def shard_partials_to_scratch(store: TripleStore, index: int, scratch: str) -> dict:
+    """Per-shard pass: /24 and /64 degree partials, written to scratch.
 
     Runs inside pool workers (module-level, so it pickles by
-    reference via :func:`functools.partial`).  Returns only row counts
-    — the arrays themselves stay on disk for the parent to memmap.
-
-    For **canonical** stores (format v2, rows finalized in the
-    ``(v6, day, v4)`` order this pass would impose) the sort and the
-    scratch copy of the run are skipped entirely — the merge reads the
-    shard's own memmapped columns as the sorted run, saving a full
-    lexsort plus one store's worth of scratch writes per analysis.
+    reference via :func:`functools.partial`).  Returns only group
+    counts — the arrays themselves stay on disk for the parent to
+    memmap.
     """
     kernel_start = time.perf_counter()
     scratch_dir = Path(scratch)
     shard = store.shard(index)
-    rows = len(shard)
-    if rows == 0:
-        return {"shard": index, "rows": 0, "v4_groups": 0, "v6_groups": 0}
-    if not store.canonical:
-        order = np.lexsort((shard.v4, shard.days, shard.v6))
-        _write_scratch(
-            scratch_dir, "sorted", index, "day", np.asarray(shard.days)[order]
-        )
-        _write_scratch(scratch_dir, "sorted", index, "v4", np.asarray(shard.v4)[order])
-        _write_scratch(scratch_dir, "sorted", index, "v6", np.asarray(shard.v6)[order])
+    if len(shard) == 0:
+        return {"shard": index, "v4_groups": 0, "v6_groups": 0}
 
     v4_keys, v4_unique, v4_hits = degree_count_arrays(
         np.asarray(shard.v4), np.asarray(shard.v6)
@@ -128,51 +115,31 @@ def sort_shard_to_scratch(store: TripleStore, index: int, scratch: str) -> dict:
     metric_observe("store.shard.seconds", time.perf_counter() - kernel_start)
     return {
         "shard": index,
-        "rows": rows,
         "v4_groups": len(v4_keys),
         "v6_groups": len(v6_keys),
     }
 
 
 def merged_duration_histogram(
-    store: TripleStore,
-    scratch: Path,
-    shard_rows: List[int],
-    block_rows: int = DEFAULT_BLOCK_ROWS,
+    store: TripleStore, block_rows: int = DEFAULT_BLOCK_ROWS
 ) -> np.ndarray:
-    """Streamed pivot merge of the sorted runs into a duration histogram.
+    """Streamed pivot merge of the shards into a duration histogram.
 
     ``histogram[d]`` counts association runs lasting exactly ``d`` days.
-    Each merge step picks ``pivot = min`` over active shards of the
-    ``v6`` value ``block_rows`` ahead, then drains **all** rows with
-    ``v6 <= pivot`` from every shard — at least one row per step (the
-    pivot shard's), and never a split /64 group, so the in-RAM duration
-    kernel applies per block unchanged.
-
-    Canonical stores skip the scratch runs: their shard files *are*
-    ``(v6, day, v4)``-sorted, so the merge consumes the store's own
-    memmapped columns directly.
+    The shards are ``(v6, day, v4)``-sorted runs, read through their
+    memmaps.  Each merge step picks ``pivot = min`` over active shards
+    of the ``v6`` value ``block_rows`` ahead, then drains **all** rows
+    with ``v6 <= pivot`` from every shard — at least one row per step
+    (the pivot shard's), and never a split /64 group, so the in-RAM
+    duration kernel applies per block unchanged.
     """
     day_max = store.day_max if store.day_max is not None else 0
     histogram = np.zeros(day_max + 2, dtype=np.int64)
-    if store.canonical:
-        shard_columns = [store.shard(index) for index in range(len(shard_rows))]
-        v6_runs = [columns.v6 for columns in shard_columns]
-        day_runs = [columns.days for columns in shard_columns]
-        v4_runs = [columns.v4 for columns in shard_columns]
-    else:
-        v6_runs = [
-            _read_scratch(scratch, "sorted", shard, "v6", rows)
-            for shard, rows in enumerate(shard_rows)
-        ]
-        day_runs = [
-            _read_scratch(scratch, "sorted", shard, "day", rows)
-            for shard, rows in enumerate(shard_rows)
-        ]
-        v4_runs = [
-            _read_scratch(scratch, "sorted", shard, "v4", rows)
-            for shard, rows in enumerate(shard_rows)
-        ]
+    shard_rows = store.shard_rows
+    shard_columns = [store.shard(index) for index in range(store.shards)]
+    v6_runs = [columns.v6 for columns in shard_columns]
+    day_runs = [columns.days for columns in shard_columns]
+    v4_runs = [columns.v4 for columns in shard_columns]
     offsets = [0] * len(shard_rows)
     while True:
         active = [s for s in range(len(shard_rows)) if offsets[s] < shard_rows[s]]
@@ -336,8 +303,7 @@ def analyze_store(
     """Compute all Section-5 store artifacts shard-by-shard out-of-core.
 
     ``scratch_dir`` (default: a fresh temp directory, removed on exit)
-    holds the sorted runs and degree partials; its peak size is about
-    one store's worth of columns plus the partials.  ``workers`` fans
+    holds the per-shard degree partials.  ``workers`` fans
     the per-shard pass out via
     :func:`repro.perf.parallel.map_store_shards`.
     """
@@ -349,14 +315,10 @@ def analyze_store(
         scratch.mkdir(parents=True, exist_ok=True)
     try:
         with span("store/analyze", shards=store.shards, rows=store.total_triples):
-            task = partial(sort_shard_to_scratch, scratch=str(scratch))
+            task = partial(shard_partials_to_scratch, scratch=str(scratch))
             results = map_store_shards(task, store, workers=workers, scratch=scratch)
             results.sort(key=lambda meta: meta["shard"])
-            shard_rows = [meta["rows"] for meta in results]
-
-            histogram = merged_duration_histogram(
-                store, scratch, shard_rows, block_rows=block_rows
-            )
+            histogram = merged_duration_histogram(store, block_rows=block_rows)
             durations = np.flatnonzero(histogram)
             box = box_stats_from_counts(durations, histogram[durations], empty_ok=True)
             duration_counts = {
@@ -402,5 +364,5 @@ __all__ = [
     "StoreAnalysis",
     "analyze_store",
     "merged_duration_histogram",
-    "sort_shard_to_scratch",
+    "shard_partials_to_scratch",
 ]

@@ -24,6 +24,16 @@ or stale store is *detected* at open (size check always, checksums via
 ``verify=True``) and :func:`load_triple_store` deletes it and reports a
 miss so the caller rebuilds instead of silently analyzing garbage.
 
+There is one build path.  :class:`TripleStoreWriter` scatters rows into
+per-shard spill files; :func:`compact_shard` then finalizes each shard
+— read, sort into :data:`ROW_ORDER`, checksum, write — fanned out over
+the shard indices by :func:`repro.perf.parallel.map_units`, so workers
+receive a shard index and a :class:`ShardSource`, never column arrays.
+Merging finalized stores (:func:`compact_stores`, incremental
+append-then-compact and re-sharding) runs the same per-shard pass over
+several sources, which is why every build and every compaction of the
+same triple multiset writes byte-identical shards.
+
 Readers memory-map the column files (``np.memmap``), so analysis
 kernels and worker processes page in only what they touch and share
 clean pages through the OS cache — the zero-copy handoff used by
@@ -38,8 +48,9 @@ import os
 import shutil
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,9 +66,9 @@ MANIFEST_NAME = "manifest.json"
 
 #: Canonical per-shard row order (lexsort key, most significant first).
 #: Version 2 finalizes every shard in this order, which makes the store
-#: digest a pure function of the triple multiset: serial builds,
-#: parallel segment builds and compactions of the same input all
-#: produce byte-identical shards.
+#: digest a pure function of the triple multiset: builds at any worker
+#: count and compactions of the same input all produce byte-identical
+#: shards.  :meth:`TripleStore.open` rejects any other recorded order.
 ROW_ORDER = "v6,day,v4"
 
 #: Column name -> little-endian on-disk dtype.
@@ -89,17 +100,26 @@ def shard_of_v4(v4_keys: np.ndarray, shards: int) -> np.ndarray:
 def canonical_order(days: np.ndarray, v4: np.ndarray, v6: np.ndarray) -> np.ndarray:
     """The canonical per-shard permutation: lexsort by ``(v6, day, v4)``.
 
-    This is the same key :func:`repro.store.kernels.sort_shard_to_scratch`
-    merges by, so canonically ordered shards double as pre-sorted runs
-    for the analysis merge.  Because the key covers every column, equal
-    rows are interchangeable — any builder that ends with this sort
-    emits byte-identical shard files for the same row multiset.
+    This is the key :func:`repro.store.kernels.merged_duration_histogram`
+    merges by, so every shard doubles as a pre-sorted run for the
+    analysis merge.  Because the key covers every column, equal rows are
+    interchangeable — the same row multiset always yields byte-identical
+    shard files.
     """
     return np.lexsort((v4, days, v6))
 
 
 def _shard_file(directory: Path, shard: int, column: str) -> Path:
     return directory / f"shard-{shard:04d}.{column}"
+
+
+def _empty_columns() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-row ``(day, v4, v6)`` columns in the on-disk dtypes."""
+    return (
+        np.empty(0, dtype=np.uint16),
+        np.empty(0, dtype=np.uint32),
+        np.empty(0, dtype=np.uint64),
+    )
 
 
 def _shard_checksum(directory: Path, shard: int) -> str:
@@ -136,10 +156,10 @@ def write_shard_columns(
 ) -> str:
     """Write one shard's columns in canonical row order; return checksum.
 
-    The single sort-and-write primitive shared by the serial writer's
-    finalize and segment compaction — both paths emitting the same
-    bytes for the same row multiset is what makes build-mode digest
-    parity structural rather than coincidental.
+    The write half of :func:`compact_shard`, the one per-shard finalize
+    every build and compaction goes through — which is what makes
+    digest parity across worker counts structural rather than
+    coincidental.
     """
     order = canonical_order(days, v4, v6)
     sorted_columns = {
@@ -152,41 +172,6 @@ def write_shard_columns(
     return _checksum_of_arrays(
         sorted_columns["day"], sorted_columns["v4"], sorted_columns["v6"]
     )
-
-
-def write_store_manifest(
-    directory: Path,
-    shards: int,
-    shard_rows: Sequence[int],
-    checksums: Sequence[str],
-    total_rows: int,
-    day_min: Optional[int],
-    day_max: Optional[int],
-    source: Optional[dict] = None,
-) -> None:
-    """Atomically write a version-2 store manifest (tmp + rename).
-
-    Shared by the serial writer and the compactor so every finalized
-    store records the same fields — including ``row_order``, the marker
-    readers use to trust shards as pre-sorted runs.
-    """
-    manifest = {
-        "format": STORE_FORMAT,
-        "version": STORE_FORMAT_VERSION,
-        "row_order": ROW_ORDER,
-        "shards": int(shards),
-        "dtypes": dict(COLUMN_DTYPES),
-        "shard_rows": [int(rows) for rows in shard_rows],
-        "shard_checksums": list(checksums),
-        "total_triples": int(total_rows),
-        "day_min": day_min,
-        "day_max": day_max,
-        "source": dict(source) if source else {},
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    temp = directory / f"{MANIFEST_NAME}.tmp{os.getpid()}"
-    temp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
-    os.replace(temp, directory / MANIFEST_NAME)
 
 
 @dataclass
@@ -211,9 +196,8 @@ def normalize_columns(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate one columnar batch and narrow it to the on-disk dtypes.
 
-    Shared by the serial writer and the segment writers so both reject
-    the same malformed input the same way: arrays must be 1-D and
-    equal-length, days must fit ``uint16`` and /24 keys ``uint32``.
+    The writer's input check: arrays must be 1-D and equal-length, days
+    must fit ``uint16`` and /24 keys ``uint32``.
     Non-contiguous or misaligned inputs are fine — ``astype`` copies
     into fresh contiguous arrays.  Returns ``(day, v4, v6)`` columns.
     """
@@ -225,11 +209,7 @@ def normalize_columns(
     if not (len(days) == len(v4_keys) == len(v6_keys)):
         raise ValueError("column batch arrays must have equal length")
     if len(days) == 0:
-        return (
-            np.empty(0, dtype=np.uint16),
-            np.empty(0, dtype=np.uint32),
-            np.empty(0, dtype=np.uint64),
-        )
+        return _empty_columns()
     if days.min() < 0 or days.max() > np.iinfo(np.uint16).max:
         raise ValueError("day out of uint16 range")
     if v4_keys.min() < 0 or int(v4_keys.max()) > np.iinfo(np.uint32).max:
@@ -248,8 +228,7 @@ def triple_column_batches(
 
     The v6 key is narrowed to its upper 64 bits (the /64 bijection used
     throughout the store).  Consumes the iterable lazily — this is the
-    shared triples→columns adapter for both the serial writer and the
-    parallel segment build.
+    triples→columns adapter in front of :meth:`TripleStoreWriter.append_columns`.
     """
     days: List[int] = []
     v4s: List[int] = []
@@ -280,10 +259,10 @@ class TripleStoreWriter:
     files whenever a shard's buffer exceeds ``spill_rows`` (each spill
     is counted in ``store.spill_events``), so peak memory is bounded by
     ``shards * spill_rows`` rows regardless of how many triples pass
-    through.  :meth:`finalize` flushes everything, checksums the shards
-    and writes the manifest — until then the directory has no manifest
-    and :func:`load_triple_store` treats it as corrupt (a killed build
-    can never masquerade as a finished store).
+    through.  :meth:`finalize` flushes everything, finalizes each shard
+    with :func:`compact_shard` and writes the manifest — until then the
+    directory has no manifest and :func:`load_triple_store` treats it
+    as corrupt (a killed build can never masquerade as a finished store).
     """
 
     def __init__(
@@ -304,8 +283,6 @@ class TripleStoreWriter:
         self.total_rows = 0
         self.spill_events = 0
         self._finalized = False
-        self._day_min: Optional[int] = None
-        self._day_max: Optional[int] = None
         self._buffers: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
             [] for _ in range(self.shards)
         ]
@@ -314,9 +291,6 @@ class TripleStoreWriter:
         if self.directory.exists():
             raise FileExistsError(f"store directory already exists: {self.directory}")
         self.directory.mkdir(parents=True)
-        for shard in range(self.shards):
-            for column in COLUMNS:
-                _shard_file(self.directory, shard, column).touch()
 
     # -- appending ----------------------------------------------------------
 
@@ -333,11 +307,6 @@ class TripleStoreWriter:
         day_col, v4_col, v6_col = normalize_columns(days, v4_keys, v6_keys)
         if len(day_col) == 0:
             return 0
-
-        lo, hi = int(day_col.min()), int(day_col.max())
-        self._day_min = lo if self._day_min is None else min(self._day_min, lo)
-        self._day_max = hi if self._day_max is None else max(self._day_max, hi)
-
         shard_ids = shard_of_v4(v4_col, self.shards)
         order = np.argsort(shard_ids, kind="stable")
         sorted_ids = shard_ids[order]
@@ -387,61 +356,33 @@ class TripleStoreWriter:
 
     # -- finalize -----------------------------------------------------------
 
-    def _canonicalize_shard(self, shard: int) -> str:
-        """Rewrite one spilled shard in canonical row order; return checksum.
+    def finalize(self, workers: Optional[int] = None) -> "TripleStore":
+        """Spill every buffer, finalize the shards in place, write the manifest.
 
-        Peak memory is one shard's columns — the same bound the
-        analysis kernels already live under.
-        """
-        rows = self._shard_rows[shard]
-        if rows == 0:
-            return _checksum_of_arrays(
-                np.empty(0, dtype=np.uint16),
-                np.empty(0, dtype=np.uint32),
-                np.empty(0, dtype=np.uint64),
-            )
-        columns = {
-            column: np.fromfile(
-                _shard_file(self.directory, shard, column),
-                dtype=COLUMN_DTYPES[column],
-            )
-            for column in COLUMNS
-        }
-        return write_shard_columns(
-            self.directory, shard, columns["day"], columns["v4"], columns["v6"]
-        )
-
-    def finalize(self) -> "TripleStore":
-        """Flush buffers, canonical-sort and checksum shards, write the manifest.
-
-        Each shard is rewritten in :data:`ROW_ORDER` before hashing, so
-        the finalized bytes (and hence :meth:`TripleStore.digest`)
-        depend only on the triple multiset, never on append order.
+        Each shard is rewritten in :data:`ROW_ORDER` by
+        :func:`compact_shard`, fanned out over the shard indices
+        (``workers`` as in :func:`repro.perf.parallel.map_units`), so the
+        finalized bytes (and hence :meth:`TripleStore.digest`) depend
+        only on the triple multiset, never on append order, spill size
+        or worker count.
         """
         if self._finalized:
             raise ValueError("writer already finalized")
         with span("store/finalize", shards=self.shards, rows=self.total_rows):
             for shard in range(self.shards):
                 self._spill(shard)
-            checksums = [
-                self._canonicalize_shard(shard) for shard in range(self.shards)
-            ]
-            write_store_manifest(
-                self.directory,
-                self.shards,
-                self._shard_rows,
-                checksums,
-                self.total_rows,
-                self._day_min,
-                self._day_max,
-                self.source,
+            spilled = ShardSource(
+                str(self.directory), self.shards, tuple(self._shard_rows)
+            )
+            store = _finalize_shards(
+                [spilled], self.directory, self.shards, workers, self.source
             )
         self._finalized = True
         _log.info(
             "store finalized",
             extra={"dir": str(self.directory), "rows": self.total_rows},
         )
-        return TripleStore.open(self.directory)
+        return store
 
     def __enter__(self) -> "TripleStoreWriter":
         return self
@@ -491,6 +432,10 @@ class TripleStore:
                 )
             if manifest["dtypes"] != COLUMN_DTYPES:
                 raise StoreCorruptError("store dtypes do not match this build")
+            if manifest["row_order"] != ROW_ORDER:
+                raise StoreCorruptError(
+                    f"unsupported row order {manifest['row_order']!r}"
+                )
             shards = int(manifest["shards"])
             rows = [int(count) for count in manifest["shard_rows"]]
             checksums = list(manifest["shard_checksums"])
@@ -542,16 +487,6 @@ class TripleStore:
     # -- reading -------------------------------------------------------------
 
     @property
-    def canonical(self) -> bool:
-        """Whether shard rows are in the canonical ``(v6, day, v4)`` order.
-
-        Version-2 manifests always record :data:`ROW_ORDER`; readers
-        use this to treat shards as pre-sorted runs (skipping the
-        analysis-side lexsort entirely).
-        """
-        return self.manifest.get("row_order") == ROW_ORDER
-
-    @property
     def nbytes(self) -> int:
         """Total on-disk column bytes across all shards."""
         return self.total_triples * _ROW_BYTES
@@ -560,12 +495,7 @@ class TripleStore:
         """Memory-map one shard's columns (zero-copy; empty shards OK)."""
         rows = self.shard_rows[index]
         if rows == 0:
-            return ShardColumns(
-                index,
-                np.empty(0, dtype=np.uint16),
-                np.empty(0, dtype=np.uint32),
-                np.empty(0, dtype=np.uint64),
-            )
+            return ShardColumns(index, *_empty_columns())
         columns = {}
         for column in COLUMNS:
             columns[column] = np.memmap(
@@ -652,11 +582,7 @@ def _window_rows(
         if len(rows):
             parts.append(tuple(column[rows] for column in columns))
     if not parts:
-        return (
-            np.empty(0, dtype=np.uint16),
-            np.empty(0, dtype=np.uint32),
-            np.empty(0, dtype=np.uint64),
-        )
+        return _empty_columns()
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -683,6 +609,198 @@ def load_triple_store(directory, verify: bool = False) -> Optional[TripleStore]:
     return store
 
 
+# ---------------------------------------------------------------------------
+# Per-shard finalize and compaction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardSource:
+    """One directory of ``shard-NNNN.<column>`` files feeding :func:`compact_shard`.
+
+    A finalized store, or a writer's own spill files before finalize.
+    Plain data, so it pickles cheaply into pool workers.
+    """
+
+    directory: str
+    shards: int
+    shard_rows: Tuple[int, ...]
+
+
+def _read_source_shard(
+    source: ShardSource, shard: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One source shard's columns, read fully into RAM."""
+    if source.shard_rows[shard] == 0:
+        return _empty_columns()
+    directory = Path(source.directory)
+    return tuple(
+        np.fromfile(_shard_file(directory, shard, column), dtype=COLUMN_DTYPES[column])
+        for column in COLUMNS
+    )
+
+
+def compact_shard(
+    index: int,
+    sources: Sequence[ShardSource],
+    out_shards: int,
+    out_directory: str,
+) -> dict:
+    """Gather one output shard from every source and write it canonically.
+
+    Sources whose shard count matches the target contribute their
+    ``index``-th shard directly (the hash assignment is identical);
+    mismatched sources are re-hashed row-by-row with
+    :func:`shard_of_v4`.  Every source shard is read fully before the
+    write, so a writer finalizes its own spill files in place.  Peak
+    memory is one output shard's columns.  Runs inside pool workers
+    (module-level, pickles by reference).
+    """
+    parts = []
+    for source in sources:
+        if source.shards == out_shards:
+            parts.append(_read_source_shard(source, index))
+            continue
+        for shard in range(source.shards):
+            days, v4, v6 = _read_source_shard(source, shard)
+            mask = shard_of_v4(v4, out_shards) == index
+            parts.append((days[mask], v4[mask], v6[mask]))
+    parts = [part for part in parts if len(part[0])]
+    if len(parts) == 1:
+        days, v4, v6 = parts[0]
+    elif parts:
+        days, v4, v6 = (np.concatenate(column) for column in zip(*parts))
+    else:
+        days, v4, v6 = _empty_columns()
+    checksum = write_shard_columns(Path(out_directory), index, days, v4, v6)
+    metric_inc("store.compact_merges")
+    metric_inc("store.compact_rows", value=len(days))
+    return {
+        "shard": index,
+        "rows": len(days),
+        "checksum": checksum,
+        "day_min": int(days.min()) if len(days) else None,
+        "day_max": int(days.max()) if len(days) else None,
+    }
+
+
+def _finalize_shards(
+    sources: Sequence[ShardSource],
+    directory: Path,
+    shards: int,
+    workers: Optional[int],
+    source: Optional[dict],
+) -> "TripleStore":
+    """Fan :func:`compact_shard` out over ``range(shards)``, then seal.
+
+    The finalize shared by :meth:`TripleStoreWriter.finalize` and
+    :func:`compact_sources`.  :func:`repro.perf.parallel.map_units`
+    alone decides between a serial loop and a pool.  The version-2
+    manifest is written atomically (tmp + rename) and last, so a killed
+    finalize leaves no openable store.
+    """
+    from repro.perf.parallel import map_units
+
+    task = partial(
+        compact_shard,
+        sources=tuple(sources),
+        out_shards=shards,
+        out_directory=str(directory),
+    )
+    results = list(
+        map_units(task, range(shards), kind="store_compact", workers=workers)
+    )
+    day_mins = [meta["day_min"] for meta in results if meta["day_min"] is not None]
+    day_maxs = [meta["day_max"] for meta in results if meta["day_max"] is not None]
+    manifest = {
+        "format": STORE_FORMAT,
+        "version": STORE_FORMAT_VERSION,
+        "row_order": ROW_ORDER,
+        "shards": int(shards),
+        "dtypes": dict(COLUMN_DTYPES),
+        "shard_rows": [meta["rows"] for meta in results],
+        "shard_checksums": [meta["checksum"] for meta in results],
+        "total_triples": sum(meta["rows"] for meta in results),
+        "day_min": min(day_mins) if day_mins else None,
+        "day_max": max(day_maxs) if day_maxs else None,
+        "source": dict(source) if source else {},
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+    temp = directory / f"{MANIFEST_NAME}.tmp{os.getpid()}"
+    temp.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    os.replace(temp, directory / MANIFEST_NAME)
+    return TripleStore.open(directory)
+
+
+def compact_sources(
+    sources: Sequence[ShardSource],
+    directory,
+    shards: int,
+    workers: Optional[int] = None,
+    source: Optional[dict] = None,
+) -> TripleStore:
+    """K-way merge shard sources into a new finalized store directory.
+
+    Each output shard is one independent :func:`compact_shard`.  The
+    output directory must not exist yet — like a build, a killed
+    compaction leaves no manifest and therefore no openable store.
+    """
+    directory = Path(directory).expanduser()
+    if directory.exists():
+        raise FileExistsError(f"store directory already exists: {directory}")
+    directory.mkdir(parents=True)
+    with span("store/compact", sources=len(sources), shards=shards):
+        store = _finalize_shards(sources, directory, shards, workers, source)
+    _log.info(
+        "store compacted",
+        extra={
+            "dir": str(directory),
+            "sources": len(sources),
+            "rows": store.total_triples,
+        },
+    )
+    return store
+
+
+def compact_stores(
+    stores: Sequence[Union[TripleStore, str, Path]],
+    directory,
+    shards: Optional[int] = None,
+    workers: Optional[int] = None,
+    source: Optional[dict] = None,
+) -> TripleStore:
+    """Merge finalized stores into one — the incremental-append workflow.
+
+    ``stores`` are open :class:`TripleStore` instances or directory
+    paths; ``shards`` defaults to the first store's count (pass a
+    different count to re-shard while merging).  Because every build
+    finalizes in canonical row order, compacting stores built from
+    input halves is bit-identical — same :meth:`TripleStore.digest` —
+    to a single-pass build over the concatenated input.
+    """
+    opened = [
+        store if isinstance(store, TripleStore) else TripleStore.open(store)
+        for store in stores
+    ]
+    if not opened:
+        raise ValueError("compact_stores needs at least one store")
+    out_shards = int(shards) if shards is not None else opened[0].shards
+    if out_shards < 1:
+        raise ValueError(f"shards must be >= 1, got {out_shards}")
+    sources = [
+        ShardSource(str(store.directory), store.shards, tuple(store.shard_rows))
+        for store in opened
+    ]
+    return compact_sources(
+        sources, directory, out_shards, workers=workers, source=source
+    )
+
+
+# ---------------------------------------------------------------------------
+# One-call builds
+# ---------------------------------------------------------------------------
+
+
 def build_store_from_triples(
     triples: Iterable[Triple],
     directory,
@@ -690,14 +808,8 @@ def build_store_from_triples(
     spill_rows: int = 1 << 18,
     source: Optional[dict] = None,
     workers: Optional[int] = None,
-    segment_rows: Optional[int] = None,
 ) -> TripleStore:
-    """One-call build: stream python triples into a finalized store.
-
-    ``workers`` > 1 (on a multi-core host) routes through the parallel
-    segment build (:func:`repro.store.segments.parallel_build_store`),
-    which compacts to the byte-identical store the serial path writes.
-    """
+    """One-call build: stream python triples into a finalized store."""
     return build_store_from_columns(
         triple_column_batches(triples),
         directory,
@@ -705,7 +817,6 @@ def build_store_from_triples(
         spill_rows=spill_rows,
         source=source,
         workers=workers,
-        segment_rows=segment_rows,
     )
 
 
@@ -716,35 +827,20 @@ def build_store_from_columns(
     spill_rows: int = 1 << 18,
     source: Optional[dict] = None,
     workers: Optional[int] = None,
-    segment_rows: Optional[int] = None,
 ) -> TripleStore:
     """One-call build from columnar ``(days, v4, v6_upper)`` batches.
 
-    ``workers`` > 1 (on a multi-core host) fans the stream out to
-    segment writers and k-way compacts; serial otherwise.  Both paths
-    finalize in canonical row order, so they produce the same
-    :meth:`TripleStore.digest` for the same input.
+    Appends every batch, then :meth:`TripleStoreWriter.finalize` with
+    ``workers``.  ``spill_rows`` bounds the writer's buffers at every
+    worker count; the digest depends on neither knob.
     """
-    from repro.perf.parallel import effective_workers, resolve_workers
-
-    if effective_workers(resolve_workers(workers), units=None) > 1:
-        from repro.store.segments import parallel_build_store
-
-        return parallel_build_store(
-            batches,
-            directory,
-            shards=shards,
-            workers=workers,
-            segment_rows=segment_rows,
-            source=source,
-        )
     with span("store/build", shards=shards):
         writer = TripleStoreWriter(
             directory, shards=shards, spill_rows=spill_rows, source=source
         )
         for days, v4_keys, v6_keys in batches:
             writer.append_columns(days, v4_keys, v6_keys)
-        return writer.finalize()
+        return writer.finalize(workers=workers)
 
 
 __all__ = [
@@ -754,16 +850,19 @@ __all__ = [
     "STORE_FORMAT",
     "STORE_FORMAT_VERSION",
     "ShardColumns",
+    "ShardSource",
     "StoreCorruptError",
     "TripleStore",
     "TripleStoreWriter",
     "build_store_from_columns",
     "build_store_from_triples",
     "canonical_order",
+    "compact_shard",
+    "compact_sources",
+    "compact_stores",
     "load_triple_store",
     "normalize_columns",
     "shard_of_v4",
     "triple_column_batches",
     "write_shard_columns",
-    "write_store_manifest",
 ]

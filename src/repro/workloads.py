@@ -727,9 +727,9 @@ def build_cdn_triple_store(
     The dataset streams into the store lazily
     (:meth:`~repro.cdn.collector.CdnDataset.iter_triples`), so the only
     full-population copy that ever exists is the on-disk one.
-    ``workers`` > 1 (on a multi-core host) fans the build out to
-    parallel segment writers and compacts — byte-identical to the
-    serial build (``None`` = ``$REPRO_WORKERS``).  Returns the opened
+    ``workers`` > 1 (on a multi-core host) fans the per-shard finalize
+    out to a pool — byte-identical to the serial build (``None`` =
+    ``$REPRO_WORKERS``).  Returns the opened
     :class:`repro.store.TripleStore`.
     """
     from repro.store import build_store_from_triples

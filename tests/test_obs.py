@@ -351,7 +351,7 @@ def _pooled_fused_analysis(tmp_path):
 def _pooled_store_segments(tmp_path):
     import numpy as np
 
-    from repro.store.segments import parallel_build_store
+    from repro.store import build_store_from_columns
 
     batches = [
         (
@@ -361,8 +361,10 @@ def _pooled_store_segments(tmp_path):
         )
         for part in range(4)
     ]
-    parallel_build_store(batches, tmp_path / "store", shards=2, workers=2, segment_rows=10)
-    return {"store_segment": 4, "store_compact": 2}
+    build_store_from_columns(
+        batches, tmp_path / "store", shards=2, workers=2, spill_rows=10
+    )
+    return {"store_compact": 2}
 
 
 @pytest.mark.parametrize(

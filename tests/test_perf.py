@@ -318,8 +318,7 @@ def test_compact_sources_clamps_workers_to_shards(tmp_path, monkeypatch):
     # compacting 2 shards with workers=4 started a 4-process pool.
     import repro.perf.parallel as parallel_mod
     from repro.obs import telemetry, telemetry_snapshot
-    from repro.store import build_store_from_triples
-    from repro.store.segments import ShardSource, compact_sources
+    from repro.store import ShardSource, build_store_from_triples, compact_sources
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pool_sizes = []

@@ -3,9 +3,9 @@
 Covers the on-disk round trip, the durability contract (truncated or
 corrupt stores are detected at open and treated as rebuildable misses,
 mirroring the checkpoint store), randomized out-of-core-vs-in-RAM
-parity, the zero-copy worker handoff, the parallel segment-writer
-build and k-way compaction (digest parity with serial builds,
-incremental merges, re-sharding), columnar append edge cases, the
+parity, the zero-copy worker handoff, pooled builds and k-way
+compaction (digest parity with serial builds, incremental merges,
+re-sharding), columnar append edge cases, the
 ``shard_of_v4`` hash properties, the store-driven streaming pass, and
 the ``repro store build|analyze|compact`` CLI trio.
 """
@@ -28,7 +28,6 @@ from repro.perf.verify import assert_store_equal
 from repro.store import (
     COLUMN_DTYPES,
     MANIFEST_NAME,
-    SEGMENT_MANIFEST_NAME,
     StoreCorruptError,
     TripleStore,
     TripleStoreWriter,
@@ -36,13 +35,9 @@ from repro.store import (
     build_store_from_columns,
     build_store_from_triples,
     compact_stores,
-    load_segment,
     load_triple_store,
-    parallel_build_store,
     shard_of_v4,
     synthetic_triple_batches,
-    triple_column_batches,
-    write_segment,
 )
 from repro.stream import run_association_stream, run_association_stream_over_store
 from repro.stream.checkpoint import CheckpointStore
@@ -195,6 +190,8 @@ class TestDurability:
             lambda m: m.update(total_triples=m["total_triples"] + 1),
             lambda m: m.update(dtypes={"day": "<u4", "v4": "<u4", "v6": "<u8"}),
             lambda m: m["shard_rows"].pop(),
+            lambda m: m.update(row_order="day,v4,v6"),
+            lambda m: m.pop("row_order"),
         ],
     )
     def test_stale_or_inconsistent_manifest_is_corrupt(self, tmp_path, mutation):
@@ -426,53 +423,69 @@ class TestCli:
 
 
 class TestParallelBuild:
-    def test_segment_pipeline_matches_serial_writer(self, tmp_path):
+    """Pooled builds (forced fan-out) against the serial writer."""
+
+    def test_pooled_finalize_writes_identical_shard_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         batches = list(synthetic_triple_batches(6_000, batch_rows=512, seed=3))
         serial = build_store_from_columns(iter(batches), tmp_path / "serial", shards=4)
-        parallel = parallel_build_store(
-            iter(batches), tmp_path / "parallel", shards=4, segment_rows=1_500
+        pooled = build_store_from_columns(
+            iter(batches), tmp_path / "pooled", shards=4, workers=2, spill_rows=300
         )
-        assert parallel.canonical and serial.canonical
-        assert parallel.digest() == serial.digest()
+        assert pooled.digest() == serial.digest()
         # Digest equality is manifest-level; the shard files themselves
         # must be byte-identical too.
-        for name in sorted(p.name for p in serial.directory.iterdir()):
-            if name.startswith("shard-"):
-                assert (parallel.directory / name).read_bytes() == (
-                    serial.directory / name
-                ).read_bytes()
-        # No segment staging directory survives the build.
-        leftovers = [p for p in tmp_path.iterdir() if "segments" in p.name]
-        assert leftovers == []
+        names = sorted(p.name for p in serial.directory.iterdir() if p.name.startswith("shard-"))
+        assert names == sorted(
+            p.name for p in pooled.directory.iterdir() if p.name.startswith("shard-")
+        )
+        for name in names:
+            assert (pooled.directory / name).read_bytes() == (
+                serial.directory / name
+            ).read_bytes()
 
     def test_pool_build_matches_serial(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         batches = list(synthetic_triple_batches(5_000, batch_rows=256, seed=8))
         serial = build_store_from_columns(iter(batches), tmp_path / "serial", shards=3)
-        pooled = parallel_build_store(
-            iter(batches), tmp_path / "pooled", shards=3,
-            workers=2, segment_rows=1_000,
+        pooled = build_store_from_columns(
+            iter(batches), tmp_path / "pooled", shards=3, workers=2
         )
         assert pooled.digest() == serial.digest()
 
-    def test_segment_slab_size_does_not_change_digest(self, tmp_path):
+    def test_spill_rows_does_not_change_digest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         triples = _example_triples(700, seed=19)
         digests = set()
-        for rows in (97, 350, 10_000):
-            store = parallel_build_store(
-                triple_column_batches(iter(triples)),
-                tmp_path / f"store-{rows}", shards=4, segment_rows=rows,
+        for rows in (1, 97, 350, 10_000):
+            store = build_store_from_triples(
+                triples, tmp_path / f"store-{rows}", shards=4,
+                spill_rows=rows, workers=2,
             )
             digests.add(store.digest())
+        digests.add(build_store_from_triples(triples, tmp_path / "serial", shards=4).digest())
         assert len(digests) == 1
+
+    def test_pooled_build_honours_spill_rows(self, tmp_path, monkeypatch):
+        from repro.obs import telemetry, telemetry_snapshot
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        batches = list(synthetic_triple_batches(2_000, batch_rows=128, seed=4))
+        serial = build_store_from_columns(iter(batches), tmp_path / "serial", shards=4)
+        with telemetry(True, reset=True):
+            pooled = build_store_from_columns(
+                iter(batches), tmp_path / "pooled", shards=4, workers=2, spill_rows=16
+            )
+            counters = telemetry_snapshot()["metrics"]["counters"]
+        assert counters["store.spill_events"][""] > 4
+        assert pooled.digest() == serial.digest()
 
     def test_build_from_columns_routes_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         batches = list(synthetic_triple_batches(3_000, batch_rows=512, seed=2))
         serial = build_store_from_columns(iter(batches), tmp_path / "serial", shards=4)
         routed = build_store_from_columns(
-            iter(batches), tmp_path / "routed", shards=4,
-            workers=4, segment_rows=800,
+            iter(batches), tmp_path / "routed", shards=4, workers=4, spill_rows=200
         )
         assert routed.digest() == serial.digest()
 
@@ -481,58 +494,24 @@ class TestParallelBuild:
         triples = _example_triples(400, seed=23)
         serial = build_store_from_triples(triples, tmp_path / "serial", shards=2)
         routed = build_store_from_triples(
-            triples, tmp_path / "routed", shards=2, workers=2, segment_rows=128
+            triples, tmp_path / "routed", shards=2, workers=2, spill_rows=64
         )
         assert routed.digest() == serial.digest()
 
-    def test_empty_stream_builds_empty_store(self, tmp_path):
-        store = parallel_build_store(iter([]), tmp_path / "empty", shards=3)
+    def test_empty_stream_builds_empty_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        store = build_store_from_columns(iter([]), tmp_path / "empty", shards=3, workers=2)
         assert store.shards == 3
         assert sum(store.shard_rows) == 0
         assert list(store.iter_triples()) == []
         serial = build_store_from_columns([], tmp_path / "serial", shards=3)
         assert store.digest() == serial.digest()
 
-    def test_refuses_existing_output(self, tmp_path):
+    def test_refuses_existing_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         (tmp_path / "store").mkdir()
         with pytest.raises(FileExistsError):
-            parallel_build_store(iter([]), tmp_path / "store", shards=2)
-
-    def test_unsealed_segment_is_corrupt(self, tmp_path):
-        days = np.array([1, 2], dtype=np.uint16)
-        v4 = np.array([1 << 8, 2 << 8], dtype=np.uint32)
-        v6 = np.array([10, 20], dtype=np.uint64)
-        segment = tmp_path / "segment"
-        write_segment(segment, days, v4, v6, shards=2)
-        load_segment(segment, verify=True)  # sealed: loads clean
-        (segment / SEGMENT_MANIFEST_NAME).unlink()
-        with pytest.raises(StoreCorruptError, match="no segment seal"):
-            load_segment(segment)
-
-    def test_truncated_segment_shard_is_corrupt(self, tmp_path):
-        days = np.array([1, 2, 3], dtype=np.uint16)
-        v4 = np.array([0, 1 << 8, 2 << 8], dtype=np.uint32)
-        v6 = np.array([10, 20, 30], dtype=np.uint64)
-        segment = tmp_path / "segment"
-        write_segment(segment, days, v4, v6, shards=1)
-        victim = segment / "shard-0000.v6"
-        victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(StoreCorruptError, match="bytes on disk"):
-            load_segment(segment)
-
-    def test_segment_bit_rot_caught_by_verify(self, tmp_path):
-        days = np.array([1, 2, 3], dtype=np.uint16)
-        v4 = np.array([0, 1 << 8, 2 << 8], dtype=np.uint32)
-        v6 = np.array([10, 20, 30], dtype=np.uint64)
-        segment = tmp_path / "segment"
-        write_segment(segment, days, v4, v6, shards=1)
-        victim = segment / "shard-0000.day"
-        blob = bytearray(victim.read_bytes())
-        blob[0] ^= 0xFF
-        victim.write_bytes(bytes(blob))
-        load_segment(segment)  # same size: structural open passes
-        with pytest.raises(StoreCorruptError, match="checksum mismatch"):
-            load_segment(segment, verify=True)
+            build_store_from_columns(iter([]), tmp_path / "store", shards=2, workers=2)
 
 
 class TestCompaction:
