@@ -8,10 +8,15 @@ firsts are strictly increasing within one (probe, family) track, the
 global ``(first, probe, family)`` order preserves every per-track run
 sequence, which is all the incremental state machines need.
 
+A chunk carries its runs as six parallel columns in ``(first, probe,
+family)`` order (see :class:`RunChunk`), so the engine folds a window
+without touching a python object per run.
+
 Sources:
 
 * :class:`ScenarioRunSource` — windows the sanitized runs of an
-  in-memory :class:`~repro.workloads.AtlasScenario`.
+  in-memory :class:`~repro.workloads.AtlasScenario` (sorted columns,
+  sliced per window with one ``searchsorted``).
 * :class:`JsonlRunSource` — lazily re-scans a stream file written by
   :func:`write_run_stream` (a JSON manifest line followed by standard
   ``write_echo_runs`` lines keyed by probe *index*), so arbitrarily
@@ -151,9 +156,18 @@ def manifest_from_scenario(scenario) -> StreamManifest:
 # -- chunks -------------------------------------------------------------------
 
 
-@dataclass
+_LOW64 = (1 << 64) - 1
+
+
+@dataclass(eq=False)
 class RunChunk:
-    """One hour window's worth of run events.
+    """One hour window's worth of runs, as parallel columns.
+
+    Row ``i`` is the run ``(first[i], ref[i], family[i], value, last[i])``
+    with ``value = value_hi[i] << 64 | value_lo[i]``; rows are sorted by
+    ``(first, ref, family)``.  ``ref`` indexes the manifest's probes.
+    Hours, refs and families are ``int64``, the value halves ``uint64``
+    (an IPv4 address is its ``value_lo``).
 
     ``open_v6``/``open_v4``/``frontier`` are only populated on the
     live-record path: ``open_v6`` maps probe refs to the current extent
@@ -168,10 +182,31 @@ class RunChunk:
     index: int
     start_hour: int
     end_hour: int
-    events: List[RunEvent]
+    first: np.ndarray
+    ref: np.ndarray
+    family: np.ndarray
+    last: np.ndarray
+    value_hi: np.ndarray
+    value_lo: np.ndarray
     open_v6: Optional[Dict[int, Tuple[int, int]]] = None
     open_v4: Optional[Dict[int, int]] = None
     frontier: Optional[Dict[int, int]] = None
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+
+def _pack_events(events: Sequence[RunEvent]) -> Dict[str, np.ndarray]:
+    """The run columns of ``events``, in the given order."""
+    first, ref, family, value, last = list(zip(*events)) or [()] * 5
+    return {
+        "first": np.array(first, dtype=np.int64),
+        "ref": np.array(ref, dtype=np.int64),
+        "family": np.array(family, dtype=np.int64),
+        "last": np.array(last, dtype=np.int64),
+        "value_hi": np.array([v >> 64 for v in value], dtype=np.uint64),
+        "value_lo": np.array([v & _LOW64 for v in value], dtype=np.uint64),
+    }
 
 
 def _chunk_count(end_hour: int, chunk_hours: int) -> int:
@@ -186,7 +221,7 @@ def _window_events(
     start_chunk: int,
     min_chunks: int,
 ) -> Iterator[RunChunk]:
-    """Window first-hour-ordered events into consecutive chunks.
+    """Window first-hour-ordered events into consecutive packed chunks.
 
     Events before the resume point (``start_chunk``) are skipped; empty
     windows are emitted so the chunk index always equals
@@ -197,6 +232,10 @@ def _window_events(
     lo = start_chunk * chunk_hours
     buffer: List[RunEvent] = []
     prev_first: Optional[int] = None
+
+    def window() -> RunChunk:
+        return RunChunk(index, lo, lo + chunk_hours, **_pack_events(buffer))
+
     for event in events:
         first = event[0]
         if prev_first is not None and first < prev_first:
@@ -207,75 +246,103 @@ def _window_events(
         if first < lo:
             continue  # before the resume point
         while first >= lo + chunk_hours:
-            yield RunChunk(index, lo, lo + chunk_hours, buffer)
+            yield window()
             buffer = []
             index += 1
             lo += chunk_hours
         buffer.append(event)
-    if buffer or index < min_chunks:
-        yield RunChunk(index, lo, lo + chunk_hours, buffer)
+    while buffer or index < min_chunks:
+        yield window()
+        buffer = []
         index += 1
         lo += chunk_hours
-    while index < min_chunks:
-        yield RunChunk(index, lo, lo + chunk_hours, [])
-        index += 1
-        lo += chunk_hours
+
+
+def _slice_windows(
+    runs: Dict[str, np.ndarray], chunk_hours: int, start_chunk: int, min_chunks: int
+) -> Iterator[RunChunk]:
+    """:func:`_window_events` over first-sorted columns: each window is a
+    view cut by one ``searchsorted`` over ``first``."""
+    first = runs["first"]
+    total = max(min_chunks, int(first[-1]) // chunk_hours + 1) if len(first) else min_chunks
+    bounds = np.searchsorted(first, np.arange(start_chunk, total + 1) * chunk_hours).tolist()
+    for k, index in enumerate(range(start_chunk, total)):
+        lo, hi = bounds[k], bounds[k + 1]
+        yield RunChunk(
+            index,
+            index * chunk_hours,
+            (index + 1) * chunk_hours,
+            **{name: column[lo:hi] for name, column in runs.items()},
+        )
 
 
 class ScenarioRunSource:
-    """Run events of an in-memory scenario, sorted once at construction."""
+    """Runs of an in-memory scenario as columns sorted once at construction.
+
+    The runs are held as :class:`RunChunk`'s six columns in ``(first, ref,
+    family)`` order; :meth:`chunks` yields views of them, one
+    ``searchsorted`` cut per window.  ``events`` are ``(first, ref,
+    family, value, last)`` tuples in any order.
+    """
 
     def __init__(self, manifest: StreamManifest, events: Sequence[RunEvent]) -> None:
         self.manifest = manifest
-        self._events: List[RunEvent] = sorted(events)
+        self._runs = _pack_events(sorted(events))
 
     @cached_property
     def stream_id(self) -> str:
-        """Content hash of the manifest and every event (the checkpoint
-        identity); computed on first use, since only checkpointing reads it."""
+        """Content hash of the manifest and every run's event repr (the
+        checkpoint identity); computed on first use, since only
+        checkpointing reads it."""
+        runs = self._runs
+        values = (
+            (hi << 64) | lo
+            for hi, lo in zip(runs["value_hi"].tolist(), runs["value_lo"].tolist())
+        )
+        events = zip(
+            runs["first"].tolist(),
+            runs["ref"].tolist(),
+            runs["family"].tolist(),
+            values,
+            runs["last"].tolist(),
+        )
         digest = hashlib.sha256(self.manifest.to_json().encode("utf-8"))
-        for event in self._events:
-            digest.update(repr(event).encode("utf-8"))
+        digest.update("".join(map(repr, events)).encode("utf-8"))
         return digest.hexdigest()
 
     @classmethod
     def from_scenario(cls, scenario) -> "ScenarioRunSource":
-        """The events of ``scenario``'s sanitized probes, read from their
-        run columns (no run objects are built)."""
-        manifest = manifest_from_scenario(scenario)
+        """The runs of ``scenario``'s sanitized probes, read from their
+        run columns (no run objects or tuples are built)."""
         packs = [
             concat_run_columns([probe.v4 for probe in scenario.probes]),
             concat_run_columns([probe.v6 for probe in scenario.probes]),
         ]
-        first = np.concatenate([cols.first for cols in packs])
-        ref = np.concatenate([cols.probe_of_run() for cols in packs])
-        family = np.repeat([4, 6], [cols.n_runs for cols in packs])
-        last = np.concatenate([cols.last for cols in packs])
-        values = packs[0].value_lo.tolist() + [
-            (hi << 64) | lo
-            for hi, lo in zip(packs[1].value_hi.tolist(), packs[1].value_lo.tolist())
-        ]
-        # (first, ref, family) is unique per run, so this is the events'
-        # sort order; the constructor's sort then finds them in order.
-        order = np.lexsort((family, ref, first))
-        events = list(
-            zip(
-                first[order].tolist(),
-                ref[order].tolist(),
-                family[order].tolist(),
-                [values[i] for i in order.tolist()],
-                last[order].tolist(),
-            )
-        )
-        return cls(manifest, events)
+        runs = {
+            "first": np.concatenate([cols.first for cols in packs]),
+            "ref": np.concatenate([cols.probe_of_run() for cols in packs]),
+            "family": np.repeat(
+                np.array([4, 6], dtype=np.int64), [cols.n_runs for cols in packs]
+            ),
+            "last": np.concatenate([cols.last for cols in packs]),
+            "value_hi": np.concatenate([cols.value_hi for cols in packs]),
+            "value_lo": np.concatenate([cols.value_lo for cols in packs]),
+        }
+        # (first, ref, family) is unique per run, so this is the full
+        # event sort order.
+        order = np.lexsort((runs["family"], runs["ref"], runs["first"]))
+        source = cls.__new__(cls)
+        source.manifest = manifest_from_scenario(scenario)
+        source._runs = {name: column[order] for name, column in runs.items()}
+        return source
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._runs["first"])
 
     def chunks(self, chunk_hours: int, start_chunk: int = 0) -> Iterator[RunChunk]:
-        """Window the events into chunks, resuming at ``start_chunk``."""
+        """Window the runs into chunks, resuming at ``start_chunk``."""
         min_chunks = _chunk_count(self.manifest.end_hour, chunk_hours)
-        return _window_events(self._events, chunk_hours, start_chunk, min_chunks)
+        return _slice_windows(self._runs, chunk_hours, start_chunk, min_chunks)
 
 
 class JsonlRunSource:
@@ -284,9 +351,9 @@ class JsonlRunSource:
     Every :meth:`chunks` call re-scans the file from the top (skipping
     already-consumed windows on resume), so memory stays bounded by the
     largest single chunk regardless of stream length.  A truncated final
-    line — the signature of a killed writer — is tolerated and counted
-    in :attr:`truncated_lines`; malformed lines *followed by* well-formed
-    ones still raise.
+    line — the signature of a killed writer — is tolerated; after a scan
+    :attr:`truncated_lines` holds the number the file has (0 or 1).
+    Malformed lines *followed by* well-formed ones still raise.
     """
 
     def __init__(self, path) -> None:
@@ -316,8 +383,7 @@ class JsonlRunSource:
                     pending_error = exc  # tolerated only as the final line
                     continue
                 yield (run.first, run.probe_id, run.family, int(run.value), run.last)
-            if pending_error is not None:
-                self.truncated_lines += 1
+            self.truncated_lines = 0 if pending_error is None else 1
 
     def chunks(self, chunk_hours: int, start_chunk: int = 0) -> Iterator[RunChunk]:
         """Re-scan the file and window it, resuming at ``start_chunk``."""
@@ -479,7 +545,7 @@ def record_chunks(
             index,
             lo,
             lo + chunk_hours,
-            events,
+            **_pack_events(events),
             open_v6=extents,
             open_v4={} if final else assembler.open_v4_firsts(),
             frontier={ref: extent[1] + 1 for ref, extent in extents.items()},

@@ -1,14 +1,16 @@
-"""Incremental Atlas analysis: per-probe state machines over run chunks.
+"""Incremental Atlas analysis: a columnar fold over run chunks.
 
 :class:`AtlasStreamEngine` folds :class:`~repro.stream.chunks.RunChunk`
-windows one at a time and keeps only bounded per-probe state — the last
-run of each (probe, family) track, the pending merged /64 prefix run,
-merged IPv6 coverage intervals, and per-network accumulators (duration
-multisets, periodicity counters, CPL tallies, crossing counts).  Because
-every batch artifact is a function of order-independent multisets and
-exact integral-float sums, folding chunk-by-chunk reproduces the batch
-``engine="fused"`` report *bit-identically* — any chunk size, with or
-without a checkpoint/restore in the middle (the replay-parity tests and
+windows one at a time and keeps only bounded state, all of it NumPy
+arrays (see :data:`_STATE_ARRAYS`): per probe, the last run of each
+family track, the pending merged /64 prefix run and the periodicity
+accumulators; flat merged IPv6 coverage intervals and pending
+dual-stack durations; and per-network accumulators (a sparse duration
+histogram, CPL tallies, crossing counts).  Because every batch artifact
+is a function of order-independent multisets and exact integral-float
+sums, folding chunk-by-chunk reproduces the batch ``engine="fused"``
+report *bit-identically* — any chunk size, with or without a
+checkpoint/restore in the middle (the replay-parity tests and
 :func:`repro.perf.verify.streaming_replay_diffs` enforce this).
 
 Incremental semantics mirror the batch pipeline exactly:
@@ -25,20 +27,20 @@ Incremental semantics mirror the batch pipeline exactly:
   span is final (the *frontier* — the first hour at which new IPv6
   observations could still appear — has passed the span's end).
 
-Chunk classification goes through the existing ``analysis_np`` kernels
-(:func:`~repro.core.analysis_np.cpl_of_changes` and the routing-table
-interval index), so per-chunk work is vectorized.
+Each fold works per family on the chunk's rows stably sorted by probe,
+with each probe's carried row prepended: consecutive-row masks give the
+changes, counts, gaps and sandwiched durations of every track at once,
+and the changes are classified by one routing-index ``crosses`` call
+and one :func:`~repro.core.analysis_np.cpl_of_changes` call.  No python
+loop runs per run, track, probe or interval.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-import math
 import time
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -52,14 +54,68 @@ from repro.stream.chunks import RunChunk, StreamManifest
 _log = get_logger("stream.engine")
 
 #: Version of the engine's checkpoint payload layout.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 _PLEN = 64
-_LOW64 = (1 << 64) - 1
+_N_CPL = _PLEN + 1  # CPL values 0..64
 
 #: Probe-exhibits-period thresholds (periodicity.py defaults).
 _MIN_PERIOD_COUNT = 3
 _MIN_PERIOD_MASS = 0.5
+
+#: Duration kinds of the sparse histogram, with their Figure 1 keys and labels.
+_V4_NDS, _V4_DS, _V6 = 0, 1, 2
+_KIND_KEYS = ("v4_nds", "v4_ds", "v6")
+_KIND_LABELS = ("IPv4 non-dual-stack", "IPv4 dual-stack", "IPv6")
+_HOURS_BITS = 32
+
+#: Columnar state (attribute ``_<name>`` -> ``(dtype, axes)``).  Axes
+#: name the shape: ``F`` the two family tracks (row 0 IPv4, row 1 the
+#: IPv6 /64 track), ``P`` probes, ``J`` candidate periods, ``N``
+#: networks, ``C`` CPL values and ``X`` the five Table 2 tallies; an
+#: empty axes string is a flat array that grows and shrinks per fold.
+#:
+#: * ``track_*`` — each track's last run: runs so far (0 = no track),
+#:   value (IPv4 address or /64 upper bits), extent, and whether its
+#:   boundary gap before was zero (half of the sandwiched rule);
+#: * ``pend_*`` — the pending merged /64 run of each probe;
+#: * ``period_*`` — per track and probe, the total duration hours and
+#:   the count and hours of durations within tolerance of each period
+#:   (IPv4 non-dual-stack durations in row 0, IPv6 in row 1);
+#: * ``cov_*`` — merged IPv6 coverage intervals, sorted by (probe, start);
+#: * ``ds_*`` — IPv4 durations awaiting their dual-stack decision,
+#:   sorted by (probe, start);
+#: * ``hist_key``/``hist_count`` — the duration histogram, sorted keys
+#:   ``(network * 3 + kind) << 32 | hours``;
+#: * ``cpl_counts`` — changes per network and CPL; ``cpl_pairs`` the
+#:   sorted distinct ``probe * 65 + cpl`` codes;
+#: * ``crossings`` — per network: v4 changes, v4 /24 crossings, v4 BGP
+#:   crossings, v6 changes, v6 BGP crossings.
+_STATE_ARRAYS = {
+    "track_count": (np.int64, "FP"),
+    "track_value": (np.uint64, "FP"),
+    "track_first": (np.int64, "FP"),
+    "track_last": (np.int64, "FP"),
+    "track_gap_ok": (np.bool_, "FP"),
+    "pend_live": (np.bool_, "P"),
+    "pend_value": (np.uint64, "P"),
+    "pend_first": (np.int64, "P"),
+    "pend_last": (np.int64, "P"),
+    "period_total": (np.int64, "FP"),
+    "period_count": (np.int64, "FPJ"),
+    "period_mass": (np.int64, "FPJ"),
+    "cov_ref": (np.int64, ""),
+    "cov_a": (np.int64, ""),
+    "cov_b": (np.int64, ""),
+    "ds_ref": (np.int64, ""),
+    "ds_start": (np.int64, ""),
+    "ds_end": (np.int64, ""),
+    "hist_key": (np.int64, ""),
+    "hist_count": (np.int64, ""),
+    "cpl_counts": (np.int64, "NC"),
+    "cpl_pairs": (np.int64, ""),
+    "crossings": (np.int64, "NX"),
+}
 
 
 @dataclass
@@ -102,13 +158,41 @@ def routing_table_digest(table) -> str:
     return digest.hexdigest()
 
 
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """True where a sorted key array starts a new run of equal keys."""
+    heads = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
+def _with_carry(carry: np.ndarray, carried: Sequence[np.ndarray], ref, *columns):
+    """Rows of ``ref``/``columns`` with the ``carried`` row of each probe
+    in ``carry`` prepended to that probe's rows, stably sorted by probe."""
+    order = np.argsort(np.concatenate((carry, ref)), kind="stable")
+    return tuple(
+        np.concatenate((held, column))[order]
+        for held, column in zip((carry, *carried), (ref, *columns))
+    )
+
+
+def _items(mapping: Optional[dict], width: int = 1):
+    """``(probes, values)`` arrays of a probe-keyed chunk map; values
+    are ``(n, width)`` when ``width > 1``."""
+    mapping = mapping or {}
+    keys = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
+    values = np.array(list(mapping.values()), dtype=np.int64)
+    return keys, values.reshape(len(keys), width) if width > 1 else values
+
+
 class AtlasStreamEngine:
     """Foldable, checkpointable equivalent of ``analyze_atlas_scenario``.
 
-    Mutable state is kept as plain ints/dicts/Counters (no NumPy arrays,
-    no address objects), so :meth:`state_dict` pickles compactly and the
-    payload stays bounded by the probe population, not the stream
-    length.
+    The state is the :data:`_STATE_ARRAYS` table of NumPy arrays (no
+    python object per run or probe, no address objects), so
+    :meth:`state_dict` pickles compactly and the payload stays bounded
+    by the probe population, not the stream length.  Probes whose ASN
+    is not one of the manifest's networks count towards
+    :attr:`runs_seen` and are otherwise ignored.
     """
 
     def __init__(
@@ -126,39 +210,28 @@ class AtlasStreamEngine:
         self._table = table
         self._min_probes = min_probes
         self._tolerance = tolerance
-        self._periods = tuple(float(p) for p in candidate_periods)
+        self._periods = np.array([float(p) for p in candidate_periods], dtype=np.float64)
         self._min_coverage = min_coverage
 
         asn_to_net = {net.asn: i for i, net in enumerate(manifest.networks)}
-        self._net_of: List[Optional[int]] = [
-            asn_to_net.get(probe.asn) for probe in manifest.probes
-        ]
-        n_nets = len(manifest.networks)
-        n_periods = len(self._periods)
-        self._n_periods = n_periods
-
-        # -- checkpointed state (plain picklable structures only) -----------
+        self._net_of = np.array(
+            [asn_to_net.get(probe.asn, -1) for probe in manifest.probes], dtype=np.int64
+        )
+        self._dual = np.array([probe.dual_stack for probe in manifest.probes], dtype=bool)
+        self._n_probes = len(manifest.probes)
+        self._dims = {
+            "F": 2,
+            "P": self._n_probes,
+            "J": len(self._periods),
+            "N": len(manifest.networks),
+            "C": _N_CPL,
+            "X": 5,
+        }
         self._next_chunk = 0
         self._runs_seen = 0
-        self._tracks: Dict[Tuple[int, int], List[int]] = {}
-        self._v6_pending: Dict[int, List[int]] = {}
-        self._cov: Dict[int, List[List[int]]] = {}
-        self._pending_ds: Dict[int, List[List[int]]] = {}
-        self._durations = [
-            {"v4_nds": Counter(), "v4_ds": Counter(), "v6": Counter()}
-            for _ in range(n_nets)
-        ]
-        self._period_acc: List[Dict[str, Dict[int, list]]] = [
-            {"v4": {}, "v6": {}} for _ in range(n_nets)
-        ]
-        self._cpl_counts = [Counter() for _ in range(n_nets)]
-        self._cpl_pairs: List[set] = [set() for _ in range(n_nets)]
-        # [v4_changes, v4_diff24, v4_diffbgp, v6_changes, v6_diffbgp]
-        self._crossings = [[0, 0, 0, 0, 0] for _ in range(n_nets)]
-
-        # -- transient (rebuilt, never checkpointed) ------------------------
-        self._v4_buf: List[list] = [[] for _ in range(n_nets)]
-        self._v6_buf: List[list] = [[] for _ in range(n_nets)]
+        for name, (dtype, axes) in _STATE_ARRAYS.items():
+            shape = tuple(self._dims[axis] for axis in axes) or (0,)
+            setattr(self, f"_{name}", np.zeros(shape, dtype=dtype))
 
     # -- properties ----------------------------------------------------------
 
@@ -176,7 +249,7 @@ class AtlasStreamEngine:
         return {
             "min_probes": self._min_probes,
             "tolerance": self._tolerance,
-            "periods": list(self._periods),
+            "periods": self._periods.tolist(),
             "min_coverage": self._min_coverage,
             "table": routing_table_digest(self._table),
             "plen": _PLEN,
@@ -185,350 +258,380 @@ class AtlasStreamEngine:
     # -- folding --------------------------------------------------------------
 
     def fold_chunk(self, chunk: RunChunk) -> None:
-        """Fold one chunk's run events into the incremental state.
+        """Fold one chunk's runs into the incremental state.
 
-        IPv6 events fold before IPv4 events so every IPv6 run relevant
-        to a completed IPv4 duration's dual-stack coverage has arrived
-        by the time the pending queue drains at the end of the fold.
+        Both families fold before the pending dual-stack queue drains,
+        so every IPv6 run relevant to a completed IPv4 duration's
+        coverage has arrived by the time it is decided.
         """
-        for first, ref, family, value, last in chunk.events:
-            if family == 6:
-                self._feed_v6(ref, value, first, last)
-        for first, ref, family, value, last in chunk.events:
-            if family == 4:
-                self._feed_track(ref, 4, value, first, last)
-        self._runs_seen += len(chunk.events)
-        self._classify_buffers()
-        self._drain_pending(chunk.end_hour, chunk.frontier, chunk.open_v6)
-        self._prune_coverage(chunk)
+        featured = self._net_of[chunk.ref] >= 0
+        exact = []
+        for row, family in enumerate((4, 6)):
+            rows = np.flatnonzero(featured & (chunk.family == family))
+            rows = rows[np.argsort(chunk.ref[rows], kind="stable")]
+            ref, first, last = chunk.ref[rows], chunk.first[rows], chunk.last[rows]
+            if row == 0:
+                runs = (ref, chunk.value_lo[rows], first, last)
+            else:
+                self._merge_coverage(ref, first, last)
+                # The /64 of a 128-bit value is its upper half.
+                runs = self._merge_prefixes(ref, chunk.value_hi[rows], first, last)
+            exact.append(self._step_track(row, *runs))
+        self._runs_seen += len(chunk)
+        frontier = np.full(self._n_probes, chunk.end_hour, dtype=np.int64)
+        refs, hours = _items(chunk.frontier)
+        frontier[refs] = hours
+        self._settle(*exact, frontier, *_items(chunk.open_v6, 2))
+        refs, hours = _items(chunk.open_v4)
+        self._prune_coverage(chunk.end_hour, refs, hours)
         self._next_chunk = chunk.index + 1
 
-    def _feed_v6(self, ref: int, value: int, first: int, last: int) -> None:
-        if self._net_of[ref] is None:
-            return
-        intervals = self._cov.setdefault(ref, [])
-        if intervals and first <= intervals[-1][1] + 1:
-            if last > intervals[-1][1]:
-                intervals[-1][1] = last
-        else:
-            intervals.append([first, last])
-        prefix = value & ~_LOW64
-        pending = self._v6_pending.get(ref)
-        if pending is not None and pending[0] == prefix:
-            pending[2] = last  # same /64 across any gap: one merged run
-        else:
-            if pending is not None:
-                self._feed_track(ref, 6, pending[0], pending[1], pending[2])
-            self._v6_pending[ref] = [prefix, first, last]
+    def _merge_coverage(self, ref, first, last) -> None:
+        """Merge IPv6 runs into the coverage intervals.
 
-    def _feed_track(self, ref: int, pipe: int, value: int, first: int, last: int) -> None:
+        One lexsort orders old and new intervals by (probe, start); a
+        new merged interval starts wherever a start lies more than one
+        hour past the running reach of the probe's earlier intervals.
+        """
+        if not len(ref):
+            return
+        ref = np.concatenate((self._cov_ref, ref))
+        a = np.concatenate((self._cov_a, first))
+        b = np.concatenate((self._cov_b, last))
+        order = np.lexsort((a, ref))
+        ref, a, b = ref[order], a[order], b[order]
+        # Offsetting hours by ref * span keeps one running maximum
+        # monotone across probes, so it never reaches into the next one.
+        span = int(b.max()) + 2
+        reach = np.maximum.accumulate(ref * span + b)
+        starts = np.ones(len(ref), dtype=bool)
+        np.greater(ref[1:] * span + a[1:], reach[:-1] + 1, out=starts[1:])
+        starts = np.flatnonzero(starts)
+        self._cov_ref, self._cov_a = ref[starts], a[starts]
+        self._cov_b = np.maximum.reduceat(b, starts)
+
+    def _merge_prefixes(self, ref, prefix, first, last):
+        """Merge each probe's /64 runs across any gap, starting from its
+        pending run (rows sorted by probe, then time).
+
+        Returns the merged runs that closed; each probe's last merged
+        run becomes its new pending run.
+        """
+        if not len(ref):
+            return ref, prefix, first, last
+        carry = ref[_heads(ref)]
+        carry = carry[self._pend_live[carry]]
+        held = (self._pend_value[carry], self._pend_first[carry], self._pend_last[carry])
+        ref, prefix, first, last = _with_carry(carry, held, ref, prefix, first, last)
+        starts = np.flatnonzero(_heads(ref) | _heads(prefix))
+        ends = np.append(starts[1:], len(ref)) - 1
+        ref, prefix, first, last = ref[starts], prefix[starts], first[starts], last[ends]
+        pending = np.append(ref[1:] != ref[:-1], True)
+        probes = ref[pending]
+        self._pend_live[probes] = True
+        self._pend_value[probes] = prefix[pending]
+        self._pend_first[probes] = first[pending]
+        self._pend_last[probes] = last[pending]
+        closed = ~pending
+        return ref[closed], prefix[closed], first[closed], last[closed]
+
+    def _step_track(self, row: int, ref, value, first, last):
+        """Append runs (sorted by probe, then time) to track ``row``.
+
+        Each probe's carried last run is prepended.  A row that follows
+        another row of its probe is a change; that previous row is an
+        exact duration when it was sandwiched — not its track's first
+        run, and zero boundary gaps on both sides.  Returns the exact
+        durations as ``(ref, start, end)``.
+        """
+        if not len(ref):
+            return ref, first, last
+        count, values, firsts, lasts, gaps_ok = (
+            getattr(self, f"_track_{name}")[row]
+            for name in ("count", "value", "first", "last", "gap_ok")
+        )
+        carry = ref[_heads(ref)]
+        carry = carry[count[carry] > 0]
+        fresh = len(ref)
+        ref, value, first, last, base, gap_ok = _with_carry(
+            carry,
+            (values[carry], firsts[carry], lasts[carry], count[carry], gaps_ok[carry]),
+            ref, value, first, last,
+            np.zeros(fresh, dtype=np.int64), np.zeros(fresh, dtype=bool),
+        )
+        heads = _heads(ref)
+        starts = np.flatnonzero(heads)
+        lengths = np.diff(np.append(starts, len(ref)))
+        # 1-based position of each row in its track.
+        runs = np.repeat(np.maximum(base[starts], 1) - starts, lengths) + np.arange(len(ref))
+        gap = np.zeros(len(ref), dtype=np.int64)
+        gap[1:] = first[1:] - last[:-1] - 1
+        gap_ok = np.where(heads, gap_ok, gap <= 0)
+        changes = np.flatnonzero(~heads)
+        prev = changes - 1
+        self._record_changes(row, ref[changes], value[prev], value[changes])
+        exact = prev[(runs[prev] >= 2) & gap_ok[prev] & (gap[changes] <= 0)]
+        ends = np.append(starts[1:], len(ref)) - 1
+        probes = ref[ends]
+        count[probes] = runs[ends]
+        values[probes] = value[ends]
+        firsts[probes] = first[ends]
+        lasts[probes] = last[ends]
+        gaps_ok[probes] = gap_ok[ends]
+        return ref[exact], first[exact], last[exact]
+
+    def _record_changes(self, row: int, ref, old, new) -> None:
+        """Classify one track row's changes and count them per network."""
+        if not len(ref):
+            return
+        n_nets = self._dims["N"]
         net = self._net_of[ref]
-        if net is None:
-            return
-        key = (ref, pipe)
-        track = self._tracks.get(key)
-        if track is None:
-            self._tracks[key] = [value, first, last, 0, 1]
-            return
-        prev_value, prev_first, prev_last, prev_gap_ok, count = track
-        gap_after = first - prev_last - 1
-        buf = self._v6_buf[net] if pipe == 6 else self._v4_buf[net]
-        buf.append((ref, prev_value, value))
-        if count >= 2 and prev_gap_ok and gap_after <= 0:
-            self._emit_duration(net, ref, pipe, prev_first, prev_last)
-        track[0] = value
-        track[1] = first
-        track[2] = last
-        track[3] = 1 if gap_after <= 0 else 0
-        track[4] = count + 1
 
-    def _emit_duration(self, net: int, ref: int, pipe: int, start: int, end: int) -> None:
-        if pipe == 6:
-            hours = end - start + 1
-            self._durations[net]["v6"][hours] += 1
-            self._accumulate_period(net, "v6", ref, hours)
-        else:
-            self._pending_ds.setdefault(ref, []).append([start, end])
+        def per_net(mask=None):
+            return np.bincount(net if mask is None else net[mask], minlength=n_nets)
 
-    def _accumulate_period(self, net: int, fam_key: str, ref: int, hours: int) -> None:
-        acc = self._period_acc[net][fam_key].get(ref)
-        if acc is None:
-            acc = [0, [0] * self._n_periods, [0] * self._n_periods]
-            self._period_acc[net][fam_key][ref] = acc
-        acc[0] += hours
-        value = float(hours)
-        for j, period in enumerate(self._periods):
-            if abs(value - period) <= self._tolerance:
-                acc[1][j] += 1
-                acc[2][j] += hours
-
-    # -- per-chunk vectorized classification ----------------------------------
-
-    def _classify_buffers(self) -> None:
-        for net, buf in enumerate(self._v4_buf):
-            if not buf:
-                continue
-            old = np.array([o for _ref, o, _n in buf], dtype=np.uint64)
-            new = np.array([n for _ref, _o, n in buf], dtype=np.uint64)
-            tally = self._crossings[net]
-            tally[0] += len(buf)
-            tally[1] += int(np.count_nonzero((old ^ new) >> np.uint64(8)))
+        if row == 0:
+            self._crossings[:, 0] += per_net()
+            self._crossings[:, 1] += per_net(((old ^ new) >> np.uint64(8)) != 0)
             if self._table is not None:
-                tally[2] += int(np.count_nonzero(self._table.route_index(4).crosses(old, new)))
-            self._v4_buf[net] = []
-        for net, buf in enumerate(self._v6_buf):
-            if not buf:
-                continue
-            refs = np.array([ref for ref, _o, _n in buf], dtype=np.int64)
-            old_hi = np.array([o >> 64 for _ref, o, _n in buf], dtype=np.uint64)
-            new_hi = np.array([n >> 64 for _ref, _o, n in buf], dtype=np.uint64)
-            zeros_u = np.zeros(len(buf), dtype=np.uint64)
-            zeros_i = np.zeros(len(buf), dtype=np.int64)
-            changes = _anp.ChangeColumns(
-                probe_index=refs,
-                hour=zeros_i,
-                old_hi=old_hi,
-                old_lo=zeros_u,
-                new_hi=new_hi,
-                new_lo=zeros_u,
-                boundary_gap=zeros_i,
-            )
-            cpls = _anp.cpl_of_changes(changes, _PLEN)
-            self._cpl_counts[net].update(int(c) for c in cpls)
-            pairs = self._cpl_pairs[net]
-            for (ref, _o, _n), cpl in zip(buf, cpls):
-                pairs.add((ref, int(cpl)))
-            tally = self._crossings[net]
-            tally[3] += len(buf)
-            if self._table is not None:
-                index = self._table.route_index(6, max_plen=_PLEN)
-                tally[4] += int(np.count_nonzero(index.crosses(old_hi, new_hi)))
-            self._v6_buf[net] = []
+                self._crossings[:, 2] += per_net(self._table.route_index(4).crosses(old, new))
+            return
+        # /64 values are upper halves; hours and gaps do not enter a CPL.
+        low, unused = np.zeros(len(ref), dtype=np.uint64), np.zeros(len(ref), dtype=np.int64)
+        changes = _anp.ChangeColumns(ref, unused, old, low, new, low, unused)
+        cpl = _anp.cpl_of_changes(changes, _PLEN).astype(np.int64)
+        self._cpl_counts += np.bincount(
+            net * _N_CPL + cpl, minlength=n_nets * _N_CPL
+        ).reshape(n_nets, _N_CPL)
+        self._cpl_pairs = np.union1d(self._cpl_pairs, ref * _N_CPL + cpl)
+        self._crossings[:, 3] += per_net()
+        if self._table is not None:
+            index = self._table.route_index(6, max_plen=_PLEN)
+            self._crossings[:, 4] += per_net(index.crosses(old, new))
+
+    def _settle(self, v4_exact, v6_exact, frontier, open_refs, open_extents) -> None:
+        """Queue the new IPv4 durations, decide the queued ones whose
+        coverage is final (:meth:`_drain`), and count every decided and
+        IPv6 duration in one histogram merge."""
+        ref, start, end = (
+            np.concatenate((queued, new))
+            for queued, new in zip((self._ds_ref, self._ds_start, self._ds_end), v4_exact)
+        )
+        # A probe's new durations start after its queued ones, so a
+        # stable sort by probe keeps the queue in (probe, start) order.
+        order = np.argsort(ref, kind="stable")
+        self._ds_ref, self._ds_start, self._ds_end = ref[order], start[order], end[order]
+        ref, hours, dual = self._drain(frontier, open_refs, open_extents)
+        v6_ref, v6_start, v6_end = v6_exact
+        self._add_durations(
+            np.concatenate((np.where(dual, _V4_DS, _V4_NDS), np.full(len(v6_ref), _V6))),
+            np.concatenate((ref, v6_ref)),
+            np.concatenate((hours, v6_end - v6_start + 1)),
+        )
+
+    def _add_durations(self, kind, ref, hours) -> None:
+        """Count durations into the histogram and, for IPv4
+        non-dual-stack and IPv6 ones, the period accumulators."""
+        if not len(ref):
+            return
+        keys = ((self._net_of[ref] * 3 + kind) << _HOURS_BITS) | hours
+        keys, slots = np.unique(np.concatenate((self._hist_key, keys)), return_inverse=True)
+        weights = np.concatenate((self._hist_count, np.ones(len(ref), dtype=np.int64)))
+        self._hist_key = keys
+        self._hist_count = np.bincount(
+            slots.ravel(), weights=weights, minlength=len(keys)
+        ).astype(np.int64)
+        periodic = kind != _V4_DS
+        cell = (kind[periodic] == _V6) * self._n_probes + ref[periodic]
+        hours = hours[periodic]
+        n_cells, n_periods = 2 * self._n_probes, self._dims["J"]
+        # Integral float sums below 2**53 are exact, so bincount's
+        # float weights cast back to the same integers.
+        self._period_total += np.bincount(
+            cell, weights=hours, minlength=n_cells
+        ).astype(np.int64).reshape(self._period_total.shape)
+        near = np.abs(hours[:, None].astype(np.float64) - self._periods) <= self._tolerance
+        hit, period = np.nonzero(near)
+        cells = cell[hit] * n_periods + period
+        self._period_count += np.bincount(
+            cells, minlength=n_cells * n_periods
+        ).reshape(self._period_count.shape)
+        self._period_mass += np.bincount(
+            cells, weights=hours[hit], minlength=n_cells * n_periods
+        ).astype(np.int64).reshape(self._period_mass.shape)
 
     # -- dual-stack classification --------------------------------------------
 
-    def _coverage(
-        self, ref: int, start: int, end: int, open_extent: Optional[Tuple[int, int]]
-    ) -> float:
-        covered = 0
-        for a, b in self._cov.get(ref, ()):
-            if a > end:
-                break
-            overlap = min(b, end) - max(a, start) + 1
-            if overlap > 0:
-                covered += overlap
-        if open_extent is not None:
-            overlap = min(open_extent[1], end) - max(open_extent[0], start) + 1
-            if overlap > 0:
-                covered += overlap
-        span = end - start + 1
-        return min(1.0, covered / span)
+    def _covered(self, ref, start, end) -> np.ndarray:
+        """Hours of ``[start, end]`` each probe's coverage intervals cover.
 
-    def _drain_pending(
-        self,
-        default_frontier: float,
-        frontier: Optional[Dict[int, int]],
-        open_v6: Optional[Dict[int, Tuple[int, int]]],
-    ) -> None:
-        """Decide pending IPv4 durations whose coverage is final.
+        One prefix sum over all intervals, keyed ``probe * span + hour``
+        so a single ``searchsorted`` answers "covered hours up to x" for
+        every query; the intervals of earlier probes land in both
+        endpoint queries and cancel in the difference.
+        """
+        cov_ref, a, b = self._cov_ref, self._cov_a, self._cov_b
+        n = len(a)
+        if not n or not len(ref):
+            return np.zeros(len(ref), dtype=np.int64)
+        span = int(max(b.max(), end.max())) + 3
+        last_keys = cov_ref * span + b + 1
+        first_keys = cov_ref * span + a + 1
+        cumulative = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(b - a + 1, out=cumulative[1:])
+
+        def covered_up_to(x):
+            query = ref * span + x + 1
+            position = np.searchsorted(last_keys, query, side="right")
+            clipped = np.minimum(position, n - 1)
+            partial = (position < n) & (first_keys[clipped] <= query)
+            return cumulative[position] + np.where(partial, x - a[clipped] + 1, 0)
+
+        return covered_up_to(end) - covered_up_to(start - 1)
+
+    def _drain(self, frontier: Optional[np.ndarray], open_refs, open_extents):
+        """Decide queued IPv4 durations whose coverage is final.
 
         A duration is dual-stack the moment coverage reaches the
         threshold (coverage only grows); it is non-dual-stack once the
         probe's IPv6 frontier has passed its end (no further overlap can
-        appear).  Anything else stays pending.
+        appear), or at once when ``frontier`` is ``None`` (end of
+        stream).  Anything else stays queued.  ``open_extents`` are the
+        ``(first, last)`` extents of still-open IPv6 runs of
+        ``open_refs``.  Returns the decided durations as ``(ref, hours,
+        dual)``.
         """
-        for ref in list(self._pending_ds):
-            net = self._net_of[ref]
-            ref_frontier = default_frontier
-            if frontier is not None and ref in frontier:
-                ref_frontier = frontier[ref]
-            open_extent = open_v6.get(ref) if open_v6 else None
-            kept = []
-            for start, end in self._pending_ds[ref]:
-                fraction = self._coverage(ref, start, end, open_extent)
-                hours = end - start + 1
-                if fraction >= self._min_coverage:
-                    self._durations[net]["v4_ds"][hours] += 1
-                elif ref_frontier > end:
-                    self._durations[net]["v4_nds"][hours] += 1
-                    self._accumulate_period(net, "v4", ref, hours)
-                else:
-                    kept.append([start, end])
-            if kept:
-                self._pending_ds[ref] = kept
-            else:
-                del self._pending_ds[ref]
+        ref, start, end = self._ds_ref, self._ds_start, self._ds_end
+        covered = self._covered(ref, start, end)
+        if len(open_refs):
+            open_first = np.zeros(self._n_probes, dtype=np.int64)
+            open_last = np.full(self._n_probes, -1, dtype=np.int64)
+            open_first[open_refs], open_last[open_refs] = open_extents.T
+            overlap = np.minimum(open_last[ref], end) - np.maximum(open_first[ref], start) + 1
+            covered += np.maximum(overlap, 0)
+        hours = end - start + 1
+        dual = np.minimum(1.0, covered / hours) >= self._min_coverage
+        single = ~dual if frontier is None else ~dual & (frontier[ref] > end)
+        keep = ~(dual | single)
+        self._ds_ref, self._ds_start, self._ds_end = ref[keep], start[keep], end[keep]
+        decided = ~keep
+        return ref[decided], hours[decided], dual[decided]
 
-    def _prune_coverage(self, chunk: RunChunk) -> None:
-        """Drop coverage intervals no future IPv4 duration can overlap."""
-        open_v4 = chunk.open_v4 or {}
-        for ref, intervals in self._cov.items():
-            bounds = [chunk.end_hour]
-            track = self._tracks.get((ref, 4))
-            if track is not None:
-                bounds.append(track[1])
-            queue = self._pending_ds.get(ref)
-            if queue:
-                bounds.append(min(start for start, _end in queue))
-            if ref in open_v4:
-                bounds.append(open_v4[ref])
-            needed_from = min(bounds)
-            while intervals and intervals[0][1] < needed_from:
-                intervals.pop(0)
+    def _prune_coverage(self, end_hour: int, open_refs, open_firsts) -> None:
+        """Drop coverage intervals no future IPv4 duration can overlap:
+        those ending before the probe's ``needed_from`` — the earliest of
+        the chunk end, its IPv4 track's last run, its first queued
+        duration and its still-open IPv4 run (``open_refs``)."""
+        if not len(self._cov_ref):
+            return
+        needed = np.full(self._n_probes, end_hour, dtype=np.int64)
+        tracked = self._track_count[0] > 0
+        np.minimum(needed, self._track_first[0], out=needed, where=tracked)
+        heads = _heads(self._ds_ref)
+        queued = self._ds_ref[heads]
+        needed[queued] = np.minimum(needed[queued], self._ds_start[heads])
+        needed[open_refs] = np.minimum(needed[open_refs], open_firsts)
+        keep = self._cov_b >= needed[self._cov_ref]
+        self._cov_ref, self._cov_a, self._cov_b = (
+            self._cov_ref[keep], self._cov_a[keep], self._cov_b[keep]
+        )
 
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Snapshot of every checkpointed structure.
-
-        The snapshot references live containers — serialize (pickle)
-        before folding further chunks, or deep-copy first.
-        """
-        return {
-            "state_version": STATE_VERSION,
-            "next_chunk": self._next_chunk,
-            "runs_seen": self._runs_seen,
-            "tracks": self._tracks,
-            "v6_pending": self._v6_pending,
-            "cov": self._cov,
-            "pending_ds": self._pending_ds,
-            "durations": [
-                {key: dict(counter) for key, counter in per_net.items()}
-                for per_net in self._durations
-            ],
-            "period_acc": self._period_acc,
-            "cpl_counts": [dict(counter) for counter in self._cpl_counts],
-            "cpl_pairs": [sorted(pairs) for pairs in self._cpl_pairs],
-            "crossings": self._crossings,
-        }
+        """Snapshot of the state; owns copies, so later folds never alter it."""
+        state = {name: getattr(self, f"_{name}").copy() for name in _STATE_ARRAYS}
+        state.update(
+            state_version=STATE_VERSION,
+            next_chunk=self._next_chunk,
+            runs_seen=self._runs_seen,
+        )
+        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (checkpoint resume)."""
         version = state.get("state_version")
         if version != STATE_VERSION:
             raise ValueError(f"unsupported stream state version {version!r}")
+        for name, (dtype, axes) in _STATE_ARRAYS.items():
+            array = np.array(state[name], dtype=dtype)
+            if axes and array.shape != tuple(self._dims[axis] for axis in axes):
+                raise ValueError(f"stream state {name!r} has shape {array.shape}")
+            setattr(self, f"_{name}", array)
         self._next_chunk = state["next_chunk"]
         self._runs_seen = state["runs_seen"]
-        self._tracks = {tuple(key): list(value) for key, value in state["tracks"].items()}
-        self._v6_pending = {key: list(value) for key, value in state["v6_pending"].items()}
-        self._cov = {
-            key: [list(pair) for pair in value] for key, value in state["cov"].items()
-        }
-        self._pending_ds = {
-            key: [list(pair) for pair in value]
-            for key, value in state["pending_ds"].items()
-        }
-        self._durations = [
-            {key: Counter(counts) for key, counts in per_net.items()}
-            for per_net in state["durations"]
-        ]
-        self._period_acc = [
-            {
-                fam: {ref: [acc[0], list(acc[1]), list(acc[2])] for ref, acc in accs.items()}
-                for fam, accs in per_net.items()
-            }
-            for per_net in state["period_acc"]
-        ]
-        self._cpl_counts = [Counter(counts) for counts in state["cpl_counts"]]
-        self._cpl_pairs = [set(map(tuple, pairs)) for pairs in state["cpl_pairs"]]
-        self._crossings = [list(tally) for tally in state["crossings"]]
-        n_nets = len(self.manifest.networks)
-        self._v4_buf = [[] for _ in range(n_nets)]
-        self._v6_buf = [[] for _ in range(n_nets)]
 
     # -- finalization ---------------------------------------------------------
 
     def finalize(self) -> AtlasStreamResult:
         """Produce the batch-identical artifacts from the current state.
 
-        The engine's state is restored afterwards, so a finished state
-        can still be extended with further chunks and finalized again.
+        The pending /64 runs close and every queued duration is decided;
+        a snapshot taken first is then restored, so a finished state can
+        still be extended with further chunks and finalized again.
         """
-        from repro.workloads import AtlasAnalysis
-
-        saved = copy.deepcopy(self.state_dict())
+        saved = self.state_dict()
         try:
-            for ref in sorted(self._v6_pending):
-                prefix, first, last = self._v6_pending[ref]
-                self._feed_track(ref, 6, prefix, first, last)
-            self._v6_pending.clear()
-            self._classify_buffers()
-            self._drain_pending(math.inf, None, None)
-
-            table1 = {}
-            table2 = {}
-            figure1 = {}
-            figure5 = {}
-            v4_periods: Dict[str, float] = {}
-            v6_periods: Dict[str, float] = {}
-            probes_of = [[] for _ in self.manifest.networks]
-            for ref, net in enumerate(self._net_of):
-                if net is not None:
-                    probes_of[net].append(ref)
-            for net, info in enumerate(self.manifest.networks):
-                refs = probes_of[net]
-                all_v4 = ds_v4 = ds_v6 = ds_probes = 0
-                for ref in refs:
-                    v4_track = self._tracks.get((ref, 4))
-                    v4_changes = v4_track[4] - 1 if v4_track else 0
-                    all_v4 += v4_changes
-                    if self.manifest.probes[ref].dual_stack:
-                        ds_probes += 1
-                        ds_v4 += v4_changes
-                        v6_track = self._tracks.get((ref, 6))
-                        ds_v6 += v6_track[4] - 1 if v6_track else 0
-                table1[info.name] = Table1Row(
-                    name=info.name,
-                    asn=info.asn,
-                    country=info.country,
-                    all_probes=len(refs),
-                    all_v4_changes=all_v4,
-                    ds_probes=ds_probes,
-                    ds_v4_changes=ds_v4,
-                    ds_v6_changes=ds_v6,
-                )
-                if self._table is not None:
-                    table2[info.name] = CrossingRates(*self._crossings[net])
-                durations = self._durations[net]
-                figure1[info.name] = {
-                    "v4_nds": figure1_series(
-                        f"{info.name} IPv4 non-dual-stack",
-                        _expand(durations["v4_nds"]),
-                        engine="fused",
-                    ),
-                    "v4_ds": figure1_series(
-                        f"{info.name} IPv4 dual-stack",
-                        _expand(durations["v4_ds"]),
-                        engine="fused",
-                    ),
-                    "v6": figure1_series(
-                        f"{info.name} IPv6", _expand(durations["v6"]), engine="fused"
-                    ),
-                }
-                figure5[info.name] = CplHistogram(
-                    changes_by_cpl=dict(sorted(self._cpl_counts[net].items())),
-                    probes_by_cpl=_pair_histogram(self._cpl_pairs[net]),
-                )
-                period = self._consistent_period(self._period_acc[net]["v4"])
-                if period is not None:
-                    v4_periods[info.name] = period
-                period = self._consistent_period(self._period_acc[net]["v6"])
-                if period is not None:
-                    v6_periods[info.name] = period
-            analysis = AtlasAnalysis(
-                engine="fused",
-                table1=table1,
-                table2=table2,
-                figure1=figure1,
-                figure5=figure5,
+            held = np.flatnonzero(self._pend_live)
+            v6_exact = self._step_track(
+                1, held, self._pend_value[held], self._pend_first[held], self._pend_last[held]
             )
-            return AtlasStreamResult(
-                analysis=analysis, v4_periods=v4_periods, v6_periods=v6_periods
-            )
+            self._pend_live[:] = False
+            nothing = np.empty(0, dtype=np.int64)
+            self._settle((nothing,) * 3, v6_exact, None, *_items(None, 2))
+            return self._artifacts()
         finally:
             self.load_state(saved)
 
-    def _consistent_period(self, accs: Dict[int, list]) -> Optional[float]:
+    def _artifacts(self) -> AtlasStreamResult:
+        """The report artifacts of a state with nothing pending."""
+        from repro.workloads import AtlasAnalysis
+
+        changes = np.maximum(self._track_count - 1, 0)
+        hist_group = self._hist_key >> _HOURS_BITS
+        hist_hours = (self._hist_key & ((1 << _HOURS_BITS) - 1)).astype(np.float64)
+        pair_ref, pair_cpl = np.divmod(self._cpl_pairs, _N_CPL)
+        pair_net = self._net_of[pair_ref]
+        table1, table2, figure1, figure5 = {}, {}, {}, {}
+        v4_periods: Dict[str, float] = {}
+        v6_periods: Dict[str, float] = {}
+        for net, info in enumerate(self.manifest.networks):
+            mine = self._net_of == net
+            dual = mine & self._dual
+            table1[info.name] = Table1Row(
+                name=info.name,
+                asn=info.asn,
+                country=info.country,
+                all_probes=int(np.count_nonzero(mine)),
+                all_v4_changes=int(changes[0][mine].sum()),
+                ds_probes=int(np.count_nonzero(dual)),
+                ds_v4_changes=int(changes[0][dual].sum()),
+                ds_v6_changes=int(changes[1][dual].sum()),
+            )
+            if self._table is not None:
+                table2[info.name] = CrossingRates(*self._crossings[net].tolist())
+            figure1[info.name] = {}
+            for kind, (key, label) in enumerate(zip(_KIND_KEYS, _KIND_LABELS)):
+                sel = hist_group == net * 3 + kind
+                figure1[info.name][key] = figure1_series(
+                    f"{info.name} {label}",
+                    np.repeat(hist_hours[sel], self._hist_count[sel]),
+                    engine="fused",
+                )
+            figure5[info.name] = CplHistogram(
+                changes_by_cpl=_nonzero(self._cpl_counts[net]),
+                probes_by_cpl=_nonzero(np.bincount(pair_cpl[pair_net == net], minlength=_N_CPL)),
+            )
+            for row, periods in enumerate((v4_periods, v6_periods)):
+                period = self._consistent_period(row, mine)
+                if period is not None:
+                    periods[info.name] = period
+        analysis = AtlasAnalysis(
+            engine="fused", table1=table1, table2=table2, figure1=figure1, figure5=figure5
+        )
+        return AtlasStreamResult(analysis=analysis, v4_periods=v4_periods, v6_periods=v6_periods)
+
+    def _consistent_period(self, row: int, mine: np.ndarray) -> Optional[float]:
         """First candidate period exhibited by >= ``min_probes`` probes.
 
         Replays the fused engine's per-network reduction of
@@ -536,31 +639,21 @@ class AtlasStreamEngine:
         integer accumulators: the mass ratio is the same exact float
         division the kernel performs (integral sums < 2**53).
         """
-        exhibiting = [0] * self._n_periods
-        for total, counts, masses in accs.values():
-            if not total:
-                continue
-            for j in range(self._n_periods):
-                if counts[j] >= _MIN_PERIOD_COUNT and masses[j] / total >= _MIN_PERIOD_MASS:
-                    exhibiting[j] += 1
-        for j, period in enumerate(self._periods):
-            if exhibiting[j] >= self._min_probes:
-                return float(period)
-        return None
+        total = self._period_total[row][mine]
+        live = total > 0
+        counts = self._period_count[row][mine][live]
+        ratio = self._period_mass[row][mine][live] / total[live][:, None]
+        exhibiting = np.count_nonzero(
+            (counts >= _MIN_PERIOD_COUNT) & (ratio >= _MIN_PERIOD_MASS), axis=0
+        )
+        found = np.flatnonzero(exhibiting >= self._min_probes)
+        return float(self._periods[found[0]]) if len(found) else None
 
 
-def _expand(counter: Counter) -> List[float]:
-    """Expand a duration multiset into the float list Figure 1 consumes."""
-    values: List[float] = []
-    for hours in sorted(counter):
-        values.extend([float(hours)] * counter[hours])
-    return values
-
-
-def _pair_histogram(pairs: set) -> Dict[int, int]:
-    """(probe, cpl) pairs -> probes per CPL (Figure 5's second histogram)."""
-    histogram = Counter(cpl for _ref, cpl in pairs)
-    return dict(sorted(histogram.items()))
+def _nonzero(counts: np.ndarray) -> Dict[int, int]:
+    """A dense count array's nonzero entries as an ordered ``{index: count}``."""
+    index = np.flatnonzero(counts)
+    return dict(zip(index.tolist(), counts[index].tolist()))
 
 
 # -- drivers ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.atlas.echo import EchoRecord, EchoRun
@@ -121,6 +122,21 @@ def _manifest(end_hour):
     )
 
 
+def _rows(chunk):
+    """A run chunk's six columns zipped back into (first, ref, family,
+    value, last) rows."""
+    values = [
+        (hi << 64) | lo for hi, lo in zip(chunk.value_hi.tolist(), chunk.value_lo.tolist())
+    ]
+    return list(zip(
+        chunk.first.tolist(), chunk.ref.tolist(), chunk.family.tolist(), values,
+        chunk.last.tolist(),
+    ))
+
+
+_RUN_LINE = '{"prb_id":0,"af":4,"value":"1.2.3.4","first":%d,"last":%d,"observed":1}'
+
+
 class TestRunChunkBoundaries:
     def test_run_spanning_a_boundary_stays_in_its_first_chunk(self):
         # A run is windowed by its *first* hour: one starting at hour 9
@@ -128,33 +144,65 @@ class TestRunChunkBoundaries:
         events = [(9, 0, 4, 1, 25), (30, 0, 4, 2, 35)]
         chunks = list(ScenarioRunSource(_manifest(40), events).chunks(10))
         assert [chunk.index for chunk in chunks] == [0, 1, 2, 3]
-        assert chunks[0].events == [(9, 0, 4, 1, 25)]
-        assert chunks[1].events == []  # the spanning run is NOT re-emitted
-        assert chunks[3].events == [(30, 0, 4, 2, 35)]
+        assert _rows(chunks[0]) == [(9, 0, 4, 1, 25)]
+        assert _rows(chunks[1]) == []  # the spanning run is NOT re-emitted
+        assert _rows(chunks[3]) == [(30, 0, 4, 2, 35)]
 
     def test_empty_windows_are_emitted(self):
         # A long observation gap yields explicitly empty chunks, so a
         # resumed scan always lines up index-for-index with the original.
         events = [(0, 0, 4, 1, 0), (45, 0, 4, 2, 45)]
         chunks = list(ScenarioRunSource(_manifest(50), events).chunks(10))
-        assert [len(chunk.events) for chunk in chunks] == [1, 0, 0, 0, 1]
+        assert [len(chunk) for chunk in chunks] == [1, 0, 0, 0, 1]
         assert [chunk.start_hour for chunk in chunks] == [0, 10, 20, 30, 40]
 
-    def test_unsorted_events_raise(self):
-        source = ScenarioRunSource(_manifest(10), [(0, 0, 4, 1, 0)])
-        source._events = [(5, 0, 4, 1, 5), (2, 0, 4, 2, 2)]  # corrupt the order
+    def test_columns_are_typed_and_sorted(self):
+        # Events in any order come out as (first, ref, family)-sorted
+        # columns; a 128-bit value splits into its two uint64 halves.
+        v6 = (0x2001_0DB8 << 96) | 7
+        events = [(5, 1, 6, v6, 9), (5, 0, 4, 3, 6), (2, 1, 4, 4, 2)]
+        (chunk,) = ScenarioRunSource(_manifest(10), events).chunks(10)
+        assert _rows(chunk) == sorted(events)
+        assert chunk.value_hi.tolist() == [0, 0, v6 >> 64]
+        assert [chunk.first.dtype, chunk.value_lo.dtype] == [np.int64, np.uint64]
+
+    def test_resume_skips_folded_windows(self):
+        events = [(0, 0, 4, 1, 3), (12, 0, 4, 2, 14), (25, 0, 4, 3, 25)]
+        source = ScenarioRunSource(_manifest(30), events)
+        resumed = list(source.chunks(10, start_chunk=1))
+        assert [chunk.index for chunk in resumed] == [1, 2]
+        assert [_rows(chunk) for chunk in resumed] == [
+            [(12, 0, 4, 2, 14)], [(25, 0, 4, 3, 25)]
+        ]
+
+    def test_unsorted_events_raise(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(
+            "\n".join([_manifest(10).to_json(), _RUN_LINE % (5, 5), _RUN_LINE % (2, 2)])
+        )
         with pytest.raises(RecordFormatError, match="not sorted"):
-            list(source.chunks(10))
+            list(JsonlRunSource(path).chunks(10))
 
     def test_truncated_final_run_line_tolerated(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        line = '{"prb_id":0,"af":4,"value":"1.2.3.4","first":0,"last":5,"observed":6}'
+        line = _RUN_LINE % (0, 5)
         path.write_text(
             _manifest(10).to_json() + "\n" + line + "\n" + line[: len(line) // 2]
         )
         source = JsonlRunSource(path)
         chunks = list(source.chunks(10))
-        assert len(chunks[0].events) == 1
+        assert _rows(chunks[0]) == [(0, 0, 4, 0x01020304, 5)]
+        assert source.truncated_lines == 1
+
+    def test_truncated_lines_counted_per_scan(self, tmp_path):
+        # Every chunks() call re-scans the file; the count is the file's
+        # truncated lines, not a running total over scans.
+        path = tmp_path / "runs.jsonl"
+        line = _RUN_LINE % (0, 5)
+        path.write_text(_manifest(10).to_json() + "\n" + line + "\n" + line[:10])
+        source = JsonlRunSource(path)
+        for _ in range(2):
+            list(source.chunks(10))
         assert source.truncated_lines == 1
 
 

@@ -9,6 +9,7 @@ without a mid-stream checkpoint/restore — must reproduce the batch
 import itertools
 import pickle
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.stream import (
     AtlasStreamEngine,
     CheckpointStore,
     JsonlRunSource,
+    ProbeInfo,
     RunAssembler,
     ScenarioRunSource,
     record_chunks,
@@ -49,6 +51,14 @@ from repro.workloads import (
 )
 
 
+def _events(source):
+    """A source's runs as (first, ref, family, value, last) tuples."""
+    (chunk,) = source.chunks(10**9)
+    values = [(hi << 64) | lo for hi, lo in zip(chunk.value_hi.tolist(), chunk.value_lo.tolist())]
+    return list(zip(chunk.first.tolist(), chunk.ref.tolist(), chunk.family.tolist(), values,
+                    chunk.last.tolist()))
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return build_atlas_scenario(probes_per_as=3, years=0.4, seed=7, cache=False)
@@ -63,10 +73,12 @@ def batch(scenario):
 
 class TestReplayParity:
     def test_multiple_chunk_sizes(self, scenario):
-        # A tiny non-divisor window, a mid-size one, and one giant chunk
-        # (the whole stream in a single fold) must all be bit-identical.
+        # One-hour windows (every track, pending /64 run and coverage
+        # interval carries across every hour), a tiny non-divisor window,
+        # a mid-size one, and one giant chunk (the whole stream in a
+        # single fold) must all be bit-identical.
         assert streaming_replay_diffs(
-            scenario, chunk_hours=(7, 500, 10**7), min_probes=2
+            scenario, chunk_hours=(1, 7, 500, 10**7), min_probes=2
         ) == []
 
     def test_kill_checkpoint_resume(self, scenario, tmp_path):
@@ -120,6 +132,26 @@ class TestReplayParity:
         )
         assert result.stats.resumed_from_chunk is None
 
+    def test_probes_outside_the_networks_are_counted_and_ignored(self, scenario, batch):
+        # A probe in an ASN the manifest does not list, its runs
+        # interleaved with everyone else's, changes nothing but runs_seen.
+        source = ScenarioRunSource.from_scenario(scenario)
+        events = _events(source)
+        stray = len(source.manifest.probes)
+        extra = [(first, stray, family, value + 1, last)
+                 for first, ref, family, value, last in events if ref == 0]
+        manifest = replace(
+            source.manifest,
+            probes=source.manifest.probes + (ProbeInfo("stray", 64_999, True),),
+        )
+        assert 64_999 not in {net.asn for net in manifest.networks}
+        widened = ScenarioRunSource(manifest, events + extra)
+        result = run_atlas_stream(widened, 97, table=scenario.table, min_probes=2)
+        analysis, periods = batch
+        assert result.analysis == analysis
+        assert (result.v4_periods, result.v6_periods) == periods
+        assert result.stats.runs_seen == len(events) + len(extra) > len(events)
+
 
 class TestJsonlRunSource:
     def test_export_roundtrip_parity(self, scenario, batch, tmp_path):
@@ -147,10 +179,16 @@ class TestJsonlRunSource:
         full = path.read_text()
         path.write_text(full[:-20])  # killed writer: final line cut short
         source = JsonlRunSource(path)
-        chunks = list(source.chunks(10**7))
+        (chunk,) = source.chunks(10**7)
         assert source.truncated_lines == 1
         complete_lines = full.strip().count("\n")  # runs, excluding manifest
-        assert len(chunks[0].events) == complete_lines - 1
+        assert len(chunk) == complete_lines - 1
+        # The surviving rows are the complete file's rows minus its last.
+        whole = tmp_path / "whole.jsonl"
+        whole.write_text(full)
+        (expected,) = JsonlRunSource(whole).chunks(10**7)
+        for name in ("first", "ref", "family", "last", "value_hi", "value_lo"):
+            assert np.array_equal(getattr(chunk, name), getattr(expected, name)[:-1])
 
     def test_malformed_mid_stream_raises(self, scenario, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -185,10 +223,12 @@ class TestRecordsMode:
         with pytest.raises(ValueError):
             assembler.feed([EchoRecord(1, 5, 4, 9, 9)])
 
-    def test_live_record_parity(self, scenario, batch):
+    @pytest.mark.parametrize("chunk_hours", [24, 333, 10**7])
+    def test_live_record_parity(self, scenario, batch, chunk_hours):
         # Expand every sanitized run back into full-observation hourly
         # records and stream those: the assembled runs carry the same
         # (value, first, last) extents, so artifacts must match batch.
+        # Open-run extents and per-probe frontiers are exercised only here.
         records = []
         for ref, probe in enumerate(scenario.probes):
             for run in probe.v4_runs + probe.v6_runs:
@@ -197,7 +237,7 @@ class TestRecordsMode:
         records.sort(key=lambda r: (r.hour, r.probe_id, r.family))
         source = ScenarioRunSource.from_scenario(scenario)
         engine = AtlasStreamEngine(source.manifest, table=scenario.table, min_probes=2)
-        for chunk in record_chunks(records, 333, end_hour=scenario.end_hour):
+        for chunk in record_chunks(records, chunk_hours, end_hour=scenario.end_hour):
             engine.fold_chunk(chunk)
         result = engine.finalize()
         analysis, periods = batch
