@@ -9,13 +9,11 @@ not the data generation.
 The builds go through the performance engine (``repro.perf``): they fan
 out over ``REPRO_BENCH_WORKERS`` processes (default ``$REPRO_WORKERS``)
 and, unless ``REPRO_BENCH_CACHE=0``, hit the content-addressed scenario
-cache, so a warm session skips generation entirely.  Build wall-clock
-and per-benchmark analysis durations are recorded into the repo-root
-``BENCH_baseline.json`` perf artifact at session end.
+cache, so a warm session skips generation entirely.
 
 The analyses themselves run through the engine selected by
-``$REPRO_ANALYSIS_ENGINE`` (columnar NumPy by default; see
-``repro.core.analysis_np``), and setting ``REPRO_PROFILE=1`` dumps
+``$REPRO_ANALYSIS_ENGINE`` (the fused single-pass engine by default;
+see ``repro.core.fused``), and setting ``REPRO_PROFILE=1`` dumps
 per-stage cProfile artifacts under ``benchmarks/results/``.
 
 Every benchmark writes its rendered artifact to
@@ -26,16 +24,12 @@ inspectable after the run regardless of pytest's output capturing.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.core.engine import resolve_engine
-from repro.perf.cache import get_scenario_cache
 from repro.perf.parallel import resolve_workers
 from repro.perf.profiling import maybe_profile
-from repro.perf.timing import StageTimer, write_baseline
 from repro.workloads import build_atlas_scenario, build_cdn_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -60,32 +54,16 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE", "1").strip().lower() not in (
     "off",
 )
 
-_BUILD_TIMER = StageTimer()
-_BUILD_META: dict = {}
-_ANALYSIS: dict = {}
 
-
-def _timed_build(stage: str, builder, **kwargs):
-    cache = get_scenario_cache()
-    hits_before = cache.stats.hits
+def _build(stage: str, builder, **kwargs):
     with maybe_profile(stage):
-        start = time.perf_counter()
-        scenario = builder(workers=BENCH_WORKERS, cache=BENCH_CACHE, **kwargs)
-        _BUILD_TIMER.record(stage, time.perf_counter() - start)
-    _BUILD_META[stage] = {
-        "workers": BENCH_WORKERS,
-        "cache": (
-            "hit" if BENCH_CACHE and cache.stats.hits > hits_before
-            else "miss" if BENCH_CACHE else "off"
-        ),
-    }
-    return scenario
+        return builder(workers=BENCH_WORKERS, cache=BENCH_CACHE, **kwargs)
 
 
 @pytest.fixture(scope="session")
 def atlas_scenario():
     """The RIPE-Atlas-style measurement study (Sections 3 and 5)."""
-    return _timed_build(
+    return _build(
         "atlas_scenario",
         build_atlas_scenario,
         probes_per_as=ATLAS_PROBES_PER_AS,
@@ -97,7 +75,7 @@ def atlas_scenario():
 @pytest.fixture(scope="session")
 def cdn_scenario():
     """The CDN association dataset (Sections 4 and 5.3)."""
-    return _timed_build(
+    return _build(
         "cdn_scenario",
         build_cdn_scenario,
         days=CDN_DAYS,
@@ -119,26 +97,6 @@ def artifact_writer():
         print(f"\n[{name}] written to {path}\n{text}")
 
     return write
-
-
-def pytest_runtest_logreport(report):
-    """Collect per-benchmark analysis wall-clock (the timed ``call`` phase)."""
-    if report.when == "call" and report.passed:
-        _ANALYSIS[report.nodeid] = round(report.duration, 4)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Record this session's build/analysis timings in BENCH_baseline.json."""
-    if not _BUILD_TIMER.as_dict():
-        return  # nothing was built (e.g. collection-only or filtered run)
-    build = {
-        stage: {"seconds": seconds, **_BUILD_META.get(stage, {})}
-        for stage, seconds in _BUILD_TIMER.as_dict().items()
-    }
-    write_baseline(
-        "benchmark_session",
-        {"build": build, "analysis": _ANALYSIS, "analysis_engine": resolve_engine()},
-    )
 
 
 #: The six ASes Figures 1, 2 and 5 feature.

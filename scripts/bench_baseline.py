@@ -17,16 +17,15 @@ must produce a byte-identical digest and — in full mode on
 multi-core hosts — beat the serial build by ``--min-store-build-speedup``
 in tuples/s, and a 7-day-window stream replay of the store checked
 against the out-of-core analysis), times the end-to-end report suite (all artifacts
-plus periodicity) under the single-pass ``fused`` engine, serially and
-fanned out to ``--workers`` — enforcing bit-identity with each other and
-the ``py`` reference, and recording the peak-RSS delta of the zero-copy
-fused worker fan-out — exercises the ``repro.serve``
+plus periodicity) under the single-pass ``fused`` engine — enforcing
+bit-identity with the ``py`` reference and recording its peak-RSS
+delta — exercises the ``repro.serve``
 query engine (cold-vs-warm artifact latency, batched-vs-sequential
 coalescing on 64 queries with a ``--min-serve-speedup`` gate in full
 mode, and a served-vs-direct parity sweep over every query family on
 every run), gates the observability plane (disabled-telemetry analysis
 overhead at most ``--max-obs-overhead``, default 1.05x, plus
-cross-process stitched-trace invariance of the pooled fused artifacts)
+cross-process stitched-trace invariance of a pooled scenario build)
 — and records everything in the
 repo-root ``BENCH_baseline.json`` — the repository's perf trajectory
 artifact.
@@ -55,6 +54,7 @@ Set ``REPRO_PROFILE=1`` to drop per-stage cProfile artifacts under
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import pickle
 import sys
@@ -303,12 +303,18 @@ def run_baseline(args: argparse.Namespace) -> dict:
           f"{cdn_parallel_s:.2f}s — results identical")
 
     # Cache round-trip in a throwaway directory: second build must be a
-    # pure load that compares equal to the generated scenario.
+    # pure load that compares equal to the generated scenario.  Each timed
+    # build starts from a collected heap: otherwise the interpreter's full
+    # collection, due after the earlier stages' allocations, can fire
+    # inside the ~15 ms check-scale load and time a traversal of the
+    # whole process heap (~70 ms inside the test suite) instead of it.
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         os.environ[CACHE_DIR_ENV] = tmp
+        gc.collect()
         cold, cache_cold_s = _timed(
             build_atlas_scenario, seed=args.seed, workers=1, cache=True, **scale["atlas"]
         )
+        gc.collect()
         warm, cache_warm_s = _timed(
             build_atlas_scenario, seed=args.seed, workers=1, cache=True, **scale["atlas"]
         )
@@ -657,36 +663,25 @@ def run_baseline(args: argparse.Namespace) -> dict:
 
     # End-to-end report stage: the full artifact suite
     # (analyze_atlas_scenario + periodicity_for_scenario) timed under the
-    # fused engine with column packs invalidated first, so each run pays
+    # fused engine with column packs invalidated first, so the run pays
     # its own packing cost, and checked bit-identical to the pure-Python
-    # reference.  A second fused run fans the per-AS work out to a
-    # worker pool over the memmapped arena to record the zero-copy
-    # handoff's wall time and peak-RSS delta.
-    def _report_suite(engine_name, workers=None, profile_tag=None):
-        serial_atlas.invalidate_analysis_columns()
-        rss_start = current_rss_bytes()
-        with maybe_profile(profile_tag or f"report_{engine_name}"), \
-                RssSampler() as sampler:
-            start = time.perf_counter()
-            analysis = analyze_atlas_scenario(
-                serial_atlas, engine=engine_name, workers=workers
-            )
-            periods = periodicity_for_scenario(
-                serial_atlas, min_probes=2, engine=engine_name
-            )
-            elapsed = time.perf_counter() - start
-        rss_delta = (
-            sampler.peak_bytes - rss_start
-            if sampler.peak_bytes is not None and rss_start is not None
-            else None
-        )
-        return analysis, periods, elapsed, rss_delta
-
+    # reference.
     def _artifacts(analysis):
         return analysis.table1, analysis.table2, analysis.figure1, analysis.figure5
 
-    fused_report, fused_report_periods, report_fused_s, report_fused_rss = (
-        _report_suite("fused")
+    serial_atlas.invalidate_analysis_columns()
+    rss_start = current_rss_bytes()
+    with maybe_profile("report_fused"), RssSampler() as sampler:
+        start = time.perf_counter()
+        fused_report = analyze_atlas_scenario(serial_atlas, engine="fused")
+        fused_report_periods = periodicity_for_scenario(
+            serial_atlas, min_probes=2, engine="fused"
+        )
+        report_fused_s = time.perf_counter() - start
+    report_fused_rss = (
+        sampler.peak_bytes - rss_start
+        if sampler.peak_bytes is not None and rss_start is not None
+        else None
     )
     py_report = analyze_atlas_scenario(serial_atlas, engine="py")
     py_report_periods = periodicity_for_scenario(serial_atlas, min_probes=2, engine="py")
@@ -696,35 +691,18 @@ def run_baseline(args: argparse.Namespace) -> dict:
     )
     if not report_parity:
         failures.append("report stage parity violated: fused != py artifacts")
-    fused_par, fused_par_periods, report_fused_par_s, report_fused_par_rss = (
-        _report_suite("fused", workers=args.workers,
-                      profile_tag="report_fused_workers")
-    )
-    workers_parity = (
-        fused_par == fused_report and fused_par_periods == fused_report_periods
-    )
-    if not workers_parity:
-        failures.append(
-            "report stage parity violated: fused workers != fused serial"
-        )
 
     def _mib(value):
         return f"{value / 2**20:.0f} MiB" if value is not None else "n/a"
 
     print(
         f"report: fused {report_fused_s:.3f}s (peak RSS delta "
-        f"{_mib(report_fused_rss)}), fused {args.workers} workers "
-        f"{report_fused_par_s:.3f}s ({_mib(report_fused_par_rss)}) — "
-        f"artifacts identical"
+        f"{_mib(report_fused_rss)}) — artifacts identical"
     )
     report_stats = {
         "fused_seconds": round(report_fused_s, 4),
-        "fused_workers_seconds": round(report_fused_par_s, 4),
-        "workers": args.workers,
         "fused_peak_rss_delta_bytes": report_fused_rss,
-        "fused_workers_peak_rss_delta_bytes": report_fused_par_rss,
         "parity": report_parity,
-        "workers_parity": workers_parity,
     }
 
     serve_registry = ArtifactRegistry(name="bench")
@@ -795,7 +773,7 @@ def run_baseline(args: argparse.Namespace) -> dict:
 
     # Observability plane: the instrumentation must be near-free when
     # telemetry is *disabled* (the default), and the cross-process trace
-    # stitching must not perturb pooled fused artifacts.  The overhead
+    # stitching must not perturb a pooled scenario build.  The overhead
     # gate re-times the same analysis stages measured earlier — both
     # runs execute every guarded metric/span call site, so the ratio
     # catches a disabled-path helper growing real work.
@@ -815,9 +793,9 @@ def run_baseline(args: argparse.Namespace) -> dict:
             f"disabled-telemetry overhead {obs_overhead:.3f}x exceeds "
             f"allowed {args.max_obs_overhead:.2f}x"
         )
-    # Stitched-trace invariance: pooled fused analysis with worker
+    # Stitched-trace invariance: a pooled scenario build with worker
     # span buffers flowing back to the parent must stay bit-identical
-    # to the untraced run.  Always enforced — determinism does not
+    # to the untraced one.  Always enforced — determinism does not
     # depend on the hardware.
     with maybe_profile("obs_stitch_invariance"):
         start = time.perf_counter()

@@ -80,7 +80,6 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "store_analyze": lambda e: _get(e, "store", "analyze_seconds"),
     "store_stream": lambda e: _get(e, "store", "stream_seconds"),
     "report_fused": lambda e: _get(e, "report", "fused_seconds"),
-    "report_fused_workers": lambda e: _get(e, "report", "fused_workers_seconds"),
 }
 
 #: Stage label -> throughput extractor (tuples/s, higher is better).

@@ -12,6 +12,8 @@
 #   4. python -m scripts.bench_report --check   (perf-trend regression gate)
 #   5. python3 perfbench/smoke.py   (every benchmark workload at a tiny scale,
 #      untraced and traced: metrics present, reference checks pass; ~40 s)
+#   6. python -m pytest benchmarks -q --benchmark-disable   (the paper-shape
+#      gate: every table/figure benchmark's qualitative assertions; ~40 s)
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -41,5 +43,8 @@ python -m scripts.bench_report --check
 
 echo "== perfbench smoke =="
 python3 perfbench/smoke.py
+
+echo "== paper shapes (benchmarks) =="
+python -m pytest benchmarks -q --benchmark-disable
 
 echo "== all checks passed =="

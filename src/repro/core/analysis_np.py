@@ -35,13 +35,12 @@ parity tests pin this contract down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.atlas.echo import EchoRun
-from repro.core.arena import ColumnArena
 from repro.core.periodicity import CANONICAL_PERIODS, PeriodicMode
 from repro.core.timefraction import CANONICAL_GRID, YEAR
 from repro.ip.addr import IPAddress, IPv4Address, IPv6Address
@@ -107,10 +106,14 @@ class RunColumns:
             return NotImplemented
         return all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in _FAMILY_FIELDS
+            for name in _RUN_FIELDS
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+
+#: :class:`RunColumns` column names, in declaration order.
+_RUN_FIELDS = tuple(column.name for column in fields(RunColumns))
 
 
 @dataclass
@@ -634,48 +637,8 @@ def cpl_of_changes(changes: ChangeColumns, plen: int = 64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: Version of the :class:`ProbeColumns` buffer/arena layout.  Scenario
-#: memoization and arena metadata both key on it, so packs cached (or
-#: pickled) under an older layout repack instead of failing.
-COLUMNS_FORMAT_VERSION = 2
-
-#: :class:`RunColumns` fields serialized per address family, in arena order.
-_FAMILY_FIELDS = ("offsets", "value_hi", "value_lo", "first", "last", "observed", "max_gap")
-
-
-def select_runs(cols: RunColumns, probe_indices) -> RunColumns:
-    """Gather a probe subset out of a CSR pack, preserving probe order.
-
-    Equivalent to re-packing ``[probes[i] for i in probe_indices]``:
-    offsets are rebuilt over the subset and every flat column is gathered
-    with one fancy index, so per-AS packs fall out of a global pack
-    without touching the source probe objects.
-    """
-    idx = np.asarray(probe_indices, dtype=np.int64)
-    counts = np.diff(cols.offsets)[idx]
-    out_offsets = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    if total:
-        starts = cols.offsets[:-1][idx]
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - out_offsets[:-1], counts
-        )
-    else:
-        flat = np.zeros(0, dtype=np.int64)
-    return RunColumns(
-        out_offsets,
-        cols.value_hi[flat],
-        cols.value_lo[flat],
-        cols.first[flat],
-        cols.last[flat],
-        cols.observed[flat],
-        cols.max_gap[flat],
-    )
-
-
 class ProbeColumns:
-    """Lazily packed, buffer-backed columnar views of one probe population.
+    """Lazily packed columnar views of one probe population.
 
     Packs a (sanitized) probe population's v4/v6 runs once and caches
     every derived table — the /``plen``-rekeyed prefix runs, the
@@ -685,30 +648,16 @@ class ProbeColumns:
     as ``v4``/``v6`` plus ``dual_stack``
     (:class:`repro.atlas.sanitize.SanitizedProbe` does), so packing is a
     concatenation of columns, not a walk over run objects.
-
-    The pack is *buffer-backed*: :meth:`arena` flattens both families
-    plus per-probe metadata into one
-    :class:`~repro.core.arena.ColumnArena` buffer, :meth:`save_arena`
-    writes it to disk, and :meth:`from_arena` rehydrates a pack from a
-    buffer or path — memory-mapped, so pool workers and other processes
-    map the same pack zero-copy instead of re-packing (or pickling
-    column arrays).  Pickling a pack serializes the arena, not the
-    probe objects; the unpickled pack has ``probes=None`` and serves
-    every table from the buffer.
     """
 
     def __init__(self, probes: Sequence, plen: int = 64) -> None:
-        self.probes: Optional[List] = list(probes)
+        self.probes: List = list(probes)
         self.plen = plen
         self._cache: Dict[object, object] = {}
-        self._arena: Optional[ColumnArena] = None
-        self._n_probes = len(self.probes)
 
     @property
     def n_probes(self) -> int:
-        if self.probes is not None:
-            return len(self.probes)
-        return self._n_probes
+        return len(self.probes)
 
     def _get(self, key, build):
         if key not in self._cache:
@@ -749,125 +698,8 @@ class ProbeColumns:
             ),
         )
 
-    def _install_arena_views(self, arena: ColumnArena) -> None:
-        """Point the cached packs at the arena buffer (one allocation)."""
-        self._arena = arena
-        for family in ("v4", "v6"):
-            self._cache[family] = RunColumns(
-                *(arena[f"{family}.{field}"] for field in _FAMILY_FIELDS)
-            )
-        self._cache["asns"] = arena["probe.asn"]
-        self._cache["dual_flags"] = arena["probe.dual"].astype(bool)
-        self._n_probes = int(
-            arena.meta.get("n_probes", len(self._cache["v4"].offsets) - 1)
-        )
-
-    def arena(self) -> ColumnArena:
-        """The pack as one flat :class:`~repro.core.arena.ColumnArena`.
-
-        Built lazily (both families are packed first if needed); once
-        built, the cached ``v4``/``v6`` packs and meta columns become
-        views into the arena buffer, so the whole pack shares a single
-        allocation exportable as raw bytes or a memmap file.
-        """
-        if self._arena is None:
-            columns: Dict[str, np.ndarray] = {}
-            for family, cols in (("v4", self.v4()), ("v6", self.v6())):
-                for field in _FAMILY_FIELDS:
-                    columns[f"{family}.{field}"] = getattr(cols, field)
-            columns["probe.asn"] = self.asns()
-            columns["probe.dual"] = self.dual_flags().astype(np.uint8)
-            meta = {
-                "kind": "probe-columns",
-                "format": COLUMNS_FORMAT_VERSION,
-                "plen": self.plen,
-                "n_probes": self.n_probes,
-            }
-            self._install_arena_views(ColumnArena.build(columns, meta=meta))
-        return self._arena
-
-    def save_arena(self, path):
-        """Serialize the pack to ``path``; reopen with :meth:`from_arena`."""
-        return self.arena().save(path)
-
-    @classmethod
-    def from_arena(cls, source, mmap: bool = True) -> "ProbeColumns":
-        """Rehydrate a pack from an arena, its bytes, or a saved path.
-
-        The result has ``probes=None`` — every derived table is served
-        from the arena buffer, memory-mapped when ``source`` is a path
-        and ``mmap`` is true, so processes opening the same path share
-        pages instead of re-packing per process.
-        """
-        if isinstance(source, ColumnArena):
-            arena = source
-        elif isinstance(source, (bytes, bytearray, memoryview)):
-            arena = ColumnArena.from_bytes(bytes(source))
-        else:
-            arena = ColumnArena.open(source, mmap=mmap)
-        meta = arena.meta
-        if meta.get("kind") != "probe-columns":
-            raise ValueError("arena does not hold a probe-columns pack")
-        if meta.get("format") != COLUMNS_FORMAT_VERSION:
-            raise ValueError(
-                f"probe-columns arena format {meta.get('format')!r} does not "
-                f"match the current layout ({COLUMNS_FORMAT_VERSION}); repack"
-            )
-        pack = cls.__new__(cls)
-        pack.probes = None
-        pack.plen = int(meta.get("plen", 64))
-        pack._cache = {}
-        pack._arena = None
-        pack._install_arena_views(arena)
-        return pack
-
-    def select(self, probe_indices) -> "ProbeColumns":
-        """Sub-population pack over ``probe_indices`` (order-preserving).
-
-        Gathers the selected probes' runs and meta columns out of this
-        pack with :func:`select_runs` — per-AS packs fall out of a
-        global (possibly memory-mapped) pack without re-packing probes.
-        """
-        idx = np.asarray(probe_indices, dtype=np.int64)
-        sub = ProbeColumns.__new__(ProbeColumns)
-        sub.probes = (
-            [self.probes[int(i)] for i in idx] if self.probes is not None else None
-        )
-        sub.plen = self.plen
-        sub._arena = None
-        sub._cache = {
-            "v4": select_runs(self.v4(), idx),
-            "v6": select_runs(self.v6(), idx),
-            "asns": self.asns()[idx],
-            "dual_flags": self.dual_flags()[idx],
-        }
-        sub._n_probes = int(len(idx))
-        return sub
-
-    def __getstate__(self):
-        """Pickle as ``(plen, arena)``: one flat buffer, no probe objects."""
-        return {
-            "format": COLUMNS_FORMAT_VERSION,
-            "plen": self.plen,
-            "arena": self.arena(),
-        }
-
-    def __setstate__(self, state):
-        """Rehydrate from the pickled arena (``probes`` becomes None)."""
-        if state.get("format") != COLUMNS_FORMAT_VERSION:
-            raise ValueError(
-                f"pickled ProbeColumns uses layout {state.get('format')!r}; "
-                f"current format is {COLUMNS_FORMAT_VERSION} — repack"
-            )
-        self.probes = None
-        self.plen = int(state["plen"])
-        self._cache = {}
-        self._arena = None
-        self._install_arena_views(state["arena"])
-
 
 __all__ = [
-    "COLUMNS_FORMAT_VERSION",
     "ChangeColumns",
     "DurationColumns",
     "ProbeColumns",
@@ -884,7 +716,6 @@ __all__ = [
     "probe_period_flags",
     "rekey_v6_runs",
     "runs_from_columns",
-    "select_runs",
     "total_duration_years_np",
     "total_time_fraction_columns",
 ]

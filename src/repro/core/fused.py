@@ -1,4 +1,4 @@
-"""Fused single-pass analysis engine over buffer-backed run packs.
+"""Fused single-pass analysis engine over columnar run packs.
 
 Rather than walking the CSR run columns (:mod:`repro.core.analysis_np`)
 once per artifact, **one** cache-friendly traversal per address family

@@ -1,4 +1,4 @@
-"""The performance engine: parallel fan-out, scenario cache, stage timing.
+"""The performance engine: parallel fan-out, scenario cache, RSS probes.
 
 See ``docs/architecture.md`` ("Performance engine") for the determinism
 contract and the ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` environment
@@ -24,7 +24,6 @@ from repro.perf.profiling import PROFILE_DIR_ENV, PROFILE_ENV, maybe_profile
 from repro.perf.timing import (
     DEFAULT_BASELINE_PATH,
     RssSampler,
-    StageTimer,
     current_rss_bytes,
     read_baseline,
     write_baseline,
@@ -38,7 +37,6 @@ __all__ = [
     "PROFILE_ENV",
     "RssSampler",
     "ScenarioCache",
-    "StageTimer",
     "WORKERS_ENV",
     "code_fingerprint",
     "collect_associations",

@@ -10,9 +10,9 @@ every fan-out site needs:
   effective worker is a plain serial loop in this process, no pool.
 * **Per-process state** — an optional picklable ``setup`` callable runs
   once per worker (once in the parent on the serial path) and the task
-  is called as ``task(state, unit)``.  Large inputs — a triple store, a
-  probe-pack arena — are opened *by path* there, so no column array is
-  ever pickled across the process boundary.
+  is called as ``task(state, unit)``.  Large inputs — a triple store —
+  are opened *by path* there, so no column array is ever pickled
+  across the process boundary.
 * **Bounded submission** — at most ``2 * workers`` units are in flight,
   so unit generation overlaps worker execution and parent memory stays
   bounded on unbounded streams; results come back in submission order.
@@ -27,8 +27,7 @@ The adapters shape one domain each onto it: :func:`run_isp_simulations`
 (per-ISP event simulations, plan state grafted back onto the parent's
 ISPs), :func:`collect_associations` (per-population CDN collection),
 :func:`map_store_shards` (per-shard triple-store passes, scratch files
-discarded on failure) and :func:`run_fused_analysis` (per-AS fused
-analysis over a memmapped probe pack).  The store's per-shard finalize
+discarded on failure).  The store's per-shard finalize
 (:func:`repro.store.triples.compact_shard`, behind every build and
 every compaction) calls :func:`map_units` directly, shipping a shard
 index per unit.
@@ -54,8 +53,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import shutil
-import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -416,93 +413,6 @@ def map_store_shards(
         raise
 
 
-# ---------------------------------------------------------------------------
-# Zero-copy fused-analysis fan-out
-# ---------------------------------------------------------------------------
-
-
-def _open_fused_pack(arena_path: str, table) -> tuple:
-    """Worker setup: map the probe pack by *path*, read-only.
-
-    Every worker (and the parent) shares the pack's pages — no column
-    array is ever pickled into the pool; the only per-unit bytes are the
-    ``(name, asn, country)`` group tuple in and the small artifact
-    objects out.
-    """
-    from repro.core.analysis_np import ProbeColumns
-
-    return ProbeColumns.from_arena(arena_path), table
-
-
-def _fused_group_artifacts(state: tuple, group) -> dict:
-    """One AS's artifacts from the worker's memmapped pack.
-
-    Selecting the AS's probes out of the global pack and running the
-    fused pass over the sub-pack is bit-identical to masking the global
-    fused stats: every artifact is per-probe local and the CSR gather
-    preserves probe order.
-    """
-    from repro.core import fused
-
-    import numpy as np
-
-    columns, table = state
-    name, asn, country = group
-    sub = columns.select(np.flatnonzero(columns.asns() == asn))
-    stats = fused.fused_probe_stats(sub)
-    result = {
-        "table1": fused.table1_from_stats(stats, name, asn, country),
-        "figure1": fused.figure1_from_stats(stats, name),
-        "figure5": fused.figure5_from_stats(stats),
-    }
-    if table is not None:
-        result["table2"] = fused.table2_from_stats(stats, table)
-    return result
-
-
-def run_fused_analysis(
-    columns,
-    groups: Sequence[Tuple[str, int, str]],
-    table: Optional[RoutingTable] = None,
-    workers: Optional[int] = None,
-) -> Dict[str, dict]:
-    """Fan the fused per-AS analysis out over a pool, zero-copy.
-
-    The parent saves ``columns`` (a
-    :class:`repro.core.analysis_np.ProbeColumns`) as one arena file and
-    ships only its *path* to the pool; workers memory-map the pack and
-    return small artifact objects, merged in ``groups`` order.  Returns
-    the same ``{"table1", "table2", "figure1", "figure5"}`` dicts as
-    :func:`repro.core.fused.fused_analysis_artifacts`, bit-identically —
-    with one worker (or an unpicklable table) it *is* that serial call.
-    """
-    if not (_fans_out(workers, len(groups)) and _all_picklable([table])):
-        from repro.core.fused import fused_analysis_artifacts
-
-        return fused_analysis_artifacts(columns, groups, table)
-    scratch = tempfile.mkdtemp(prefix="repro-fused-")
-    try:
-        arena_path = columns.save_arena(os.path.join(scratch, "probes.arena"))
-        per_group = list(
-            map_units(
-                _fused_group_artifacts,
-                groups,
-                kind="fused_analysis",
-                workers=workers,
-                setup=partial(_open_fused_pack, str(arena_path), table),
-            )
-        )
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    merged: Dict[str, dict] = {
-        artifact: {} for artifact in ("table1", "table2", "figure1", "figure5")
-    }
-    for (name, _asn, _country), artifacts in zip(groups, per_group):
-        for artifact, value in artifacts.items():
-            merged[artifact][name] = value
-    return merged
-
-
 __all__ = [
     "WORKERS_ENV",
     "collect_associations",
@@ -510,6 +420,5 @@ __all__ = [
     "map_store_shards",
     "map_units",
     "resolve_workers",
-    "run_fused_analysis",
     "run_isp_simulations",
 ]

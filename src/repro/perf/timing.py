@@ -1,11 +1,10 @@
-"""Lightweight stage timers and the ``BENCH_baseline.json`` artifact.
+"""RSS probes and the ``BENCH_baseline.json`` artifact.
 
-:class:`StageTimer` accumulates named wall-clock stages (a stage used
-twice accumulates).  :func:`write_baseline` merges a named section into
-the repo-root ``BENCH_baseline.json``, the repository's perf trajectory
-artifact: the benchmark session records scenario *build* and per-test
-*analysis* timings there, and ``scripts/bench_baseline.py`` records the
-serial-vs-parallel build baseline.
+:func:`current_rss_bytes` and :class:`RssSampler` measure resident
+memory.  :func:`write_baseline` merges a named section into the
+repo-root ``BENCH_baseline.json``, the repository's perf trajectory
+artifact, where ``scripts/bench_baseline.py`` records its run;
+:func:`append_history` adds each run to ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Optional
+
 
 def repo_root() -> Path:
     """The repository checkout root, or the CWD outside a checkout.
@@ -39,42 +38,6 @@ DEFAULT_BASELINE_PATH = repo_root() / "BENCH_baseline.json"
 
 #: Append-only run log kept next to the baseline artifact.
 DEFAULT_HISTORY_PATH = DEFAULT_BASELINE_PATH.with_name("BENCH_history.jsonl")
-
-
-class StageTimer:
-    """Accumulate wall-clock seconds per named stage, in first-use order."""
-
-    def __init__(self) -> None:
-        self._stages: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under ``name`` (re-entry accumulates)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - start)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Add ``seconds`` to stage ``name``."""
-        if seconds < 0:
-            raise ValueError("stage duration must be non-negative")
-        self._stages[name] = self._stages.get(name, 0.0) + float(seconds)
-
-    def __getitem__(self, name: str) -> float:
-        return self._stages[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stages
-
-    @property
-    def total(self) -> float:
-        return sum(self._stages.values())
-
-    def as_dict(self, digits: int = 4) -> Dict[str, float]:
-        """Stage -> seconds mapping, rounded for stable artifacts."""
-        return {name: round(seconds, digits) for name, seconds in self._stages.items()}
 
 
 def current_rss_bytes() -> Optional[int]:
@@ -195,7 +158,6 @@ __all__ = [
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_HISTORY_PATH",
     "RssSampler",
-    "StageTimer",
     "append_history",
     "current_rss_bytes",
     "read_baseline",

@@ -14,8 +14,7 @@ The same contract applies to the analysis engines:
 :func:`fused_engine_diffs` holds the fused single-pass engine
 (:mod:`repro.core.fused`, the default) to the pure-Python reference
 (``engine="py"``) across every report artifact plus the delegation and
-association artifacts, including after an arena save/memmap round-trip
-of the buffer-backed pack — and :func:`streaming_replay_diffs` holds the
+association artifacts — and :func:`streaming_replay_diffs` holds the
 streaming layer to it too: chunk-by-chunk replay (any chunk size, with
 or without a mid-stream checkpoint/restore) must be bit-identical to
 the batch fused report.  :func:`store_diffs` extends the contract to
@@ -120,7 +119,6 @@ def fused_engine_diffs(
     years: float = 0.5,
     seed: int = 0,
     min_probes: int = 2,
-    arena_dir=None,
     triples=None,
 ) -> List[str]:
     """Fused-vs-reference parity differences ([] if bit-identical).
@@ -136,10 +134,6 @@ def fused_engine_diffs(
        and, when ``triples`` (CDN association triples) are given, the
        Figure 3 ``association_box_stats``, called with ``engine="fused"``
        must match the ``"py"`` reference.
-
-    With ``arena_dir`` set, a buffer round-trip is verified too: the
-    global pack is saved as an arena file, reopened memory-mapped, and
-    the fused artifacts recomputed from the mapped pack must match.
     """
     from repro.core import report
     from repro.core.associations import association_box_stats
@@ -155,10 +149,10 @@ def fused_engine_diffs(
             probes_per_as=probes_per_as, years=years, seed=seed, cache=False
         )
     diffs: List[str] = []
-    fused_analysis = analyze_atlas_scenario(scenario, engine="fused")
+    fused_result = analyze_atlas_scenario(scenario, engine="fused")
     py_analysis = analyze_atlas_scenario(scenario, engine="py")
     for artifact in ("table1", "table2", "figure1", "figure5"):
-        if getattr(fused_analysis, artifact) != getattr(py_analysis, artifact):
+        if getattr(fused_result, artifact) != getattr(py_analysis, artifact):
             diffs.append(f"{artifact}: fused diverges from py")
     fused_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
     py_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="py")
@@ -204,23 +198,6 @@ def fused_engine_diffs(
         if compute("fused") != compute("py"):
             diffs.append(f"{label}: fused entry point diverges from py reference")
 
-    if arena_dir is not None:
-        from pathlib import Path
-
-        from repro.core.analysis_np import ProbeColumns
-        from repro.core.fused import fused_analysis_artifacts
-
-        columns = scenario.analysis_columns(None, engine="fused")
-        groups = [
-            (name, isp.asn, isp.config.country)
-            for name, isp in scenario.isps.items()
-        ]
-        direct = fused_analysis_artifacts(columns, groups, scenario.table)
-        path = columns.save_arena(Path(arena_dir) / "fused-verify.arena")
-        mapped = ProbeColumns.from_arena(path)
-        reopened = fused_analysis_artifacts(mapped, groups, scenario.table)
-        if direct != reopened:
-            diffs.append("arena: memmapped pack artifacts diverge from in-memory pack")
     return diffs
 
 
@@ -230,7 +207,6 @@ def assert_fused_engines_equal(
     years: float = 0.5,
     seed: int = 0,
     min_probes: int = 2,
-    arena_dir=None,
     triples=None,
 ) -> None:
     """Raise AssertionError naming every fused-engine divergence."""
@@ -240,7 +216,6 @@ def assert_fused_engines_equal(
         years=years,
         seed=seed,
         min_probes=min_probes,
-        arena_dir=arena_dir,
         triples=triples,
     )
     if diffs:
@@ -314,21 +289,6 @@ def streaming_replay_diffs(
         if resumed is not None and resumed.stats.resumed_from_chunk is None:
             diffs.append("kill/resume: resume did not load the persisted state")
     return diffs
-
-
-def assert_streaming_replay_equal(
-    scenario: AtlasScenario,
-    chunk_hours: Sequence[int] = (256, 2048),
-    min_probes: int = 3,
-    checkpoint_dir=None,
-) -> None:
-    """Raise AssertionError naming every streamed-vs-batch divergence."""
-    diffs = streaming_replay_diffs(
-        scenario, chunk_hours=chunk_hours, min_probes=min_probes,
-        checkpoint_dir=checkpoint_dir,
-    )
-    if diffs:
-        raise AssertionError("streaming replay differs: " + "; ".join(diffs))
 
 
 def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -> List[str]:
@@ -506,70 +466,61 @@ def telemetry_invariance_diffs(
     same small scenario with telemetry off and on and compares scenario
     fields and every report artifact.
 
-    ``workers > 1`` additionally runs the fused analysis through the
-    process pool under both telemetry states, so cross-process span
-    propagation and stitching (``pool/task`` wrappers, shipped span
-    buffers, worker metric deltas) are themselves proven
-    artifact-invariant.  ``os.cpu_count`` is widened for the fan-out so
-    the pool path actually runs even on single-core CI hosts — this is
-    a correctness probe, not a perf measurement.
+    ``workers > 1`` builds both scenarios through the per-ISP simulation
+    pool (pool kind ``isp_sim``), so cross-process span propagation and
+    stitching (``pool/task`` wrappers, shipped span buffers, worker
+    metric deltas) are themselves proven artifact-invariant.
+    ``os.cpu_count`` is widened for the build so the pool actually runs
+    even on single-core CI hosts — this is a correctness probe, not a
+    perf measurement — and a traced build that did not run one pool
+    task per ISP is reported as a difference.
     """
     import os as os_module
 
-    from repro.obs import telemetry
+    from repro.obs import telemetry, telemetry_snapshot
     from repro.workloads import (
         analyze_atlas_scenario,
         build_atlas_scenario,
         periodicity_for_scenario,
     )
 
-    params = dict(probes_per_as=probes_per_as, years=years, seed=seed, cache=False)
-
-    def _fan_out(scenario):
-        if workers <= 1:
-            return None
-        real_cpu_count = os_module.cpu_count
-        os_module.cpu_count = lambda: max(workers, real_cpu_count() or 1)
-        try:
-            return analyze_atlas_scenario(scenario, engine="fused", workers=workers)
-        finally:
-            os_module.cpu_count = real_cpu_count
-
-    with telemetry(False):
-        plain = build_atlas_scenario(**params)
-        plain_analysis = analyze_atlas_scenario(plain)
-        plain_pooled = _fan_out(plain)
-        plain_periods = periodicity_for_scenario(plain)
-    with telemetry(True, reset=True):
-        traced = build_atlas_scenario(**params)
-        traced_analysis = analyze_atlas_scenario(traced)
-        traced_pooled = _fan_out(traced)
-        traced_periods = periodicity_for_scenario(traced)
+    params = dict(
+        probes_per_as=probes_per_as, years=years, seed=seed, workers=workers, cache=False
+    )
+    real_cpu_count = os_module.cpu_count
+    os_module.cpu_count = lambda: max(workers, real_cpu_count() or 1)
+    try:
+        with telemetry(False):
+            plain = build_atlas_scenario(**params)
+            plain_analysis = analyze_atlas_scenario(plain)
+            plain_periods = periodicity_for_scenario(plain)
+        with telemetry(True, reset=True):
+            traced = build_atlas_scenario(**params)
+            pool_tasks = telemetry_snapshot()["metrics"]["counters"].get("pool.tasks", {})
+            traced_analysis = analyze_atlas_scenario(traced)
+            traced_periods = periodicity_for_scenario(traced)
+    finally:
+        os_module.cpu_count = real_cpu_count
     diffs = [
         f"telemetry: {diff}" for diff in atlas_scenario_diffs(plain, traced)
     ]
     for artifact in ("table1", "table2", "figure1", "figure5"):
         if getattr(plain_analysis, artifact) != getattr(traced_analysis, artifact):
             diffs.append(f"telemetry: {artifact} diverges with telemetry enabled")
-        if plain_pooled is not None and (
-            getattr(plain_pooled, artifact) != getattr(traced_pooled, artifact)
-        ):
-            diffs.append(
-                f"telemetry: pooled fused {artifact} diverges with telemetry "
-                f"enabled (workers={workers})"
-            )
     if plain_periods != traced_periods:
         diffs.append("telemetry: periodicity diverges with telemetry enabled")
+    if workers > 1:
+        isp_tasks = sum(
+            count
+            for key, count in pool_tasks.items()
+            if "kind=isp_sim" in key.split(",")
+        )
+        if isp_tasks != len(traced.isps):
+            diffs.append(
+                f"telemetry: pooled build ran {isp_tasks} isp_sim pool tasks "
+                f"for {len(traced.isps)} ISPs (workers={workers})"
+            )
     return diffs
-
-
-def assert_telemetry_invariant(
-    probes_per_as: int = 6, years: float = 1.1, seed: int = 0, workers: int = 1
-) -> None:
-    """Raise AssertionError naming every telemetry-induced divergence."""
-    diffs = telemetry_invariance_diffs(probes_per_as, years, seed, workers=workers)
-    if diffs:
-        raise AssertionError("telemetry perturbs results: " + "; ".join(diffs))
 
 
 def serve_diffs(
@@ -638,20 +589,6 @@ def serve_diffs(
     return diffs
 
 
-def assert_serve_equal(
-    scenario: "AtlasScenario" = None,
-    probes_per_as: int = 4,
-    years: float = 0.5,
-    seed: int = 0,
-) -> None:
-    """Raise AssertionError naming every served-query divergence."""
-    diffs = serve_diffs(
-        scenario, probes_per_as=probes_per_as, years=years, seed=seed
-    )
-    if diffs:
-        raise AssertionError("served queries differ: " + "; ".join(diffs))
-
-
 def assert_atlas_scenarios_equal(a: AtlasScenario, b: AtlasScenario) -> None:
     """Raise AssertionError naming every diverging Atlas scenario field."""
     diffs = atlas_scenario_diffs(a, b)
@@ -670,10 +607,7 @@ __all__ = [
     "assert_atlas_scenarios_equal",
     "assert_cdn_scenarios_equal",
     "assert_fused_engines_equal",
-    "assert_serve_equal",
     "assert_store_equal",
-    "assert_streaming_replay_equal",
-    "assert_telemetry_invariant",
     "association_oracle_diffs",
     "atlas_scenario_diffs",
     "cdn_scenario_diffs",

@@ -30,7 +30,9 @@ Endpoints
 ``POST /query``
     One query object, or ``{"queries": [...]}`` for a coalesced batch.
     Every response echoes a per-request ``trace_id`` (client-supplied
-    via a ``"trace_id"`` body key, else freshly minted).
+    via a ``"trace_id"`` body key, else freshly minted).  A malformed or
+    negative ``Content-Length`` or a body that is not UTF-8 JSON gets
+    400; a declared body over :data:`MAX_BODY_BYTES` gets 413 unread.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ from repro.serve.registry import ArtifactRegistry
 from repro.serve.wire import request_trace_id
 
 _log = get_logger("serve.server")
+
+#: Largest ``POST`` body read, in bytes (a 32-query batch is ~3 KiB).
+MAX_BODY_BYTES = 1 << 20
 
 #: A response document: a JSON-ready dict, or pre-rendered plain text
 #: (the Prometheus exposition) served verbatim.
@@ -230,12 +235,28 @@ class _Handler(BaseHTTPRequestHandler):
         status, document = self.app.handle("GET", self.path)
         self._respond(status, document)
 
+    def _refuse(self, status: int, error: str) -> None:
+        """Answer without reading the body, then drop the connection."""
+        self.close_connection = True
+        self._respond(status, {"error": error})
+
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            self._refuse(400, f"invalid Content-Length {declared!r}")
+            return
+        if length < 0:
+            self._refuse(400, f"negative Content-Length {length}")
+            return
+        if length > MAX_BODY_BYTES:
+            self._refuse(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            return
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             self._respond(400, {"error": f"invalid JSON body: {exc}"})
             return
         status, document = self.app.handle("POST", self.path, payload)

@@ -56,7 +56,6 @@ from repro.perf.cache import get_scenario_cache, resolve_cache_flag
 from repro.perf.parallel import (
     collect_associations,
     resolve_workers,
-    run_fused_analysis,
     run_isp_simulations,
 )
 
@@ -93,23 +92,6 @@ class AtlasScenario:
         state["_columns_state"] = {}
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        raw = self.__dict__.get("_columns_state") or {}
-        # Scenario pickles predating the buffer-backed pack format (or
-        # written by a different format version) may carry memo entries
-        # keyed under an older layout; keep only entries whose key leads
-        # with the current format version so stale packs repack lazily
-        # instead of failing downstream.
-        valid = {}
-        if isinstance(raw, dict):
-            from repro.core.analysis_np import COLUMNS_FORMAT_VERSION
-
-            for key, entry in raw.items():
-                if isinstance(key, tuple) and key and key[0] == COLUMNS_FORMAT_VERSION:
-                    valid[key] = entry
-        self.__dict__["_columns_state"] = valid
-
     def probes_in(self, asn: int) -> List[SanitizedProbe]:
         """The sanitized probes attributed to ``asn``."""
         return [probe for probe in self.probes if probe.asn == asn]
@@ -127,11 +109,7 @@ class AtlasScenario:
         for ``asn``'s probes (all probes when ``asn is None``) so every
         table/figure computed from this scenario reuses one CSR pack.
         The fused engine gets the pack; the pure-Python engine gets
-        ``None``.  The cache key leads
-        with the pack format version
-        (:data:`repro.core.analysis_np.COLUMNS_FORMAT_VERSION`) — so
-        entries from an older buffer layout repack instead of being
-        served stale — and includes the identity/size of
+        ``None``.  The cache key includes the identity/size of
         ``self.probes``, so flipping ``$REPRO_ANALYSIS_ENGINE``
         mid-session or re-sanitizing the probe list can never serve
         stale columns.
@@ -140,9 +118,9 @@ class AtlasScenario:
 
         if resolve_engine(engine) == "py":
             return None
-        from repro.core.analysis_np import COLUMNS_FORMAT_VERSION, ProbeColumns
+        from repro.core.analysis_np import ProbeColumns
 
-        key = (COLUMNS_FORMAT_VERSION, asn, id(self.probes), len(self.probes))
+        key = (asn, id(self.probes), len(self.probes))
         cached = self._columns_state.get(key)
         # The cache entry pins the exact probe list it was packed from, so
         # a replaced ``self.probes`` can never alias a stale pack even if
@@ -171,9 +149,7 @@ class AtlasAnalysis:
 
 
 def analyze_atlas_scenario(
-    scenario: AtlasScenario,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
+    scenario: AtlasScenario, engine: Optional[str] = None
 ) -> AtlasAnalysis:
     """Compute Table 1/2 and Figures 1/5 for every featured AS.
 
@@ -181,13 +157,11 @@ def analyze_atlas_scenario(
     single-pass engine of :mod:`repro.core.fused`, ``"py"`` the
     pure-Python reference (``None`` reads ``$REPRO_ANALYSIS_ENGINE``,
     defaulting to ``"fused"``).  Both engines yield bit-identical
-    artifacts.
-
-    ``workers`` only applies to the fused engine: with ``workers > 1``
-    the per-AS assembly fans out over a process pool that memory-maps
-    the scenario's arena-backed pack by path
-    (:func:`repro.perf.parallel.run_fused_analysis`) — zero-copy, and
-    bit-identical to the serial fused run.
+    artifacts.  The fused engine runs one pass over the scenario's
+    memoized global pack and assembles every AS's artifacts by mask
+    (:func:`repro.core.fused.fused_analysis_artifacts`), in process: the
+    Atlas population is a few thousand probes, too small for a worker
+    pool to pay for itself.
     """
     from repro.core.engine import resolve_engine
     from repro.core.report import (
@@ -200,10 +174,12 @@ def analyze_atlas_scenario(
     resolved = resolve_engine(engine)
     _log.info("analysis engine resolved", extra={"engine": resolved})
     if resolved == "fused":
+        from repro.core.fused import fused_analysis_artifacts
+
         columns = scenario.analysis_columns(None, engine=resolved)
         groups = [(name, isp.asn, isp.config.country) for name, isp in scenario.isps.items()]
         with span("analysis/report", engine=resolved, networks=len(groups)):
-            artifacts = run_fused_analysis(columns, groups, scenario.table, workers=workers)
+            artifacts = fused_analysis_artifacts(columns, groups, scenario.table)
         return AtlasAnalysis(
             engine=resolved,
             table1=artifacts["table1"],

@@ -57,10 +57,8 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
         assert store["rss_fraction_of_materialized"] <= store["rss_gate_fraction"]
     report = payload["report"]
     assert report["parity"] is True
-    assert report["workers_parity"] is True
     assert "np_seconds" not in report  # the fused engine is the one fast path
     assert report["fused_seconds"] >= 0.0
-    assert report["fused_workers_seconds"] >= 0.0
     serve = payload["serve"]
     assert serve["parity_diffs"] == 0  # served == direct on every family
     assert serve["queries"] == 64
@@ -73,7 +71,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert serve["registry"]["misses"] == 1
     assert serve["registry"]["hits"] >= 64
     obs = payload["obs"]
-    assert obs["stitch_diffs"] == 0  # pooled stitched run == untraced run
+    assert obs["stitch_diffs"] == 0  # pooled stitched build == untraced build
     assert obs["stitch_workers"] == 2
     assert obs["disabled_overhead"] > 0
     assert obs["max_overhead"] == 1.05

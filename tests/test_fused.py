@@ -8,30 +8,22 @@ The randomized streams here reuse the awkward shapes of
 with no runs, v6-only probes — across several ASes so the per-AS
 selection paths are exercised too, and hand-built edge populations
 (empty, single run, v6-only, a change crossing both /24 and BGP
-boundaries) pin the degenerate cases.  The second half covers the
-buffer-backed pack: arena byte/file/pickle round-trips, memory-mapped
-zero-copy rehydration, the format-version guards, and the worker-pool
-fan-out that shares one arena by path.
+boundaries) pin the degenerate cases.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
 from repro.atlas.echo import EchoRun  # noqa: E402
 from repro.atlas.sanitize import SanitizedProbe  # noqa: E402
 from repro.bgp.table import RoutingTable  # noqa: E402
 from repro.core import fused  # noqa: E402
-from repro.core.analysis_np import (  # noqa: E402
-    COLUMNS_FORMAT_VERSION,
-    ProbeColumns,
-)
-from repro.core.arena import ColumnArena  # noqa: E402
+from repro.core.analysis_np import ProbeColumns  # noqa: E402
 from repro.core.report import (  # noqa: E402
     as_durations,
     figure1_for_as,
@@ -42,7 +34,6 @@ from repro.core.report import (  # noqa: E402
 )
 from repro.ip.addr import IPv4Address, IPv6Address  # noqa: E402
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix  # noqa: E402
-from repro.perf.parallel import run_fused_analysis  # noqa: E402
 
 pytestmark = pytest.mark.fused
 
@@ -212,124 +203,8 @@ def test_fused_stats_memoized_on_pack():
     assert fused.fused_probe_stats(columns) is first
 
 
-# ---------------------------------------------------------------------------
-# Buffer-backed pack: arena round-trips and zero-copy rehydration
-# ---------------------------------------------------------------------------
-
-
-def _pack_artifacts(columns, table):
-    """Fused artifacts computed straight from a pack (no probe objects)."""
-    groups = [(f"AS{asn}", asn, "US") for asn in _ASNS]
-    return fused.fused_analysis_artifacts(columns, groups, table)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_arena_roundtrips(seed, tmp_path):
-    """Bytes, file/memmap, and pickle round-trips preserve the pack."""
-    probes = _random_probes(seed)
-    table = _routing_table()
-    columns = ProbeColumns(probes)
-    reference = _pack_artifacts(columns, table)
-
-    arena = columns.arena()
-    # The installed views alias the arena buffer: one allocation.
-    assert np.shares_memory(columns.v4().value_lo, arena["v4.value_lo"])
-    assert np.shares_memory(columns.asns(), arena["probe.asn"])
-
-    # bytes round-trip (zero-copy frombuffer on rehydrate)
-    from_bytes = ProbeColumns.from_arena(arena.to_bytes())
-    assert from_bytes.probes is None
-    assert _pack_artifacts(from_bytes, table) == reference
-
-    # file round-trip, memory-mapped
-    path = columns.save_arena(tmp_path / "pack.arena")
-    mapped = ProbeColumns.from_arena(path)
-    assert mapped._arena.is_memmapped()
-    assert mapped.n_probes == columns.n_probes
-    assert _pack_artifacts(mapped, table) == reference
-
-    # pickle round-trip serializes the arena, not the probe objects
-    unpickled = pickle.loads(pickle.dumps(columns, pickle.HIGHEST_PROTOCOL))
-    assert unpickled.probes is None
-    assert _pack_artifacts(unpickled, table) == reference
-
-    # per-AS selection out of the memmapped pack matches probe re-packing
-    for asn in _ASNS:
-        sub = mapped.select(np.flatnonzero(mapped.asns() == asn))
-        direct = ProbeColumns([p for p in probes if p.asn == asn])
-        assert np.array_equal(sub.v4().value_lo, direct.v4().value_lo)
-        assert np.array_equal(sub.v6().offsets, direct.v6().offsets)
-
-
-def test_arena_format_guards(tmp_path):
-    """Stale or foreign arenas are rejected with a repack hint."""
-    columns = ProbeColumns(_random_probes(1, count=4))
-    stale = ColumnArena.build(
-        {name: columns.arena()[name] for name in columns.arena().names},
-        meta={**columns.arena().meta, "format": COLUMNS_FORMAT_VERSION - 1},
-    )
-    with pytest.raises(ValueError, match="repack"):
-        ProbeColumns.from_arena(stale)
-    foreign = ColumnArena.build(
-        {"x": np.arange(3, dtype=np.int64)}, meta={"kind": "something-else"}
-    )
-    with pytest.raises(ValueError, match="probe-columns"):
-        ProbeColumns.from_arena(foreign)
-    # A stale pickled pack is equally refused (callers repack instead).
-    state = columns.__getstate__()
-    state["format"] = COLUMNS_FORMAT_VERSION - 1
-    with pytest.raises(ValueError, match="repack"):
-        ProbeColumns.__new__(ProbeColumns).__setstate__(state)
-
-
-def test_scenario_memo_drops_stale_format_entries():
-    """Unpickled scenarios keep only current-format column memo entries."""
-    from repro.workloads import build_atlas_scenario
-
-    scenario = build_atlas_scenario(probes_per_as=2, years=0.2, seed=0, cache=False)
-    fresh = scenario.analysis_columns(None, engine="fused")
-    assert fresh is not None
-    state = scenario.__getstate__()
-    # Simulate a cache pickle written under an older pack layout: the
-    # memo entry's key leads with a stale format version.
-    state["_columns_state"] = {
-        (COLUMNS_FORMAT_VERSION - 1, None, 123, 4): ("stale", "pack"),
-        "legacy-key": ("stale", "pack"),
-    }
-    revived = scenario.__class__.__new__(scenario.__class__)
-    revived.__setstate__(state)
-    assert revived._columns_state == {}  # stale entries dropped, not served
-    repacked = revived.analysis_columns(None, engine="fused")
-    assert repacked is not None  # repacks lazily instead of failing
-    assert revived.analysis_columns(None, engine="fused") is repacked
-
-
-def test_worker_fanout_matches_serial(tmp_path):
-    """run_fused_analysis with a pool is bit-identical to the serial pass.
-
-    The pool hands each worker the pack *by path*: workers memmap the
-    arena instead of unpickling column arrays, so the parent only ships
-    the path string and small per-AS artifacts come back.
-    """
-    probes = _random_probes(2020)
-    table = _routing_table()
-    columns = ProbeColumns(probes)
-    groups = [(f"AS{asn}", asn, "US") for asn in _ASNS]
-    serial = run_fused_analysis(columns, groups, table, workers=1)
-    pooled = run_fused_analysis(columns, groups, table, workers=2)
-    assert pooled == serial
-    assert serial == fused.fused_analysis_artifacts(columns, groups, table)
-
-    # The zero-copy handoff: a pack reopened from the saved arena path is
-    # memory-mapped and serves the same artifacts without probe objects.
-    path = columns.save_arena(tmp_path / "fanout.arena")
-    reopened = ProbeColumns.from_arena(path)
-    assert reopened._arena.is_memmapped()
-    assert fused.fused_analysis_artifacts(reopened, groups, table) == serial
-
-
 def test_workloads_fused_engine_end_to_end():
-    """analyze/periodicity under engine='fused' match 'py', workers too."""
+    """analyze/periodicity under engine='fused' match 'py'."""
     from repro.workloads import (
         analyze_atlas_scenario,
         build_atlas_scenario,
@@ -338,25 +213,23 @@ def test_workloads_fused_engine_end_to_end():
 
     scenario = build_atlas_scenario(probes_per_as=3, years=0.4, seed=7, cache=False)
     py_analysis = analyze_atlas_scenario(scenario, engine="py")
-    fused_analysis = analyze_atlas_scenario(scenario, engine="fused")
-    assert fused_analysis.engine == "fused"
+    fused_result = analyze_atlas_scenario(scenario, engine="fused")
+    assert fused_result.engine == "fused"
     assert (
-        fused_analysis.table1,
-        fused_analysis.table2,
-        fused_analysis.figure1,
-        fused_analysis.figure5,
+        fused_result.table1,
+        fused_result.table2,
+        fused_result.figure1,
+        fused_result.figure5,
     ) == (py_analysis.table1, py_analysis.table2, py_analysis.figure1,
           py_analysis.figure5)
-    pooled = analyze_atlas_scenario(scenario, engine="fused", workers=2)
-    assert pooled == fused_analysis
     assert periodicity_for_scenario(
         scenario, min_probes=2, engine="fused"
     ) == periodicity_for_scenario(scenario, min_probes=2, engine="py")
 
 
-def test_fused_verify_helper(tmp_path):
+def test_fused_verify_helper():
     """perf.verify's fused gate passes on a fresh scenario, covering the
-    arena round-trip and the delegation and association artifacts."""
+    delegation and association artifacts."""
     from repro.perf.verify import fused_engine_diffs
 
     rng = random.Random(11)
@@ -365,5 +238,5 @@ def test_fused_verify_helper(tmp_path):
         for _ in range(100)
     ]
     assert fused_engine_diffs(
-        probes_per_as=3, years=0.3, seed=1, arena_dir=tmp_path, triples=triples
+        probes_per_as=3, years=0.3, seed=1, triples=triples
     ) == []

@@ -256,20 +256,26 @@ def test_stream_and_checkpoint_counters(tmp_path):
     assert counters["stream.resumes"][""] == 1
 
 
-def test_worker_pool_merges_child_metrics(monkeypatch):
-    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
+def test_worker_pool_merges_child_metrics(monkeypatch, tmp_path):
+    from repro.store import analyze_store, build_store_from_triples
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    scenario = build_atlas_scenario(seed=5, **ATLAS_SCALE)
-    probes = {}
+    store = build_store_from_triples(
+        [(day, (day % 7) << 8, (day + 1) << 64) for day in range(60)],
+        tmp_path / "store",
+        shards=3,
+        workers=1,
+    )
+    shards_read = {}
     for workers in (1, 2):
         with telemetry(True, reset=True):
-            analyze_atlas_scenario(scenario, engine="fused", workers=workers)
+            analyze_store(store, workers=workers)
             counters = telemetry_snapshot()["metrics"]["counters"]
-        probes[workers] = counters["analysis.fused.probes"][""]
+        shards_read[workers] = counters["store.shards_read"][""]
+    assert counters["pool.tasks"][""] == store.shards  # the pooled run fanned out
     # Worker-side counters ride back to the parent exactly once: the
-    # pooled per-AS passes add up to the serial whole-pack pass.
-    assert probes[2] == probes[1] > 0
+    # pooled per-shard passes add up to the serial pass.
+    assert shards_read[2] == shards_read[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +345,6 @@ def _pooled_store_shards(tmp_path):
     return {"store_shard": 3}
 
 
-def _pooled_fused_analysis(tmp_path):
-    from repro.workloads import analyze_atlas_scenario, build_atlas_scenario
-
-    with telemetry(False):
-        scenario = build_atlas_scenario(seed=5, **ATLAS_SCALE)
-    analyze_atlas_scenario(scenario, engine="fused", workers=2)
-    return {"fused_analysis": len(scenario.isps)}
-
-
 def _pooled_store_segments(tmp_path):
     import numpy as np
 
@@ -373,10 +370,9 @@ def _pooled_store_segments(tmp_path):
         _pooled_isp_simulations,
         _pooled_cdn_collection,
         _pooled_store_shards,
-        _pooled_fused_analysis,
         _pooled_store_segments,
     ],
-    ids=["isp_sim", "cdn_collect", "store_shard", "fused_analysis", "store_segments"],
+    ids=["isp_sim", "cdn_collect", "store_shard", "store_segments"],
 )
 def test_pool_tasks_conserve_units(run_adapter, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # force the fan-out

@@ -283,52 +283,53 @@ def _tree_shape(node):
     return (node["name"], tuple(_tree_shape(c) for c in node.get("children", ())))
 
 
-def _pooled_fused_snapshot(scenario, workers):
-    from repro.workloads import analyze_atlas_scenario
+def _pooled_build_snapshot(workers):
+    from repro.workloads import build_atlas_scenario
 
     with telemetry(True, reset=True):
-        analyze_atlas_scenario(scenario, engine="fused", workers=workers)
+        build_atlas_scenario(seed=5, workers=workers, **ATLAS_SCALE)
         return telemetry_snapshot()
 
 
+def _isp_stage(snap):
+    """The ``collection/isp_simulations`` span under the build's root."""
+    (root,) = snap["spans"]
+    return next(
+        child for child in root["children"]
+        if child["name"] == "collection/isp_simulations"
+    )
+
+
 class TestStitching:
-    def test_pool_spans_graft_under_parent(self, scenario, fan_out):
-        snap = _pooled_fused_snapshot(scenario, workers=2)
+    def test_pool_spans_graft_under_parent(self, fan_out):
+        snap = _pooled_build_snapshot(workers=2)
         assert len(snap["spans"]) == 1
-        root = snap["spans"][0]
-        tasks = [c for c in root["children"] if c["name"] == "pool/task"]
-        assert tasks, "pooled fused run produced no stitched worker spans"
+        stage = _isp_stage(snap)
+        tasks = [c for c in stage["children"] if c["name"] == "pool/task"]
+        assert tasks, "pooled build produced no stitched worker spans"
         parent_pid = os.getpid()
         for task in tasks:
             # Worker-recorded spans carry the worker pid, not the parent's.
             assert task["attrs"]["worker"] != parent_pid
+            assert task["attrs"]["kind"] == "isp_sim"
             assert task["attrs"]["trace_id"] == snap["trace_id"]
-            assert task["attrs"]["parent_span_id"] == root["span_id"]
-            assert [c["name"] for c in task.get("children", ())] == [
-                "analysis/fused/pass"
-            ]
+            assert task["attrs"]["parent_span_id"] == stage["span_id"]
 
-    def test_worker_count_does_not_change_tree_shape(self, scenario, fan_out):
+    def test_worker_count_does_not_change_tree_shape(self, fan_out):
         shapes = {
-            workers: [_tree_shape(r) for r in
-                      _pooled_fused_snapshot(scenario, workers)["spans"]]
+            workers: [_tree_shape(r) for r in _pooled_build_snapshot(workers)["spans"]]
             for workers in (2, 3)
         }
         # Submission-order adoption: the stitched tree is identical no
         # matter how the tasks were scheduled across workers.
         assert shapes[2] == shapes[3]
 
-    def test_serial_and_pooled_cover_same_work(self, scenario, fan_out):
-        serial = _pooled_fused_snapshot(scenario, workers=1)
-        pooled = _pooled_fused_snapshot(scenario, workers=2)
-        serial_networks = sum(
-            1 for c in serial["spans"][0]["children"]
-            if c["name"] == "analysis/fused/network"
-        )
-        pooled_tasks = sum(
-            1 for c in pooled["spans"][0]["children"] if c["name"] == "pool/task"
-        )
-        assert serial_networks == pooled_tasks == len(scenario.isps)
+    def test_serial_and_pooled_cover_same_work(self, fan_out):
+        serial = _isp_stage(_pooled_build_snapshot(workers=1))
+        pooled = _isp_stage(_pooled_build_snapshot(workers=2))
+        assert not any(c["name"] == "pool/task" for c in serial.get("children", ()))
+        pooled_tasks = sum(1 for c in pooled["children"] if c["name"] == "pool/task")
+        assert serial["attrs"]["isps"] == pooled_tasks == pooled["attrs"]["isps"] > 0
 
 
 # ---------------------------------------------------------------------------

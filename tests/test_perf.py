@@ -28,7 +28,7 @@ from repro.perf.parallel import (
     resolve_workers,
     run_isp_simulations,
 )
-from repro.perf.timing import StageTimer, read_baseline, write_baseline
+from repro.perf.timing import read_baseline, write_baseline
 from repro.perf.verify import (
     assert_atlas_scenarios_equal,
     assert_cdn_scenarios_equal,
@@ -524,49 +524,8 @@ def test_code_fingerprint_stable():
 
 
 # ---------------------------------------------------------------------------
-# Stage timing and the baseline artifact
+# RSS probes and the baseline artifact
 # ---------------------------------------------------------------------------
-
-
-def test_stage_timer_accumulates():
-    timer = StageTimer()
-    timer.record("build", 1.25)
-    timer.record("build", 0.75)
-    timer.record("analyze", 0.5)
-    assert timer["build"] == 2.0
-    assert "analyze" in timer and "missing" not in timer
-    assert timer.total == 2.5
-    assert timer.as_dict() == {"build": 2.0, "analyze": 0.5}
-    with pytest.raises(ValueError):
-        timer.record("build", -1.0)
-
-
-def test_stage_timer_context_manager():
-    timer = StageTimer()
-    with timer.stage("work"):
-        pass
-    assert timer["work"] >= 0.0
-
-
-def test_stage_timer_duplicate_stage_names_accumulate():
-    timer = StageTimer()
-    with timer.stage("work"):
-        pass
-    with timer.stage("work"):  # re-entering the same name accumulates
-        pass
-    first_total = timer["work"]
-    timer.record("work", 1.0)
-    assert timer["work"] == first_total + 1.0
-    assert timer.as_dict().keys() == {"work"}
-
-
-def test_stage_timer_zero_duration_stage():
-    timer = StageTimer()
-    timer.record("instant", 0.0)
-    assert timer["instant"] == 0.0
-    assert "instant" in timer
-    assert timer.total == 0.0
-    assert timer.as_dict() == {"instant": 0.0}
 
 
 def test_current_rss_bytes_without_proc(monkeypatch):

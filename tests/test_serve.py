@@ -14,6 +14,8 @@ The serving contract has three legs:
 from __future__ import annotations
 
 import json
+import socket
+import threading
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.serve import (
     StabilityQuery,
     QueryEngine,
     build_graph,
+    make_server,
     compute_direct,
     load_graph,
     observed_prefixes,
@@ -302,3 +305,56 @@ class TestServeApp:
             ServeClient()
         with pytest.raises(ValueError):
             ServeClient(app=ServeApp(scenario), base_url="http://localhost:1")
+
+
+@pytest.fixture(scope="class")
+def http_address(scenario):
+    server = make_server(ServeApp(scenario), port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _post_status(address, content_length: str, body: bytes = b"") -> list:
+    """Send a raw ``POST /query``; the reply's status line, split in words.
+
+    The socket timeout bounds the wait, so a handler that hangs or
+    drops the connection without answering fails the caller's assert.
+    """
+    head = (
+        "POST /query HTTP/1.1\r\nHost: test\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    reply = b""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(head + body)
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0].decode("latin-1").split()
+
+
+class TestHttpBody:
+    """Malformed ``POST`` bodies get a status line, never a hang or silence."""
+
+    @pytest.mark.parametrize(
+        "content_length, body, status",
+        [
+            ("abc", b"{}", "400"),
+            ("2", b"\xff\xfe", "400"),  # not UTF-8
+            ("-1", b"{}", "400"),
+            # Only the headers are sent: the answer must not wait for
+            # the declared gigabyte.
+            (str(1 << 30), b"", "413"),
+        ],
+        ids=["non-integer-length", "non-utf8-body", "negative-length", "oversized-length"],
+    )
+    def test_malformed_body_gets_status(self, http_address, content_length, body, status):
+        assert _post_status(http_address, content_length, body)[1:2] == [status]
