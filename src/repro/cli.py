@@ -460,11 +460,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         from repro.store import build_store_from_triples
         from repro.stream import run_association_stream_over_store
 
-        # The simulate-cdn CSV is grouped by ASN, not day-ordered.  The
-        # old path sorted the whole file in RAM to meet the stream
-        # contract; sharding into a scratch triple store instead keeps
-        # memory bounded (spill buffers + one day window) and the
-        # store-driven pass is artifact-identical to the sorted stream.
+        # Association streams fold off a triple store.  The simulate-cdn
+        # CSV is grouped by ASN, not day-ordered; sharding it into a
+        # scratch store keeps memory bounded (spill buffers + one day
+        # window) whatever its row order.
         with tempfile.TemporaryDirectory(prefix="repro-stream-") as scratch:
             triple_store = build_store_from_triples(
                 stream_triples_from_csv(Path(args.triples)),

@@ -23,7 +23,8 @@ Module                 Paper section
 ``hitlist``            6 — rescan planning after renumbering
 ``targetgen``          2.3/6 — target-generation baselines + informed
 ``anonymize``          6 — truncation anonymization audit
-``associations_np``    vectorized variant of ``associations``
+``associations_np``    columnar kernels behind ``associations`` (used by the
+                       triple store and the association stream)
 ``analysis_np``        columnar kernels behind ``changes``/``timefraction``/
                        ``periodicity``/``spatial`` (used by ``fused``)
 ``report``             rendering of the paper's tables

@@ -1,10 +1,10 @@
 """NumPy-vectorized CDN association analytics.
 
 The pure-Python functions in :mod:`repro.core.associations` are the
-reference implementation; these vectorized equivalents handle
-multi-million-tuple datasets (the paper's CDN feed is billions of
-tuples) an order of magnitude faster.  The test suite asserts exact
-agreement between the two implementations on random inputs.
+reference implementation; these vectorized kernels are what the
+out-of-core triple-store driver (:mod:`repro.store.kernels`) and the
+association stream run per shard, merge block or day window.  The test
+suite asserts exact agreement with the reference on random inputs.
 
 Input is columnar: three equal-length arrays ``days`` (int), ``v4_keys``
 (uint32 /24 network addresses) and ``v6_keys``.  Because NumPy has no
@@ -16,7 +16,7 @@ bijection for /64s; :func:`columns_from_triples` performs the packing.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,22 +66,33 @@ def v6_day_v4_order(days: np.ndarray, v4_keys: np.ndarray, v6_keys: np.ndarray) 
     (cheap on the concatenated pre-sorted runs a triple store yields)
     ranks the /64s, and one stable sort of a packed ``rank | day | v4``
     key, already sorted but for /64s spanning runs, finishes the job.
-    Keys that cannot pack into 64 bits fall back to the lexsort.
+    The key is built in place in one buffer, so peak memory stays near
+    three index arrays.  Keys that cannot pack into 64 bits fall back
+    to the lexsort.
     """
     by_v6 = np.argsort(v6_keys, kind="stable")
     if len(by_v6) < 2:
         return by_v6
-    v6_sorted = v6_keys[by_v6]
-    rank = np.cumsum(v6_sorted[1:] != v6_sorted[:-1])
-    day = days[by_v6].astype(np.int64)
-    day -= day.min()
-    v4 = v4_keys[by_v6]
-    day_bits = int(day.max()).bit_length()
-    if int(rank[-1]).bit_length() + day_bits + 32 > 64 or int(v4.max()) >> 32:
+    key = v6_keys[by_v6].astype(np.uint64, copy=False)
+    new_v6 = key[1:] != key[:-1]
+    day_min = int(days.min())
+    day_bits = (int(days.max()) - day_min).bit_length()
+    rank_bits = int(np.count_nonzero(new_v6)).bit_length()
+    if rank_bits + day_bits + 32 > 64 or int(v4_keys.max()) >> 32:
         return np.lexsort((v4_keys, days, v6_keys))
-    key = (day.astype(np.uint64) << np.uint64(32)) | v4.astype(np.uint64)
-    key[1:] |= rank.astype(np.uint64) << np.uint64(32 + day_bits)
-    return by_v6[np.argsort(key, kind="stable")]
+    key[0] = 0
+    np.cumsum(new_v6, dtype=np.uint64, out=key[1:])
+    del new_v6
+    key <<= np.uint64(day_bits)
+    day = days[by_v6].astype(np.int64, copy=False)
+    day -= day_min
+    key |= day.view(np.uint64)
+    del day
+    key <<= np.uint64(32)
+    key |= v4_keys[by_v6].astype(np.uint64, copy=False)
+    order = np.argsort(key, kind="stable")
+    del key
+    return by_v6[order]
 
 
 def association_durations_np(
@@ -95,7 +106,7 @@ def association_durations_np(
         raise ValueError("column arrays must have equal length")
     if len(days) == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((v4_keys, days, v6_keys))
+    order = v6_day_v4_order(days, v4_keys, v6_keys)
     day_sorted = days[order]
     v4_sorted = v4_keys[order]
     v6_sorted = v6_keys[order]
@@ -166,45 +177,6 @@ def _degree_count_arrays_nonempty(
         group_of_pair[new_pair], minlength=len(keys)
     )
     return keys, unique_counts, hit_counts
-
-
-def _degree_counts_sorted(
-    primary: np.ndarray, secondary: np.ndarray
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    keys, unique_counts, hit_counts = degree_count_arrays(primary, secondary)
-    unique = dict(zip((int(k) for k in keys), (int(c) for c in unique_counts)))
-    hits = dict(zip((int(k) for k in keys), (int(c) for c in hit_counts)))
-    return unique, hits
-
-
-def v4_degree_counts_np(
-    v4_keys: np.ndarray, v6_keys: np.ndarray
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Vectorized :func:`repro.core.associations.v4_degree_counts`."""
-    if len(v4_keys) != len(v6_keys):
-        raise ValueError("column arrays must have equal length")
-    if len(v4_keys) == 0:
-        return {}, {}
-    return _degree_counts_sorted(v4_keys, v6_keys)
-
-
-def v6_degree_counts_np(v4_keys: np.ndarray, v6_keys: np.ndarray) -> Dict[int, int]:
-    """Vectorized :func:`repro.core.associations.v6_degree_counts`."""
-    if len(v4_keys) != len(v6_keys):
-        raise ValueError("column arrays must have equal length")
-    if len(v4_keys) == 0:
-        return {}
-    unique, _hits = _degree_counts_sorted(v6_keys, v4_keys)
-    return unique
-
-
-def duration_percentiles_np(
-    durations: np.ndarray, fractions: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95)
-) -> List[float]:
-    """Linear-interpolation percentiles matching ``box_stats``."""
-    if len(durations) == 0:
-        raise ValueError("cannot take percentiles of empty data")
-    return [float(value) for value in np.quantile(durations, fractions)]
 
 
 def box_stats_np(
@@ -309,20 +281,11 @@ def box_stats_from_counts(
     )
 
 
-def unpack_v6_degree_keys(degree_counts: Dict[int, int]) -> Dict[int, int]:
-    """Re-expand packed upper-64-bit /64 keys to full integer keys."""
-    return {key << 64: count for key, count in degree_counts.items()}
-
-
 __all__ = [
     "association_durations_np",
     "box_stats_from_counts",
     "box_stats_np",
     "columns_from_triples",
     "degree_count_arrays",
-    "duration_percentiles_np",
-    "unpack_v6_degree_keys",
-    "v4_degree_counts_np",
     "v6_day_v4_order",
-    "v6_degree_counts_np",
 ]

@@ -5,9 +5,10 @@ builds it, so the cache key is ``SHA-256(format version, builder name,
 code fingerprint, canonicalized parameters)``:
 
 * the *code fingerprint* hashes every ``.py`` file in the ``repro``
-  package — any source change invalidates every cached scenario without
-  touching the cache directory (stale entries simply stop being
-  addressed, and can be swept with :meth:`ScenarioCache.clear`);
+  package — any source change invalidates every cached scenario.  Entry
+  file names carry the fingerprint's first 16 hex digits, so the first
+  :meth:`ScenarioCache.put` under new code evicts the builder's entries
+  written by any other code (:meth:`ScenarioCache.clear` sweeps all);
 * parameters are canonicalized structurally (dicts sorted by key,
   dataclasses via their field reprs), so semantically equal calls share
   an entry while ``workers=`` — which never changes the output — is
@@ -25,6 +26,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -133,7 +135,26 @@ class ScenarioCache:
         return hashlib.sha256(material.encode()).hexdigest()
 
     def _path_for(self, builder: str, key: str) -> Path:
-        return self.directory / f"{builder}-{key[:32]}.pkl"
+        return self.directory / f"{builder}-{code_fingerprint()[:16]}-{key[:32]}.pkl"
+
+    def _evict_stale(self, builder: str) -> None:
+        """Unlink ``builder``'s entries written under another code fingerprint.
+
+        Such entries can never be addressed again (their key hashes the
+        old fingerprint), so every source edit would otherwise strand
+        them on disk for good.  Entries named without a fingerprint tag
+        (the layout before tags) count as stale too.
+        """
+        entry = re.compile(rf"{re.escape(builder)}-(?:([0-9a-f]{{16}})-)?[0-9a-f]{{32}}\.pkl")
+        current = code_fingerprint()[:16]
+        for path in self.directory.glob(f"{builder}-*.pkl"):
+            match = entry.fullmatch(path.name)
+            if match is None or match.group(1) == current:
+                continue
+            path.unlink(missing_ok=True)
+            self.stats.evictions += 1
+            metric_inc("cache.evictions", builder=builder)
+            _log.info("stale cache entry evicted", extra={"builder": builder, "entry": path.name})
 
     def get(self, builder: str, key: str):
         """The cached scenario for ``key``, or ``None`` on a miss."""
@@ -190,6 +211,7 @@ class ScenarioCache:
         self.stats.puts += 1
         metric_inc("cache.puts", builder=builder)
         _log.info("cache put", extra={"builder": builder, "key": key[:12]})
+        self._evict_stale(builder)
         return True
 
     def clear(self) -> int:

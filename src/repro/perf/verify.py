@@ -18,9 +18,9 @@ association artifacts — and :func:`streaming_replay_diffs` holds the
 streaming layer to it too: chunk-by-chunk replay (any chunk size, with
 or without a mid-stream checkpoint/restore) must be bit-identical to
 the batch fused report.  :func:`store_diffs` extends the contract to
-the out-of-core sharded memmap store: shard-by-shard analysis must
-match the in-RAM columnar path artifact for artifact, at every shard
-count.
+the out-of-core sharded memmap store: shard-by-shard analysis and the
+store-driven stream must match the pure-Python association oracle
+artifact for artifact, at every shard count.
 """
 
 from __future__ import annotations
@@ -291,13 +291,10 @@ def streaming_replay_diffs(
     return diffs
 
 
-def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -> List[str]:
-    """Streamed-vs-oracle association differences ([] if bit-identical).
+def _association_oracle(triples: Sequence) -> dict:
+    """Every association artifact of ``triples``, from the pure-Python oracle.
 
-    Holds an :class:`repro.stream.AssociationStreamResult` to the
-    pure-Python :mod:`repro.core.associations` functions over the same
-    ``triples``: duration multiset, box stats, both degree maps, the
-    degree-one fraction and the triple count.
+    Keyed by :class:`repro.stream.AssociationStreamResult` field name.
     """
     from collections import Counter
 
@@ -309,12 +306,10 @@ def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -
         v6_degree_counts,
     )
 
-    if result is None:
-        return [f"{label}: streaming pass did not complete"]
     durations = association_durations(triples)
     v4_unique, v4_hits = v4_degree_counts(triples)
     v6_degrees = v6_degree_counts(triples)
-    expected = {
+    return {
         "durations": Counter(durations),
         "box": box_stats(durations) if durations else None,
         "v4_unique": v4_unique,
@@ -323,11 +318,28 @@ def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -
         "fraction_v6_degree_one": fraction_degree_one(v6_degrees),
         "triples_seen": len(triples),
     }
+
+
+def _oracle_diffs(got: dict, expected: dict, label: str) -> List[str]:
     return [
         f"{label}: {field} diverges from the pure-Python oracle"
         for field, value in expected.items()
-        if getattr(result, field) != value
+        if got[field] != value
     ]
+
+
+def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -> List[str]:
+    """Streamed-vs-oracle association differences ([] if bit-identical).
+
+    Holds an :class:`repro.stream.AssociationStreamResult` to the
+    pure-Python :mod:`repro.core.associations` functions over the same
+    ``triples``: duration multiset, box stats, both degree maps, the
+    degree-one fraction and the triple count.
+    """
+    if result is None:
+        return [f"{label}: streaming pass did not complete"]
+    expected = _association_oracle(triples)
+    return _oracle_diffs({field: getattr(result, field) for field in expected}, expected, label)
 
 
 def store_diffs(
@@ -336,51 +348,35 @@ def store_diffs(
     shards: Sequence[int] = (1, 4),
     chunk_days: int = 7,
 ) -> List[str]:
-    """Out-of-core-vs-in-RAM artifact differences ([] if bit-identical).
+    """Out-of-core-vs-oracle artifact differences ([] if bit-identical).
 
     The store-parity contract: building a sharded memmap store from
     ``triples`` and analyzing it shard-by-shard
-    (:func:`repro.store.analyze_store`) must reproduce every in-RAM
-    columnar (:mod:`repro.core.associations_np`) Section-5 artifact —
+    (:func:`repro.store.analyze_store`) must reproduce every Section-5
+    artifact of the pure-Python :mod:`repro.core.associations` oracle —
     duration multiset and box stats, both degree structures, degree-one
-    fraction, the Figure-7 trailing-zero profile — and the store-driven
-    streaming pass must match the pure-Python oracle
-    (:func:`association_oracle_diffs`). Each shard count in ``shards``
-    is verified independently (1 exercises the degenerate single-shard
-    merge, >1 the k-way pivot merge).  Build-mode digest parity is
-    checked too: a ``workers=2`` build with a small ``spill_rows`` and a
-    compaction of two incrementally built halves must both produce
-    byte-identical stores (same ``digest()``) to the serial build.  ``directory``
-    holds the temporary stores (one subdirectory per shard count).
+    fraction, the Figure-7 trailing-zero profile — and so must the
+    store-driven streaming pass (:func:`association_oracle_diffs`).
+    Each shard count in ``shards`` is verified independently (1
+    exercises the degenerate single-shard merge, >1 the k-way pivot
+    merge).  Build-mode digest parity is checked too: a ``workers=2``
+    build with a small ``spill_rows`` and a compaction of two
+    incrementally built halves must both produce byte-identical stores
+    (same ``digest()``) to the serial build.  ``directory`` holds the
+    temporary stores (one subdirectory per shard count).
     """
     from pathlib import Path
 
-    from repro.core.associations import fraction_degree_one
-    from repro.core.associations_np import (
-        association_durations_np,
-        box_stats_np,
-        columns_from_triples,
-        unpack_v6_degree_keys,
-        v4_degree_counts_np,
-        v6_degree_counts_np,
-    )
     from repro.core.delegation import trailing_zero_profile
     from repro.ip.prefix import IPv6Prefix
     from repro.store import analyze_store, build_store_from_triples
     from repro.stream.associations import run_association_stream_over_store
 
     materialized = list(triples)
-    days, v4_keys, v6_keys = columns_from_triples(materialized)
-    durations = association_durations_np(days, v4_keys, v6_keys)
-    from collections import Counter
-
-    ref_durations = Counter(int(d) for d in durations)
-    ref_box = box_stats_np(durations, empty_ok=True)
-    ref_v4_unique, ref_v4_hits = v4_degree_counts_np(v4_keys, v6_keys)
-    ref_v6 = unpack_v6_degree_keys(v6_degree_counts_np(v4_keys, v6_keys))
-    ref_fraction = fraction_degree_one(ref_v6)
-    ref_profile = trailing_zero_profile(
-        IPv6Prefix(key, 64) for key in sorted({t[2] for t in materialized})
+    expected = _association_oracle(materialized)
+    expected_batch = {field: value for field, value in expected.items() if field != "triples_seen"}
+    expected_batch["delegation"] = trailing_zero_profile(
+        IPv6Prefix(key, 64) for key in sorted(expected["v6_degrees"])
     )
 
     diffs: List[str] = []
@@ -393,23 +389,20 @@ def store_diffs(
             diffs.append(f"{label}: round-tripped triples diverge")
             continue
         analysis = analyze_store(store)
-        if analysis.duration_counts != dict(ref_durations):
-            diffs.append(f"{label}: duration multiset diverges from in-RAM columnar")
-        if analysis.box != ref_box:
-            diffs.append(f"{label}: box stats diverge from in-RAM columnar")
-        got_unique, got_hits = analysis.v4_degree_dicts()
-        if got_unique != ref_v4_unique or got_hits != ref_v4_hits:
-            diffs.append(f"{label}: v4 degree counts diverge from in-RAM columnar")
-        if analysis.v6_degree_dict() != ref_v6:
-            diffs.append(f"{label}: v6 degree counts diverge from in-RAM columnar")
-        if analysis.fraction_v6_degree_one != ref_fraction:
-            diffs.append(f"{label}: degree-one fraction diverges from in-RAM columnar")
-        if analysis.delegation != ref_profile:
-            diffs.append(f"{label}: trailing-zero profile diverges from reference")
+        v4_unique, v4_hits = analysis.v4_degree_dicts()
+        got = {
+            "durations": analysis.duration_counts,
+            "box": analysis.box,
+            "v4_unique": v4_unique,
+            "v4_hits": v4_hits,
+            "v6_degrees": analysis.v6_degree_dict(),
+            "fraction_v6_degree_one": analysis.fraction_v6_degree_one,
+            "delegation": analysis.delegation,
+        }
+        diffs.extend(_oracle_diffs(got, expected_batch, f"{label}: analyze_store"))
         streamed = run_association_stream_over_store(store, chunk_days=chunk_days)
-        diffs.extend(
-            association_oracle_diffs(streamed, materialized, f"{label}: store-driven stream")
-        )
+        got = {field: getattr(streamed, field) for field in expected}
+        diffs.extend(_oracle_diffs(got, expected, f"{label}: store-driven stream"))
 
     # Build-mode parity: a serial build, a pooled build that spills
     # often, and an incremental two-half merge must emit byte-identical

@@ -7,8 +7,8 @@ bounded by disk, not RAM.  See :mod:`repro.store.triples` for the
 on-disk format, the one build path (writer scatter, then a per-shard
 :func:`compact_shard` finalize at any worker count) and store
 compaction, and :mod:`repro.store.kernels` for the out-of-core
-analysis (bit-identical to the in-RAM columnar path of
-:mod:`repro.core.associations_np`).
+analysis (bit-identical to the pure-Python
+:mod:`repro.core.associations` oracle).
 """
 
 from repro.store.kernels import (

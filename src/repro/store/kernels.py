@@ -1,9 +1,9 @@
 """Out-of-core association/degree/delegation kernels over a triple store.
 
-The in-RAM path feeds one giant columnar array into
-:mod:`repro.core.associations_np`.  Here the same Section-5 artifacts
-are computed shard by shard so peak memory tracks the largest *shard*,
-not the store:
+This is the one batch driver of the Section-5 association analysis: the
+:mod:`repro.core.associations_np` kernels run shard by shard and merge
+block by merge block, so peak memory tracks the largest *shard*, not
+the store:
 
 1. **Per-shard pass** (:func:`shard_partials_to_scratch`, fanned out
    via :func:`repro.perf.parallel.map_store_shards`): memmap one shard
@@ -26,7 +26,7 @@ not the store:
    (:func:`~repro.core.associations_np.box_stats_from_counts`), degree
    arrays from the merged partials, and the Figure-7 trailing-zero
    profile from the global distinct-/64 key set — all bit-identical to
-   the in-RAM :mod:`~repro.core.associations_np` artifacts (enforced by
+   the pure-Python :mod:`~repro.core.associations` oracle (enforced by
    :func:`repro.perf.verify.store_diffs`).
 """
 
@@ -130,7 +130,7 @@ def merged_duration_histogram(
     memmaps.  Each merge step picks ``pivot = min`` over active shards
     of the ``v6`` value ``block_rows`` ahead, then drains **all** rows
     with ``v6 <= pivot`` from every shard — at least one row per step
-    (the pivot shard's), and never a split /64 group, so the in-RAM
+    (the pivot shard's), and never a split /64 group, so the columnar
     duration kernel applies per block unchanged.
     """
     day_max = store.day_max if store.day_max is not None else 0

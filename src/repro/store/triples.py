@@ -1,13 +1,13 @@
 """Sharded, memory-mapped columnar store for CDN association triples.
 
 The paper's CDN feed is 32.7B ``(day, v4 /24, v6 /64)`` tuples — far
-beyond what the in-RAM list-of-triples representation can hold.  This
+beyond what a list of python triples can hold.  This
 module persists a triple population as struct-of-arrays column shards:
 
 * ``day``  — ``uint16`` (the paper's windows are months, not decades);
 * ``v4``   — ``uint32`` /24 network address;
 * ``v6``   — ``uint64`` *upper 64 bits* of the /64 network address
-  (a bijection for /64s, matching
+  (a bijection for /64s, the packing of
   :func:`repro.core.associations_np.columns_from_triples`).
 
 Rows are **hash-sharded by the /24 key** (multiplicative hashing), so
@@ -54,7 +54,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from repro.core.associations import Triple
+from repro.core.associations import LOW64, Triple
+from repro.core.associations_np import v6_day_v4_order
 from repro.obs import get_logger, metric_inc, span
 
 _log = get_logger("store")
@@ -64,7 +65,7 @@ STORE_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
-#: Canonical per-shard row order (lexsort key, most significant first).
+#: Canonical per-shard row order (sort key, most significant first).
 #: Version 2 finalizes every shard in this order, which makes the store
 #: digest a pure function of the triple multiset: builds at any worker
 #: count and compactions of the same input all produce byte-identical
@@ -98,15 +99,16 @@ def shard_of_v4(v4_keys: np.ndarray, shards: int) -> np.ndarray:
 
 
 def canonical_order(days: np.ndarray, v4: np.ndarray, v6: np.ndarray) -> np.ndarray:
-    """The canonical per-shard permutation: lexsort by ``(v6, day, v4)``.
+    """The canonical per-shard permutation: sorted by ``(v6, day, v4)``.
 
     This is the key :func:`repro.store.kernels.merged_duration_histogram`
     merges by, so every shard doubles as a pre-sorted run for the
-    analysis merge.  Because the key covers every column, equal rows are
-    interchangeable — the same row multiset always yields byte-identical
-    shard files.
+    analysis merge.  It is :func:`repro.core.associations_np.v6_day_v4_order`,
+    the one ``(v6, day, v4)`` sort.  Because the key covers every
+    column, equal rows are interchangeable — the same row multiset
+    always yields byte-identical shard files.
     """
-    return np.lexsort((v4, days, v6))
+    return v6_day_v4_order(days, v4, v6)
 
 
 def _shard_file(directory: Path, shard: int, column: str) -> Path:
@@ -227,13 +229,17 @@ def triple_column_batches(
     """Batch python ``(day, v4, v6)`` triples into columnar arrays.
 
     The v6 key is narrowed to its upper 64 bits (the /64 bijection used
-    throughout the store).  Consumes the iterable lazily — this is the
-    triples→columns adapter in front of :meth:`TripleStoreWriter.append_columns`.
+    throughout the store); a key with any of its low 64 bits set raises
+    ``ValueError`` rather than silently merging with its /64 neighbours.
+    Consumes the iterable lazily — this is the triples→columns adapter
+    in front of :meth:`TripleStoreWriter.append_columns`.
     """
     days: List[int] = []
     v4s: List[int] = []
     v6s: List[int] = []
     for day, v4_key, v6_key in triples:
+        if v6_key & LOW64:
+            raise ValueError(f"v6 key {v6_key:#x} is not a /64 network address")
         days.append(day)
         v4s.append(v4_key)
         v6s.append(v6_key >> 64)
@@ -552,12 +558,13 @@ class TripleStore:
     def day_window_columns(
         self, start_day: int, end_day: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All rows with ``start_day <= day < end_day``, canonically sorted.
+        """All rows with ``start_day <= day < end_day``, sorted ``(day, v4, v6)``.
 
         Gathers the window from every shard (memmap mask reads) and
-        sorts it ``(day, v4, v6)`` — the batch scan order of
-        :func:`repro.stream.chunks.triple_chunks`.  Memory is bounded by
-        the window's row count.
+        sorts it, for callers that want one window in a stable order;
+        the association stream folds the unsorted
+        :meth:`iter_day_windows` instead.  Memory is bounded by the
+        window's row count.
         """
         days, v4, v6 = _window_rows(self._mapped_columns(), start_day, end_day)
         order = np.lexsort((v6, v4, days))

@@ -10,9 +10,10 @@ see :func:`repro.perf.verify.streaming_replay_diffs`.
 Layout:
 
 * :mod:`repro.stream.chunks` — stream sources, the on-disk run-stream
-  format, the incremental run assembler, and triple chunking;
+  format, the incremental run assembler, and the CSV triple reader;
 * :mod:`repro.stream.engine` — the Atlas engine and its driver;
-* :mod:`repro.stream.associations` — the CDN association engine;
+* :mod:`repro.stream.associations` — the CDN association engine and its
+  driver over the day windows of a triple store;
 * :mod:`repro.stream.checkpoint` — the content-addressed checkpoint
   store (lives under the :mod:`repro.perf.cache` directory).
 """
@@ -20,7 +21,6 @@ Layout:
 from repro.stream.associations import (
     AssociationStreamEngine,
     AssociationStreamResult,
-    run_association_stream,
     run_association_stream_over_store,
 )
 from repro.stream.checkpoint import CheckpointStore, default_checkpoint_dir
@@ -32,11 +32,9 @@ from repro.stream.chunks import (
     RunChunk,
     ScenarioRunSource,
     StreamManifest,
-    TripleChunk,
     manifest_from_scenario,
     record_chunks,
     stream_triples_from_csv,
-    triple_chunks,
     write_run_stream,
 )
 from repro.stream.engine import (
@@ -60,14 +58,11 @@ __all__ = [
     "ScenarioRunSource",
     "StreamManifest",
     "StreamStats",
-    "TripleChunk",
     "default_checkpoint_dir",
     "manifest_from_scenario",
     "record_chunks",
-    "run_association_stream",
     "run_association_stream_over_store",
     "run_atlas_stream",
     "stream_triples_from_csv",
-    "triple_chunks",
     "write_run_stream",
 ]

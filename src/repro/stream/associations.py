@@ -1,4 +1,4 @@
-"""Incremental CDN association analysis over day-chunked triples.
+"""Incremental CDN association analysis over the day windows of a triple store.
 
 Mirrors :mod:`repro.core.associations` exactly: per-/64 association runs
 (a run ends when the reported /24 changes), the Figure 3 five-number
@@ -6,8 +6,9 @@ summary over run durations, and the Figure 4 degree structures.  Each
 window is scanned ``(v6, day, v4)`` — the batch scan order — and one
 open run per /64 carries across windows, so the artifacts are
 bit-identical to the batch ones.  The state is columnar (see
-:data:`_STATE_ARRAYS`) and every window folds in NumPy only; CSV streams
-and triple-store replays run this same fold.
+:data:`_STATE_ARRAYS`) and every window folds in NumPy only.  Every
+stream folds off a :class:`repro.store.TripleStore`; a CSV feed spills
+into a scratch store first.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.associations import BoxStats
-from repro.core.associations_np import (
-    box_stats_from_counts,
-    columns_from_triples,
-    v6_day_v4_order,
-)
-from repro.stream.chunks import TripleChunk
+from repro.core.associations_np import box_stats_from_counts, v6_day_v4_order
 
 #: Version of the association engine's checkpoint payload layout.
 STATE_VERSION = 2
@@ -101,10 +97,6 @@ class AssociationStreamEngine:
     @property
     def triples_seen(self) -> int:
         return self._triples_seen
-
-    def fold_chunk(self, chunk: TripleChunk) -> None:
-        """Fold one day-window of python triples (packs, then :meth:`fold_columns`)."""
-        self.fold_columns(*columns_from_triples(chunk.triples), chunk_index=chunk.index)
 
     def fold_columns(self, days, v4_keys, v6_keys, chunk_index: Optional[int] = None) -> None:
         """Fold one day-window given as columnar arrays, in any row order.
@@ -246,19 +238,45 @@ class AssociationStreamEngine:
         )
 
 
-def _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks):
-    """The shared checkpointing fold loop of both stream drivers.
+def run_association_stream_over_store(
+    triple_store,
+    chunk_days: int,
+    store=None,
+    resume: bool = False,
+    checkpoint_every: int = 1,
+    stop_after_chunks: Optional[int] = None,
+    min_days: int = 0,
+) -> Optional[AssociationStreamResult]:
+    """Stream a sharded triple store through an :class:`AssociationStreamEngine`.
 
-    ``windows(start_chunk)`` yields ``(index, days, v4, v6)`` column
-    windows from ``start_chunk`` on.
+    Day windows ``[k*chunk_days, (k+1)*chunk_days)``, empty ones
+    included, come straight off the shards, mapped once for the pass
+    (:meth:`repro.store.TripleStore.iter_day_windows`), so neither the
+    triples nor any per-row python objects ever materialize.  Same
+    driver contract as :func:`repro.stream.engine.run_atlas_stream`:
+    checkpoints every ``checkpoint_every`` windows when ``store`` is
+    given, keyed by the triple store's content digest, resumes from the
+    latest matching checkpoint, and returns ``None`` when
+    ``stop_after_chunks`` aborts the pass.
     """
+    if chunk_days < 1:
+        raise ValueError("chunk_days must be >= 1")
+    key = None
+    if store is not None:
+        key = store.key("association-stream", triple_store.digest(), {"chunk_days": chunk_days})
+    last_day = triple_store.day_max if triple_store.day_max is not None else 0
+    min_chunks = max(1, -(-min_days // chunk_days)) if min_days else 1
+    total_chunks = max(last_day // chunk_days + 1, min_chunks)
+
     engine = AssociationStreamEngine()
     if store is not None and resume:
         state = store.load("association-stream", key)
         if state is not None:
             engine.load_state(state)
     folded = 0
-    for index, days, v4_keys, v6_keys in windows(engine.next_chunk):
+    for index, days, v4_keys, v6_keys in triple_store.iter_day_windows(
+        chunk_days, engine.next_chunk, total_chunks
+    ):
         engine.fold_columns(days, v4_keys, v6_keys, chunk_index=index)
         folded += 1
         at_checkpoint = store is not None and checkpoint_every and folded % checkpoint_every == 0
@@ -274,80 +292,9 @@ def _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks):
     return result
 
 
-def run_association_stream(
-    triples,
-    chunk_days: int,
-    stream_id: Optional[str] = None,
-    store=None,
-    resume: bool = False,
-    checkpoint_every: int = 1,
-    stop_after_chunks: Optional[int] = None,
-    min_days: int = 0,
-) -> Optional[AssociationStreamResult]:
-    """Stream day-ordered triples through an :class:`AssociationStreamEngine`.
-
-    Same driver contract as :func:`repro.stream.engine.run_atlas_stream`:
-    checkpoints every ``checkpoint_every`` chunks when ``store`` (and a
-    ``stream_id``) is given, resumes from the latest matching checkpoint,
-    and returns ``None`` when ``stop_after_chunks`` aborts the pass.
-    """
-    from repro.stream.chunks import triple_chunks
-
-    key = None
-    if store is not None:
-        if stream_id is None:
-            raise ValueError("checkpointing an association stream requires stream_id")
-        key = store.key("association-stream", stream_id, {"chunk_days": chunk_days})
-
-    def windows(start_chunk):
-        for chunk in triple_chunks(
-            triples, chunk_days, start_chunk=start_chunk, min_days=min_days
-        ):
-            yield (chunk.index, *columns_from_triples(chunk.triples))
-
-    return _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks)
-
-
-def run_association_stream_over_store(
-    triple_store,
-    chunk_days: int,
-    store=None,
-    resume: bool = False,
-    checkpoint_every: int = 1,
-    stop_after_chunks: Optional[int] = None,
-    min_days: int = 0,
-) -> Optional[AssociationStreamResult]:
-    """Out-of-core :func:`run_association_stream` over a sharded triple store.
-
-    Day windows come straight off the shards, mapped once for the pass
-    (:meth:`repro.store.TripleStore.iter_day_windows`), and go through
-    the same :meth:`AssociationStreamEngine.fold_columns` as the CSV
-    path, so neither the triples nor any per-row python objects ever
-    materialize.  The window schedule matches
-    :func:`repro.stream.chunks.triple_chunks` — ``[k*chunk_days,
-    (k+1)*chunk_days)``, empty windows included — so results and resume
-    points line up with the CSV path exactly.  Checkpoint identity
-    comes from the store's content digest.
-    """
-    if chunk_days < 1:
-        raise ValueError("chunk_days must be >= 1")
-    key = None
-    if store is not None:
-        key = store.key("association-stream", triple_store.digest(), {"chunk_days": chunk_days})
-    last_day = triple_store.day_max if triple_store.day_max is not None else 0
-    min_chunks = max(1, -(-min_days // chunk_days)) if min_days else 1
-    total_chunks = max(last_day // chunk_days + 1, min_chunks)
-
-    def windows(start_chunk):
-        return triple_store.iter_day_windows(chunk_days, start_chunk, total_chunks)
-
-    return _drive(windows, store, key, resume, checkpoint_every, stop_after_chunks)
-
-
 __all__ = [
     "STATE_VERSION",
     "AssociationStreamEngine",
     "AssociationStreamResult",
-    "run_association_stream",
     "run_association_stream_over_store",
 ]

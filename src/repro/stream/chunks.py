@@ -27,8 +27,9 @@ Sources:
   exposing open-run extents so dual-stack classification can proceed
   before a run closes.
 
-Association triples stream analogously through :func:`triple_chunks`
-(day windows over the lazy ``read_association_csv`` iterator).
+Association triples do not stream from here: every association stream
+folds the day windows of a :class:`repro.store.TripleStore`, and
+:func:`stream_triples_from_csv` only feeds a CSV into a store build.
 """
 
 from __future__ import annotations
@@ -578,60 +579,6 @@ def record_chunks(
 # -- association triples -------------------------------------------------------
 
 
-@dataclass
-class TripleChunk:
-    """One day window's worth of association triples, canonically sorted."""
-
-    index: int
-    start_day: int
-    end_day: int
-    triples: List[Triple]
-
-
-def triple_chunks(
-    triples: Iterable[Triple],
-    chunk_days: int,
-    start_chunk: int = 0,
-    min_days: int = 0,
-) -> Iterator[TripleChunk]:
-    """Window a day-ordered triple feed into consecutive day chunks.
-
-    Days may arrive in any order *within* a window (each chunk is sorted
-    ``(day, v4, v6)`` before it is yielded — the batch scan order), but
-    a triple whose day precedes the current window raises.
-    """
-    if chunk_days < 1:
-        raise ValueError("chunk_days must be >= 1")
-    min_chunks = max(1, -(-min_days // chunk_days)) if min_days else 1
-    index = start_chunk
-    lo = start_chunk * chunk_days
-    buffer: List[Triple] = []
-    for triple in triples:
-        day = triple[0]
-        if day < lo and index == start_chunk:
-            continue  # before the resume point
-        if day < lo:
-            raise RecordFormatError(
-                f"association stream not day-ordered: day {day} in window >= {lo}"
-            )
-        while day >= lo + chunk_days:
-            buffer.sort()
-            yield TripleChunk(index, lo, lo + chunk_days, buffer)
-            buffer = []
-            index += 1
-            lo += chunk_days
-        buffer.append(triple)
-    if buffer or index < min_chunks:
-        buffer.sort()
-        yield TripleChunk(index, lo, lo + chunk_days, buffer)
-        index += 1
-        lo += chunk_days
-    while index < min_chunks:
-        yield TripleChunk(index, lo, lo + chunk_days, [])
-        index += 1
-        lo += chunk_days
-
-
 def stream_triples_from_csv(path) -> Iterator[Triple]:
     """Lazily stream triples from a ``write_association_csv`` file."""
     with Path(path).open() as stream:
@@ -647,10 +594,8 @@ __all__ = [
     "RunEvent",
     "ScenarioRunSource",
     "StreamManifest",
-    "TripleChunk",
     "manifest_from_scenario",
     "record_chunks",
     "stream_triples_from_csv",
-    "triple_chunks",
     "write_run_stream",
 ]

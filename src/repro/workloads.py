@@ -730,7 +730,7 @@ def analyze_triple_store(store, workers: Optional[int] = None, block_rows=None):
     Accepts an open :class:`repro.store.TripleStore` or a directory
     path; ``workers`` fans the per-shard pass out over the zero-copy
     pool (``None`` = ``$REPRO_WORKERS``).  Artifacts are bit-identical
-    to the in-RAM columnar path (see
+    to the pure-Python :mod:`repro.core.associations` oracle (see
     :func:`repro.perf.verify.store_diffs`).
     """
     from repro.store import DEFAULT_BLOCK_ROWS, TripleStore, analyze_store

@@ -17,12 +17,10 @@ from repro.core.associations import (
 )
 from repro.core.associations_np import (
     association_durations_np,
+    box_stats_np,
     columns_from_triples,
-    duration_percentiles_np,
-    unpack_v6_degree_keys,
-    v4_degree_counts_np,
+    degree_count_arrays,
     v6_day_v4_order,
-    v6_degree_counts_np,
 )
 
 triple_lists = st.lists(
@@ -56,11 +54,14 @@ def test_degree_counts_equivalent(raw):
     triples = to_triples(raw)
     ref_unique, ref_hits = v4_degree_counts(triples)
     days, v4, v6 = columns_from_triples(triples)
-    np_unique, np_hits = v4_degree_counts_np(v4, v6)
-    assert np_unique == ref_unique
-    assert np_hits == ref_hits
-    ref_v6 = v6_degree_counts(triples)
-    assert unpack_v6_degree_keys(v6_degree_counts_np(v4, v6)) == ref_v6
+    keys, unique, hits = degree_count_arrays(v4, v6)
+    assert keys.tolist() == sorted(ref_unique)
+    assert dict(zip(keys.tolist(), unique.tolist())) == ref_unique
+    assert dict(zip(keys.tolist(), hits.tolist())) == ref_hits
+    keys, unique, _hits = degree_count_arrays(v6, v4)
+    assert {key << 64: count for key, count in zip(keys.tolist(), unique.tolist())} == (
+        v6_degree_counts(triples)
+    )
 
 
 class TestLargeRandomized:
@@ -78,31 +79,22 @@ class TestLargeRandomized:
     def test_percentiles_match_box_stats(self):
         rng = random.Random(1)
         durations = [rng.randrange(1, 150) for _ in range(5000)]
-        stats = box_stats(durations)
-        p5, q1, median, q3, p95 = duration_percentiles_np(np.array(durations))
-        assert median == pytest.approx(stats.median)
-        assert q1 == pytest.approx(stats.q1)
-        assert q3 == pytest.approx(stats.q3)
-        assert p5 == pytest.approx(stats.p5)
-        assert p95 == pytest.approx(stats.p95)
+        assert box_stats_np(np.array(durations)) == box_stats(durations)
 
 
 class TestEdgeCases:
     def test_empty(self):
         days, v4, v6 = columns_from_triples([])
         assert len(association_durations_np(days, v4, v6)) == 0
-        assert v4_degree_counts_np(v4, v6) == ({}, {})
-        assert v6_degree_counts_np(v4, v6) == {}
+        assert all(len(array) == 0 for array in degree_count_arrays(v4, v6))
         with pytest.raises(ValueError):
-            duration_percentiles_np(np.empty(0))
+            box_stats_np(np.empty(0))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             association_durations_np(np.zeros(2), np.zeros(1), np.zeros(2))
         with pytest.raises(ValueError):
-            v4_degree_counts_np(np.zeros(2), np.zeros(1))
-        with pytest.raises(ValueError):
-            v6_degree_counts_np(np.zeros(2), np.zeros(1))
+            degree_count_arrays(np.zeros(2), np.zeros(1))
 
 
 class TestSparsePopulationGuards:

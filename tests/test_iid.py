@@ -1,104 +1,16 @@
-"""Tests for IID classification and privacy-address platform support."""
+"""Tests for the platform's RFC 4941 privacy-IID probes.
+
+A privacy probe rotates the interface identifier (the low 64 bits) of
+its IPv6 address; the prefix-level analyses must not see the churn.
+"""
 
 import pytest
 
-from repro.atlas.platform import ProbeSpec
+from repro.atlas.platform import AtlasPlatform, ProbeSpec
 from repro.core.changes import changes_from_runs, v6_runs_to_prefix_runs
-from repro.core.iid import (
-    IidKind,
-    classify_iid,
-    cross_prefix_tracking_sets,
-    iid_of,
-    kind_distribution,
-    mac_from_eui64,
-    profile_addresses,
-)
-from repro.ip.addr import IPv6Address
-from repro.netsim.cpe import eui64_iid
 from tests.test_atlas_platform import DAY, build_network
-from repro.atlas.platform import AtlasPlatform
 
-
-class TestClassification:
-    def test_eui64(self):
-        assert classify_iid(eui64_iid(0x001122334455)) is IidKind.EUI64
-
-    def test_small_integer(self):
-        assert classify_iid(1) is IidKind.SMALL_INTEGER
-        assert classify_iid(0xFFFF) is IidKind.SMALL_INTEGER
-
-    def test_all_zero(self):
-        assert classify_iid(0) is IidKind.ALL_ZERO
-
-    def test_random_is_other(self):
-        assert classify_iid(0xDEADBEEF12345678) is IidKind.OTHER
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_iid(1 << 64)
-        with pytest.raises(ValueError):
-            classify_iid(-1)
-
-    def test_mac_roundtrip(self):
-        for mac in (0x001122334455, 0xFFFFFFFFFFFF, 0x0):
-            assert mac_from_eui64(eui64_iid(mac)) == mac
-
-    def test_mac_from_non_eui64_rejected(self):
-        with pytest.raises(ValueError):
-            mac_from_eui64(0x1234)
-
-    def test_iid_of(self):
-        address = IPv6Address.parse("2a00:1:2:3::abcd")
-        assert iid_of(address) == 0xABCD
-
-
-class TestProfiles:
-    def _addr(self, prefix_hex, iid):
-        return IPv6Address((prefix_hex << 64) | iid)
-
-    def test_stable_eui64_is_trackable(self):
-        iid = eui64_iid(0xAABBCCDDEEFF)
-        addresses = [self._addr(p, iid) for p in (0x2A0001, 0x2A0002, 0x2A0003)]
-        profile = profile_addresses(addresses)
-        assert profile.stable
-        assert profile.dominant_kind is IidKind.EUI64
-        assert profile.trackable_across_prefixes
-
-    def test_rotating_privacy_not_trackable(self):
-        addresses = [self._addr(0x2A0001, 0x5555_0000_0000_0000 + i) for i in range(5)]
-        profile = profile_addresses(addresses)
-        assert not profile.stable
-        assert not profile.trackable_across_prefixes
-
-    def test_stable_random_not_flagged(self):
-        # A stable but random (opaque) IID is not in the trackable classes.
-        addresses = [self._addr(p, 0xDEADBEEF00000001) for p in (1, 2)]
-        assert not profile_addresses(addresses).trackable_across_prefixes
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            profile_addresses([])
-
-    def test_kind_distribution(self):
-        addresses = [
-            self._addr(1, eui64_iid(1)),
-            self._addr(1, eui64_iid(2)),
-            self._addr(1, 0x9999_0000_0000_0001),
-            self._addr(1, 1),
-        ]
-        distribution = kind_distribution(addresses)
-        assert distribution[IidKind.EUI64] == 0.5
-        assert distribution[IidKind.SMALL_INTEGER] == 0.25
-        assert kind_distribution([]) == {}
-
-    def test_tracking_sets(self):
-        iid = eui64_iid(0x001122334455)
-        hosts = {
-            "a": [self._addr(1, iid), self._addr(2, iid)],
-            "b": [self._addr(3, 0xAAAA_BBBB_CCCC_0001 + i) for i in range(3)],
-        }
-        groups = cross_prefix_tracking_sets(hosts)
-        assert groups == {iid: ["a"]}
+LOW64 = (1 << 64) - 1
 
 
 class TestPrivacyProbes:
@@ -112,9 +24,11 @@ class TestPrivacyProbes:
         spec = ProbeSpec(probe_id=50, asn=isp.asn, subscriber_id=0,
                          iid_mode="privacy", iid_rotation_hours=7 * 24)
         data = plat.probe_data(spec)
-        iids = {iid_of(run.value) for run in data.v6_runs}
+        iids = {int(run.value) & LOW64 for run in data.v6_runs}
         assert len(iids) > 3
-        assert all(classify_iid(iid) is IidKind.OTHER for iid in iids)
+        # Random-looking: neither EUI-64 (ff:fe in the middle) nor a
+        # small manually assigned integer.
+        assert all((iid >> 24) & 0xFFFF != 0xFFFE and iid >= 1 << 16 for iid in iids)
 
     def test_prefix_level_analysis_unaffected_by_rotation(self, platform):
         plat, isp = platform

@@ -18,13 +18,14 @@ from repro.io.records import (
     write_echo_runs,
 )
 from repro.ip.addr import IPv4Address, IPv6Address
+from repro.store import build_store_from_triples
 from repro.stream import (
     JsonlRunSource,
     NetworkInfo,
     ProbeInfo,
     ScenarioRunSource,
     StreamManifest,
-    triple_chunks,
+    run_association_stream_over_store,
 )
 
 
@@ -206,21 +207,29 @@ class TestRunChunkBoundaries:
         assert source.truncated_lines == 1
 
 
+def _window_triples(window):
+    """A store day window's rows as sorted python triples."""
+    _index, days, v4, v6 = window
+    return sorted(zip(days.tolist(), v4.tolist(), (key << 64 for key in v6.tolist())))
+
+
 class TestTripleChunkBoundaries:
-    def test_spell_split_across_chunks(self):
-        # One /64's association spell spans days 3..8; with 5-day chunks
-        # its reports land in two windows but stay day-ordered.
+    """Day windows of a triple store, the chunks association streams fold."""
+
+    def test_spell_split_across_chunks(self, tmp_path):
+        # One /64's association spell spans days 3..8; with 5-day windows
+        # its reports land in two windows.
         triples = [(day, 100, 1 << 64) for day in range(3, 9)]
-        chunks = list(triple_chunks(triples, 5))
-        assert [chunk.index for chunk in chunks] == [0, 1]
-        assert chunks[0].triples == triples[:2]
-        assert chunks[1].triples == triples[2:]
+        store = build_store_from_triples(triples, tmp_path / "store", shards=2)
+        windows = list(store.iter_day_windows(5))
+        assert [window[0] for window in windows] == [0, 1]
+        assert _window_triples(windows[0]) == triples[:2]
+        assert _window_triples(windows[1]) == triples[2:]
 
-    def test_empty_day_windows_emitted_up_to_min_days(self):
-        chunks = list(triple_chunks([(1, 100, 1 << 64)], 5, min_days=20))
-        assert [chunk.index for chunk in chunks] == [0, 1, 2, 3]
-        assert [len(chunk.triples) for chunk in chunks] == [1, 0, 0, 0]
-
-    def test_out_of_window_day_raises(self):
-        with pytest.raises(RecordFormatError, match="not day-ordered"):
-            list(triple_chunks([(9, 100, 1 << 64), (2, 100, 2 << 64)], 5))
+    def test_empty_day_windows_emitted_up_to_min_days(self, tmp_path):
+        store = build_store_from_triples([(1, 100, 1 << 64)], tmp_path / "store", shards=2)
+        windows = list(store.iter_day_windows(5, 0, 4))
+        assert [len(window[1]) for window in windows] == [1, 0, 0, 0]
+        result = run_association_stream_over_store(store, 5, min_days=20)
+        assert result.chunks_folded == 4
+        assert result.durations == {1: 1}

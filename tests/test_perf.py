@@ -491,6 +491,29 @@ def test_cache_key_mismatch_guard(tmp_path):
     assert not path.exists()
 
 
+def test_cache_put_evicts_entries_of_other_code(tmp_path, monkeypatch):
+    import repro.perf.cache as cache_mod
+    from repro.obs import telemetry, telemetry_snapshot
+
+    cache = ScenarioCache(tmp_path)
+    monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "a" * 64)
+    assert cache.put("thing", cache.key("thing", {"x": 1}), "old")
+    assert cache.put("other", cache.key("other", {"x": 1}), "kept")
+    monkeypatch.setattr(cache_mod, "code_fingerprint", lambda: "b" * 64)
+    key = cache.key("thing", {"x": 1})
+    with telemetry(True, reset=True):
+        assert cache.put("thing", key, "new")
+        counters = telemetry_snapshot()["metrics"]["counters"]
+    assert [path.name for path in tmp_path.glob("thing-*.pkl")] == [
+        cache._path_for("thing", key).name
+    ]
+    assert len(list(tmp_path.glob("other-*.pkl"))) == 1  # another builder's entry stays
+    assert cache.stats.evictions == 1
+    assert counters["cache.evictions"]["builder=thing"] == 1
+    assert cache.get("thing", key) == "new"
+    assert cache.stats.hits == 1
+
+
 def test_cache_clear(tmp_path):
     cache = ScenarioCache(tmp_path)
     for x in range(3):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.perf.parallel import map_store_shards
-from repro.perf.verify import assert_store_equal
+from repro.perf.verify import assert_store_equal, association_oracle_diffs
 from repro.store import (
     COLUMN_DTYPES,
     MANIFEST_NAME,
@@ -39,7 +39,7 @@ from repro.store import (
     shard_of_v4,
     synthetic_triple_batches,
 )
-from repro.stream import run_association_stream, run_association_stream_over_store
+from repro.stream import run_association_stream_over_store
 from repro.stream.checkpoint import CheckpointStore
 
 
@@ -248,6 +248,24 @@ class TestParity:
         chunk_days = (1, 7, 100)[seed]  # the stream replay at several window sizes
         assert_store_equal(triples, tmp_path, shards=(1, 4), chunk_days=chunk_days)
 
+    def test_store_digest_is_pinned(self, tmp_path):
+        # Golden bytes: the canonical (v6, day, v4) shard order must not
+        # move, whatever sort produces it and at any worker count.  The
+        # feed repeats rows, so equal rows must stay interchangeable.
+        golden = "a1dcaca9ba87c1ceaab9409db98e2f2762f514adee91a48bcf09efd4ad8d773b"
+
+        def feed():
+            return synthetic_triple_batches(
+                20_000, batch_rows=4_096, seed=3, days=60, v4_pool=300, v6_pool=2_000
+            )
+
+        serial = build_store_from_columns(feed(), tmp_path / "serial", shards=4)
+        pooled = build_store_from_columns(
+            feed(), tmp_path / "pooled", shards=4, spill_rows=1_500, workers=2
+        )
+        assert serial.digest() == golden
+        assert pooled.digest() == golden
+
     def test_single_triple_population(self, tmp_path):
         assert_store_equal([(3, 7 << 8, 1 << 70)], tmp_path, shards=(1, 4))
 
@@ -323,7 +341,8 @@ class TestStreamOverStore:
     def test_checkpoint_resume_matches_uninterrupted_run(self, tmp_path):
         triples = _example_triples(500, seed=11, days=60)
         store = build_store_from_triples(triples, tmp_path / "store", shards=4)
-        reference = run_association_stream(iter(triples), chunk_days=7)
+        reference = run_association_stream_over_store(store, chunk_days=7)
+        assert association_oracle_diffs(reference, triples) == []
         checkpoints = CheckpointStore(tmp_path / "ckpt")
         half = run_association_stream_over_store(
             store, chunk_days=7, store=checkpoints, stop_after_chunks=3
@@ -337,8 +356,7 @@ class TestStreamOverStore:
             "v6_degrees", "fraction_v6_degree_one", "triples_seen",
         ):
             assert getattr(resumed, field) == getattr(reference, field)
-        # chunks_folded counts post-resume folds only, same as the CSV
-        # resume path.
+        # chunks_folded counts post-resume folds only.
         assert resumed.chunks_folded == reference.chunks_folded - 3
 
     def test_checkpoint_key_tracks_store_digest(self, tmp_path):

@@ -37,10 +37,8 @@ from repro.stream import (
     RunAssembler,
     ScenarioRunSource,
     record_chunks,
-    run_association_stream,
     run_association_stream_over_store,
     run_atlas_stream,
-    triple_chunks,
     write_run_stream,
 )
 from repro.workloads import (
@@ -297,11 +295,29 @@ def _synthetic_triples():
     return triples
 
 
+def _day_windows(triples, chunk_days):
+    """``(index, rows)`` per day window ``[k*chunk_days, (k+1)*chunk_days)``,
+    empty windows included — the schedule the store-driven stream folds."""
+    last = max((triple[0] for triple in triples), default=0)
+    for index in range(last // chunk_days + 1):
+        lo = index * chunk_days
+        yield index, [triple for triple in triples if lo <= triple[0] < lo + chunk_days]
+
+
+def _store(triples, directory):
+    return build_store_from_triples(triples, directory, shards=2)
+
+
+def _stream(triples, chunk_days, directory, **kwargs):
+    """Build a store of ``triples`` under ``directory`` and stream it."""
+    return run_association_stream_over_store(_store(triples, directory), chunk_days, **kwargs)
+
+
 class TestAssociationStream:
     @pytest.mark.parametrize("chunk_days", [1, 3, 7, 1000])
-    def test_parity_with_batch(self, chunk_days):
+    def test_parity_with_batch(self, chunk_days, tmp_path):
         triples = _synthetic_triples()
-        result = run_association_stream(triples, chunk_days)
+        result = _stream(triples, chunk_days, tmp_path / "store")
         expected = sorted(association_durations(triples))
         streamed = sorted(
             value for value, count in result.durations.items() for _ in range(count)
@@ -318,15 +334,14 @@ class TestAssociationStream:
 
     def test_checkpoint_resume(self, tmp_path):
         triples = _synthetic_triples()
-        store = CheckpointStore(tmp_path)
-        killed = run_association_stream(
-            triples, 5, stream_id="synthetic", store=store, stop_after_chunks=3
+        triple_store = _store(triples, tmp_path / "store")
+        store = CheckpointStore(tmp_path / "ckpt")
+        killed = run_association_stream_over_store(
+            triple_store, 5, store=store, stop_after_chunks=3
         )
         assert killed is None
-        resumed = run_association_stream(
-            triples, 5, stream_id="synthetic", store=store, resume=True
-        )
-        full = run_association_stream(triples, 5)
+        resumed = run_association_stream_over_store(triple_store, 5, store=store, resume=True)
+        full = run_association_stream_over_store(triple_store, 5)
         assert resumed.durations == full.durations
         assert resumed.box == full.box
         assert resumed.v6_degrees == full.v6_degrees
@@ -360,10 +375,9 @@ def _fold_shuffled(triples, chunk_days, rng):
     snapshots (taken before the reload) with their pickled bytes."""
     engine = AssociationStreamEngine()
     snapshots = []
-    for chunk in triple_chunks(triples, chunk_days):
-        rows = list(chunk.triples)
+    for index, rows in _day_windows(triples, chunk_days):
         rng.shuffle(rows)
-        engine.fold_columns(*columns_from_triples(rows), chunk_index=chunk.index)
+        engine.fold_columns(*columns_from_triples(rows), chunk_index=index)
         state = engine.state_dict()
         snapshots.append((state, pickle.dumps(state)))
         engine = AssociationStreamEngine()
@@ -385,32 +399,34 @@ class TestColumnarFold:
         for state, frozen in snapshots:
             assert _same_state(state, pickle.loads(frozen))
         with tempfile.TemporaryDirectory() as tmp:
-            store = CheckpointStore(tmp)
-            killed = run_association_stream(
-                triples, chunk_days, stream_id="p", store=store, stop_after_chunks=kill
+            triple_store = _store(triples, f"{tmp}/store")
+            store = CheckpointStore(f"{tmp}/ckpt")
+            killed = run_association_stream_over_store(
+                triple_store, chunk_days, store=store, stop_after_chunks=kill
             )
-            resumed = killed or run_association_stream(
-                triples, chunk_days, stream_id="p", store=store, resume=True
+            resumed = killed or run_association_stream_over_store(
+                triple_store, chunk_days, store=store, resume=True
             )
         assert association_oracle_diffs(resumed, triples, "kill/resume") == []
 
-    def test_empty_windows_and_reappearing_v64(self):
+    def test_empty_windows_and_reappearing_v64(self, tmp_path):
         # /64 1 keeps its /24 across five empty windows (one long run);
         # /64 2 comes back on another /24 (its first run closes).
         triples = _aligned([(0, 1, 1), (1, 1, 2), (17, 1, 1), (18, 2, 2)])
+        triple_store = _store(triples, tmp_path / "store")
         for chunk_days in (1, 3):
-            result = run_association_stream(triples, chunk_days)
+            result = run_association_stream_over_store(triple_store, chunk_days)
             assert association_oracle_diffs(result, triples) == []
-        assert run_association_stream(triples, 3).durations == {18: 1, 1: 2}
+        assert run_association_stream_over_store(triple_store, 3).durations == {18: 1, 1: 2}
 
-    def test_empty_stream(self):
-        result = run_association_stream([], 7)
+    def test_empty_stream(self, tmp_path):
+        result = _stream([], 7, tmp_path / "store")
         assert association_oracle_diffs(result, []) == []
         assert result.box is None and result.chunks_folded == 1
 
-    def test_flips_within_one_day(self):
+    def test_flips_within_one_day(self, tmp_path):
         triples = _aligned([(5, 3, 1), (5, 1, 1), (5, 2, 1), (5, 1, 1), (6, 2, 1)])
-        result = run_association_stream(triples, 7)
+        result = _stream(triples, 7, tmp_path / "store")
         assert association_oracle_diffs(result, triples) == []
         assert result.v6_degrees == {triples[0][2]: 3}
 
@@ -434,13 +450,13 @@ class TestColumnarFold:
 
     def test_state_dict_is_not_aliased_by_later_folds(self):
         engine = AssociationStreamEngine()
-        chunks = list(triple_chunks(_synthetic_triples(), 4))
-        for chunk in chunks[: len(chunks) // 2]:
-            engine.fold_chunk(chunk)
+        windows = list(_day_windows(_synthetic_triples(), 4))
+        for index, rows in windows[: len(windows) // 2]:
+            engine.fold_columns(*columns_from_triples(rows), chunk_index=index)
         snapshot = engine.state_dict()
         frozen = pickle.dumps(snapshot)
-        for chunk in chunks[len(chunks) // 2:]:
-            engine.fold_chunk(chunk)
+        for index, rows in windows[len(windows) // 2:]:
+            engine.fold_columns(*columns_from_triples(rows), chunk_index=index)
         assert _same_state(snapshot, pickle.loads(frozen))
         assert not _same_state(snapshot, engine.state_dict())
 
@@ -449,10 +465,11 @@ class TestColumnarFold:
         with pytest.raises(ValueError):
             engine.load_state({"state_version": 1})
 
-    def test_unaligned_v64_key_is_rejected(self):
-        chunk = next(triple_chunks([(0, 1 << 8, (1 << 64) | 1)], 7))
-        with pytest.raises(ValueError):
-            AssociationStreamEngine().fold_chunk(chunk)
+    def test_unaligned_v64_key_is_rejected(self, tmp_path):
+        # A /128 key inside a /64 cannot pack into the store's upper-64
+        # column; the build refuses it instead of merging neighbours.
+        with pytest.raises(ValueError, match="not a /64"):
+            _stream([(0, 1 << 8, (1 << 64) | 1)], 7, tmp_path / "store")
 
 
 @pytest.mark.stream
