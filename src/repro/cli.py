@@ -31,9 +31,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.atlas.convert import convert_results
 from repro.core.engine import ENGINES
@@ -488,15 +489,34 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_store_build(args: argparse.Namespace) -> int:
     """Build a sharded memmap triple store from one of three sources."""
-    from repro.store import build_store_from_columns, build_store_from_triples
-    from repro.stream import stream_triples_from_csv
-
     output = Path(args.output)
     if output.exists():
         print(f"error: {output} already exists", file=sys.stderr)
         return 1
+    try:
+        store = _build_store(args, output)
+    except BaseException as exc:
+        # The output did not exist before this call: a failed build
+        # removes what it wrote, so the user can fix the input and retry.
+        shutil.rmtree(output, ignore_errors=True)
+        if not isinstance(exc, ValueError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(
+        f"built store at {store.directory}: {store.total_triples} triples in "
+        f"{store.shards} shard(s), days {store.day_min}..{store.day_max}"
+    )
+    return 0
+
+
+def _build_store(args: argparse.Namespace, output: Path) -> Any:
+    """The store of ``repro store build``'s chosen source, written to ``output``."""
+    from repro.store import build_store_from_columns, build_store_from_triples
+    from repro.stream import stream_triples_from_csv
+
     if args.triples:
-        store = build_store_from_triples(
+        return build_store_from_triples(
             stream_triples_from_csv(Path(args.triples)),
             output,
             shards=args.shards,
@@ -504,10 +524,10 @@ def cmd_store_build(args: argparse.Namespace) -> int:
             workers=args.workers,
             source={"kind": "csv", "path": str(args.triples)},
         )
-    elif args.synthetic:
+    if args.synthetic:
         from repro.store import synthetic_triple_batches
 
-        store = build_store_from_columns(
+        return build_store_from_columns(
             synthetic_triple_batches(
                 args.synthetic, seed=args.seed, days=args.days
             ),
@@ -517,23 +537,17 @@ def cmd_store_build(args: argparse.Namespace) -> int:
             workers=args.workers,
             source={"kind": "synthetic", "total": args.synthetic, "seed": args.seed},
         )
-    else:
-        from repro.workloads import build_cdn_scenario, build_cdn_triple_store
+    from repro.workloads import build_cdn_scenario, build_cdn_triple_store
 
-        scenario = build_cdn_scenario(
-            days=args.days,
-            seed=args.seed,
-            workers=args.workers,
-            cache=_cache_flag(args),
-        )
-        store = build_cdn_triple_store(
-            scenario, output, shards=args.shards, workers=args.workers
-        )
-    print(
-        f"built store at {store.directory}: {store.total_triples} triples in "
-        f"{store.shards} shard(s), days {store.day_min}..{store.day_max}"
+    scenario = build_cdn_scenario(
+        days=args.days,
+        seed=args.seed,
+        workers=args.workers,
+        cache=_cache_flag(args),
     )
-    return 0
+    return build_cdn_triple_store(
+        scenario, output, shards=args.shards, workers=args.workers
+    )
 
 
 def cmd_store_analyze(args: argparse.Namespace) -> int:

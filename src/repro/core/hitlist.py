@@ -16,14 +16,20 @@ BGP announcement only  2^(64 - announcement_plen)
 :func:`plan_rescan` turns a probe's observation history into a concrete
 candidate list under a probe budget, and :func:`evaluate_rescan_plan`
 scores strategies against simulator ground truth.
+:func:`infer_structure_words` is the columnar form of
+:func:`infer_structure` over the history's /64 words, and
+:func:`plan_from_structure` is the candidate sampling both share.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.analysis_np import _bit_length_u64, _trailing_zeros_u64
 from repro.core.delegation import inferred_subscriber_plen
 from repro.ip.prefix import IPv6Prefix, common_prefix_len
 
@@ -101,6 +107,56 @@ def infer_structure(
     return pool, delegation_plen
 
 
+def infer_structure_words(
+    words: np.ndarray,
+    recent: int = 8,
+) -> Tuple[IPv6Prefix, int]:
+    """Columnar :func:`infer_structure` over a /64 history's high words.
+
+    ``words`` holds each observed /64's top 64 bits (uint64) in history
+    order; the result equals ``infer_structure`` over the matching
+    ``IPv6Prefix`` objects.  The pool CPL comes from exact bit lengths of
+    XORs against the window's first word, the delegation length from the
+    minimum trailing-zero count over the distinct words.
+    """
+    if len(words) == 0:
+        raise ValueError("history must not be empty")
+    _, first_seen = np.unique(words, return_index=True)
+    distinct = words[np.sort(first_seen)]
+    window = distinct[-max(1, recent):]
+    pool_plen = 64
+    if len(window) > 1:
+        pool_plen = int(64 - _bit_length_u64(window[1:] ^ window[0]).max())
+    pool = IPv6Prefix(int(window[-1]) << 64, pool_plen)
+    zero_bits = int(_trailing_zeros_u64(distinct).min())
+    delegation_plen = max(pool_plen, (64 - zero_bits) or 64)
+    return pool, delegation_plen
+
+
+def plan_from_structure(
+    pool: IPv6Prefix,
+    delegation_plen: int,
+    budget: int,
+    seed: int = 0,
+) -> RescanPlan:
+    """The zero-/64s of ``budget`` delegations sampled from ``pool``.
+
+    With a budget covering the whole delegation space every delegation
+    is listed in order; otherwise ``random.Random(seed)`` samples them.
+    """
+    total = pool.num_subprefixes(delegation_plen)
+    if budget >= total:
+        indices = range(total)
+    else:
+        indices = random.Random(seed).sample(range(total), budget)
+    network = int(pool.network)
+    host_bits = 128 - delegation_plen
+    candidates = tuple(
+        IPv6Prefix(network | (index << host_bits), 64) for index in indices
+    )
+    return RescanPlan(pool=pool, delegation_plen=delegation_plen, candidates=candidates)
+
+
 def plan_rescan(
     history: Sequence[IPv6Prefix],
     budget: int,
@@ -117,17 +173,7 @@ def plan_rescan(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pool, delegation_plen = infer_structure(history)
-    total = pool.num_subprefixes(delegation_plen)
-    rng = random.Random(seed)
-    if budget >= total:
-        indices = range(total)
-    else:
-        indices = rng.sample(range(total), budget)
-    candidates = tuple(
-        pool.nth_subprefix(delegation_plen, index).supernet(delegation_plen).nth_subprefix(64, 0)
-        for index in indices
-    )
-    return RescanPlan(pool=pool, delegation_plen=delegation_plen, candidates=candidates)
+    return plan_from_structure(pool, delegation_plen, budget, seed)
 
 
 @dataclass
@@ -173,6 +219,8 @@ __all__ = [
     "SearchSpace",
     "evaluate_rescan_plan",
     "infer_structure",
+    "infer_structure_words",
+    "plan_from_structure",
     "plan_rescan",
     "search_space_sizes",
 ]

@@ -533,9 +533,11 @@ def serve_diffs(
     per-probe walk through the same :mod:`repro.core.report` /
     periodicity kernels that ``workloads.analyze_atlas_scenario``'s
     ``"py"`` engine runs.  Queries are harvested from the scenario
-    itself so all four families are exercised on observed targets (plus
-    deliberately unobserved prefixes for the empty-membership path, and
-    shorter-than-/64 supernets for the multi-group batch path).
+    itself so all four families are exercised on observed targets, plus
+    the index's edge cases in the same batch: unobserved prefixes (the
+    empty-membership path), shorter-than-/64 supernets, a /1 of each
+    family, a v4 /32 host prefix, top-of-space prefixes whose range ends
+    at the last word, and repeated prefixes.
     """
     from repro.ip import parse_prefix
     from repro.serve.engine import QueryEngine, compute_direct, observed_prefixes
@@ -562,8 +564,15 @@ def serve_diffs(
         queries.append(StabilityQuery(prefix.supernet(56)))
     for name in scenario.isps:
         queries.append(LifetimeQuery(name))
-    queries.append(StabilityQuery(parse_prefix("198.51.100.0/24")))
-    queries.append(DualStackQuery(parse_prefix("2001:db8::/64")))
+    edges = [parse_prefix(text) for text in ("198.51.100.0/24", "2001:db8::/64")]
+    edges += [parse_prefix(text) for text in ("255.255.255.0/24", "ffff:ffff::/32")]
+    edges += [parse_prefix(text) for text in ("0.0.0.0/1", "128.0.0.0/1", "::/1")]
+    edges += observed_prefixes(scenario, 4, 32, limit=1)
+    for prefix in edges + edges[:2]:
+        queries.append(StabilityQuery(prefix))
+        queries.append(DualStackQuery(prefix))
+        if prefix.family == 6:
+            queries.append(HitlistQuery(prefix, budget=budget, seed=seed))
 
     engine = QueryEngine(scenario)
     batched = engine.run_batch(queries)

@@ -6,7 +6,7 @@ Turns the pipeline's precomputed artifacts into a query service:
 * :mod:`repro.serve.queries` — typed query/response dataclasses and the
   shared scoring helpers that make served answers bit-identical to the
   direct computation;
-* :mod:`repro.serve.engine` — the batched mask-pass query engine and
+* :mod:`repro.serve.engine` — the indexed, batched query engine and
   its pure-Python reference :func:`~repro.serve.engine.compute_direct`;
 * :mod:`repro.serve.graph` — typed node/edge knowledge-graph export;
 * :mod:`repro.serve.server` — stdlib HTTP front-end + in-process client;

@@ -1,24 +1,34 @@
-"""The batched query engine over registry-cached analysis artifacts.
+"""The indexed, batched query engine over registry-cached artifacts.
 
-One scenario's serving artifact is its global column pack plus the
-fused per-probe stats (:class:`repro.core.fused.FusedProbeStats`) —
-everything a query needs is a boolean-mask reduction over those arrays.
-The engine keeps the artifact in an :class:`ArtifactRegistry` under the
-scenario's content address, so warm queries never re-run analysis
+One scenario's serving artifact is its global column pack, the fused
+per-probe stats (:class:`repro.core.fused.FusedProbeStats`) and one
+immutable :class:`PrefixIndex` per family.  The engine keeps the
+artifact in an :class:`ArtifactRegistry` under the scenario's content
+address, so warm queries never re-run analysis
 (``serve.analysis.computes`` counts cold builds; tests pin it at one).
 
-Batching: :meth:`QueryEngine.run_batch` coalesces all prefix-addressed
-queries against the same artifact into **one mask pass per (family,
-prefix-length) group** — runs and change events are keyed by their
-top ``plen`` bits once, then matched against every queried prefix via
-a single ``searchsorted``, instead of one full scan per query.  The
-answers are assembled from the same integer populations either way, so
-batched, sequential and direct results are bit-identical
+Indexing: a family's runs and change endpoints are sorted once by
+their address word (a v4 address, or a v6 /64's top 64 bits).  Keying
+a word by its top ``plen`` bits is monotone, so that one sort serves
+every prefix length: a /``plen`` prefix is the closed word range
+``[lo, lo | (2**(bits - plen) - 1)]``, found by two ``searchsorted``
+calls.  A query costs O(log N + members), not a scan of every run and
+change.
+
+Batching: :meth:`QueryEngine.run_batch` finds every distinct prefix's
+bounds with one vectorized ``searchsorted`` per family and sorted
+array, then derives member probes, observation hours, change counts and
+dual-stack counts with segment operations over the matched slices.
+Hitlist plans read the members' /64 histories as uint64 words
+(:func:`repro.core.hitlist.infer_structure_words`).  The answers are
+assembled from the same integer populations either way, so batched,
+sequential and direct results are bit-identical
 (:func:`repro.perf.verify.serve_diffs`).
 
 :func:`compute_direct` is the independent reference: a pure-Python walk
 over the sanitized probes through :mod:`repro.core.report` /
-:func:`repro.workloads.periodicity_for_scenario` with ``engine="py"``.
+:func:`repro.workloads.periodicity_for_scenario` with ``engine="py"``
+and the object-based :func:`repro.core.hitlist.plan_rescan`.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import numpy as np
 
 from repro.core.analysis_np import concat_run_columns
 from repro.core.changes import v6_runs_to_prefix_runs
-from repro.core.hitlist import plan_rescan
+from repro.core.hitlist import infer_structure_words, plan_from_structure, plan_rescan
 from repro.core.report import probe_v4_changes, probe_v6_changes
 from repro.ip import IPPrefix, IPv4Prefix, IPv6Prefix
 from repro.ip.addr import AddressError
@@ -59,6 +69,47 @@ from repro.serve.registry import ArtifactRegistry, scenario_artifact_key
 _log = get_logger("serve.engine")
 
 
+@dataclass(frozen=True)
+class PrefixIndex:
+    """One family's sorted run and change-endpoint index (read-only).
+
+    Words are v4 addresses (``bits=32``) or v6 /64 high words
+    (``bits=64``).  Built once per artifact and never written after.
+    """
+
+    bits: int
+    run_words: np.ndarray  # uint64: run words, ascending
+    run_probes: np.ndarray  # int64: probe of each run, in word order
+    run_hours: np.ndarray  # int64 (runs + 1): prefix sums of run spans, in word order
+    old_words: np.ndarray  # uint64: change old words, ascending
+    old_news: np.ndarray  # uint64: each change's new word, in old-word order
+    new_words: np.ndarray  # uint64: change new words, ascending
+
+
+def build_prefix_index(cols: Any, changes: Any, family: int) -> PrefixIndex:
+    """Sort one family's runs (``cols``) and changes into a :class:`PrefixIndex`."""
+    words, old, new = (
+        (cols.value_lo, changes.old_lo, changes.new_lo)
+        if family == 4
+        else (cols.value_hi, changes.old_hi, changes.new_hi)
+    )
+    # Ties stay unordered: every read covers whole runs of equal words.
+    run_order = np.argsort(words)
+    spans = (cols.last - cols.first + 1)[run_order]
+    old_order = np.argsort(old)
+    arrays = {
+        "run_words": words[run_order],
+        "run_probes": cols.probe_of_run()[run_order],
+        "run_hours": np.concatenate(([0], np.cumsum(spans, dtype=np.int64))),
+        "old_words": old[old_order],
+        "old_news": new[old_order],
+        "new_words": np.sort(new),
+    }
+    for array in arrays.values():
+        array.flags.writeable = False
+    return PrefixIndex(bits=32 if family == 4 else 64, **arrays)
+
+
 @dataclass
 class ScenarioArtifact:
     """Everything the engine serves one scenario from."""
@@ -67,6 +118,8 @@ class ScenarioArtifact:
     scenario: Any
     columns: Any  # repro.core.analysis_np.ProbeColumns
     stats: Any  # repro.core.fused.FusedProbeStats
+    v4_index: PrefixIndex
+    v6_index: PrefixIndex
     name_by_asn: Dict[int, str]
     asn_by_name: Dict[str, int]
     nbytes: int
@@ -110,25 +163,80 @@ def build_scenario_artifact(scenario: Any, key: str) -> ScenarioArtifact:
 
     columns = scenario.analysis_columns(None, engine="fused")
     stats = fused_probe_stats(columns)
-    nbytes = _array_bytes(stats)
-    for cols in (columns.v4(), columns.v6(), columns.v6_prefix()):
-        nbytes += _array_bytes(cols)
+    v4_index = build_prefix_index(columns.v4(), stats.v4_changes, 4)
+    v6_index = build_prefix_index(columns.v6_prefix(), stats.v6_changes, 6)
+    nbytes = sum(
+        _array_bytes(part)
+        for part in (
+            stats, columns.v4(), columns.v6(), columns.v6_prefix(), v4_index, v6_index
+        )
+    )
     return ScenarioArtifact(
         key=key,
         scenario=scenario,
         columns=columns,
         stats=stats,
+        v4_index=v4_index,
+        v6_index=v6_index,
         name_by_asn={isp.asn: name for name, isp in scenario.isps.items()},
         asn_by_name={name: isp.asn for name, isp in scenario.isps.items()},
         nbytes=max(1, nbytes),
     )
 
 
-def _query_prefix_key(prefix: IPPrefix) -> int:
-    """Top ``plen`` bits of the prefix, aligned with the run-key shift."""
-    if prefix.family == 4:
-        return int(prefix.network) >> (32 - prefix.plen)
-    return int(prefix.network) >> (128 - prefix.plen)
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` of every segment."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts
+    )
+
+
+@dataclass
+class _PrefixMembers:
+    """Per-prefix populations of one family's distinct queried prefixes."""
+
+    member_bounds: List[int]  # members of prefix u: probes[bounds[u]:bounds[u+1]]
+    probes: np.ndarray  # int64 member probes, ascending within each prefix
+    hours: List[int]  # observed hours of the member runs
+    changes: List[int]  # changes with an endpoint inside the prefix
+    dual: List[int]  # dual-stack member probes
+
+
+def _prefix_members(
+    index: PrefixIndex, stats: Any, lo: np.ndarray, hi: np.ndarray
+) -> _PrefixMembers:
+    """Segment-op populations of the closed word ranges ``[lo, hi]``."""
+    n = len(lo)
+    run_lo = np.searchsorted(index.run_words, lo, "left")
+    run_hi = np.searchsorted(index.run_words, hi, "right")
+    counts = run_hi - run_lo
+    owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+    pairs = np.unique(owner * stats.n_probes + index.run_probes[_segments(run_lo, counts)])
+    member_owner, probes = np.divmod(pairs, stats.n_probes)
+    member_bounds = np.searchsorted(member_owner, np.arange(n + 1))
+    dual = np.concatenate(([0], np.cumsum(stats.dual[probes], dtype=np.int64)))
+
+    # A change touches a prefix when either endpoint lies inside it,
+    # counted once even when both do: |old in P| + |new in P| minus the
+    # old-in-P changes whose new word is inside too.
+    old_lo = np.searchsorted(index.old_words, lo, "left")
+    old_counts = np.searchsorted(index.old_words, hi, "right") - old_lo
+    new_counts = np.searchsorted(index.new_words, hi, "right") - np.searchsorted(
+        index.new_words, lo, "left"
+    )
+    old_owner = np.repeat(np.arange(n, dtype=np.int64), old_counts)
+    news = index.old_news[_segments(old_lo, old_counts)]
+    both = np.bincount(
+        old_owner[(news >= lo[old_owner]) & (news <= hi[old_owner])], minlength=n
+    )
+    return _PrefixMembers(
+        member_bounds=member_bounds.tolist(),
+        probes=probes,
+        hours=(index.run_hours[run_hi] - index.run_hours[run_lo]).tolist(),
+        changes=(old_counts + new_counts - both).tolist(),
+        dual=(dual[member_bounds[1:]] - dual[member_bounds[:-1]]).tolist(),
+    )
 
 
 class QueryEngine:
@@ -169,19 +277,30 @@ class QueryEngine:
         try:
             artifact = self.artifact()
             results: List[Optional[Result]] = [None] * len(queries)
-            prefix_groups: Dict[Tuple[int, int], List[int]] = {}
+            lifetimes: Dict[str, LifetimeResult] = {}
+            # family -> {distinct prefix: slot}, and (query, slot) pairs
+            slots: Dict[int, Dict[IPPrefix, int]] = {4: {}, 6: {}}
+            pending: Dict[int, List[Tuple[int, int]]] = {4: [], 6: []}
             with span("serve/batch", queries=len(queries)):
                 for i, query in enumerate(queries):
                     metric_inc("serve.queries", kind=type(query).__name__)
                     if isinstance(query, LifetimeQuery):
-                        results[i] = self._lifetime(artifact, query)
+                        known = lifetimes.get(query.network)
+                        if known is None:
+                            known = lifetimes[query.network] = self._lifetime(
+                                artifact, query
+                            )
+                        results[i] = dataclasses.replace(known)
                     else:
-                        prefix = query.prefix
-                        prefix_groups.setdefault(
-                            (prefix.family, prefix.plen), []
-                        ).append(i)
-                for (family, plen), idxs in prefix_groups.items():
-                    self._prefix_group(artifact, queries, results, family, plen, idxs)
+                        family_slots = slots[query.prefix.family]
+                        slot = family_slots.setdefault(query.prefix, len(family_slots))
+                        pending[query.prefix.family].append((i, slot))
+                for family, family_slots in slots.items():
+                    if family_slots:
+                        self._prefix_family(
+                            artifact, queries, results, family,
+                            list(family_slots), pending[family],
+                        )
             return results  # type: ignore[return-value]
         finally:
             metric_observe("serve.batch.seconds", time.perf_counter() - start)
@@ -205,63 +324,41 @@ class QueryEngine:
             median_hours=median,
         )
 
-    def _prefix_group(
+    def _prefix_family(
         self,
         artifact: ScenarioArtifact,
         queries: Sequence[Query],
         results: List[Optional[Result]],
         family: int,
-        plen: int,
-        idxs: List[int],
+        prefixes: List[IPPrefix],
+        pending: List[Tuple[int, int]],
     ) -> None:
-        """One mask pass answering every /plen query of one family."""
+        """Answer every query on the distinct ``prefixes`` of one family."""
         stats = artifact.stats
-        columns = artifact.columns
-        cols = columns.v4() if family == 4 else columns.v6_prefix()
-        shift = np.uint64((32 if family == 4 else 64) - plen)
-        run_keys = (cols.value_lo if family == 4 else cols.value_hi) >> shift
-        qkeys = np.array(
-            [_query_prefix_key(queries[i].prefix) for i in idxs], dtype=np.uint64
+        index = artifact.v4_index if family == 4 else artifact.v6_index
+        drop = prefixes[0].bits - index.bits  # v6 words are the top 64 bits
+        lo = [int(prefix.network) >> drop for prefix in prefixes]
+        hi = [
+            word | ((1 << (index.bits - prefix.plen)) - 1)
+            for word, prefix in zip(lo, prefixes)
+        ]
+        members = _prefix_members(
+            index,
+            stats,
+            np.array(lo, dtype=np.uint64),
+            np.array(hi, dtype=np.uint64),
         )
-        ukeys, inverse = np.unique(qkeys, return_inverse=True)
-        last = len(ukeys) - 1
-
-        pos = np.minimum(np.searchsorted(ukeys, run_keys), last)
-        run_hit = ukeys[pos] == run_keys
-        hit_idx = np.flatnonzero(run_hit)  # ascending flat run indices
-        hit_group = pos[hit_idx]
-        hit_probe = cols.probe_of_run()[hit_idx]
-
-        changes = stats.v4_changes if family == 4 else stats.v6_changes
-        old_keys = (changes.old_lo if family == 4 else changes.old_hi) >> shift
-        new_keys = (changes.new_lo if family == 4 else changes.new_hi) >> shift
-        opos = np.minimum(np.searchsorted(ukeys, old_keys), last)
-        npos = np.minimum(np.searchsorted(ukeys, new_keys), last)
-        old_group = np.where(ukeys[opos] == old_keys, opos, -1)
-        new_group = np.where(ukeys[npos] == new_keys, npos, -1)
-        # A change touches a prefix when either endpoint lies inside it,
-        # counted once even when both do.
-        change_counts = np.bincount(
-            old_group[old_group >= 0], minlength=len(ukeys)
-        ) + np.bincount(
-            new_group[(new_group >= 0) & (new_group != old_group)],
-            minlength=len(ukeys),
-        )
-
-        spans = cols.last[hit_idx] - cols.first[hit_idx] + 1
-        for j, i in enumerate(idxs):
-            group = inverse[j]
-            in_group = hit_group == group
-            member_probes = np.unique(hit_probe[in_group])
+        bounds = members.member_bounds
+        for i, slot in pending:
             query = queries[i]
+            probes_observed = bounds[slot + 1] - bounds[slot]
             if isinstance(query, HitlistQuery):
                 results[i] = self._hitlist(
-                    artifact, cols, query, member_probes
+                    artifact, query, members.probes[bounds[slot]:bounds[slot + 1]]
                 )
                 continue
-            probes_observed = len(member_probes)
             if isinstance(query, DualStackQuery):
-                dual = int(np.count_nonzero(stats.dual[member_probes]))
+                dual = members.dual[slot]
                 results[i] = DualStackResult(
                     prefix=query.prefix,
                     family=family,
@@ -270,9 +367,9 @@ class QueryEngine:
                     dual_stack_fraction=fraction(dual, probes_observed),
                 )
                 continue
-            n_changes = int(change_counts[group])
-            observed_hours = int(spans[in_group].sum())
-            asn = int(stats.asn[member_probes[0]]) if probes_observed else None
+            n_changes = members.changes[slot]
+            observed_hours = members.hours[slot]
+            asn = int(stats.asn[members.probes[bounds[slot]]]) if probes_observed else None
             period = None
             if asn is not None:
                 v4_period, v6_period = artifact.periods_for(asn)
@@ -295,9 +392,8 @@ class QueryEngine:
     def _hitlist(
         self,
         artifact: ScenarioArtifact,
-        cols: Any,
         query: HitlistQuery,
-        member_probes: "np.ndarray",
+        member_probes: np.ndarray,
     ) -> HitlistResult:
         """Rescan plan from the member probes' full /64 histories."""
         if len(member_probes) == 0:
@@ -309,20 +405,19 @@ class QueryEngine:
                 budget=query.budget,
                 candidates=(),
             )
-        member_flags = np.zeros(artifact.stats.n_probes, dtype=bool)
-        member_flags[member_probes] = True
-        history_runs = np.flatnonzero(member_flags[cols.probe_of_run()])
-        history = [
-            IPv6Prefix(int(hi) << 64, 64) for hi in cols.value_hi[history_runs]
-        ]
-        plan = plan_rescan(history, query.budget, seed=query.seed)
+        cols = artifact.columns.v6_prefix()
+        starts = cols.offsets[member_probes]
+        history = cols.value_hi[_segments(starts, cols.offsets[member_probes + 1] - starts)]
+        plan = plan_from_structure(
+            *infer_structure_words(history), query.budget, seed=query.seed
+        )
         return HitlistResult(
             prefix=query.prefix,
             probes_contributing=int(len(member_probes)),
             pool=plan.pool,
             delegation_plen=plan.delegation_plen,
             budget=query.budget,
-            candidates=tuple(plan.candidates),
+            candidates=plan.candidates,
         )
 
 
@@ -356,7 +451,7 @@ def _direct_periods(
 def compute_direct(scenario: Any, query: Query) -> Result:
     """Answer ``query`` with the pure-Python per-probe reference walk.
 
-    Independent of the batched mask engine — this is what
+    Independent of the indexed batch engine — this is what
     :func:`repro.perf.verify.serve_diffs` compares served answers to.
     """
     validate_query(query)
@@ -489,8 +584,10 @@ def observed_prefixes(
 
 
 __all__ = [
+    "PrefixIndex",
     "QueryEngine",
     "ScenarioArtifact",
+    "build_prefix_index",
     "build_scenario_artifact",
     "compute_direct",
     "observed_prefixes",

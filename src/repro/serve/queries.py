@@ -15,7 +15,7 @@ Four query families cover the paper's serving surface:
   observation histories.
 
 Every numeric in a response is produced by the helpers at the bottom of
-this module from plain Python ints/lists — the batched mask engine and
+this module from plain Python ints/lists — the indexed batch engine and
 the direct per-probe reference feed them identical populations, which
 is what makes served answers bit-identical to the direct computation
 (enforced by :func:`repro.perf.verify.serve_diffs`).

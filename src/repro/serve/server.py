@@ -32,7 +32,9 @@ Endpoints
     Every response echoes a per-request ``trace_id`` (client-supplied
     via a ``"trace_id"`` body key, else freshly minted).  A malformed or
     negative ``Content-Length`` or a body that is not UTF-8 JSON gets
-    400; a declared body over :data:`MAX_BODY_BYTES` gets 413 unread.
+    400; a declared body over :data:`MAX_BODY_BYTES` gets 413 unread,
+    and a batch of more than :data:`MAX_BATCH_QUERIES` queries gets 413
+    before any query in it is parsed.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ _log = get_logger("serve.server")
 
 #: Largest ``POST`` body read, in bytes (a 32-query batch is ~3 KiB).
 MAX_BODY_BYTES = 1 << 20
+
+#: Most queries one ``POST {"queries": [...]}`` batch may carry.
+MAX_BATCH_QUERIES = 1024
 
 #: A response document: a JSON-ready dict, or pre-rendered plain text
 #: (the Prometheus exposition) served verbatim.
@@ -258,6 +263,12 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             self._respond(400, {"error": f"invalid JSON body: {exc}"})
+            return
+        batch = payload.get("queries") if isinstance(payload, dict) else None
+        if isinstance(batch, list) and len(batch) > MAX_BATCH_QUERIES:
+            self._refuse(
+                413, f"batch of {len(batch)} queries exceeds {MAX_BATCH_QUERIES}"
+            )
             return
         status, document = self.app.handle("POST", self.path, payload)
         self._respond(status, document)

@@ -1,5 +1,8 @@
 """Tests for the Section-6 application modules (blocklist, hitlist)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.bgp.registry import RIR, Registry
@@ -8,6 +11,8 @@ from repro.core.blocklist import Blocklist, BlocklistPolicy, evaluate_blocklist
 from repro.core.hitlist import (
     evaluate_rescan_plan,
     infer_structure,
+    infer_structure_words,
+    plan_from_structure,
     plan_rescan,
     search_space_sizes,
 )
@@ -225,3 +230,78 @@ class TestRescanPlanning:
         assert exhaustive.hit_rate > 0.9
         tiny = evaluate_rescan_plan(histories, budget=4)
         assert tiny.hit_rate < 0.3
+
+
+def _object_plan(history, budget, seed):
+    """The object-based candidate walk: sampled delegations, zero /64 each."""
+    pool, delegation_plen = infer_structure(history)
+    total = pool.num_subprefixes(delegation_plen)
+    rng = random.Random(seed)
+    indices = range(total) if budget >= total else rng.sample(range(total), budget)
+    return pool, delegation_plen, tuple(
+        pool.nth_subprefix(delegation_plen, index)
+        .supernet(delegation_plen)
+        .nth_subprefix(64, 0)
+        for index in indices
+    )
+
+
+def _random_history(rng):
+    """High words from a random pool and delegation length, with repeats."""
+    pool_plen = rng.randrange(1, 64)
+    delegation_plen = rng.randrange(pool_plen, 65)
+    base = rng.getrandbits(64) & ~((1 << (64 - pool_plen)) - 1)
+    distinct = [
+        base | (rng.getrandbits(delegation_plen - pool_plen) << (64 - delegation_plen))
+        for _ in range(rng.randrange(1, 14))
+    ]
+    return [rng.choice(distinct) for _ in range(rng.randrange(1, 24))]
+
+
+HISTORIES = {
+    # Above 2**53 and differing only in their low bits: a float log2
+    # of the XOR or of the word rounds these together.
+    "high-words-low-bits": [(0xFEDC_BA98_7654_3200 | low) for low in (0x10, 0x11, 0x30, 0x11)],
+    "near-top": [(1 << 64) - 1, (1 << 64) - 2, (1 << 64) - 1 - (1 << 40)],
+    "all-zero-word": [0, 0x2001_0DB8_0000_0100, 0],
+    "only-zero-word": [0, 0],
+    "single-distinct": [0x2001_0DB8_AB00_0000] * 5,
+    "more-than-eight": [
+        0x2A00_0000_0000_0000 | (i << 8) for i in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7)
+    ],
+    "wide-pool": [0x0000_0000_0000_0100, 0x8000_0000_0000_0000],
+    # XOR 2**62 - 1: a float rounds it up to 2**62, one bit too long.
+    "xor-below-power-of-two": [1 << 62, (1 << 63) - 1],
+    # An older pool seen first, then nine /64s of the current one: only
+    # the last eight distinct in first-seen order leave the old pool out.
+    "old-pool-then-nine": [0xF000_0000_0000_0000] + [0x2A00_0000_0000_1000 + i for i in range(9)],
+}
+
+
+class TestColumnarStructure:
+    """``infer_structure_words`` and the shared sampler against the object path."""
+
+    @staticmethod
+    def _check(words, budget, seed):
+        history = [IPv6Prefix(word << 64, 64) for word in words]
+        columnar = infer_structure_words(np.array(words, dtype=np.uint64))
+        assert columnar == infer_structure(history)
+        plan = plan_from_structure(*columnar, budget, seed=seed)
+        assert plan == plan_rescan(history, budget, seed=seed)
+        assert (plan.pool, plan.delegation_plen, plan.candidates) == _object_plan(
+            history, budget, seed
+        )
+
+    @pytest.mark.parametrize("name", sorted(HISTORIES))
+    @pytest.mark.parametrize("budget", [1, 16, 1 << 12])
+    def test_edge_histories(self, name, budget):
+        self._check(HISTORIES[name], budget, seed=7)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_randomized_histories(self, seed):
+        rng = random.Random(seed)
+        self._check(_random_history(rng), rng.choice([1, 8, 64, 1 << 12]), seed)
+
+    def test_empty_history_rejected(self):
+        with pytest.raises(ValueError):
+            infer_structure_words(np.array([], dtype=np.uint64))

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.io.records import read_association_csv, read_echo_records, read_echo_runs
+from repro.io.records import (
+    read_association_csv,
+    read_echo_records,
+    read_echo_runs,
+    write_association_csv,
+)
 
 
 class TestSimulateAtlas:
@@ -40,6 +45,46 @@ class TestSimulateCdn:
             triples = list(read_association_csv(stream))
         assert triples
         assert all(0 <= day < 20 for day, _v4, _v6 in triples)
+
+
+class TestStoreBuild:
+    @pytest.mark.parametrize(
+        "bad_triple, message",
+        [
+            ((3, 0x0A000001, (0x20010DB8 << 96) | 1), "not a /64"),
+            ((1 << 16, 0x0A000001, 0x20010DB8 << 96), "uint16"),
+        ],
+        ids=["v6-key-low-bits", "day-out-of-range"],
+    )
+    def test_failed_build_leaves_nothing_and_retry_succeeds(
+        self, tmp_path, capsys, bad_triple, message
+    ):
+        good = [(day, 0x0A000001 + day, (0x20010DB8 << 96) | (day << 64)) for day in range(4)]
+        feed = tmp_path / "feed.csv"
+        output = tmp_path / "store"
+        with feed.open("w") as stream:
+            write_association_csv(good + [bad_triple], stream)
+        argv = ["store", "build", "--triples", str(feed), "--output", str(output)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not output.exists()
+        with feed.open("w") as stream:
+            write_association_csv(good, stream)
+        assert main(argv) == 0
+        assert "built store" in capsys.readouterr().out
+        assert output.is_dir()
+
+    def test_existing_output_is_kept(self, tmp_path, capsys):
+        output = tmp_path / "store"
+        output.mkdir()
+        (output / "keep").write_text("mine")
+        feed = tmp_path / "feed.csv"
+        with feed.open("w") as stream:
+            write_association_csv([(1 << 16, 1, 0)], stream)
+        assert main(["store", "build", "--triples", str(feed), "--output", str(output)]) == 1
+        assert "already exists" in capsys.readouterr().err
+        assert (output / "keep").read_text() == "mine"
 
 
 class TestReport:

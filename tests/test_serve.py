@@ -13,12 +13,17 @@ The serving contract has three legs:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import socket
 import threading
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core.analysis_np import ChangeColumns, RunColumns
 from repro.obs import get_registry, telemetry
 from repro.perf.cache import CacheStats, iter_component_stats
 from repro.perf.verify import serve_diffs
@@ -41,7 +46,9 @@ from repro.serve import (
     result_to_dict,
     write_graph,
 )
+from repro.serve.engine import PrefixIndex, _prefix_members, build_prefix_index
 from repro.serve.graph import EDGE_KINDS, NODE_KINDS
+from repro.serve.server import MAX_BATCH_QUERIES
 from repro.stream.checkpoint import CheckpointStore
 from repro.workloads import build_atlas_scenario
 
@@ -97,6 +104,115 @@ class TestQueryParity:
         engine = QueryEngine(scenario)
         with pytest.raises(ValueError, match="unknown network"):
             engine.run(LifetimeQuery("no-such-isp"))
+
+
+def _arrays(obj):
+    """Every ndarray reachable through public dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            if not f.name.startswith("_"):
+                yield from _arrays(getattr(obj, f.name))
+
+
+def _word_columns(rng, family, n_probes=6, runs_per_probe=5):
+    """Run and change columns whose words crowd both ends of the space."""
+    bits = 32 if family == 4 else 64
+    top = (1 << bits) - 1
+    pool = [0, 1, top, top - 1, top ^ 0xFF, 1 << (bits - 1)]
+    pool += [rng.getrandbits(bits) for _ in range(6)]
+    words = [rng.choice(pool) for _ in range(n_probes * runs_per_probe)]
+    first = np.array([rng.randrange(100) for _ in words], dtype=np.int64)
+    column = np.array(words, dtype=np.uint64)
+    zeros = np.zeros(len(words), dtype=np.uint64)
+    cols = RunColumns(
+        np.arange(0, len(words) + 1, runs_per_probe, dtype=np.int64),
+        zeros if family == 4 else column,
+        column if family == 4 else zeros,
+        first,
+        first + np.array([rng.randrange(50) for _ in words], dtype=np.int64),
+        np.ones(len(words), dtype=np.int64),
+        np.zeros(len(words), dtype=np.int64),
+    )
+    old = np.array([rng.choice(pool) for _ in range(40)], dtype=np.uint64)
+    new = np.array([rng.choice(pool) for _ in range(40)], dtype=np.uint64)
+    none = np.zeros(40, dtype=np.uint64)
+    changes = ChangeColumns(
+        np.zeros(40, dtype=np.int64),
+        np.zeros(40, dtype=np.int64),
+        none if family == 4 else old,
+        old if family == 4 else none,
+        none if family == 4 else new,
+        new if family == 4 else none,
+        np.zeros(40, dtype=np.int64),
+    )
+    return cols, changes, words, old.tolist(), new.tolist()
+
+
+class TestPrefixIndex:
+    """The sorted word index against a brute-force scan of the same columns."""
+
+    def test_nbytes_is_the_sum_of_every_array(self, scenario):
+        artifact = QueryEngine(scenario, registry=ArtifactRegistry()).artifact()
+        columns = artifact.columns
+        parts = (
+            artifact.stats,
+            columns.v4(),
+            columns.v6(),
+            columns.v6_prefix(),
+            artifact.v4_index,
+            artifact.v6_index,
+        )
+        assert artifact.nbytes == sum(a.nbytes for part in parts for a in _arrays(part))
+        index_arrays = [a for index in parts[-2:] for a in _arrays(index)]
+        fields = [f for f in dataclasses.fields(PrefixIndex) if f.name != "bits"]
+        assert len(index_arrays) == 2 * len(fields)
+        assert all(a.nbytes > 0 for a in index_arrays)
+
+    def test_index_is_read_only(self, scenario):
+        artifact = QueryEngine(scenario, registry=ArtifactRegistry()).artifact()
+        for array in _arrays(artifact.v6_index):
+            with pytest.raises(ValueError):
+                array[:1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            artifact.v4_index.bits = 0
+
+    @pytest.mark.parametrize("family", [4, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_word_ranges_match_brute_force(self, family, seed):
+        rng = random.Random(seed)
+        cols, changes, words, old, new = _word_columns(rng, family)
+        index = build_prefix_index(cols, changes, family)
+        bits = index.bits
+        top = (1 << bits) - 1
+        ranges = []
+        for plen in (1, 1, bits // 2, bits - 8, bits - 1, bits):
+            for word in (0, top, rng.choice(words), rng.getrandbits(bits)):
+                lo = word & ~((1 << (bits - plen)) - 1) & top
+                ranges.append((lo, lo | ((1 << (bits - plen)) - 1)))
+        ranges += ranges[:3]  # repeats
+        stats = SimpleNamespace(
+            n_probes=cols.n_probes, dual=np.arange(cols.n_probes) % 2 == 0
+        )
+        members = _prefix_members(
+            index,
+            stats,
+            np.array([lo for lo, _ in ranges], dtype=np.uint64),
+            np.array([hi for _, hi in ranges], dtype=np.uint64),
+        )
+        spans = (cols.last - cols.first + 1).tolist()
+        probe_of = cols.probe_of_run().tolist()
+        bounds = members.member_bounds
+        for slot, (lo, hi) in enumerate(ranges):
+            inside = [r for r, word in enumerate(words) if lo <= word <= hi]
+            probes = sorted({probe_of[r] for r in inside})
+            assert members.probes[bounds[slot]:bounds[slot + 1]].tolist() == probes
+            assert members.hours[slot] == sum(spans[r] for r in inside)
+            assert members.dual[slot] == sum(1 for p in probes if p % 2 == 0)
+            assert members.changes[slot] == sum(
+                1 for a, b in zip(old, new) if lo <= a <= hi or lo <= b <= hi
+            )
 
 
 class TestWarmQueries:
@@ -358,3 +474,11 @@ class TestHttpBody:
     )
     def test_malformed_body_gets_status(self, http_address, content_length, body, status):
         assert _post_status(http_address, content_length, body)[1:2] == [status]
+
+    def test_oversized_batch_refused_before_parsing(self, http_address):
+        # Each entry is an invalid query: had any been parsed, the reply
+        # would be 400, not 413.
+        body = json.dumps({"queries": [{}] * (MAX_BATCH_QUERIES + 1)}).encode()
+        assert _post_status(http_address, str(len(body)), body)[1:2] == ["413"]
+        body = json.dumps({"queries": [{}] * MAX_BATCH_QUERIES}).encode()
+        assert _post_status(http_address, str(len(body)), body)[1:2] == ["400"]
