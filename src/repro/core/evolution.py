@@ -16,7 +16,7 @@ from collections import defaultdict
 from typing import Dict, List, Sequence
 
 from repro.core.changes import Duration
-from repro.netsim.clock import HOURS_PER_YEAR, SIM_EPOCH, hours_to_datetime
+from repro.netsim.clock import SIM_EPOCH, hours_to_datetime
 
 
 def year_of_duration(duration: Duration) -> int:
@@ -65,15 +65,8 @@ def simulation_years(end_hour: float) -> List[int]:
     return list(range(first, last + 1))
 
 
-def hours_in_year(year: int) -> float:
-    """Nominal hours used for per-year normalization (ignores leap days)."""
-    del year
-    return float(HOURS_PER_YEAR)
-
-
 __all__ = [
     "durations_by_year",
-    "hours_in_year",
     "simulation_years",
     "trend_slope",
     "year_of_duration",

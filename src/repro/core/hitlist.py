@@ -24,6 +24,7 @@ scores strategies against simulator ground truth.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -143,12 +144,21 @@ def plan_from_structure(
 
     With a budget covering the whole delegation space every delegation
     is listed in order; otherwise ``random.Random(seed)`` samples them.
+    ``sample`` needs the space's ``len``, which overflows from 2^63
+    entries; such a space is drawn with ``randrange`` until ``budget``
+    distinct indices are found.
     """
     total = pool.num_subprefixes(delegation_plen)
+    rng = random.Random(seed)
     if budget >= total:
         indices = range(total)
+    elif total <= sys.maxsize:
+        indices = rng.sample(range(total), budget)
     else:
-        indices = random.Random(seed).sample(range(total), budget)
+        drawn: Dict[int, None] = {}
+        while len(drawn) < budget:
+            drawn[rng.randrange(total)] = None
+        indices = list(drawn)
     network = int(pool.network)
     host_bits = 128 - delegation_plen
     candidates = tuple(

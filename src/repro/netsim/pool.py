@@ -26,7 +26,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.ip.addr import AddressError, IPv4Address
+from repro.ip.addr import IPv4Address
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix
 
 
@@ -275,18 +275,8 @@ class V6PrefixPlan:
         return IPv6Prefix(network, self._delegation_plen), pool_index
 
 
-def build_v4_blocks(base: IPv4Prefix, count: int, plen: int, rng: random.Random) -> List[IPv4Prefix]:
-    """Draw ``count`` disjoint /plen blocks from ``base`` (helper for tests)."""
-    total = base.num_subprefixes(plen)
-    if count > total:
-        raise AddressError(f"cannot draw {count} /{plen}s from {base}")
-    indices = rng.sample(range(total), count)
-    return [base.nth_subprefix(plen, i) for i in sorted(indices)]
-
-
 __all__ = [
     "PoolExhaustedError",
     "V4AddressPlan",
     "V6PrefixPlan",
-    "build_v4_blocks",
 ]

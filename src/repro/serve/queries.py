@@ -34,6 +34,9 @@ from repro.serve.wire import jsonable
 #: (roughly one assignment change every two weeks).
 MODERATE_RATE_THRESHOLD = 26.0
 
+#: Largest hitlist ``budget`` a query may ask for (served callers use 4-64).
+MAX_HITLIST_BUDGET = 1 << 14
+
 
 @dataclass(frozen=True)
 class StabilityQuery:
@@ -147,31 +150,55 @@ def validate_query(query: Query) -> None:
     if isinstance(query, HitlistQuery):
         if prefix is None or prefix.family != 6:
             raise ValueError("hitlist queries take an IPv6 prefix")
-        if query.budget < 1:
-            raise ValueError(f"hitlist budget must be >= 1, got {query.budget}")
+        if not 1 <= query.budget <= MAX_HITLIST_BUDGET:
+            raise ValueError(
+                f"hitlist budget must be in [1, {MAX_HITLIST_BUDGET}], got {query.budget}"
+            )
     if isinstance(query, LifetimeQuery) and not query.network:
         raise ValueError("lifetime queries need a network name")
 
 
+def _field(payload: Dict[str, Any], name: str) -> str:
+    """A required field of a wire query, as text."""
+    if name not in payload:
+        raise ValueError(f"{payload['kind']} queries need a {name!r} field")
+    return str(payload[name])
+
+
+def _integer(payload: Dict[str, Any], name: str, default: int) -> int:
+    """An optional integer field of a wire query."""
+    value = payload.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def query_from_dict(payload: Dict[str, Any]) -> Query:
-    """Build a query from its wire form (``{"kind": ..., ...}``)."""
+    """Build a query from its wire form (``{"kind": ..., ...}``).
+
+    Every malformed payload raises ``ValueError``: an unknown kind, a
+    missing field, a non-integer ``budget`` or ``seed``, or a query
+    :func:`validate_query` refuses.
+    """
     if not isinstance(payload, dict):
         raise ValueError(f"query payload must be an object, got {type(payload).__name__}")
     kind = payload.get("kind")
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r} (expected one of {sorted(QUERY_KINDS)})")
-    if kind == "stability":
-        query: Query = StabilityQuery(prefix=parse_prefix(str(payload["prefix"])))
-    elif kind == "lifetime":
-        query = LifetimeQuery(network=str(payload["network"]))
-    elif kind == "dualstack":
-        query = DualStackQuery(prefix=parse_prefix(str(payload["prefix"])))
+    if kind == "lifetime":
+        query: Query = LifetimeQuery(network=_field(payload, "network"))
     else:
-        query = HitlistQuery(
-            prefix=parse_prefix(str(payload["prefix"])),
-            budget=int(payload.get("budget", 64)),
-            seed=int(payload.get("seed", 0)),
-        )
+        prefix = parse_prefix(_field(payload, "prefix"))
+        if kind == "stability":
+            query = StabilityQuery(prefix=prefix)
+        elif kind == "dualstack":
+            query = DualStackQuery(prefix=prefix)
+        else:
+            query = HitlistQuery(
+                prefix=prefix,
+                budget=_integer(payload, "budget", 64),
+                seed=_integer(payload, "seed", 0),
+            )
     validate_query(query)
     return query
 
@@ -260,6 +287,7 @@ __all__ = [
     "HitlistResult",
     "LifetimeQuery",
     "LifetimeResult",
+    "MAX_HITLIST_BUDGET",
     "MODERATE_RATE_THRESHOLD",
     "QUERY_KINDS",
     "Query",

@@ -32,9 +32,11 @@ Endpoints
     Every response echoes a per-request ``trace_id`` (client-supplied
     via a ``"trace_id"`` body key, else freshly minted).  A malformed or
     negative ``Content-Length`` or a body that is not UTF-8 JSON gets
-    400; a declared body over :data:`MAX_BODY_BYTES` gets 413 unread,
-    and a batch of more than :data:`MAX_BATCH_QUERIES` queries gets 413
-    before any query in it is parsed.
+    400, as does a malformed query (see
+    :func:`repro.serve.queries.query_from_dict`); a declared body over
+    :data:`MAX_BODY_BYTES` gets 413 unread, and a batch of more than
+    :data:`MAX_BATCH_QUERIES` queries gets 413 before any query in it is
+    parsed.
 """
 
 from __future__ import annotations
@@ -182,6 +184,8 @@ class ServeApp:
             raise ValueError("POST /query expects a JSON object")
         trace_id = request_trace_id(payload)
         batch = "queries" in payload
+        if batch and not isinstance(payload["queries"], list):
+            raise ValueError("a batch's \"queries\" must be a list")
         kind = "batch" if batch else str(payload.get("kind", "query"))
         name = f"batch[{len(payload['queries'])}]" if batch else kind
         self._rss.sample()

@@ -1,6 +1,6 @@
 """Chunked, checkpointable, incremental analysis (the streaming layer).
 
-This subsystem processes echo runs/records and CDN association triples
+This subsystem processes complete echo runs and CDN association triples
 in bounded-size chunks, maintaining per-probe incremental state that
 folds each chunk through the existing ``analysis_np`` kernels.  A full
 streaming pass is **bit-identical** to the batch ``engine="fused"`` report
@@ -9,8 +9,9 @@ see :func:`repro.perf.verify.streaming_replay_diffs`.
 
 Layout:
 
-* :mod:`repro.stream.chunks` — stream sources, the on-disk run-stream
-  format, the incremental run assembler, and the CSV triple reader;
+* :mod:`repro.stream.chunks` — stream sources (complete runs in
+  ``first`` order, the one input shape of the Atlas engine), the
+  on-disk run-stream format, and the CSV triple reader;
 * :mod:`repro.stream.engine` — the Atlas engine and its driver;
 * :mod:`repro.stream.associations` — the CDN association engine and its
   driver over the day windows of a triple store;
@@ -28,12 +29,10 @@ from repro.stream.chunks import (
     JsonlRunSource,
     NetworkInfo,
     ProbeInfo,
-    RunAssembler,
     RunChunk,
     ScenarioRunSource,
     StreamManifest,
     manifest_from_scenario,
-    record_chunks,
     stream_triples_from_csv,
     write_run_stream,
 )
@@ -53,14 +52,12 @@ __all__ = [
     "JsonlRunSource",
     "NetworkInfo",
     "ProbeInfo",
-    "RunAssembler",
     "RunChunk",
     "ScenarioRunSource",
     "StreamManifest",
     "StreamStats",
     "default_checkpoint_dir",
     "manifest_from_scenario",
-    "record_chunks",
     "run_association_stream_over_store",
     "run_atlas_stream",
     "stream_triples_from_csv",

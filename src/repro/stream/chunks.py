@@ -1,12 +1,13 @@
 """Chunked stream sources for the incremental analysis engine.
 
-The streaming layer consumes *run events* — completed echo runs ordered
-by their first observed hour — in bounded-size chunks.  Each chunk
-covers a half-open hour window ``[k*chunk_hours, (k+1)*chunk_hours)``
-and carries every run whose ``first`` falls inside it.  Because run
-firsts are strictly increasing within one (probe, family) track, the
-global ``(first, probe, family)`` order preserves every per-track run
-sequence, which is all the incremental state machines need.
+The streaming layer consumes *run events* — complete echo runs ordered
+by their first observed hour — in bounded-size chunks; that is its one
+input shape.  Each chunk covers a half-open hour window
+``[k*chunk_hours, (k+1)*chunk_hours)`` and carries every run whose
+``first`` falls inside it.  Because run firsts are strictly increasing
+within one (probe, family) track, the global ``(first, probe, family)``
+order preserves every per-track run sequence, which is all the
+incremental state machines need.
 
 A chunk carries its runs as six parallel columns in ``(first, probe,
 family)`` order (see :class:`RunChunk`), so the engine folds a window
@@ -21,11 +22,6 @@ Sources:
   :func:`write_run_stream` (a JSON manifest line followed by standard
   ``write_echo_runs`` lines keyed by probe *index*), so arbitrarily
   long feeds are consumed in bounded memory.
-* :class:`RunAssembler` + :func:`record_chunks` — the live-collection
-  path: fold hour-ordered *hourly records* into runs incrementally,
-  reproducing :func:`repro.atlas.echo.runs_from_hourly` exactly while
-  exposing open-run extents so dual-stack classification can proceed
-  before a run closes.
 
 Association triples do not stream from here: every association stream
 folds the day windows of a :class:`repro.store.TripleStore`, and
@@ -43,7 +39,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, T
 
 import numpy as np
 
-from repro.atlas.echo import EchoRecord, EchoRun
 from repro.core.analysis_np import concat_run_columns
 from repro.core.associations import Triple
 from repro.io.records import (
@@ -168,16 +163,8 @@ class RunChunk:
     with ``value = value_hi[i] << 64 | value_lo[i]``; rows are sorted by
     ``(first, ref, family)``.  ``ref`` indexes the manifest's probes.
     Hours, refs and families are ``int64``, the value halves ``uint64``
-    (an IPv4 address is its ``value_lo``).
-
-    ``open_v6``/``open_v4``/``frontier`` are only populated on the
-    live-record path: ``open_v6`` maps probe refs to the current extent
-    of a still-open IPv6 address run (it contributes dual-stack coverage
-    before the run closes), ``open_v4`` maps probe refs to the first
-    hour of a still-open IPv4 run (so coverage that run may later need
-    is retained), and ``frontier`` maps probe refs to the first hour at
-    which a *new* v6 observation could still appear (defaults to
-    ``end_hour`` when absent — correct for complete-run streams).
+    (an IPv4 address is its ``value_lo``).  Every row is a complete
+    run: no run of the stream continues into a later chunk.
     """
 
     index: int
@@ -189,9 +176,6 @@ class RunChunk:
     last: np.ndarray
     value_hi: np.ndarray
     value_lo: np.ndarray
-    open_v6: Optional[Dict[int, Tuple[int, int]]] = None
-    open_v4: Optional[Dict[int, int]] = None
-    frontier: Optional[Dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.first)
@@ -414,168 +398,6 @@ def write_run_stream(scenario, stream: TextIO) -> int:
     )
 
 
-# -- live-record assembly ------------------------------------------------------
-
-
-class RunAssembler:
-    """Incremental :func:`repro.atlas.echo.runs_from_hourly` over a feed.
-
-    Feed hour-ordered hourly records (interleaved across probes and
-    families); completed runs come back as they close, and still-open
-    runs are visible through :meth:`open_v6_extents` /
-    :meth:`flush`.  The assembled run sequence per (probe, family) track
-    is identical to batch ``runs_from_hourly`` on that track's records.
-    """
-
-    def __init__(self) -> None:
-        self._open: Dict[Tuple[int, int], dict] = {}
-        self._hour = -1
-
-    @property
-    def processed_hour(self) -> int:
-        """The highest record hour folded so far (-1 before any)."""
-        return self._hour
-
-    def feed(self, records: Iterable[EchoRecord]) -> List[EchoRun]:
-        """Fold hour-ordered records; returns the runs that just closed."""
-        completed: List[EchoRun] = []
-        for record in records:
-            key = (record.probe_id, record.family)
-            state = self._open.get(key)
-            if state is not None and record.hour <= state["last"]:
-                raise ValueError(
-                    f"records out of order: hour {record.hour} after {state['last']}"
-                )
-            if state is not None and record.client_ip == state["value"]:
-                gap = record.hour - state["last"] - 1
-                if gap > state["max_gap"]:
-                    state["max_gap"] = gap
-                state["last"] = record.hour
-                state["observed"] += 1
-            else:
-                if state is not None:
-                    completed.append(self._close(state))
-                self._open[key] = {
-                    "probe_id": record.probe_id,
-                    "family": record.family,
-                    "value": record.client_ip,
-                    "first": record.hour,
-                    "last": record.hour,
-                    "observed": 1,
-                    "max_gap": 0,
-                }
-            if record.hour > self._hour:
-                self._hour = record.hour
-        return completed
-
-    def flush(self) -> List[EchoRun]:
-        """Close and return every still-open run (end of stream)."""
-        closed = [self._close(state) for _key, state in sorted(self._open.items())]
-        self._open.clear()
-        return closed
-
-    def open_v6_extents(self) -> Dict[int, Tuple[int, int]]:
-        """Current (first, last) extent of each open IPv6 address run."""
-        return {
-            probe: (state["first"], state["last"])
-            for (probe, family), state in self._open.items()
-            if family == 6
-        }
-
-    def open_v4_firsts(self) -> Dict[int, int]:
-        """First hour of each still-open IPv4 run."""
-        return {
-            probe: state["first"]
-            for (probe, family), state in self._open.items()
-            if family == 4
-        }
-
-    @staticmethod
-    def _close(state: dict) -> EchoRun:
-        return EchoRun(
-            probe_id=state["probe_id"],
-            family=state["family"],
-            value=state["value"],
-            first=state["first"],
-            last=state["last"],
-            observed=state["observed"],
-            max_gap=state["max_gap"],
-        )
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the open-run state (checkpointing)."""
-        return {
-            "hour": self._hour,
-            "open": {key: dict(state) for key, state in self._open.items()},
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (checkpoint resume)."""
-        self._hour = state["hour"]
-        self._open = {key: dict(value) for key, value in state["open"].items()}
-
-
-def record_chunks(
-    records: Iterable[EchoRecord],
-    chunk_hours: int,
-    assembler: Optional[RunAssembler] = None,
-    end_hour: Optional[int] = None,
-) -> Iterator[RunChunk]:
-    """Window an hour-ordered record feed into engine-ready chunks.
-
-    Each chunk carries the runs that *closed* during its hour window
-    plus the open-v6 extents and per-probe frontiers the engine needs to
-    classify dual-stack coverage before runs close.  The final chunk
-    flushes the assembler, so folding every chunk reproduces batch runs
-    exactly.
-    """
-    assembler = assembler if assembler is not None else RunAssembler()
-    min_chunks = _chunk_count(end_hour, chunk_hours) if end_hour else 1
-    index = 0
-    lo = 0
-    buffer: List[EchoRecord] = []
-    prev_hour: Optional[int] = None
-
-    def close_chunk(closing_runs: List[EchoRun], final: bool) -> RunChunk:
-        events = sorted(
-            (run.first, run.probe_id, run.family, int(run.value), run.last)
-            for run in closing_runs
-        )
-        extents = {} if final else assembler.open_v6_extents()
-        return RunChunk(
-            index,
-            lo,
-            lo + chunk_hours,
-            **_pack_events(events),
-            open_v6=extents,
-            open_v4={} if final else assembler.open_v4_firsts(),
-            frontier={ref: extent[1] + 1 for ref, extent in extents.items()},
-        )
-
-    for record in records:
-        if prev_hour is not None and record.hour < prev_hour:
-            raise RecordFormatError(
-                f"record stream not sorted: hour {record.hour} after {prev_hour}"
-            )
-        prev_hour = record.hour
-        while record.hour >= lo + chunk_hours:
-            buffer.sort(key=lambda r: (r.hour, r.probe_id, r.family))
-            yield close_chunk(assembler.feed(buffer), final=False)
-            buffer = []
-            index += 1
-            lo += chunk_hours
-        buffer.append(record)
-    buffer.sort(key=lambda r: (r.hour, r.probe_id, r.family))
-    closed = assembler.feed(buffer)
-    while index < min_chunks - 1:
-        yield close_chunk(closed, final=False)
-        closed = []
-        index += 1
-        lo += chunk_hours
-    closed.extend(assembler.flush())
-    yield close_chunk(closed, final=True)
-
-
 # -- association triples -------------------------------------------------------
 
 
@@ -589,13 +411,11 @@ __all__ = [
     "JsonlRunSource",
     "NetworkInfo",
     "ProbeInfo",
-    "RunAssembler",
     "RunChunk",
     "RunEvent",
     "ScenarioRunSource",
     "StreamManifest",
     "manifest_from_scenario",
-    "record_chunks",
     "stream_triples_from_csv",
     "write_run_stream",
 ]

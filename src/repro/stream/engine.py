@@ -4,13 +4,13 @@
 windows one at a time and keeps only bounded state, all of it NumPy
 arrays (see :data:`_STATE_ARRAYS`): per probe, the last run of each
 family track, the pending merged /64 prefix run and the periodicity
-accumulators; flat merged IPv6 coverage intervals and pending
-dual-stack durations; and per-network accumulators (a sparse duration
-histogram, CPL tallies, crossing counts).  Because every batch artifact
-is a function of order-independent multisets and exact integral-float
-sums, folding chunk-by-chunk reproduces the batch ``engine="fused"``
-report *bit-identically* — any chunk size, with or without a
-checkpoint/restore in the middle (the replay-parity tests and
+accumulators; flat merged IPv6 coverage intervals; and per-network
+accumulators (a sparse duration histogram, CPL tallies, crossing
+counts).  Because every batch artifact is a function of
+order-independent multisets and exact integral-float sums, folding
+chunk-by-chunk reproduces the batch ``engine="fused"`` report
+*bit-identically* — any chunk size, with or without a checkpoint/restore
+in the middle (the replay-parity tests and
 :func:`repro.perf.verify.streaming_replay_diffs` enforce this).
 
 Incremental semantics mirror the batch pipeline exactly:
@@ -22,10 +22,14 @@ Incremental semantics mirror the batch pipeline exactly:
 * IPv6 runs are rekeyed to their /64 and merged across any gap before
   entering the v6 track (``v6_runs_to_prefix_runs`` semantics);
 * an IPv4 duration joins the dual-stack population when the probe's
-  IPv6 coverage of its span reaches 0.9 (``v6_coverage_fraction``); the
-  decision is deferred in a pending queue until the coverage of the
-  span is final (the *frontier* — the first hour at which new IPv6
-  observations could still appear — has passed the span's end).
+  IPv6 coverage of its span reaches 0.9 (``v6_coverage_fraction``),
+  decided in the fold that emits it.
+
+Every chunk carries complete runs and the stream is sorted by ``first``
+(the sources check this), which makes the immediate decision exact: a
+sandwiched IPv4 run ends before the next run's ``first``, which is below
+the chunk's ``end_hour``; any IPv6 run that overlaps it has ``first <=
+end``, so in a ``first``-sorted stream it has already been folded.
 
 Each fold works per family on the chunk's rows stably sorted by probe,
 with each probe's carried row prepended: consecutive-row masks give the
@@ -54,7 +58,7 @@ from repro.stream.chunks import RunChunk, StreamManifest
 _log = get_logger("stream.engine")
 
 #: Version of the engine's checkpoint payload layout.
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 _PLEN = 64
 _N_CPL = _PLEN + 1  # CPL values 0..64
@@ -83,8 +87,6 @@ _HOURS_BITS = 32
 #:   the count and hours of durations within tolerance of each period
 #:   (IPv4 non-dual-stack durations in row 0, IPv6 in row 1);
 #: * ``cov_*`` — merged IPv6 coverage intervals, sorted by (probe, start);
-#: * ``ds_*`` — IPv4 durations awaiting their dual-stack decision,
-#:   sorted by (probe, start);
 #: * ``hist_key``/``hist_count`` — the duration histogram, sorted keys
 #:   ``(network * 3 + kind) << 32 | hours``;
 #: * ``cpl_counts`` — changes per network and CPL; ``cpl_pairs`` the
@@ -107,9 +109,6 @@ _STATE_ARRAYS = {
     "cov_ref": (np.int64, ""),
     "cov_a": (np.int64, ""),
     "cov_b": (np.int64, ""),
-    "ds_ref": (np.int64, ""),
-    "ds_start": (np.int64, ""),
-    "ds_end": (np.int64, ""),
     "hist_key": (np.int64, ""),
     "hist_count": (np.int64, ""),
     "cpl_counts": (np.int64, "NC"),
@@ -175,15 +174,6 @@ def _with_carry(carry: np.ndarray, carried: Sequence[np.ndarray], ref, *columns)
     )
 
 
-def _items(mapping: Optional[dict], width: int = 1):
-    """``(probes, values)`` arrays of a probe-keyed chunk map; values
-    are ``(n, width)`` when ``width > 1``."""
-    mapping = mapping or {}
-    keys = np.fromiter(mapping, dtype=np.int64, count=len(mapping))
-    values = np.array(list(mapping.values()), dtype=np.int64)
-    return keys, values.reshape(len(keys), width) if width > 1 else values
-
-
 class AtlasStreamEngine:
     """Foldable, checkpointable equivalent of ``analyze_atlas_scenario``.
 
@@ -193,6 +183,10 @@ class AtlasStreamEngine:
     by the probe population, not the stream length.  Probes whose ASN
     is not one of the manifest's networks count towards
     :attr:`runs_seen` and are otherwise ignored.
+
+    Chunks must carry complete runs, in ``first`` order across the
+    stream: each IPv4 duration's dual-stack decision is then final in
+    the fold that emits it (see the module docstring).
     """
 
     def __init__(
@@ -260,9 +254,8 @@ class AtlasStreamEngine:
     def fold_chunk(self, chunk: RunChunk) -> None:
         """Fold one chunk's runs into the incremental state.
 
-        Both families fold before the pending dual-stack queue drains,
-        so every IPv6 run relevant to a completed IPv4 duration's
-        coverage has arrived by the time it is decided.
+        Both families fold before the chunk's IPv4 durations are
+        decided, so every IPv6 run that overlaps one has arrived.
         """
         featured = self._net_of[chunk.ref] >= 0
         exact = []
@@ -278,12 +271,8 @@ class AtlasStreamEngine:
                 runs = self._merge_prefixes(ref, chunk.value_hi[rows], first, last)
             exact.append(self._step_track(row, *runs))
         self._runs_seen += len(chunk)
-        frontier = np.full(self._n_probes, chunk.end_hour, dtype=np.int64)
-        refs, hours = _items(chunk.frontier)
-        frontier[refs] = hours
-        self._settle(*exact, frontier, *_items(chunk.open_v6, 2))
-        refs, hours = _items(chunk.open_v4)
-        self._prune_coverage(chunk.end_hour, refs, hours)
+        self._settle(*exact)
+        self._prune_coverage(chunk.end_hour)
         self._next_chunk = chunk.index + 1
 
     def _merge_coverage(self, ref, first, last) -> None:
@@ -409,19 +398,16 @@ class AtlasStreamEngine:
             index = self._table.route_index(6, max_plen=_PLEN)
             self._crossings[:, 4] += per_net(index.crosses(old, new))
 
-    def _settle(self, v4_exact, v6_exact, frontier, open_refs, open_extents) -> None:
-        """Queue the new IPv4 durations, decide the queued ones whose
-        coverage is final (:meth:`_drain`), and count every decided and
-        IPv6 duration in one histogram merge."""
-        ref, start, end = (
-            np.concatenate((queued, new))
-            for queued, new in zip((self._ds_ref, self._ds_start, self._ds_end), v4_exact)
-        )
-        # A probe's new durations start after its queued ones, so a
-        # stable sort by probe keeps the queue in (probe, start) order.
-        order = np.argsort(ref, kind="stable")
-        self._ds_ref, self._ds_start, self._ds_end = ref[order], start[order], end[order]
-        ref, hours, dual = self._drain(frontier, open_refs, open_extents)
+    def _settle(self, v4_exact, v6_exact) -> None:
+        """Decide the IPv4 durations' dual-stack kind and count them and
+        the IPv6 durations in one histogram merge.
+
+        A duration is dual-stack when the probe's IPv6 coverage of its
+        span reaches ``min_coverage``.
+        """
+        ref, start, end = v4_exact
+        hours = end - start + 1
+        dual = np.minimum(1.0, self._covered(ref, start, end) / hours) >= self._min_coverage
         v6_ref, v6_start, v6_end = v6_exact
         self._add_durations(
             np.concatenate((np.where(dual, _V4_DS, _V4_NDS), np.full(len(v6_ref), _V6))),
@@ -489,48 +475,15 @@ class AtlasStreamEngine:
 
         return covered_up_to(end) - covered_up_to(start - 1)
 
-    def _drain(self, frontier: Optional[np.ndarray], open_refs, open_extents):
-        """Decide queued IPv4 durations whose coverage is final.
-
-        A duration is dual-stack the moment coverage reaches the
-        threshold (coverage only grows); it is non-dual-stack once the
-        probe's IPv6 frontier has passed its end (no further overlap can
-        appear), or at once when ``frontier`` is ``None`` (end of
-        stream).  Anything else stays queued.  ``open_extents`` are the
-        ``(first, last)`` extents of still-open IPv6 runs of
-        ``open_refs``.  Returns the decided durations as ``(ref, hours,
-        dual)``.
-        """
-        ref, start, end = self._ds_ref, self._ds_start, self._ds_end
-        covered = self._covered(ref, start, end)
-        if len(open_refs):
-            open_first = np.zeros(self._n_probes, dtype=np.int64)
-            open_last = np.full(self._n_probes, -1, dtype=np.int64)
-            open_first[open_refs], open_last[open_refs] = open_extents.T
-            overlap = np.minimum(open_last[ref], end) - np.maximum(open_first[ref], start) + 1
-            covered += np.maximum(overlap, 0)
-        hours = end - start + 1
-        dual = np.minimum(1.0, covered / hours) >= self._min_coverage
-        single = ~dual if frontier is None else ~dual & (frontier[ref] > end)
-        keep = ~(dual | single)
-        self._ds_ref, self._ds_start, self._ds_end = ref[keep], start[keep], end[keep]
-        decided = ~keep
-        return ref[decided], hours[decided], dual[decided]
-
-    def _prune_coverage(self, end_hour: int, open_refs, open_firsts) -> None:
+    def _prune_coverage(self, end_hour: int) -> None:
         """Drop coverage intervals no future IPv4 duration can overlap:
-        those ending before the probe's ``needed_from`` — the earliest of
-        the chunk end, its IPv4 track's last run, its first queued
-        duration and its still-open IPv4 run (``open_refs``)."""
+        those ending before the probe's ``needed_from`` — the earlier of
+        the chunk end and its IPv4 track's last run's first hour."""
         if not len(self._cov_ref):
             return
         needed = np.full(self._n_probes, end_hour, dtype=np.int64)
         tracked = self._track_count[0] > 0
         np.minimum(needed, self._track_first[0], out=needed, where=tracked)
-        heads = _heads(self._ds_ref)
-        queued = self._ds_ref[heads]
-        needed[queued] = np.minimum(needed[queued], self._ds_start[heads])
-        needed[open_refs] = np.minimum(needed[open_refs], open_firsts)
         keep = self._cov_b >= needed[self._cov_ref]
         self._cov_ref, self._cov_a, self._cov_b = (
             self._cov_ref[keep], self._cov_a[keep], self._cov_b[keep]
@@ -566,19 +519,18 @@ class AtlasStreamEngine:
     def finalize(self) -> AtlasStreamResult:
         """Produce the batch-identical artifacts from the current state.
 
-        The pending /64 runs close and every queued duration is decided;
+        The pending /64 runs close and their IPv6 durations are counted;
         a snapshot taken first is then restored, so a finished state can
         still be extended with further chunks and finalized again.
         """
         saved = self.state_dict()
         try:
             held = np.flatnonzero(self._pend_live)
-            v6_exact = self._step_track(
+            ref, first, last = self._step_track(
                 1, held, self._pend_value[held], self._pend_first[held], self._pend_last[held]
             )
             self._pend_live[:] = False
-            nothing = np.empty(0, dtype=np.int64)
-            self._settle((nothing,) * 3, v6_exact, None, *_items(None, 2))
+            self._add_durations(np.full(len(ref), _V6), ref, last - first + 1)
             return self._artifacts()
         finally:
             self.load_state(saved)

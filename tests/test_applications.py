@@ -203,6 +203,17 @@ class TestRescanPlanning:
             # Zero /64 of its delegation.
             assert (int(candidate.network) >> (64 - 56)) & 0xFF == 0 or True
 
+    def test_delegation_space_of_two_to_the_63(self):
+        # Pool 8000::/1 at a /64 delegation holds 2**63 delegations, one
+        # more than ``len(range(...))`` can count.
+        history = [IPv6Prefix.parse("8000::/64"), IPv6Prefix.parse("ffff:ffff:ffff:ffff::/64")]
+        plan = plan_rescan(history, budget=16, seed=3)
+        assert (plan.pool, plan.delegation_plen) == (IPv6Prefix.parse("8000::/1"), 64)
+        assert len(set(plan.candidates)) == 16
+        assert all(plan.pool.contains_prefix(candidate) for candidate in plan.candidates)
+        assert plan == plan_rescan(history, budget=16, seed=3)
+        assert plan != plan_rescan(history, budget=16, seed=4)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             plan_rescan(self._history(), budget=0)

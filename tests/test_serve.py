@@ -48,6 +48,7 @@ from repro.serve import (
 )
 from repro.serve.engine import PrefixIndex, _prefix_members, build_prefix_index
 from repro.serve.graph import EDGE_KINDS, NODE_KINDS
+from repro.serve.queries import MAX_HITLIST_BUDGET
 from repro.serve.server import MAX_BATCH_QUERIES
 from repro.stream.checkpoint import CheckpointStore
 from repro.workloads import build_atlas_scenario
@@ -416,6 +417,42 @@ class TestServeApp:
         )
         assert status == 400 and "unknown network" in document["error"]
 
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"kind": "stability"}, "'prefix'"),
+            ({"kind": "dualstack"}, "'prefix'"),
+            ({"kind": "hitlist"}, "'prefix'"),
+            ({"kind": "lifetime"}, "'network'"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "budget": None}, "budget"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "budget": [8]}, "budget"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "budget": 8.5}, "budget"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "budget": True}, "budget"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "seed": "1"}, "seed"),
+            ({"kind": "hitlist", "prefix": "2001:db8::/48", "budget": 0}, "budget"),
+            (
+                {"kind": "hitlist", "prefix": "2001:db8::/48", "budget": MAX_HITLIST_BUDGET + 1},
+                "budget",
+            ),
+        ],
+    )
+    def test_malformed_query_gets_400(self, scenario, payload, error):
+        app = ServeApp(scenario)
+        status, document = app.handle("POST", "/query", payload)
+        assert status == 400 and error in document["error"]
+        status, document = app.handle("POST", "/query", {"queries": [payload]})
+        assert status == 400 and error in document["error"]
+
+    def test_batch_queries_must_be_a_list(self, scenario):
+        status, document = ServeApp(scenario).handle("POST", "/query", {"queries": 3})
+        assert status == 400 and "list" in document["error"]
+
+    def test_largest_hitlist_budget_is_served(self, scenario):
+        v6 = observed_prefixes(scenario, 6, 64, limit=1)[0]
+        payload = {"kind": "hitlist", "prefix": str(v6), "budget": MAX_HITLIST_BUDGET}
+        status, document = ServeApp(scenario).handle("POST", "/query", payload)
+        assert status == 200 and document["result"]["budget"] == MAX_HITLIST_BUDGET
+
     def test_client_needs_exactly_one_target(self, scenario):
         with pytest.raises(ValueError):
             ServeClient()
@@ -474,6 +511,11 @@ class TestHttpBody:
     )
     def test_malformed_body_gets_status(self, http_address, content_length, body, status):
         assert _post_status(http_address, content_length, body)[1:2] == [status]
+
+    def test_malformed_query_gets_400(self, http_address):
+        for payload in ({"kind": "lifetime"}, {"queries": [{"kind": "stability"}]}):
+            body = json.dumps(payload).encode()
+            assert _post_status(http_address, str(len(body)), body)[1:2] == ["400"]
 
     def test_oversized_batch_refused_before_parsing(self, http_address):
         # Each entry is an invalid query: had any been parsed, the reply
