@@ -13,8 +13,8 @@ grows), builds and analyzes a synthetic sharded memmap triple store
 out-of-core (gating build/analyze throughput and the analyzer's peak
 RSS against a fraction of what materializing the same tuples as Python
 triples would cost, plus a ``--workers`` build of the same feed that
-must produce a byte-identical digest and — in full mode on
-multi-core hosts — beat the serial build by ``--min-store-build-speedup``
+must produce a byte-identical digest and — in full mode, where at
+least two workers run — beat the serial build by ``--min-store-build-speedup``
 in tuples/s, and a 7-day-window stream replay of the store checked
 against the out-of-core analysis), times the end-to-end report suite (all artifacts
 plus periodicity) under the single-pass ``fused`` engine — enforcing
@@ -23,19 +23,20 @@ delta — exercises the ``repro.serve``
 query engine (cold-vs-warm artifact latency, batched-vs-sequential
 coalescing on 64 queries with a ``--min-serve-speedup`` gate in full
 mode, and a served-vs-direct parity sweep over every query family on
-every run), gates the observability plane (disabled-telemetry analysis
-overhead at most ``--max-obs-overhead``, default 1.05x, plus
+every run), gates the observability plane (the analysis with telemetry
+disabled at most ``--max-obs-overhead``, default 1.05x, slower than
+the same analysis with the telemetry helpers stubbed out, plus
 cross-process stitched-trace invariance of a pooled scenario build)
-— and records everything in the
-repo-root ``BENCH_baseline.json`` — the repository's perf trajectory
-artifact.
-Each run is additionally appended to ``BENCH_history.jsonl`` next to
-the baseline, so the perf trend across runs stays inspectable.
+— and, with ``--output PATH``, writes the run's record there as
+``{"bench_baseline": payload}``.  Without ``--output`` nothing is
+written: ``scripts.bench_report`` compares this script's ``--check``
+records against a base commit's, run on the same host.
 
-On a multi-core machine the script *asserts* the parallel build speedup
-(default ``--min-speedup 2.0`` with 4 workers); on a single-core
-box the speedup is recorded but not enforced, since no amount of
-process fan-out can beat the hardware.  The analysis speedup (default
+Where at least two workers actually run (``effective_workers``, the
+requested ``--workers`` clamped to the cores and work units), full mode
+*asserts* the parallel build speedup (default ``--min-speedup 2.0``);
+on a single-core box the speedup is recorded but not enforced, since
+no amount of process fan-out can beat the hardware.  The analysis speedup (default
 ``--min-analysis-speedup 3.0`` on Table 1) *is* enforced in full mode
 regardless of core count — vectorization does not need extra cores.
 
@@ -55,11 +56,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import pickle
+import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 # NumPy 2 imports numpy.ma lazily, on the first plain np.unique call
@@ -76,15 +80,11 @@ from repro.core.engine import resolve_engine  # noqa: E402
 from repro.obs import TELEMETRY_ENV, export_trace, telemetry  # noqa: E402
 from repro.perf.cache import CACHE_DIR_ENV  # noqa: E402
 from repro.perf.profiling import maybe_profile  # noqa: E402
-from repro.perf.timing import (  # noqa: E402
-    RssSampler,
-    append_history,
-    current_rss_bytes,
-    write_baseline,
-)
+from repro.perf.parallel import effective_workers  # noqa: E402
+from repro.perf.timing import RssSampler, current_rss_bytes  # noqa: E402
 from repro.perf.verify import (  # noqa: E402
-    assert_atlas_scenarios_equal,
-    assert_cdn_scenarios_equal,
+    atlas_scenario_diffs,
+    cdn_scenario_diffs,
     serve_diffs,
     telemetry_invariance_diffs,
 )
@@ -203,6 +203,72 @@ def _run_analysis(scenario, engine: str):
     return results, timings
 
 
+class _BareSpan:
+    """A do-nothing span: what a call site costs with no telemetry at all."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+    def set(self, **attrs):
+        return self
+
+
+_BARE_SPAN = _BareSpan()
+
+
+def _bare_span(name, **attrs):
+    return _BARE_SPAN
+
+
+def _bare_metric(name, value=1, **labels):
+    return None
+
+
+#: ``repro.obs`` hot-path helpers and their bare stand-ins.
+_TELEMETRY_STUBS = {
+    "span": _bare_span,
+    "metric_inc": _bare_metric,
+    "metric_observe": _bare_metric,
+    "metric_gauge": _bare_metric,
+}
+
+
+@contextmanager
+def _bare_telemetry():
+    """Swap every loaded ``repro.*`` module's telemetry helpers for bare no-ops.
+
+    Only globals bound to the ``repro.obs`` helpers themselves are
+    swapped (``from repro.obs import span`` copies as well as
+    ``repro.obs``'s own), and every one is restored on exit.
+    """
+    import repro.obs as obs
+
+    originals = {name: getattr(obs, name) for name in _TELEMETRY_STUBS}
+    swapped = []
+    try:
+        for module_name, module in list(sys.modules.items()):
+            if module is None or module_name.partition(".")[0] != "repro":
+                continue
+            namespace = vars(module)
+            for name, original in originals.items():
+                if namespace.get(name) is original:
+                    namespace[name] = _TELEMETRY_STUBS[name]
+                    swapped.append((namespace, name))
+        yield
+    finally:
+        for namespace, name in swapped:
+            namespace[name] = originals[name]
+
+
+#: Stubbed/instrumented analysis rerun pairs behind the obs overhead gate.
+OBS_PAIRS = 3
+
+
 def _materialized_triple_bytes(tuples: int) -> int:
     """Estimated RAM to hold ``tuples`` rows as a list of Python triples.
 
@@ -290,9 +356,12 @@ def run_baseline(args: argparse.Namespace) -> dict:
         cache=False,
         **scale["atlas"],
     )
-    assert_atlas_scenarios_equal(serial_atlas, parallel_atlas)
-    print(f"atlas: serial {atlas_serial_s:.2f}s, {args.workers} workers "
-          f"{atlas_parallel_s:.2f}s — results identical")
+    atlas_workers = effective_workers(args.workers, len(serial_atlas.isps))
+    atlas_diffs = atlas_scenario_diffs(serial_atlas, parallel_atlas)
+    failures.extend(f"atlas parallel build: {diff}" for diff in atlas_diffs)
+    print(f"atlas: serial {atlas_serial_s:.2f}s, {atlas_workers} of "
+          f"{args.workers} workers ran {atlas_parallel_s:.2f}s — results "
+          + ("DIVERGED" if atlas_diffs else "identical"))
 
     serial_cdn, cdn_serial_s = _timed(
         build_cdn_scenario, seed=args.seed, workers=1, cache=False, **scale["cdn"]
@@ -304,9 +373,13 @@ def run_baseline(args: argparse.Namespace) -> dict:
         cache=False,
         **scale["cdn"],
     )
-    assert_cdn_scenarios_equal(serial_cdn, parallel_cdn)
-    print(f"cdn:   serial {cdn_serial_s:.2f}s, {args.workers} workers "
-          f"{cdn_parallel_s:.2f}s — results identical")
+    # The fixed-ISP simulations are the smaller of the build's two pools.
+    cdn_workers = effective_workers(args.workers, len(serial_cdn.fixed_asns))
+    cdn_diffs = cdn_scenario_diffs(serial_cdn, parallel_cdn)
+    failures.extend(f"cdn parallel build: {diff}" for diff in cdn_diffs)
+    print(f"cdn:   serial {cdn_serial_s:.2f}s, {cdn_workers} of "
+          f"{args.workers} workers ran {cdn_parallel_s:.2f}s — results "
+          + ("DIVERGED" if cdn_diffs else "identical"))
 
     # Cache round-trip in a throwaway directory: second build must be a
     # pure load that compares equal to the generated scenario.  Each timed
@@ -325,7 +398,9 @@ def run_baseline(args: argparse.Namespace) -> dict:
             build_atlas_scenario, seed=args.seed, workers=1, cache=True, **scale["atlas"]
         )
         os.environ.pop(CACHE_DIR_ENV, None)
-    assert_atlas_scenarios_equal(cold, warm)
+    failures.extend(
+        f"cache round-trip: {diff}" for diff in atlas_scenario_diffs(cold, warm)
+    )
     if not cache_warm_s < cache_cold_s:
         failures.append(
             f"cache hit ({cache_warm_s:.2f}s) not faster than cold build "
@@ -387,7 +462,10 @@ def run_baseline(args: argparse.Namespace) -> dict:
                 trace_path = export_trace("bench_baseline")
                 print(f"telemetry trace written to {trace_path}")
         telemetry_s = time.perf_counter() - start
-    assert_atlas_scenarios_equal(serial_atlas, traced_atlas)
+    failures.extend(
+        f"traced build: {diff}"
+        for diff in atlas_scenario_diffs(serial_atlas, traced_atlas)
+    )
     telemetry_parity = traced_results == reference_results
     if not telemetry_parity:
         failures.append(
@@ -519,11 +597,11 @@ def run_baseline(args: argparse.Namespace) -> dict:
         # The same feed built with --workers: always exercised (serially
         # on one core) with digest parity against the serial store
         # enforced unconditionally; the >= 2x tuples/s gate only
-        # applies where the hardware can deliver it (full mode,
-        # multi-core, >= 2 workers).
+        # applies where the hardware can deliver it (full mode, >= 2
+        # workers actually running the shard compaction).
         import shutil as _shutil
 
-        store_cores = os.cpu_count() or 1
+        store_workers = effective_workers(args.workers, store_scale["shards"])
         with maybe_profile("store_build_parallel"):
             start = time.perf_counter()
             parallel_store = build_store_from_columns(
@@ -547,12 +625,10 @@ def run_baseline(args: argparse.Namespace) -> dict:
                 "parallel store build digest differs from serial build"
             )
         build_speedup = store_build_s / max(store_parallel_s, 1e-9)
-        build_speedup_enforced = (
-            not args.check and store_cores >= 2 and args.workers >= 2
-        )
+        build_speedup_enforced = not args.check and store_workers >= 2
         print(
-            f"store: parallel build ({args.workers} workers on "
-            f"{store_cores} core(s)) {store_parallel_s:.2f}s "
+            f"store: parallel build ({store_workers} of {args.workers} "
+            f"workers ran) {store_parallel_s:.2f}s "
             f"({parallel_rate:.0f} tuples/s), speedup {build_speedup:.2f}x"
             + ("" if build_speedup_enforced else " (not enforced)")
             + ", digest "
@@ -644,6 +720,7 @@ def run_baseline(args: argparse.Namespace) -> dict:
             "build_seconds": round(store_build_s, 4),
             "build_tuples_per_second": round(build_rate, 1),
             "build_workers": args.workers,
+            "build_effective_workers": store_workers,
             "build_parallel_seconds": round(store_parallel_s, 4),
             "build_parallel_tuples_per_second": round(parallel_rate, 1),
             "build_speedup": round(build_speedup, 3),
@@ -780,22 +857,33 @@ def run_baseline(args: argparse.Namespace) -> dict:
     # Observability plane: the instrumentation must be near-free when
     # telemetry is *disabled* (the default), and the cross-process trace
     # stitching must not perturb a pooled scenario build.  The overhead
-    # gate re-times the same analysis stages measured earlier — both
-    # runs execute every guarded metric/span call site, so the ratio
-    # catches a disabled-path helper growing real work.  The rerun
-    # starts from fresh column packs, as the first fused pass did, and
-    # both sides sum the same per-stage timers (packing excluded), so
-    # the ratio compares like with like.
-    serial_atlas.invalidate_analysis_columns()
-    with maybe_profile("obs_disabled_overhead"):
-        obs_results, obs_timings = _run_analysis(serial_atlas, reference_engine)
-    if obs_results != reference_results:
-        failures.append(
-            "obs stage parity violated: instrumented rerun != reference"
-        )
-    obs_disabled_s = sum(obs_timings.values())
-    obs_baseline_s = sum(fused_timings.values())
-    obs_overhead = obs_disabled_s / max(obs_baseline_s, 1e-9)
+    # gate times the analysis stages with the telemetry helpers as
+    # shipped (disabled) against the same stages with every call site's
+    # helpers swapped for bare no-ops, so a disabled-path helper that
+    # grows real work shows up as the ratio.  Stubbed and instrumented
+    # reruns alternate, each from fresh column packs, and the median
+    # per-pair ratio is gated.
+    obs_pairs = []
+    for pair in range(OBS_PAIRS):
+        timed = {}
+        for stubbed in ((True, False) if pair % 2 == 0 else (False, True)):
+            serial_atlas.invalidate_analysis_columns()
+            with _bare_telemetry() if stubbed else nullcontext():
+                obs_results, obs_timings = _run_analysis(
+                    serial_atlas, reference_engine
+                )
+            if obs_results != reference_results:
+                failures.append(
+                    "obs stage parity violated: "
+                    f"{'stubbed' if stubbed else 'instrumented'} rerun != reference"
+                )
+            timed[stubbed] = sum(obs_timings.values())
+        obs_pairs.append((timed[False], timed[True]))
+    obs_disabled_s = statistics.median(disabled for disabled, _ in obs_pairs)
+    obs_baseline_s = statistics.median(stubbed for _, stubbed in obs_pairs)
+    obs_overhead = statistics.median(
+        disabled / max(stubbed, 1e-9) for disabled, stubbed in obs_pairs
+    )
     obs_enforced = not args.check
     if obs_enforced and obs_overhead > args.max_obs_overhead:
         failures.append(
@@ -816,7 +904,8 @@ def run_baseline(args: argparse.Namespace) -> dict:
         failures.append(f"obs stage invariance violated: {diff}")
     print(
         f"obs: disabled-telemetry analysis {obs_disabled_s:.3f}s vs "
-        f"{obs_baseline_s:.3f}s baseline ({obs_overhead:.2f}x"
+        f"{obs_baseline_s:.3f}s stubbed (median of {OBS_PAIRS} pairs "
+        f"{obs_overhead:.2f}x"
         + ("" if obs_enforced else ", not enforced")
         + f"), stitched pooled invariance {obs_stitch_s:.2f}s "
         + ("clean" if not stitch_diffs else f"{len(stitch_diffs)} DIFFS")
@@ -825,6 +914,7 @@ def run_baseline(args: argparse.Namespace) -> dict:
         "disabled_seconds": round(obs_disabled_s, 4),
         "baseline_seconds": round(obs_baseline_s, 4),
         "disabled_overhead": round(obs_overhead, 4),
+        "pairs": OBS_PAIRS,
         "max_overhead": args.max_obs_overhead,
         "overhead_enforced": obs_enforced,
         "stitch_seconds": round(obs_stitch_s, 4),
@@ -836,8 +926,9 @@ def run_baseline(args: argparse.Namespace) -> dict:
     total_parallel = atlas_parallel_s + cdn_parallel_s
     speedup = total_serial / max(total_parallel, 1e-9)
     cores = os.cpu_count() or 1
-    speedup_enforced = not args.check and cores >= 2 and args.workers >= 2
-    print(f"build speedup with {args.workers} workers on {cores} core(s): "
+    speedup_enforced = not args.check and min(atlas_workers, cdn_workers) >= 2
+    print(f"build speedup with {atlas_workers} (atlas) / {cdn_workers} (cdn) "
+          f"of {args.workers} workers on {cores} core(s): "
           f"{speedup:.2f}x" + ("" if speedup_enforced else " (not enforced)"))
     if speedup_enforced and speedup < args.min_speedup:
         failures.append(
@@ -853,11 +944,13 @@ def run_baseline(args: argparse.Namespace) -> dict:
             "atlas": {
                 "serial_seconds": round(atlas_serial_s, 4),
                 "parallel_seconds": round(atlas_parallel_s, 4),
+                "effective_workers": atlas_workers,
                 **scale["atlas"],
             },
             "cdn": {
                 "serial_seconds": round(cdn_serial_s, 4),
                 "parallel_seconds": round(cdn_parallel_s, 4),
+                "effective_workers": cdn_workers,
                 **scale["cdn"],
             },
         },
@@ -882,16 +975,12 @@ def run_baseline(args: argparse.Namespace) -> dict:
         "speedup": round(speedup, 4),
         "speedup_enforced": speedup_enforced,
         "peak_rss_bytes": current_rss_bytes(),
-        "deterministic": True,
+        "deterministic": not (atlas_diffs or cdn_diffs),
     }
-    write_baseline("bench_baseline", payload, path=args.output)
-    print(f"baseline written to {args.output}")
-    history_path = append_history(
-        "bench_baseline",
-        {**payload, "ok": not failures},
-        path=Path(args.output).with_name("BENCH_history.jsonl"),
-    )
-    print(f"run appended to {history_path}")
+    if args.output is not None:
+        with open(args.output, "w") as stream:
+            json.dump({"bench_baseline": payload}, stream)
+        print(f"record written to {args.output}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -902,15 +991,16 @@ def run_baseline(args: argparse.Namespace) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="Time serial-vs-parallel scenario builds and record the baseline."
+        description="Time and verify the scenario builds, analyses, store, "
+        "serve and telemetry stages."
     )
     parser.add_argument("--check", action="store_true",
                         help="CI smoke mode: tiny scales, no speedup assertion")
     parser.add_argument("--workers", type=int, default=4,
                         help="parallel worker count to benchmark (default: 4)")
     parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required serial/parallel speedup on multi-core "
-                        "hosts (default: 2.0)")
+                        help="required serial/parallel speedup where >= 2 "
+                        "workers run (default: 2.0)")
     parser.add_argument("--min-analysis-speedup", type=float, default=3.0,
                         help="required py/fused speedup on the Table 1 analysis "
                         "stage in full mode (default: 3.0)")
@@ -936,12 +1026,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "ratio in full mode (default: 1.05)")
     parser.add_argument("--min-store-build-speedup", type=float, default=2.0,
                         help="required parallel-vs-serial store build "
-                        "tuples/s speedup in full mode on multi-core hosts "
-                        "(default: 2.0)")
+                        "tuples/s speedup in full mode where >= 2 workers "
+                        "run (default: 2.0)")
     parser.add_argument("--seed", type=int, default=2020)
-    parser.add_argument("--output", type=Path,
-                        default=_REPO_ROOT / "BENCH_baseline.json",
-                        help="baseline artifact path (default: repo root)")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the run's record here as JSON "
+                        "(default: write nothing)")
     return parser
 
 

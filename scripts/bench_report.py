@@ -1,46 +1,53 @@
-"""Render the ``BENCH_history.jsonl`` perf trend and gate regressions.
+"""Same-host perf gate: ``bench_baseline --check`` A/B against a base commit.
 
-Reads the JSONL history that ``scripts.bench_baseline`` appends on every
-run and prints the per-stage wall times (scenario builds, the analysis
-stages, telemetry, streaming, the out-of-core store, and the end-to-end
-fused report suite, serial and pooled) plus the store
-build/analyze/stream throughputs (tuples/s) as one fixed-width table per
-benchmark mode (``check`` vs ``full`` runs are never compared against
-each other — they run at different scales).
+Extracts the base commit with ``git archive`` into a temporary directory
+(no worktree, no ``.git`` change), then runs
+``python -m scripts.bench_baseline --check --output <tmp>`` :data:`PAIRS`
+times in that tree and as often in the working tree, alternating which
+tree goes first.  Every run is a fresh interpreter whose cwd and
+``PYTHONPATH`` point at its own tree, so both sides time the same stages
+on the same host, minutes apart.
+
+The per-stage wall times (scenario builds, the analysis stages,
+telemetry, streaming, the out-of-core store and the fused report suite)
+and the store build/analyze/stream throughputs (tuples/s) are reduced to
+per-side medians and printed as one table.  The gate fails (exit 1) when
+a stage's change median is slower than its base median by more than
+:data:`TOLERANCE` (1.0, i.e. 2x), or when a throughput falls below the
+base by more than the same factor; the synthetic ``end_to_end`` row sums
+the stages both sides recorded and is gated the same way.  Stages only
+one side recorded are skipped, so a PR that adds or removes a stage is
+never failed for it.
+
+The base is ``HEAD`` when tracked files differ from it, else ``HEAD~1``;
+``--base REV`` names another revision.  A base that cannot be resolved
+(a shallow clone) passes with a note.  A failing working-tree run fails
+the gate and prints that run's stderr; a failing base run is reported as
+a base failure, and the gate then rests on the working tree's own checks.
 
 Usage::
 
-    PYTHONPATH=src python -m scripts.bench_report            # print trend
-    PYTHONPATH=src python -m scripts.bench_report --check    # gate newest run
-
-``--check`` compares the newest entry of each mode against up to the
-three previous same-mode entries and fails (exit 1) only when a stage
-is slower than *every* one of them by more than ``--tolerance`` (for
-the throughput stages: when its tuples/s rate fell below every one of
-them by more than the same factor)
-(default 1.0, i.e. 2x — recorded history on loaded single-core hosts
-shows untouched stages jittering by 1.8x run to run, so anything
-tighter gates on the weather; pass a smaller ``--tolerance`` on quiet
-dedicated hardware).  Stages absent from either side — e.g. history
-recorded before the stage existed — are skipped, so the gate is safe
-to run against old history files, and a missing or short history
-passes with a note rather than failing.
+    PYTHONPATH=src python -m scripts.bench_report               # vs the parent
+    PYTHONPATH=src python -m scripts.bench_report --base HEAD~3
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.core.report import render_table  # noqa: E402
-from repro.perf.timing import DEFAULT_HISTORY_PATH  # noqa: E402
 
 
 def _get(entry: dict, *path):
@@ -54,18 +61,13 @@ def _get(entry: dict, *path):
 
 
 def _analysis_seconds(entry: dict, stage: str) -> Optional[float]:
-    """Fast-engine seconds of one analysis stage: ``fused_seconds``, or
-    the ``np_seconds`` that history recorded before the fused engine
-    became the only fast path (so new runs gate against old ones)."""
-    seconds = _get(entry, "analysis", "stages", stage, "fused_seconds")
-    if seconds is None:
-        seconds = _get(entry, "analysis", "stages", stage, "np_seconds")
-    return seconds
+    """Fused-engine seconds of one analysis stage."""
+    return _get(entry, "analysis", "stages", stage, "fused_seconds")
 
 
-#: Stage label -> extractor over one history entry, in display order.
-#: Extractors return seconds (float) or None when the entry predates
-#: the stage or the stage was skipped (e.g. numpy unavailable).
+#: Stage label -> extractor over one ``bench_baseline`` payload, in
+#: display order.  Extractors return seconds (float) or None when the
+#: payload predates the stage or the stage was skipped.
 STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "build_atlas": lambda e: _get(e, "build", "atlas", "serial_seconds"),
     "build_cdn": lambda e: _get(e, "build", "cdn", "serial_seconds"),
@@ -83,10 +85,10 @@ STAGE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
 }
 
 #: Stage label -> throughput extractor (tuples/s, higher is better).
-#: Gated inversely to the seconds stages: a regression is the newest
-#: run's *rate* falling below every recent same-mode run's by more than
-#: the tolerance factor.  Store build/analyze regressions trip CI here
-#: even when their wall seconds hide inside the end-to-end sum.
+#: Gated inversely to the seconds stages: a regression is the change's
+#: rate falling below the base rate by more than the tolerance factor.
+#: Store build/analyze regressions trip the gate here even when their
+#: wall seconds hide inside the end-to-end sum.
 RATE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "store_build_rate": lambda e: _get(e, "store", "build_tuples_per_second"),
     "store_build_parallel_rate": lambda e: _get(
@@ -96,45 +98,29 @@ RATE_EXTRACTORS: Dict[str, Callable[[dict], Optional[float]]] = {
     "store_stream_rate": lambda e: _get(e, "store", "stream_tuples_per_second"),
 }
 
-#: Synthetic end-to-end row: the sum of every recorded stage, so the
-#: trend table closes with one comparable total per run.
+#: Synthetic end-to-end row: the sum of every stage both sides recorded.
 END_TO_END = "end_to_end"
 
+#: Allowed fractional slowdown per stage: 1.0 is 2x.  Untouched
+#: check-scale stages jitter by up to ~1.8x run to run on loaded shared
+#: hosts, so anything tighter gates on the weather.
+TOLERANCE = 1.0
 
-def load_history(path: Path, section: str = "bench_baseline") -> List[dict]:
-    """Parse the history JSONL, keeping well-formed ``section`` entries."""
-    entries = []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return entries
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and record.get("section") == section:
-            entries.append(record)
-    return entries
+#: Alternating base/change run pairs per gate.
+PAIRS = 3
 
 
 def stage_seconds(entry: dict) -> Dict[str, float]:
-    """Per-stage wall times of one entry, plus the end-to-end sum."""
-    stages = {
+    """Per-stage wall times of one payload."""
+    return {
         label: value
         for label, extract in STAGE_EXTRACTORS.items()
         if (value := extract(entry)) is not None
     }
-    if stages:
-        stages[END_TO_END] = round(sum(stages.values()), 4)
-    return stages
 
 
 def stage_rates(entry: dict) -> Dict[str, float]:
-    """Per-stage throughputs (tuples/s) of one entry; no synthetic sum."""
+    """Per-stage throughputs (tuples/s) of one payload."""
     return {
         label: value
         for label, extract in RATE_EXTRACTORS.items()
@@ -142,152 +128,170 @@ def stage_rates(entry: dict) -> Dict[str, float]:
     }
 
 
-def trend_table(entries: List[dict], mode: str, last: int) -> Optional[str]:
-    """The per-stage trend of ``mode`` entries as a rendered table."""
-    selected = [e for e in entries if e.get("mode") == mode][-last:]
-    if not selected:
-        return None
-    per_run = [stage_seconds(entry) for entry in selected]
-    per_run_rates = [stage_rates(entry) for entry in selected]
-    headers = ["stage"] + [
-        str(entry.get("recorded", "?"))[:19] for entry in selected
-    ]
-    rows = []
-    for label in [*STAGE_EXTRACTORS, END_TO_END]:
-        values = [run.get(label) for run in per_run]
-        if all(value is None for value in values):
-            continue
-        rows.append(
-            [label] + [f"{v:.3f}s" if v is not None else "-" for v in values]
+def _medians(per_run: List[Dict[str, float]]) -> Dict[str, float]:
+    """Per-label median over the runs that recorded the label."""
+    values: Dict[str, List[float]] = {}
+    for run in per_run:
+        for label, value in run.items():
+            values.setdefault(label, []).append(value)
+    return {label: statistics.median(found) for label, found in values.items()}
+
+
+def compare(
+    base: Sequence[dict], change: Sequence[dict], tolerance: float = TOLERANCE
+) -> Tuple[List[list], List[str]]:
+    """Table rows and failures of the change medians vs the base medians.
+
+    Each row is ``[stage, base, change, ratio]``, where ratio is the
+    slowdown (change/base for seconds, base/change for rates), so above
+    1 is worse.  A stage fails when its ratio exceeds ``1 + tolerance``.
+    Stages absent from either side, or with a zero base, are skipped.
+    """
+    base_s = _medians([stage_seconds(entry) for entry in base])
+    change_s = _medians([stage_seconds(entry) for entry in change])
+    base_r = _medians([stage_rates(entry) for entry in base])
+    change_r = _medians([stage_rates(entry) for entry in change])
+    rows: List[list] = []
+    failures: List[str] = []
+
+    def _gate(label, old, new, rate=False):
+        if old <= 0:
+            return
+        ratio = old / new if rate else new / old
+        fmt = "{:,.0f}/s" if rate else "{:.3f}s"
+        rows.append([label, fmt.format(old), fmt.format(new), f"{ratio:.2f}x"])
+        if ratio > 1.0 + tolerance:
+            failures.append(
+                f"{label} regressed {ratio:.2f}x: {fmt.format(old)} -> "
+                f"{fmt.format(new)} (tolerance {1.0 + tolerance:.2f}x)"
+            )
+
+    shared = [label for label in STAGE_EXTRACTORS if label in base_s and label in change_s]
+    for label in shared:
+        _gate(label, base_s[label], change_s[label])
+    if shared:
+        _gate(
+            END_TO_END,
+            sum(base_s[label] for label in shared),
+            sum(change_s[label] for label in shared),
         )
     for label in RATE_EXTRACTORS:
-        values = [run.get(label) for run in per_run_rates]
-        if all(value is None for value in values):
-            continue
-        rows.append(
-            [label] + [f"{v:,.0f}/s" if v is not None else "-" for v in values]
-        )
-    return render_table(
-        headers, rows, title=f"BENCH_history trend — mode={mode} "
-        f"(last {len(selected)} run(s))"
+        if label in base_r and label in change_r:
+            _gate(label, base_r[label], change_r[label], rate=True)
+    return rows, failures
+
+
+class ChangeRunFailed(RuntimeError):
+    """A ``bench_baseline --check`` run in the changed tree exited non-zero."""
+
+
+def _bench_run(tree: Path, output: Path) -> subprocess.CompletedProcess:
+    """One ``bench_baseline --check`` in a fresh interpreter rooted at ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "scripts.bench_baseline", "--check",
+         "--output", str(output)],
+        cwd=tree, env=env, capture_output=True, text=True,
     )
 
 
-#: Same-mode predecessors considered per stage in ``--check`` mode.
-BASELINE_WINDOW = 3
+def collect_runs(
+    base_tree: Path, change_tree: Path, workdir: Path, pairs: int = PAIRS
+) -> Tuple[List[dict], List[dict], Optional[str]]:
+    """Alternate ``pairs`` base/change runs; returns both sides' payloads.
 
-
-def check_regressions(entries: List[dict], tolerance: float) -> List[str]:
-    """Stage regressions of the newest run vs its same-mode window.
-
-    A stage fails only when the newest run is slower than *every* one
-    of the last :data:`BASELINE_WINDOW` same-mode predecessors that
-    recorded it by more than ``tolerance`` — one historically noisy
-    run can never mask a regression the rest of the window would
-    catch, and one historically *fast* run can't trip the gate on its
-    own.  The end-to-end total is re-summed per predecessor over the
-    stages shared with the newest entry, so history written before a
-    stage existed never counts the new stage as a regression.  The
-    store throughput stages (:data:`RATE_EXTRACTORS`, tuples/s) are
-    gated the same way with the ratio inverted — higher is better, so
-    the newest rate must fall below every recent run's by more than the
-    tolerance factor to fail.  Returns human-readable failure strings;
-    empty means the gate passes.
+    The third element is the stderr of a failed base run (no further
+    base runs follow it), or None.  A failed change run raises
+    :class:`ChangeRunFailed` carrying its stderr.
     """
-    failures = []
-    for mode in ("check", "full"):
-        selected = [e for e in entries if e.get("mode") == mode]
-        if len(selected) < 2:
-            continue
-        window = [stage_seconds(e) for e in selected[-1 - BASELINE_WINDOW:-1]]
-        newest = stage_seconds(selected[-1])
-        rate_window = [stage_rates(e) for e in selected[-1 - BASELINE_WINDOW:-1]]
-        newest_rates = stage_rates(selected[-1])
-        # Per label: the smallest newest-vs-predecessor slowdown ratio,
-        # i.e. the comparison against the stage's most favorable recent
-        # run (for rates the ratio is old/new, so "slowdown" throughout).
-        best: Dict[str, tuple] = {}
+    runs: Dict[str, List[dict]] = {"base": [], "change": []}
+    base_error = None
+    for pair in range(pairs):
+        order = [("base", base_tree), ("change", change_tree)]
+        if pair % 2:
+            order.reverse()
+        for side, tree in order:
+            if side == "base" and base_error is not None:
+                continue
+            output = workdir / f"{side}-{pair}.json"
+            proc = _bench_run(tree, output)
+            if proc.returncode != 0:
+                if side == "change":
+                    raise ChangeRunFailed(proc.stderr)
+                base_error = proc.stderr
+                continue
+            runs[side].append(json.loads(output.read_text())["bench_baseline"])
+            print(f"pair {pair + 1}/{pairs}: {side} run done", flush=True)
+    return runs["base"], runs["change"], base_error
 
-        def _consider(label, old_value, new_value, invert=False):
-            if old_value is None or old_value <= 0 or new_value is None:
-                return
-            if invert and new_value <= 0:
-                return
-            ratio = old_value / new_value if invert else new_value / old_value
-            if label not in best or ratio < best[label][0]:
-                best[label] = (ratio, old_value, new_value)
 
-        for previous in window:
-            shared = [
-                label for label in STAGE_EXTRACTORS
-                if label in previous and label in newest
-            ]
-            for label in shared:
-                _consider(label, previous[label], newest[label])
-            if shared:
-                _consider(
-                    END_TO_END,
-                    sum(previous[label] for label in shared),
-                    sum(newest[label] for label in shared),
-                )
-        for previous in rate_window:
-            for label in RATE_EXTRACTORS:
-                if label in previous and label in newest_rates:
-                    _consider(
-                        label, previous[label], newest_rates[label], invert=True
-                    )
-        for label, (ratio, old_value, new_value) in sorted(best.items()):
-            if ratio > 1.0 + tolerance:
-                unit = "/s" if label in RATE_EXTRACTORS else "s"
-                fmt = "{:,.0f}" if label in RATE_EXTRACTORS else "{:.3f}"
-                failures.append(
-                    f"[{mode}] {label} regressed {ratio:.2f}x: "
-                    f"{fmt.format(old_value)}{unit} -> "
-                    f"{fmt.format(new_value)}{unit} "
-                    f"(tolerance {1.0 + tolerance:.2f}x)"
-                )
-    return failures
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=_REPO_ROOT, capture_output=True)
+
+
+def resolve_base(rev: Optional[str] = None) -> Optional[str]:
+    """The base commit's sha: ``rev``, else HEAD when tracked files differ
+    from it, else HEAD~1.  None when the revision does not resolve."""
+    if rev is None:
+        rev = "HEAD" if _git("diff", "--quiet", "HEAD", "--").returncode else "HEAD~1"
+    sha = _git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}").stdout
+    return sha.decode().strip() or None
+
+
+def extract_tree(sha: str, destination: Path) -> None:
+    """Write commit ``sha``'s tracked files into ``destination``."""
+    archive = _git("archive", "--format=tar", sha)
+    if archive.returncode:
+        raise RuntimeError(archive.stderr.decode())
+    destination.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(destination)], input=archive.stdout, check=True)
 
 
 def main(argv=None) -> int:
-    """CLI entry point: print the trend, optionally gate regressions."""
+    """CLI entry point: A/B the working tree against the base; 1 on regression."""
     parser = argparse.ArgumentParser(
-        description="Print the BENCH_history.jsonl perf trend per stage."
+        description="Gate per-stage bench_baseline --check medians against "
+        "a base commit's, run on this host."
     )
-    parser.add_argument("--history", type=Path, default=DEFAULT_HISTORY_PATH,
-                        help="history JSONL path (default: repo root)")
-    parser.add_argument("--last", type=int, default=5,
-                        help="runs per mode to show in the table (default: 5)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail when the newest run regressed vs the "
-                        "previous same-mode run beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=1.0,
-                        help="allowed fractional slowdown per stage vs the "
-                        "most favorable recent same-mode run in --check "
-                        "mode (default: 1.0 = 2x, sized for shared-host "
-                        "timing noise)")
+    parser.add_argument("--base", default=None,
+                        help="base revision (default: HEAD when tracked files "
+                        "differ from it, else HEAD~1)")
     args = parser.parse_args(argv)
 
-    entries = load_history(args.history)
-    if not entries:
-        print(f"no bench_baseline history at {args.history}")
+    sha = resolve_base(args.base)
+    if sha is None:
+        print(f"bench_report: base {args.base or 'revision'} does not resolve "
+              "(shallow clone?); nothing to compare, gate skipped")
         return 0
-    printed = False
-    for mode in ("check", "full"):
-        table = trend_table(entries, mode, max(args.last, 1))
-        if table is not None:
-            if printed:
-                print()
-            print(table)
-            printed = True
-    if not args.check:
+    print(f"bench_report: {PAIRS} alternating bench_baseline --check pairs, "
+          f"working tree vs {sha[:12]}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ab-") as tmp:
+        base_tree = Path(tmp) / "base"
+        extract_tree(sha, base_tree)
+        try:
+            base, change, base_error = collect_runs(base_tree, _REPO_ROOT, Path(tmp))
+        except ChangeRunFailed as error:
+            print(str(error), file=sys.stderr)
+            print("FAIL: bench_baseline --check failed in the working tree",
+                  file=sys.stderr)
+            return 1
+    if base_error is not None:
+        print(base_error, file=sys.stderr)
+        print(f"bench_report: base failure — bench_baseline --check failed at "
+              f"{sha[:12]}; nothing to compare, the working tree's own checks "
+              "passed")
         return 0
-    failures = check_regressions(entries, args.tolerance)
+    rows, failures = compare(base, change)
+    print(render_table(
+        ["stage", "base", "change", "ratio"], rows,
+        title=f"bench_baseline --check medians of {len(change)} run(s), "
+        f"base {sha[:12]} vs working tree",
+    ))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("bench_report --check: no stage regressions beyond tolerance")
+    print("bench_report: no stage regressions beyond tolerance")
     return 0
 
 

@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
-# Repo health check: lint (when available) + tests + bench smoke and trend
-# gate + the repo benchmark's smoke test.
+# Repo health check: lint (when available) + tests + the same-host perf
+# gate + the repo benchmark's smoke test + the paper-shape benchmarks.
 #
 #   ./scripts/check.sh
 #
 # Runs, in order:
 #   1. ruff check src/ tests/ scripts/   (skipped when ruff is not installed)
 #   2. python -m pytest -x -q            (the tier-1 suite)
-#   3. python -m scripts.bench_baseline --check   (incl. the obs stage:
-#      disabled-telemetry overhead + stitched pooled-trace invariance)
-#   4. python -m scripts.bench_report --check   (perf-trend regression gate)
-#   5. python3 perfbench/smoke.py   (every benchmark workload at a tiny scale,
+#   3. python -m scripts.bench_report   (runs bench_baseline --check three
+#      times in the working tree and three times in the base commit —
+#      HEAD when tracked files differ from it, else HEAD~1 — extracted
+#      with git archive, alternating; every run enforces the
+#      bench's own checks — determinism, parity, the obs stage's stitched
+#      pooled-trace invariance — and the per-stage medians must stay
+#      within 2x of the parent's; ~40 s)
+#   4. python3 perfbench/smoke.py   (every benchmark workload at a tiny scale,
 #      untraced and traced: metrics present, reference checks pass; ~40 s)
-#   6. python -m pytest benchmarks -q --benchmark-disable   (the paper-shape
+#   5. python -m pytest benchmarks -q --benchmark-disable   (the paper-shape
 #      gate: every table/figure benchmark's qualitative assertions; ~40 s)
 #
 # Exits non-zero on the first failure.
@@ -35,11 +39,8 @@ fi
 echo "== pytest =="
 python -m pytest -x -q
 
-echo "== bench_baseline --check =="
-python -m scripts.bench_baseline --check
-
-echo "== bench_report --check =="
-python -m scripts.bench_report --check
+echo "== bench_report (same-host A/B vs the parent) =="
+python -m scripts.bench_report
 
 echo "== perfbench smoke =="
 python3 perfbench/smoke.py

@@ -21,18 +21,11 @@ from repro.perf.parallel import (
     run_isp_simulations,
 )
 from repro.perf.profiling import PROFILE_DIR_ENV, PROFILE_ENV, maybe_profile
-from repro.perf.timing import (
-    DEFAULT_BASELINE_PATH,
-    RssSampler,
-    current_rss_bytes,
-    read_baseline,
-    write_baseline,
-)
+from repro.perf.timing import RssSampler, current_rss_bytes
 
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_ENV",
-    "DEFAULT_BASELINE_PATH",
     "PROFILE_DIR_ENV",
     "PROFILE_ENV",
     "RssSampler",
@@ -44,9 +37,7 @@ __all__ = [
     "effective_workers",
     "get_scenario_cache",
     "maybe_profile",
-    "read_baseline",
     "resolve_cache_flag",
     "resolve_workers",
     "run_isp_simulations",
-    "write_baseline",
 ]

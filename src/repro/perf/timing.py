@@ -1,18 +1,14 @@
-"""RSS probes and the ``BENCH_baseline.json`` artifact.
+"""RSS probes and the repository root.
 
 :func:`current_rss_bytes` and :class:`RssSampler` measure resident
-memory.  :func:`write_baseline` merges a named section into the
-repo-root ``BENCH_baseline.json``, the repository's perf trajectory
-artifact, where ``scripts/bench_baseline.py`` records its run;
-:func:`append_history` adds each run to ``BENCH_history.jsonl``.
+memory; :func:`repo_root` locates the checkout that trace and profile
+artifacts are written under.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -31,13 +27,6 @@ def repo_root() -> Path:
     if (candidate / "pyproject.toml").is_file():
         return candidate
     return Path.cwd()
-
-
-#: Repo-root perf artifact (CWD when installed outside a checkout).
-DEFAULT_BASELINE_PATH = repo_root() / "BENCH_baseline.json"
-
-#: Append-only run log kept next to the baseline artifact.
-DEFAULT_HISTORY_PATH = DEFAULT_BASELINE_PATH.with_name("BENCH_history.jsonl")
 
 
 def current_rss_bytes() -> Optional[int]:
@@ -107,60 +96,8 @@ class RssSampler:
         self.sample()
 
 
-def read_baseline(path: Optional[os.PathLike] = None) -> dict:
-    """The current ``BENCH_baseline.json`` contents ({} when absent/corrupt)."""
-    target = Path(path or DEFAULT_BASELINE_PATH)
-    try:
-        data = json.loads(target.read_text())
-    except (OSError, ValueError):
-        return {}
-    return data if isinstance(data, dict) else {}
-
-
-def write_baseline(section: str, payload: dict, path: Optional[os.PathLike] = None) -> dict:
-    """Merge ``payload`` under ``section`` into the baseline artifact.
-
-    Other sections are preserved, so the benchmark harness and the
-    bench-baseline script can each own their part of the file.  Returns
-    the full merged document.
-    """
-    target = Path(path or DEFAULT_BASELINE_PATH)
-    data = read_baseline(target)
-    data[section] = payload
-    data["updated"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    temp = target.with_name(f"{target.name}.tmp{os.getpid()}")
-    temp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(temp, target)
-    return data
-
-
-def append_history(
-    section: str, payload: dict, path: Optional[os.PathLike] = None
-) -> Path:
-    """Append one run's payload as a JSON line to ``BENCH_history.jsonl``.
-
-    Where :func:`write_baseline` keeps only the latest run per section,
-    the history file accumulates every run, so perf trends over time
-    stay inspectable.  Returns the history file path.
-    """
-    target = Path(path or DEFAULT_HISTORY_PATH)
-    record = {
-        "section": section,
-        "recorded": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        **payload,
-    }
-    with target.open("a") as stream:
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-    return target
-
-
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
-    "DEFAULT_HISTORY_PATH",
     "RssSampler",
-    "append_history",
     "current_rss_bytes",
-    "read_baseline",
     "repo_root",
-    "write_baseline",
 ]

@@ -201,27 +201,6 @@ def fused_engine_diffs(
     return diffs
 
 
-def assert_fused_engines_equal(
-    scenario: "AtlasScenario" = None,
-    probes_per_as: int = 4,
-    years: float = 0.5,
-    seed: int = 0,
-    min_probes: int = 2,
-    triples=None,
-) -> None:
-    """Raise AssertionError naming every fused-engine divergence."""
-    diffs = fused_engine_diffs(
-        scenario,
-        probes_per_as=probes_per_as,
-        years=years,
-        seed=seed,
-        min_probes=min_probes,
-        triples=triples,
-    )
-    if diffs:
-        raise AssertionError("fused engine differs: " + "; ".join(diffs))
-
-
 def _streaming_result_diffs(result, batch, periods, label: str) -> List[str]:
     """Artifact-level streamed-vs-batch differences for one streaming pass."""
     diffs: List[str] = []
@@ -440,15 +419,6 @@ def store_diffs(
     return diffs
 
 
-def assert_store_equal(
-    triples: Sequence, directory, shards: Sequence[int] = (1, 4), chunk_days: int = 7
-) -> None:
-    """Raise AssertionError naming every out-of-core divergence."""
-    diffs = store_diffs(triples, directory, shards=shards, chunk_days=chunk_days)
-    if diffs:
-        raise AssertionError("store analysis differs: " + "; ".join(diffs))
-
-
 def telemetry_invariance_diffs(
     probes_per_as: int = 6, years: float = 1.1, seed: int = 0, workers: int = 1
 ) -> List[str]:
@@ -591,25 +561,7 @@ def serve_diffs(
     return diffs
 
 
-def assert_atlas_scenarios_equal(a: AtlasScenario, b: AtlasScenario) -> None:
-    """Raise AssertionError naming every diverging Atlas scenario field."""
-    diffs = atlas_scenario_diffs(a, b)
-    if diffs:
-        raise AssertionError("Atlas scenarios differ: " + "; ".join(diffs))
-
-
-def assert_cdn_scenarios_equal(a: CdnScenario, b: CdnScenario) -> None:
-    """Raise AssertionError naming every diverging CDN scenario field."""
-    diffs = cdn_scenario_diffs(a, b)
-    if diffs:
-        raise AssertionError("CDN scenarios differ: " + "; ".join(diffs))
-
-
 __all__ = [
-    "assert_atlas_scenarios_equal",
-    "assert_cdn_scenarios_equal",
-    "assert_fused_engines_equal",
-    "assert_store_equal",
     "association_oracle_diffs",
     "atlas_scenario_diffs",
     "cdn_scenario_diffs",

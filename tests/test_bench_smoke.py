@@ -2,8 +2,8 @@
 
 Running ``scripts/bench_baseline.py --check`` from the test suite means
 a perf-engine regression (parallel determinism, cache round-trip,
-analysis-engine parity) fails fast in CI instead of surfacing only when
-someone refreshes ``BENCH_baseline.json``.
+analysis-engine parity) fails fast in CI, and the ``--output`` record
+that ``scripts.bench_report`` compares keeps the fields it reads.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.perf.parallel import effective_workers
 from scripts.bench_baseline import main as bench_main
 
 
@@ -27,8 +28,17 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     output = tmp_path / "BENCH_smoke.json"
     assert bench_main(["--check", "--workers", "2", "--output", str(output)]) == 0
     doc = json.loads(output.read_text())
+    assert list(doc) == ["bench_baseline"]  # one section, nothing merged in
     payload = doc["bench_baseline"]
     assert payload["mode"] == "check"
+    assert "ok" not in payload and "recorded" not in payload
+    # The record states the workers that actually ran, next to the
+    # requested count; --check never enforces a speedup.
+    assert payload["workers"] == 2
+    atlas = payload["build"]["atlas"]
+    assert atlas["effective_workers"] == effective_workers(2, None)
+    assert payload["build"]["cdn"]["effective_workers"] == effective_workers(2, None)
+    assert payload["speedup_enforced"] is False
     assert payload["deterministic"] is True
     analysis = payload["analysis"]
     assert analysis["parity"] is True
@@ -48,6 +58,7 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     # and compacted to the byte-identical store as the serial build.
     assert store["parallel_digest_match"] is True
     assert store["build_workers"] == 2
+    assert store["build_effective_workers"] == effective_workers(2, 16)
     assert store["build_parallel_tuples_per_second"] > 0
     assert store["build_speedup"] > 0
     assert store["build_speedup_enforced"] is False  # --check records only
@@ -74,14 +85,14 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert obs["stitch_diffs"] == 0  # pooled stitched build == untraced build
     assert obs["stitch_workers"] == 2
     assert obs["disabled_overhead"] > 0
+    assert obs["disabled_seconds"] > 0 and obs["baseline_seconds"] > 0
+    assert obs["pairs"] == 3
     assert obs["max_overhead"] == 1.05
     assert obs["overhead_enforced"] is False  # --check records, full gates
-    history = tmp_path / "BENCH_history.jsonl"
-    assert history.exists()
-    records = [json.loads(line) for line in history.read_text().splitlines()]
-    assert records and records[-1]["section"] == "bench_baseline"
-    assert records[-1]["ok"] is True
-    assert records[-1]["report"]["parity"] is True
+    # Nothing but the requested record is written: no history, no
+    # repo-root baseline.
+    written = {path.name for path in tmp_path.iterdir()} - {"cache"}
+    assert written == {"BENCH_smoke.json"}
     out = capsys.readouterr().out
     assert "results identical" in out
     assert "artifacts identical" in out
@@ -89,16 +100,11 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert "serve: cold" in out
     assert "obs: disabled-telemetry" in out
 
-    # The trend reporter consumes the freshly appended history and its
-    # regression gate passes on a single-entry history.
-    from scripts.bench_report import main as report_main
+    # Every stage and rate the same-host gate compares is in the record.
+    from scripts.bench_report import RATE_EXTRACTORS, STAGE_EXTRACTORS
 
-    assert report_main(["--history", str(history), "--check"]) == 0
-    out = capsys.readouterr().out
-    assert "report_fused" in out
-    assert "report_np" not in out
-    assert "store_stream_rate" in out
-    assert "end_to_end" in out
+    for label, extract in {**STAGE_EXTRACTORS, **RATE_EXTRACTORS}.items():
+        assert extract(payload) is not None, label
 
 
 def test_profile_hook_writes_artifacts(tmp_path, monkeypatch):
@@ -124,3 +130,25 @@ def test_profile_hook_writes_artifacts(tmp_path, monkeypatch):
     text = tmp_path / "profiles" / "profile_smoke_stage.txt"
     assert stats.exists()
     assert "cumulative" in text.read_text()
+
+
+def test_bare_telemetry_swaps_and_restores_the_helpers():
+    import importlib
+
+    import repro.obs as obs
+    from scripts.bench_baseline import _bare_telemetry
+
+    sanitize_module = importlib.import_module("repro.atlas.sanitize")
+    original_span = obs.span
+    assert sanitize_module.span is original_span
+    with _bare_telemetry():
+        # Both the defining module and a ``from repro.obs import span``
+        # copy see the stub, which still works as a span.
+        assert obs.span is not original_span
+        assert sanitize_module.span is obs.span
+        with obs.span("stubbed", attr=1) as handle:
+            assert handle.set(more=2) is handle
+        assert obs.metric_inc("stubbed.counter") is None
+    assert obs.span is original_span
+    assert sanitize_module.span is original_span
+    assert obs.metric_inc.__module__ == "repro.obs"

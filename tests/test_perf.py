@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
-import json
 import os
 import pickle
 
@@ -28,12 +27,7 @@ from repro.perf.parallel import (
     resolve_workers,
     run_isp_simulations,
 )
-from repro.perf.timing import read_baseline, write_baseline
-from repro.perf.verify import (
-    assert_atlas_scenarios_equal,
-    assert_cdn_scenarios_equal,
-    atlas_scenario_diffs,
-)
+from repro.perf.verify import atlas_scenario_diffs, cdn_scenario_diffs
 from repro.workloads import build_atlas_scenario, build_cdn_scenario
 
 #: Small enough for a sub-second serial build, big enough to exercise
@@ -55,13 +49,13 @@ CDN_SCALE = dict(
 def test_atlas_parallel_matches_serial():
     serial = build_atlas_scenario(seed=11, workers=1, cache=False, **ATLAS_SCALE)
     parallel = build_atlas_scenario(seed=11, workers=2, cache=False, **ATLAS_SCALE)
-    assert_atlas_scenarios_equal(serial, parallel)
+    assert atlas_scenario_diffs(serial, parallel) == []
 
 
 def test_cdn_parallel_matches_serial():
     serial = build_cdn_scenario(seed=11, workers=1, cache=False, **CDN_SCALE)
     parallel = build_cdn_scenario(seed=11, workers=2, cache=False, **CDN_SCALE)
-    assert_cdn_scenarios_equal(serial, parallel)
+    assert cdn_scenario_diffs(serial, parallel) == []
 
 
 def test_different_seeds_detected_by_verifier():
@@ -411,7 +405,7 @@ def test_cache_round_trip(cache_dir):
     hits_before = cache.stats.hits
     warm = build_atlas_scenario(seed=21, workers=1, cache=True, **ATLAS_SCALE)
     assert cache.stats.hits == hits_before + 1
-    assert_atlas_scenarios_equal(cold, warm)
+    assert atlas_scenario_diffs(cold, warm) == []
 
 
 def test_cache_hit_skips_full_collection(cache_dir):
@@ -436,7 +430,7 @@ def test_cache_hit_skips_full_collection(cache_dir):
 def test_cache_cdn_round_trip(cache_dir):
     cold = build_cdn_scenario(seed=21, workers=1, cache=True, **CDN_SCALE)
     warm = build_cdn_scenario(seed=21, workers=1, cache=True, **CDN_SCALE)
-    assert_cdn_scenarios_equal(cold, warm)
+    assert cdn_scenario_diffs(cold, warm) == []
 
 
 def test_cache_changed_params_miss(cache_dir):
@@ -609,26 +603,6 @@ def test_repo_root_in_checkout_and_installed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert timing.repo_root() == tmp_path
     assert _repo_root() == tmp_path
-
-
-def test_write_baseline_merges_sections(tmp_path):
-    path = tmp_path / "BENCH_baseline.json"
-    write_baseline("alpha", {"a": 1}, path=path)
-    doc = write_baseline("beta", {"b": 2}, path=path)
-    assert doc["alpha"] == {"a": 1}
-    assert doc["beta"] == {"b": 2}
-    assert "updated" in doc
-    on_disk = json.loads(path.read_text())
-    assert on_disk["alpha"] == {"a": 1} and on_disk["beta"] == {"b": 2}
-
-
-def test_read_baseline_tolerates_garbage(tmp_path):
-    path = tmp_path / "BENCH_baseline.json"
-    assert read_baseline(path) == {}
-    path.write_text("{corrupt")
-    assert read_baseline(path) == {}
-    path.write_text("[1, 2]")  # valid JSON, wrong shape
-    assert read_baseline(path) == {}
 
 
 # ---------------------------------------------------------------------------
