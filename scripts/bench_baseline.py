@@ -57,6 +57,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import pickle
 import statistics
@@ -134,6 +135,30 @@ CHECK_SCALE = {
               "batch_rows": 1 << 16, "block_rows": 1 << 13,
               "v4_pool": 2_000, "v6_pool": 20_000},
 }
+
+
+def scaled_store_config(tuples: int) -> dict:
+    """The store config for ``tuples``, scaled between the two scales' shapes.
+
+    CHECK_SCALE's store is the shape at its 1M tuples and FULL_SCALE's
+    at its 100M.  Shards, batch rows and block rows interpolate
+    geometrically between the two (rounded to powers of two, at least
+    one), and the key pools scale linearly, as they already do between
+    the two scales, so the rows-per-key density is kept.
+    """
+    if tuples < 1:
+        raise ValueError(f"store tuples must be positive, got {tuples}")
+    small, large = CHECK_SCALE["store"], FULL_SCALE["store"]
+    position = math.log(tuples / small["tuples"]) / math.log(
+        large["tuples"] / small["tuples"]
+    )
+    config = {"tuples": tuples}
+    for name in ("shards", "batch_rows", "block_rows"):
+        low, high = math.log2(small[name]), math.log2(large[name])
+        config[name] = 1 << max(0, round(low + position * (high - low)))
+    for name in ("v4_pool", "v6_pool"):
+        config[name] = max(1, round(small[name] * tuples / small["tuples"]))
+    return config
 
 
 def _timed(builder, **kwargs):
@@ -567,9 +592,11 @@ def run_baseline(args: argparse.Namespace) -> dict:
         synthetic_triple_batches,
     )
 
-    store_scale = dict(scale["store"])
-    if args.store_tuples is not None:
-        store_scale["tuples"] = args.store_tuples
+    store_scale = (
+        dict(scale["store"])
+        if args.store_tuples is None
+        else scaled_store_config(args.store_tuples)
+    )
     store_tuples = store_scale["tuples"]
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         with maybe_profile("store_build"):
@@ -1011,8 +1038,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="required py/fused speedup on the periodicity "
                         "detection stage in full mode (default: 20.0)")
     parser.add_argument("--store-tuples", type=int, default=None,
-                        help="override the out-of-core store tuple count "
-                        "(default: 100M full / 1M check)")
+                        help="override the out-of-core store tuple count; "
+                        "shards, batch and block rows and key pools scale "
+                        "with it (default: 100M full / 1M check)")
     parser.add_argument("--min-store-tuples-per-second", type=float,
                         default=100_000.0,
                         help="required out-of-core analyze throughput in "

@@ -28,6 +28,10 @@ Instrument semantics:
   subtract plain bucket-wise addition/subtraction, so the fork-safe
   worker-delta round trip holds for both kinds.
 
+Every write, snapshot and merge takes one per-registry lock, so the
+threads of a serving process (``repro serve`` runs one per connection)
+can update and read one registry without losing increments.
+
 Label cardinality is capped per instrument (``max_label_sets``, default
 64): once an instrument has that many distinct labeled series, further
 new label sets collapse into a single ``overflow`` series — unbounded
@@ -39,6 +43,7 @@ real label set because encoded label keys always contain ``=``.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 LabelKey = Tuple[str, ...]
@@ -73,6 +78,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, Dict[str, float]] = {}
         self._histograms: Dict[str, Dict[str, dict]] = {}
         self._bounds: Dict[str, Tuple[float, ...]] = {}
+        self._lock = threading.Lock()
 
     def _admit(self, series: dict, key: str) -> str:
         """``key``, or ``overflow`` once the instrument hit its label cap."""
@@ -87,20 +93,23 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1, **labels) -> None:
         """Add ``value`` to counter ``name`` (and its labeled series)."""
-        series = self._counters.setdefault(name, {"": 0})
-        series[""] = series.get("", 0) + value
-        if labels:
-            key = self._admit(series, _label_key(labels))
-            series[key] = series.get(key, 0) + value
+        with self._lock:
+            series = self._counters.setdefault(name, {"": 0})
+            series[""] = series.get("", 0) + value
+            if labels:
+                key = self._admit(series, _label_key(labels))
+                series[key] = series.get(key, 0) + value
 
     def register(self, name: str) -> None:
         """Ensure counter ``name`` exists (at zero) in every snapshot."""
-        self._counters.setdefault(name, {"": 0})
+        with self._lock:
+            self._counters.setdefault(name, {"": 0})
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
-        series = self._gauges.setdefault(name, {})
-        series[self._admit(series, _label_key(labels))] = value
+        with self._lock:
+            series = self._gauges.setdefault(name, {})
+            series[self._admit(series, _label_key(labels))] = value
 
     def declare_histogram(self, name: str, bounds: Sequence[float]) -> None:
         """Give histogram ``name`` explicit cumulative bucket bounds.
@@ -113,17 +122,18 @@ class MetricsRegistry:
         exist raises, because existing cumulative tallies cannot be
         re-bucketed.
         """
-        edges = sorted(float(bound) for bound in bounds)
-        if not edges or edges[-1] != math.inf:
-            edges.append(math.inf)
-        declared = tuple(edges)
-        existing = self._bounds.get(name)
-        if existing is not None and existing != declared:
-            if name in self._histograms:
-                raise ValueError(
-                    f"histogram {name!r} already has observations with bounds {existing}"
-                )
-        self._bounds[name] = declared
+        with self._lock:
+            edges = sorted(float(bound) for bound in bounds)
+            if not edges or edges[-1] != math.inf:
+                edges.append(math.inf)
+            declared = tuple(edges)
+            existing = self._bounds.get(name)
+            if existing is not None and existing != declared:
+                if name in self._histograms:
+                    raise ValueError(
+                        f"histogram {name!r} already has observations with bounds {existing}"
+                    )
+            self._bounds[name] = declared
 
     def histogram_bounds(self, name: str) -> Optional[Tuple[float, ...]]:
         """Declared cumulative bounds of ``name`` (None → base-2 buckets)."""
@@ -131,30 +141,31 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Record ``value`` into histogram ``name``."""
-        series = self._histograms.setdefault(name, {})
-        key = self._admit(series, _label_key(labels))
-        bounds = self._bounds.get(name)
-        data = series.get(key)
-        if data is None:
-            data = series[key] = {
-                "count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {},
-            }
+        with self._lock:
+            series = self._histograms.setdefault(name, {})
+            key = self._admit(series, _label_key(labels))
+            bounds = self._bounds.get(name)
+            data = series.get(key)
+            if data is None:
+                data = series[key] = {
+                    "count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {},
+                }
+                if bounds is not None:
+                    data["bounds"] = list(bounds)
+                    data["buckets"] = {bound: 0 for bound in bounds}
+            data["count"] += 1
+            data["sum"] += value
+            data["min"] = value if data["min"] is None else min(data["min"], value)
+            data["max"] = value if data["max"] is None else max(data["max"], value)
+            buckets = data["buckets"]
             if bounds is not None:
-                data["bounds"] = list(bounds)
-                data["buckets"] = {bound: 0 for bound in bounds}
-        data["count"] += 1
-        data["sum"] += value
-        data["min"] = value if data["min"] is None else min(data["min"], value)
-        data["max"] = value if data["max"] is None else max(data["max"], value)
-        buckets = data["buckets"]
-        if bounds is not None:
-            # Cumulative ``le`` semantics: every bound >= value counts it.
-            for bound in bounds:
-                if value <= bound:
-                    buckets[bound] += 1
-        else:
-            bucket = _bucket(value)
-            buckets[bucket] = buckets.get(bucket, 0) + 1
+                # Cumulative ``le`` semantics: every bound >= value counts it.
+                for bound in bounds:
+                    if value <= bound:
+                        buckets[bound] += 1
+            else:
+                bucket = _bucket(value)
+                buckets[bucket] = buckets.get(bucket, 0) + 1
 
     # -- reads ----------------------------------------------------------------
 
@@ -168,19 +179,20 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-ready copy of every instrument's current state."""
-        return {
-            "counters": {
-                name: dict(series) for name, series in self._counters.items()
-            },
-            "gauges": {name: dict(series) for name, series in self._gauges.items()},
-            "histograms": {
-                name: {
-                    key: {**data, "buckets": dict(data["buckets"])}
-                    for key, data in series.items()
-                }
-                for name, series in self._histograms.items()
-            },
-        }
+        with self._lock:
+            return {
+                "counters": {
+                    name: dict(series) for name, series in self._counters.items()
+                },
+                "gauges": {name: dict(series) for name, series in self._gauges.items()},
+                "histograms": {
+                    name: {
+                        key: {**data, "buckets": dict(data["buckets"])}
+                        for key, data in series.items()
+                    }
+                    for name, series in self._histograms.items()
+                },
+            }
 
     # -- cross-process plumbing -----------------------------------------------
 
@@ -193,43 +205,45 @@ class MetricsRegistry:
         """
         if not snapshot:
             return
-        for name, series in snapshot.get("counters", {}).items():
-            target = self._counters.setdefault(name, {"": 0})
-            for key, value in series.items():
-                key = self._admit(target, key)
-                target[key] = target.get(key, 0) + value
-        for name, series in snapshot.get("gauges", {}).items():
-            target = self._gauges.setdefault(name, {})
-            for key, value in series.items():
-                target[self._admit(target, key)] = value
-        for name, series in snapshot.get("histograms", {}).items():
-            target = self._histograms.setdefault(name, {})
-            for key, data in series.items():
-                key = self._admit(target, key)
-                mine = target.get(key)
-                if mine is None:
-                    target[key] = {**data, "buckets": dict(data["buckets"])}
-                    continue
-                mine["count"] += data["count"]
-                mine["sum"] += data["sum"]
-                for edge in ("min", "max"):
-                    theirs = data[edge]
-                    if theirs is not None:
-                        pick = min if edge == "min" else max
-                        mine[edge] = (
-                            theirs if mine[edge] is None else pick(mine[edge], theirs)
-                        )
-                # Cumulative (bounded) and exponent buckets both merge by
-                # plain bucket-wise addition.
-                for bucket, count in data["buckets"].items():
-                    mine["buckets"][bucket] = mine["buckets"].get(bucket, 0) + count
+        with self._lock:
+            for name, series in snapshot.get("counters", {}).items():
+                target = self._counters.setdefault(name, {"": 0})
+                for key, value in series.items():
+                    key = self._admit(target, key)
+                    target[key] = target.get(key, 0) + value
+            for name, series in snapshot.get("gauges", {}).items():
+                target = self._gauges.setdefault(name, {})
+                for key, value in series.items():
+                    target[self._admit(target, key)] = value
+            for name, series in snapshot.get("histograms", {}).items():
+                target = self._histograms.setdefault(name, {})
+                for key, data in series.items():
+                    key = self._admit(target, key)
+                    mine = target.get(key)
+                    if mine is None:
+                        target[key] = {**data, "buckets": dict(data["buckets"])}
+                        continue
+                    mine["count"] += data["count"]
+                    mine["sum"] += data["sum"]
+                    for edge in ("min", "max"):
+                        theirs = data[edge]
+                        if theirs is not None:
+                            pick = min if edge == "min" else max
+                            mine[edge] = (
+                                theirs if mine[edge] is None else pick(mine[edge], theirs)
+                            )
+                    # Cumulative (bounded) and exponent buckets both merge by
+                    # plain bucket-wise addition.
+                    for bucket, count in data["buckets"].items():
+                        mine["buckets"][bucket] = mine["buckets"].get(bucket, 0) + count
 
     def reset(self) -> None:
         """Drop every instrument (used when (re-)enabling telemetry)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._bounds.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
+            self._bounds.clear()
 
 
 def subtract_snapshots(after: dict, before: dict) -> dict:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -253,15 +254,18 @@ class QueryEngine:
         self.key = key or scenario_artifact_key(scenario)
 
     def artifact(self) -> ScenarioArtifact:
-        """The serving artifact — registry hit, or one cold build."""
-        cached = self.registry.get(self.key)
-        if cached is not None:
-            return cached
+        """The serving artifact — registry hit, or one cold build.
+
+        One counted registry lookup per call; concurrent cold calls
+        build once (:meth:`ArtifactRegistry.get_or_build`).
+        """
+        return self.registry.get_or_build(self.key, self._build_artifact)
+
+    def _build_artifact(self) -> Tuple[ScenarioArtifact, int]:
         with span("serve/artifact", key=self.key[-12:]):
             artifact = build_scenario_artifact(self.scenario, self.key)
         metric_inc("serve.analysis.computes")
-        self.registry.put(self.key, artifact, artifact.nbytes)
-        return artifact
+        return artifact, artifact.nbytes
 
     def run(self, query: Query) -> Result:
         """Answer one query (a batch of one)."""
@@ -273,6 +277,9 @@ class QueryEngine:
         for query in queries:
             validate_query(query)
         metric_inc("serve.batches")
+        # One locked increment per kind, not per query.
+        for kind, count in Counter(type(query).__name__ for query in queries).items():
+            metric_inc("serve.queries", count, kind=kind)
         start = time.perf_counter()
         try:
             artifact = self.artifact()
@@ -283,7 +290,6 @@ class QueryEngine:
             pending: Dict[int, List[Tuple[int, int]]] = {4: [], 6: []}
             with span("serve/batch", queries=len(queries)):
                 for i, query in enumerate(queries):
-                    metric_inc("serve.queries", kind=type(query).__name__)
                     if isinstance(query, LifetimeQuery):
                         known = lifetimes.get(query.network)
                         if known is None:

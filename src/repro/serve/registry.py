@@ -19,9 +19,10 @@ is enabled.
 from __future__ import annotations
 
 import hashlib
+import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs import metric_gauge, metric_inc
 from repro.perf.cache import (
@@ -54,6 +55,11 @@ class ArtifactRegistry:
     ``get`` refreshes recency.  Entries larger than the whole budget
     are still admitted alone (the budget bounds the *steady state*,
     not a single artifact).
+
+    One lock guards the entries, the byte total and the counters, so
+    the threads of a server can share a registry.  :meth:`get_or_build`
+    adds single-flight builds: concurrent misses on one key run its
+    builder once.
     """
 
     def __init__(
@@ -66,12 +72,16 @@ class ArtifactRegistry:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
+        self._lock = threading.Lock()
+        # key -> event set when the one in-flight build of that key ends
+        self._building: Dict[str, threading.Event] = {}
         _registries.add(self)
 
     @property
     def total_bytes(self) -> int:
         """Bytes currently held across all entries."""
-        return self._bytes
+        with self._lock:
+            return self._bytes
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -80,43 +90,79 @@ class ArtifactRegistry:
         return key in self._entries
 
     def keys(self) -> Iterator[str]:
-        """Keys from least- to most-recently used."""
-        return iter(self._entries.keys())
+        """Keys from least- to most-recently used (a snapshot)."""
+        with self._lock:
+            return iter(list(self._entries))
 
     def get(self, key: str) -> Optional[Any]:
         """The artifact under ``key`` (refreshing recency), or ``None``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            metric_inc("serve.registry.misses", registry=self.name)
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        metric_inc("serve.registry.hits", registry=self.name)
-        return entry[0]
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                metric_inc("serve.registry.misses", registry=self.name)
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            metric_inc("serve.registry.hits", registry=self.name)
+            return entry[0]
+
+    def get_or_build(self, key: str, build: Callable[[], Tuple[Any, int]]) -> Any:
+        """The artifact under ``key``; on a miss, ``build()`` it once.
+
+        Counts exactly one :meth:`get`.  ``build`` returns ``(artifact,
+        nbytes)``, which is :meth:`put` under ``key``.  A caller that
+        misses while another thread builds the same key waits for that
+        build and takes its entry without counting a second lookup; if
+        that build raised, the next waiter builds instead.
+        """
+        artifact = self.get(key)
+        if artifact is not None:
+            return artifact
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:  # built since this caller's miss
+                    self._entries.move_to_end(key)
+                    return entry[0]
+                done = self._building.get(key)
+                if done is None:
+                    done = self._building[key] = threading.Event()
+                    break
+            done.wait()
+        try:
+            artifact, nbytes = build()
+            self.put(key, artifact, nbytes)
+            return artifact
+        finally:
+            with self._lock:
+                del self._building[key]
+            done.set()
 
     def put(self, key: str, artifact: Any, nbytes: int) -> None:
         """Insert ``artifact`` (costing ``nbytes``), evicting LRU overflow."""
         nbytes = max(0, int(nbytes))
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        self._entries[key] = (artifact, nbytes)
-        self._bytes += nbytes
-        self.stats.puts += 1
-        metric_inc("serve.registry.puts", registry=self.name)
-        while self._bytes > self.budget_bytes and len(self._entries) > 1:
-            _, (_, evicted_bytes) = self._entries.popitem(last=False)
-            self._bytes -= evicted_bytes
-            self.stats.evictions += 1
-            metric_inc("serve.registry.evictions", registry=self.name)
-        metric_gauge("serve.registry.bytes", self._bytes, registry=self.name)
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[key] = (artifact, nbytes)
+            self._bytes += nbytes
+            self.stats.puts += 1
+            metric_inc("serve.registry.puts", registry=self.name)
+            while self._bytes > self.budget_bytes and len(self._entries) > 1:
+                _, (_, evicted_bytes) = self._entries.popitem(last=False)
+                self._bytes -= evicted_bytes
+                self.stats.evictions += 1
+                metric_inc("serve.registry.evictions", registry=self.name)
+            metric_gauge("serve.registry.bytes", self._bytes, registry=self.name)
 
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""
-        self._entries.clear()
-        self._bytes = 0
-        metric_gauge("serve.registry.bytes", 0, registry=self.name)
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+            metric_gauge("serve.registry.bytes", 0, registry=self.name)
 
 
 def scenario_artifact_key(

@@ -7,6 +7,30 @@ app in a ``http.server`` ``ThreadingHTTPServer``;
 :class:`ServeClient` speaks to either an in-process app or a running
 server over ``urllib`` with the same call surface.
 
+Transport
+---------
+
+The server speaks HTTP/1.1 and keeps connections alive, one handler
+thread per connection, so a client sends many requests over one TCP
+connection instead of paying a connect and a new thread for each.  A
+connection idle for :data:`IDLE_TIMEOUT_S` seconds is closed.  The
+handler sets ``TCP_NODELAY``: a reply leaves as two sends (headers,
+then body), and on a kept-alive socket Nagle's algorithm would hold
+the body until the client's delayed ACK of the headers, ~40 ms a reply.
+
+At most :data:`MAX_CONNECTIONS` connections are served at once, idle
+kept-alive ones included.  A connection over the limit gets ``503``
+with ``Connection: close`` to its first request; it is not queued.
+Every refusal (400 for a bad ``Content-Length``, 413, 503) carries
+``Connection: close`` and the server closes the socket after it.
+
+The state that concurrent requests share is locked: the
+:class:`~repro.serve.registry.ArtifactRegistry` (entries, byte total,
+counters, and single-flight cold builds, so N concurrent misses build
+an artifact once) and the ``repro.obs``
+:class:`~repro.obs.metrics.MetricsRegistry`.  The flight recorder and
+slow-query log lock their own rings.
+
 Endpoints
 ---------
 
@@ -43,6 +67,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -67,6 +92,13 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Most queries one ``POST {"queries": [...]}`` batch may carry.
 MAX_BATCH_QUERIES = 1024
+
+#: Most connections served at once, idle kept-alive ones included; a
+#: connection over the limit gets one 503 and is closed.
+MAX_CONNECTIONS = 64
+
+#: Seconds a kept-alive connection may sit idle before the server closes it.
+IDLE_TIMEOUT_S = 15.0
 
 #: A response document: a JSON-ready dict, or pre-rendered plain text
 #: (the Prometheus exposition) served verbatim.
@@ -225,9 +257,37 @@ class ServeApp:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    app: ServeApp  # set by make_server on the subclass
+    # set by make_server on the subclass: the app, and the server's
+    # MAX_CONNECTIONS connection slots
+    app: ServeApp
+    slots: threading.BoundedSemaphore
 
-    def _respond(self, status: int, document: Document) -> None:
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # Headers and body leave in two sends: with Nagle's algorithm the
+    # body waits for the client's delayed ACK (~40 ms a reply).
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.admitted = self.slots.acquire(blocking=False)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            if self.admitted:
+                self.slots.release()
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if not self.admitted:
+            self._refuse(503, f"server at its limit of {MAX_CONNECTIONS} connections")
+            return False
+        return True
+
+    def _respond(self, status: int, document: Document, close: bool = False) -> None:
         if isinstance(document, str):
             body = document.encode("utf-8")
             content_type = PROMETHEUS_CONTENT_TYPE
@@ -237,6 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -246,8 +308,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _refuse(self, status: int, error: str) -> None:
         """Answer without reading the body, then drop the connection."""
-        self.close_connection = True
-        self._respond(status, {"error": error})
+        self._respond(status, {"error": error}, close=True)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         declared = self.headers.get("Content-Length") or "0"
@@ -287,7 +348,8 @@ def make_server(app: ServeApp, host: str = "127.0.0.1", port: int = 0) -> Thread
     ``port=0`` picks a free port (``server.server_address`` has the
     real one) — what the tests use.
     """
-    handler = type("BoundHandler", (_Handler,), {"app": app})
+    slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+    handler = type("BoundHandler", (_Handler,), {"app": app, "slots": slots})
     return ThreadingHTTPServer((host, port), handler)
 
 

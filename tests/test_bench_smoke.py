@@ -13,7 +13,12 @@ import json
 import pytest
 
 from repro.perf.parallel import effective_workers
-from scripts.bench_baseline import main as bench_main
+from scripts.bench_baseline import (
+    CHECK_SCALE,
+    FULL_SCALE,
+    main as bench_main,
+    scaled_store_config,
+)
 
 
 @pytest.fixture()
@@ -152,3 +157,15 @@ def test_bare_telemetry_swaps_and_restores_the_helpers():
     assert obs.span is original_span
     assert sanitize_module.span is original_span
     assert obs.metric_inc.__module__ == "repro.obs"
+
+
+def test_store_tuples_scales_the_whole_store_config():
+    """``--store-tuples`` gets each scale's shape at that scale's count."""
+    assert scaled_store_config(1_000_000) == CHECK_SCALE["store"]
+    assert scaled_store_config(100_000_000) == FULL_SCALE["store"]
+    middle = scaled_store_config(10_000_000)
+    assert (middle["shards"], middle["batch_rows"]) == (32, 1 << 18)
+    assert (middle["v4_pool"], middle["v6_pool"]) == (20_000, 200_000)
+    assert scaled_store_config(10)["shards"] == 1
+    with pytest.raises(ValueError):
+        scaled_store_config(0)

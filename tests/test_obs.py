@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,44 @@ def test_snapshot_subtract_then_merge_round_trips():
     parent.merge(delta)
     assert parent.counter("tasks", kind="sim") == 12
     assert parent.snapshot()["histograms"]["latency"][""]["count"] == 1
+
+
+def test_concurrent_updates_lose_nothing():
+    """Threads switching every microsecond still give exact totals."""
+    registry = MetricsRegistry()
+    threads, rounds = 4, 20_000
+    start = threading.Barrier(threads)
+
+    def work(worker):
+        start.wait()
+        for _ in range(rounds):
+            registry.inc("requests")
+            registry.inc("queries", 2, kind=f"k{worker % 2}")
+            registry.observe("latency", 0.5)
+        registry.merge({"counters": {"merged": {"": 1}}})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    snap = registry.snapshot()
+    assert snap["counters"]["requests"][""] == threads * rounds
+    assert snap["counters"]["queries"] == {
+        "": 2 * threads * rounds,
+        "kind=k0": threads * rounds,
+        "kind=k1": threads * rounds,
+    }
+    assert snap["counters"]["merged"][""] == threads
+    latency = snap["histograms"]["latency"][""]
+    assert latency["count"] == threads * rounds
+    assert latency["sum"] == 0.5 * threads * rounds
+    assert latency["buckets"] == {-1: threads * rounds}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Serving-layer tests: query parity, registry LRU, batching, graph, API.
 
-The serving contract has three legs:
+The serving contract has four legs:
 
 1. **Parity** — every served answer (batched or sequential) is
    bit-identical to the direct pure-Python computation
@@ -9,15 +9,22 @@ The serving contract has three legs:
    analysis, asserted via the ``serve.analysis.computes`` counter.
 3. **Bounded memory** — the artifact registry enforces its byte budget
    with least-recently-used eviction.
+4. **Concurrency** — threaded keep-alive clients get the same answers,
+   a cold artifact is built once, and the counters stay conserved
+   (hits + misses = batches, registry bytes = the sum of its entries).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import http.client
 import json
 import random
 import socket
+import sys
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,10 +53,12 @@ from repro.serve import (
     result_to_dict,
     write_graph,
 )
+from repro.serve import engine as engine_module
+from repro.serve import server as server_module
 from repro.serve.engine import PrefixIndex, _prefix_members, build_prefix_index
 from repro.serve.graph import EDGE_KINDS, NODE_KINDS
 from repro.serve.queries import MAX_HITLIST_BUDGET
-from repro.serve.server import MAX_BATCH_QUERIES
+from repro.serve.server import IDLE_TIMEOUT_S, MAX_BATCH_QUERIES, MAX_BODY_BYTES
 from repro.stream.checkpoint import CheckpointStore
 from repro.workloads import build_atlas_scenario
 
@@ -283,6 +292,80 @@ class TestArtifactRegistry:
         with pytest.raises(ValueError):
             ArtifactRegistry(budget_bytes=0)
 
+    def test_concurrent_puts_keep_the_byte_total(self):
+        registry = ArtifactRegistry(budget_bytes=100, name="threaded-lru-test")
+
+        def churn(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                key = f"k{rng.randrange(12)}"
+                if registry.get(key) is None:
+                    registry.put(key, key, rng.randrange(1, 40))
+
+        _run_threads(churn, 4)
+        held = sum(nbytes for _, nbytes in registry._entries.values())
+        assert registry.total_bytes == held <= 100
+        stats = registry.stats
+        assert stats.hits + stats.misses == 4 * 2000
+
+    def test_failed_build_leaves_the_key_buildable(self):
+        registry = ArtifactRegistry(name="failed-build-test")
+
+        def failing():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            registry.get_or_build("k", failing)
+        assert registry.get_or_build("k", lambda: ("built", 8)) == "built"
+        assert registry.get_or_build("k", failing) == "built"  # a hit
+        assert (registry.stats.hits, registry.stats.misses, registry.stats.puts) == (1, 2, 1)
+
+
+def _run_threads(target, count):
+    """Run ``target(i)`` on ``count`` threads released together; join them.
+
+    The interpreter switches threads every 10 µs meanwhile, so a
+    read-modify-write without its lock loses updates.
+    """
+    barrier = threading.Barrier(count)
+
+    def run(index):
+        barrier.wait(60)
+        target(index)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestSingleFlight:
+    def test_concurrent_cold_calls_build_once(self, scenario, monkeypatch):
+        build = engine_module.build_scenario_artifact
+
+        def slow_build(*args):
+            time.sleep(0.2)  # every caller misses before the build ends
+            return build(*args)
+
+        monkeypatch.setattr(engine_module, "build_scenario_artifact", slow_build)
+        registry = ArtifactRegistry(name="single-flight-test")
+        engine = QueryEngine(scenario, registry=registry)
+        artifacts = []
+        with telemetry(True, reset=True):
+            _run_threads(lambda _: artifacts.append(engine.artifact()), 6)
+            computes = get_registry().counter("serve.analysis.computes")
+        assert computes == 1
+        assert len(artifacts) == 6 and all(a is artifacts[0] for a in artifacts)
+        assert registry.stats.hits + registry.stats.misses == 6
+        assert registry.stats.puts == 1
+
 
 class TestStatsProtocol:
     def test_cache_stats_as_dict(self):
@@ -460,16 +543,23 @@ class TestServeApp:
             ServeClient(app=ServeApp(scenario), base_url="http://localhost:1")
 
 
-@pytest.fixture(scope="class")
-def http_address(scenario):
-    server = make_server(ServeApp(scenario), port=0)
+@contextlib.contextmanager
+def _serving(app):
+    """A running :func:`make_server` on a free port; shut down on exit."""
+    server = make_server(app, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield server.server_address[:2]
+        yield server
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture(scope="class")
+def http_address(scenario):
+    with _serving(ServeApp(scenario)) as server:
+        yield server.server_address[:2]
 
 
 def _post_status(address, content_length: str, body: bytes = b"") -> list:
@@ -524,3 +614,177 @@ class TestHttpBody:
         assert _post_status(http_address, str(len(body)), body)[1:2] == ["413"]
         body = json.dumps({"queries": [{}] * MAX_BATCH_QUERIES}).encode()
         assert _post_status(http_address, str(len(body)), body)[1:2] == ["400"]
+
+
+def _connection(address) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(*address, timeout=30)
+
+
+def _exchange(conn, method, path, payload=None):
+    """One request on ``conn``: ``(response, parsed JSON document)``."""
+    body = json.dumps(payload).encode() if payload is not None else None
+    conn.request(method, path, body=body, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response, json.loads(response.read())
+
+
+class TestKeepAlive:
+    """HTTP/1.1 framing: kept-alive sockets, refusals that close them."""
+
+    def test_requests_reuse_one_socket(self, http_address, scenario):
+        payload = {"kind": "lifetime", "network": next(iter(scenario.isps))}
+        conn = _connection(http_address)
+        try:
+            first, _ = _exchange(conn, "POST", "/query", payload)
+            sock = conn.sock
+            second, _ = _exchange(conn, "GET", "/healthz")
+            assert (first.status, second.status) == (200, 200)
+            assert first.version == 11 and not first.will_close
+            assert sock is not None and conn.sock is sock
+        finally:
+            conn.close()
+
+    def test_refusal_sends_connection_close(self, http_address):
+        head = (
+            "POST /query HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("ascii")
+        reply = b""
+        with socket.create_connection(http_address, timeout=5) as sock:
+            sock.sendall(head)
+            while True:  # the server closes after the reply: recv reads EOF
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        status, _, rest = reply.partition(b"\r\n")
+        headers = rest.split(b"\r\n\r\n", 1)[0].lower().split(b"\r\n")
+        assert status.split()[1] == b"413"
+        assert b"connection: close" in headers
+
+    def test_fresh_connection_after_refusal_succeeds(self, http_address):
+        conn = _connection(http_address)
+        try:
+            conn.request(
+                "POST", "/query", body=b"",
+                headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
+            )
+            refused = conn.getresponse()
+            refused.read()
+            assert refused.status == 413 and refused.will_close
+            response, document = _exchange(conn, "GET", "/healthz")  # reconnects
+            assert response.status == 200 and document["status"] == "ok"
+        finally:
+            conn.close()
+
+    def test_sequential_singles_are_not_held_by_nagle(self, http_address, scenario):
+        # Headers and body leave in two sends; with Nagle's algorithm on,
+        # each reply waits ~40 ms for the client's delayed ACK (>= 2 s here).
+        v4 = observed_prefixes(scenario, 4, 24, limit=1)[0]
+        payload = {"kind": "stability", "prefix": str(v4)}
+        conn = _connection(http_address)
+        try:
+            _exchange(conn, "POST", "/query", payload)  # builds the artifact
+            sock = conn.sock
+            start = time.perf_counter()
+            for _ in range(50):
+                assert _exchange(conn, "POST", "/query", payload)[0].status == 200
+            elapsed = time.perf_counter() - start
+            assert conn.sock is sock
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+
+    def test_shutdown_returns_with_an_idle_connection_open(self, scenario):
+        with _serving(ServeApp(scenario)) as server:
+            conn = _connection(server.server_address[:2])
+            response, _ = _exchange(conn, "GET", "/healthz")
+            assert response.status == 200 and not response.will_close
+            start = time.perf_counter()
+        elapsed = time.perf_counter() - start
+        conn.close()
+        assert elapsed < IDLE_TIMEOUT_S / 3
+
+    def test_connections_over_the_limit_get_503(self, scenario, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+        with _serving(ServeApp(scenario)) as server:
+            address = server.server_address[:2]
+            held = [_connection(address) for _ in range(2)]
+            for conn in held:  # idle kept-alive connections hold their slots
+                assert _exchange(conn, "GET", "/healthz")[0].status == 200
+            extra = _connection(address)
+            response, document = _exchange(extra, "GET", "/healthz")
+            extra.close()
+            assert response.status == 503 and response.will_close
+            assert response.getheader("Connection") == "close"
+            assert "limit of 2 connections" in document["error"]
+            assert _exchange(held[0], "GET", "/healthz")[0].status == 200
+            held[1].close()
+            deadline = time.perf_counter() + 5
+            while True:  # the slot frees once the server reads the close
+                conn = _connection(address)
+                status = _exchange(conn, "GET", "/healthz")[0].status
+                conn.close()
+                if status == 200 or time.perf_counter() > deadline:
+                    break
+                time.sleep(0.01)
+            held[0].close()
+        assert status == 200
+
+
+class TestThreadedServing:
+    """Concurrent keep-alive clients on a cold server (ROADMAP item 2)."""
+
+    def test_threaded_clients_match_the_engine(self, scenario, sample_queries):
+        threads, rounds, batch = 8, 3, 32
+        payloads = [query_to_dict(query) for query in sample_queries]
+        reference = QueryEngine(scenario, registry=ArtifactRegistry(name="stress-ref"))
+        expected = [
+            json.loads(json.dumps(result_to_dict(result)))
+            for result in reference.run_batch(sample_queries)
+        ]
+        n = len(payloads)
+        registry = ArtifactRegistry(name="stress-test")
+        failures = []
+
+        def client(cid):
+            conn = _connection(address)
+            try:
+                for r in range(rounds):
+                    for k in range(7):
+                        i = (cid * 7 + r * 8 + k) % n
+                        response, document = _exchange(conn, "POST", "/query", payloads[i])
+                        if response.status != 200 or document["result"] != expected[i]:
+                            failures.append((cid, i, response.status, document))
+                    idxs = [(cid + r + k) % n for k in range(batch)]
+                    response, document = _exchange(
+                        conn, "POST", "/query", {"queries": [payloads[i] for i in idxs]}
+                    )
+                    if response.status != 200 or document["results"] != [
+                        expected[i] for i in idxs
+                    ]:
+                        failures.append((cid, idxs, response.status, document))
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                failures.append((cid, repr(exc)))
+            finally:
+                conn.close()
+
+        with telemetry(True, reset=True):
+            with _serving(ServeApp(scenario, registry=registry)) as server:
+                address = server.server_address[:2]
+                _run_threads(client, threads)
+                conn = _connection(address)
+                response, metrics = _exchange(conn, "GET", "/metrics")
+                conn.close()
+        assert failures == []
+        assert response.status == 200
+        counters = {name: series[""] for name, series in metrics["counters"].items()}
+        batches = counters["serve.batches"]
+        assert batches == threads * rounds * 8
+        assert counters["serve.analysis.computes"] == 1
+        assert (
+            counters.get("serve.registry.hits", 0) + counters["serve.registry.misses"]
+            == batches
+        )
+        held = sum(nbytes for _, nbytes in registry._entries.values())
+        assert registry.total_bytes == held > 0
