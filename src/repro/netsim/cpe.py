@@ -65,24 +65,29 @@ class Cpe:
 
     def __init__(self, behavior: CpeBehavior, rng: random.Random) -> None:
         self.behavior = behavior
+        self._zero = behavior.lan_selection == "zero"
         # The constant subnet id is drawn once per CPE (non-zero).
         self._constant_subnet: int | None = None
         if behavior.lan_selection == "constant":
             self._constant_subnet = rng.randrange(1, 1 << 16)
 
     def lan_network(self, delegation: int, delegation_plen: int, rng: random.Random) -> int:
-        """The network integer of the LAN /64 out of the ``delegation`` network."""
+        """The network integer of the LAN /64 out of the ``delegation`` network.
+
+        A scramble draws the subnet with the same ``getrandbits`` calls
+        as ``rng.randrange(1 << free_bits)``.
+        """
         free_bits = 64 - delegation_plen
-        if free_bits == 0:
-            return delegation
-        mode = self.behavior.lan_selection
-        if mode == "zero":
+        if free_bits == 0 or self._zero:
             return delegation
         count = 1 << free_bits
-        if mode == "scramble":
-            subnet = rng.randrange(count)
+        if self._constant_subnet is None:
+            getrandbits = rng.getrandbits
+            k = free_bits + 1  # count.bit_length()
+            subnet = getrandbits(k)
+            while subnet >= count:
+                subnet = getrandbits(k)
         else:
-            assert self._constant_subnet is not None
             subnet = self._constant_subnet % count
         return delegation | (subnet << 64)
 

@@ -17,9 +17,33 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from math import log
+from typing import Callable, Optional, Tuple
 
 VALID_KINDS = ("static", "periodic", "exponential")
+
+#: Timer modes: the first item of a :meth:`ChangePolicy.timer` tuple.
+TIMER_STATIC, TIMER_FIXED, TIMER_JITTERED, TIMER_EXPONENTIAL = range(4)
+
+#: A policy's delay process as ``(mode, a, b, c)`` (see :meth:`ChangePolicy.timer`).
+Timer = Tuple[int, float, float, float]
+
+
+def timer_delay(timer: Timer, random_: Callable[[], float]) -> Optional[float]:
+    """The next delay of ``timer``, drawing from ``random_`` (``rng.random``).
+
+    The float formulas are those of ``random.uniform`` (``a + (b - a) *
+    random()``) and ``random.expovariate`` (``-log(1.0 - random()) /
+    lambd``), so a delay is bit-identical to drawing it through them.
+    """
+    mode, a, b, c = timer
+    if mode == TIMER_EXPONENTIAL:
+        return -log(1.0 - random_()) / a
+    if mode == TIMER_JITTERED:
+        return a + (b + c * random_())
+    if mode == TIMER_FIXED:
+        return a
+    return None
 
 
 @dataclass(frozen=True)
@@ -61,15 +85,28 @@ class ChangePolicy:
         if self.jitter_hours >= self.period_hours and self.kind == "periodic" and self.jitter_hours:
             raise ValueError("jitter_hours must be smaller than period_hours")
 
-    def next_change_delay(self, rng: random.Random) -> Optional[float]:
-        """Hours until the next scheduled renumbering, or ``None`` for static."""
+    def timer(self) -> Timer:
+        """This policy's delay process as four numbers, ``(mode, a, b, c)``.
+
+        ``(TIMER_STATIC, 0, 0, 0)``; ``(TIMER_FIXED, period, 0, 0)``;
+        ``(TIMER_JITTERED, period, -jitter, jitter - -jitter)``, the last
+        two being ``uniform``'s ``a`` and ``b - a``; or
+        ``(TIMER_EXPONENTIAL, 1.0 / mean, 0, 0)``, the ``expovariate``
+        rate.  :func:`timer_delay` draws from it; the simulator
+        precomputes one per policy and inlines the draw.
+        """
         if self.kind == "static":
-            return None
+            return (TIMER_STATIC, 0.0, 0.0, 0.0)
         if self.kind == "periodic":
             if self.jitter_hours:
-                return self.period_hours + rng.uniform(-self.jitter_hours, self.jitter_hours)
-            return self.period_hours
-        return rng.expovariate(1.0 / self.mean_hours)
+                low, high = -self.jitter_hours, self.jitter_hours
+                return (TIMER_JITTERED, self.period_hours, low, high - low)
+            return (TIMER_FIXED, self.period_hours, 0.0, 0.0)
+        return (TIMER_EXPONENTIAL, 1.0 / self.mean_hours, 0.0, 0.0)
+
+    def next_change_delay(self, rng: random.Random) -> Optional[float]:
+        """Hours until the next scheduled renumbering, or ``None`` for static."""
+        return timer_delay(self.timer(), rng.random)
 
     @classmethod
     def static(cls, renumber_on_reboot: bool = False) -> "ChangePolicy":
@@ -102,4 +139,13 @@ class ChangePolicy:
         )
 
 
-__all__ = ["ChangePolicy", "VALID_KINDS"]
+__all__ = [
+    "ChangePolicy",
+    "TIMER_EXPONENTIAL",
+    "TIMER_FIXED",
+    "TIMER_JITTERED",
+    "TIMER_STATIC",
+    "Timer",
+    "VALID_KINDS",
+    "timer_delay",
+]

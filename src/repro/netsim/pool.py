@@ -17,6 +17,14 @@ the same address/delegation simultaneously (the driving simulation
 releases and allocates in global time order).  They draw and track
 plain integers (``draw``: the v4 address, the v6 delegation's network);
 ``allocate`` wraps the same draw in an address or prefix object.
+
+Every uniform integer draw makes exactly the RNG calls
+``rng.randrange(size)`` would: CPython's ``_randbelow_with_getrandbits``
+takes ``k = size.bit_length()`` and calls ``getrandbits(k)`` until the
+result is below ``size``.  :func:`randbelow` is that loop; the hot
+draws run it inline with ``k`` computed once per draw (or once per
+plan), so a seeded simulation's output does not depend on which form
+made a draw.
 """
 
 from __future__ import annotations
@@ -35,6 +43,19 @@ class PoolExhaustedError(RuntimeError):
 
 
 _MAX_DRAW_ATTEMPTS = 64
+
+
+def randbelow(rng: random.Random, size: int) -> int:
+    """``rng.randrange(size)``'s value, drawn with the same RNG calls.
+
+    ``size >= 1``; the loop is CPython's ``_randbelow_with_getrandbits``.
+    """
+    getrandbits = rng.getrandbits
+    k = size.bit_length()
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    return r
 
 
 class V4AddressPlan:
@@ -66,12 +87,23 @@ class V4AddressPlan:
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {probability}")
         self._blocks: List[IPv4Prefix] = list(blocks)
-        # [lo, hi) integer spans for block_of; cumulative sizes for the weighted draw.
-        self._spans = [(int(b.network), int(b.network) + b.num_addresses) for b in self._blocks]
-        self._cum_weights = list(accumulate(hi - lo for lo, hi in self._spans))
+        spans = [(int(b.network), int(b.network) + b.num_addresses) for b in self._blocks]
+        # Per block: (lo, size, size.bit_length()), the integer scope a draw
+        # runs its getrandbits loop over; cumulative sizes for the weighted pick.
+        self._scopes = [(lo, hi - lo, (hi - lo).bit_length()) for lo, hi in spans]
+        self._cum_weights = list(accumulate(hi - lo for lo, hi in spans))
         self._total_weight = self._cum_weights[-1] + 0.0
+        # Block indices in order of their starts, for the bisect in _block_index.
+        self._by_start = sorted(range(len(spans)), key=lambda index: spans[index])
+        self._starts = [spans[index][0] for index in self._by_start]
+        for left, right in zip(self._by_start, self._by_start[1:]):
+            if spans[right][0] < spans[left][1]:
+                raise ValueError("V4AddressPlan blocks must not overlap")
         self._same_slash24 = same_slash24_affinity
-        self._same_block = same_block_affinity
+        # A roll below this (and not below _same_slash24) stays in the block.
+        self._same_block_roll = same_slash24_affinity + same_block_affinity * (
+            1 - same_slash24_affinity
+        )
         self._in_use: set[int] = set()
 
     @property
@@ -88,10 +120,12 @@ class V4AddressPlan:
         return frozenset(self._in_use)
 
     def _block_index(self, value: int) -> Optional[int]:
-        for index, (lo, hi) in enumerate(self._spans):
-            if lo <= value < hi:
-                return index
-        return None
+        rank = bisect_right(self._starts, value) - 1
+        if rank < 0:
+            return None
+        index = self._by_start[rank]
+        lo, size, _ = self._scopes[index]
+        return index if value < lo + size else None
 
     def block_of(self, address: IPv4Address) -> Optional[IPv4Prefix]:
         """The announced block containing ``address`` (None when outside)."""
@@ -110,33 +144,50 @@ class V4AddressPlan:
 
         The /24 scope is the previous /24 intersected with the previous
         block, so a block longer than /24 never leaks draws outside it.
+        The affinity roll and the block pick are drawn before any
+        address, then the affinity scope (if any) is tried before the
+        picked block.
         """
-        scopes: List[Tuple[int, int]] = []  # (lo, size) integer spans
+        random_ = rng.random
+        scopes = self._scopes
+        affinity = None  # the affinity scope, as (lo, size, k)
         if previous is not None:
-            index = self._block_index(previous)
-            if index is not None:
-                lo, hi = self._spans[index]
-                roll = rng.random()
-                if roll < self._same_slash24:
-                    slash24 = previous & ~0xFF
-                    lo24, hi24 = max(lo, slash24), min(hi, slash24 + 256)
-                    scopes.append((lo24, hi24 - lo24))
-                elif roll < self._same_slash24 + self._same_block * (1 - self._same_slash24):
-                    scopes.append((lo, hi - lo))
+            rank = bisect_right(self._starts, previous) - 1  # _block_index, inline
+            if rank >= 0:
+                block = scopes[self._by_start[rank]]
+                lo, size, _ = block
+                if previous < lo + size:
+                    roll = random_()
+                    if roll < self._same_slash24:
+                        slash24 = previous & ~0xFF
+                        lo24 = max(lo, slash24)
+                        size24 = min(lo + size, slash24 + 256) - lo24
+                        affinity = (lo24, size24, size24.bit_length())
+                    elif roll < self._same_block_roll:
+                        affinity = block
         # The single random() draw random.choices(weights=..., k=1) makes.
-        pick = bisect_right(
-            self._cum_weights, rng.random() * self._total_weight, 0, len(self._spans) - 1
-        )
-        lo, hi = self._spans[pick]
-        scopes.append((lo, hi - lo))
+        pick = scopes[
+            bisect_right(self._cum_weights, random_() * self._total_weight, 0, len(scopes) - 1)
+        ]
+        getrandbits = rng.getrandbits
         in_use = self._in_use
-        for lo, size in scopes:
-            for _ in range(_MAX_DRAW_ATTEMPTS):
-                value = lo + rng.randrange(size)
-                if value in in_use or value == previous:
-                    continue
+        # Up to _MAX_DRAW_ATTEMPTS in the affinity scope, then as many in the pick.
+        scope, fallback = (pick, None) if affinity is None else (affinity, pick)
+        attempts = 0
+        while True:
+            lo, size, k = scope
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            value = lo + r
+            if value not in in_use and value != previous:
                 in_use.add(value)
                 return value
+            attempts += 1
+            if attempts == _MAX_DRAW_ATTEMPTS:
+                if fallback is None:
+                    break
+                scope, fallback, attempts = fallback, None, 0
         raise PoolExhaustedError("IPv4 plan exhausted (all draw attempts collided)")
 
     def allocate(
@@ -191,6 +242,7 @@ class V6PrefixPlan:
             int(allocation.nth_subprefix(pool_plen, i * stride).network) for i in range(num_pools)
         ]
         self._delegations_per_pool = 1 << (delegation_plen - pool_plen)
+        self._delegation_bits = self._delegations_per_pool.bit_length()
         self._pool_switch_prob = pool_switch_prob
         self._in_use: set[int] = set()
 
@@ -248,18 +300,24 @@ class V6PrefixPlan:
             raise ValueError(f"home_pool {home_pool} out of range")
         pool_index = home_pool
         if pool_count > 1 and rng.random() < self._pool_switch_prob:
-            other = rng.randrange(pool_count - 1)
+            other = randbelow(rng, pool_count - 1)
             pool_index = other if other < home_pool else other + 1
         base = self._pool_bases[pool_index]
         count = self._delegations_per_pool
+        k = self._delegation_bits
         shift = 128 - self._delegation_plen
+        getrandbits = rng.getrandbits
         in_use = self._in_use
-        for _ in range(_MAX_DRAW_ATTEMPTS):
-            network = base | (rng.randrange(count) << shift)
-            if network in in_use or network == previous:
-                continue
-            in_use.add(network)
-            return network, pool_index
+        attempts = 0
+        while attempts < _MAX_DRAW_ATTEMPTS:
+            r = getrandbits(k)
+            while r >= count:
+                r = getrandbits(k)
+            network = base | (r << shift)
+            if network not in in_use and network != previous:
+                in_use.add(network)
+                return network, pool_index
+            attempts += 1
         raise PoolExhaustedError("IPv6 plan exhausted (all draw attempts collided)")
 
     def allocate(
@@ -279,4 +337,5 @@ __all__ = [
     "PoolExhaustedError",
     "V4AddressPlan",
     "V6PrefixPlan",
+    "randbelow",
 ]

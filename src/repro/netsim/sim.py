@@ -5,7 +5,7 @@
 allocations and releases happen in global time order (no two
 subscribers ever hold the same address simultaneously).
 
-Event kinds:
+Event kinds (each an integer code in the queue, see :data:`EVENT_KINDS`):
 
 ``v4``
     Scheduled IPv4 renumbering (lease/session expiry per policy).  May
@@ -18,6 +18,24 @@ Event kinds:
 ``scramble``
     CPE-local re-draw of the LAN /64 within the current delegation
     (DTAG-style privacy scrambling) — no ISP involvement.
+``policy``
+    A scheduled :class:`~repro.netsim.isp.PolicyEpoch` switches one
+    subscriber's IPv4 policy and re-arms its renumbering timer.
+``infra``
+    An ISP-wide infrastructure outage renumbers a random share of
+    subscribers at once, in both families.
+
+The loop is the simulator's hot path.  Queue entries are plain
+integer-coded lists (:mod:`repro.netsim.events`) drained by one
+generator; ``v4`` and ``v6`` events, over nine in ten, run inline in
+:meth:`IspSimulation.run` with every lookup bound once per run; each
+policy's delay process is precomputed as a
+:meth:`~repro.netsim.policy.ChangePolicy.timer` tuple; and the address
+draws run CPython's ``randrange`` rejection loop on ``getrandbits``
+directly (:mod:`repro.netsim.pool`).  None of this changes a draw: a
+build makes the same RNG calls in the same order as the one-method-
+per-step form the rarer events still use, so its output is
+bit-identical to it.
 
 The output is a :class:`SubscriberTimeline` per subscriber: what it
 held of the IPv4 address, the IPv6 LAN /64, and (as ground truth for
@@ -33,6 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import log as log_
 from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
@@ -40,15 +59,26 @@ import numpy as np
 from repro.ip.addr import IPv4Address
 from repro.ip.prefix import IPv6Prefix
 from repro.netsim.cpe import Cpe
-from repro.netsim.events import EventQueue
+from repro.netsim.events import EventQueue, Handle
 from repro.netsim.isp import Isp, IspConfig
-from repro.netsim.policy import ChangePolicy
+from repro.netsim.policy import (
+    TIMER_EXPONENTIAL,
+    TIMER_FIXED,
+    TIMER_JITTERED,
+    ChangePolicy,
+    timer_delay,
+)
 from repro.netsim.pool import V4AddressPlan, V6PrefixPlan
+from repro.obs import metric_inc, span
 
 Value = Union[IPv4Address, IPv6Prefix]
 
 #: The per-subscriber timeline families, in digest order.
 TIMELINE_FAMILIES = ("v4", "v6_lan", "v6_delegation")
+
+#: Event kinds by queue code (the ``kind`` label of ``netsim.events``).
+EVENT_KINDS = ("v4", "v6", "reboot", "scramble", "policy", "infra")
+_V4, _V6, _REBOOT, _SCRAMBLE, _POLICY, _INFRA = range(len(EVENT_KINDS))
 
 
 @dataclass(frozen=True)
@@ -197,6 +227,7 @@ class _SubscriberState:
         "sub_id",
         "dual_stack",
         "v4_policy",
+        "v4_timer",
         "is_legacy",
         "cpe",
         "home_pool",
@@ -217,6 +248,7 @@ class _SubscriberState:
         self.sub_id = sub_id
         self.dual_stack = dual_stack
         self.v4_policy = v4_policy
+        self.v4_timer = v4_policy.timer()
         self.is_legacy = False
         self.cpe = cpe
         self.home_pool = 0
@@ -227,12 +259,16 @@ class _SubscriberState:
         self.v6_delegation_since = 0.0
         self.v6_lan: Optional[int] = None
         self.v6_lan_since = 0.0
-        self.v4_event = None
-        self.v6_event = None
+        self.v4_event: Optional[Handle] = None
+        self.v6_event: Optional[Handle] = None
         # Closed intervals so far; v6 logs hold the networks' high 64 bits.
         self.v4_log = _IntervalLog()
         self.v6_lan_log = _IntervalLog()
         self.v6_delegation_log = _IntervalLog()
+
+    def set_v4_policy(self, policy: ChangePolicy) -> None:
+        self.v4_policy = policy
+        self.v4_timer = policy.timer()
 
 
 class IspSimulation:
@@ -253,12 +289,15 @@ class IspSimulation:
         self.end_hour = float(end_hour)
         self._rng = random.Random((seed << 16) ^ isp.asn)
         self._delegation_plen = isp.v6_plan.delegation_plen if isp.v6_plan is not None else None
+        v6 = isp.config.v6
+        self._v6_timer = v6.policy.timer() if v6 is not None else None
+        self._sync_prob = v6.sync_with_v4_prob if v6 is not None else 0.0
         self._queue = EventQueue()
-        self._subs: Dict[int, _SubscriberState] = {}
+        self._subs: List[_SubscriberState] = []  # indexed by subscriber id
         self._build_population(num_subscribers)
         if isp.config.infra_outage_mean_hours:
             delay = self._rng.expovariate(1.0 / isp.config.infra_outage_mean_hours)
-            self._queue.schedule(delay, ("infra", -1))
+            self._queue.schedule(delay, _INFRA)
 
     # -- setup ---------------------------------------------------------------
 
@@ -279,10 +318,10 @@ class IspSimulation:
                 cpe = Cpe(rng.choices(behaviors, weights=weights, k=1)[0], rng)
             state = _SubscriberState(sub_id, dual_stack, v4_policy, cpe)
             state.is_legacy = is_legacy
-            self._subs[sub_id] = state
+            self._subs.append(state)
             for epoch_index, epoch in enumerate(config.v4.epochs):
                 if epoch.start_hour < self.end_hour:
-                    self._queue.schedule(epoch.start_hour, ("policy", sub_id, epoch_index))
+                    self._queue.schedule(float(epoch.start_hour), _POLICY, sub_id, epoch_index)
 
             state.v4_addr = self.isp.v4_plan.draw(rng)
             state.v4_since = 0.0
@@ -298,32 +337,31 @@ class IspSimulation:
                 self._schedule_v6(state, 0.0, first=True)
                 scramble_delay = cpe.next_scramble_delay(rng)
                 if scramble_delay is not None:
-                    self._queue.schedule(scramble_delay * rng.random(), ("scramble", sub_id))
+                    self._queue.schedule(scramble_delay * rng.random(), _SCRAMBLE, sub_id)
             if cpe is not None:
                 reboot_delay = cpe.next_reboot_delay(rng)
                 if reboot_delay is not None:
-                    self._queue.schedule(reboot_delay, ("reboot", sub_id))
+                    self._queue.schedule(reboot_delay, _REBOOT, sub_id)
 
     def _schedule_v4(self, state: _SubscriberState, now: float, first: bool = False) -> None:
-        delay = state.v4_policy.next_change_delay(self._rng)
+        delay = timer_delay(state.v4_timer, self._rng.random)
         if delay is None:
             state.v4_event = None
             return
         if first:
             # Random phase so periodic populations do not change in lock-step.
             delay *= self._rng.random()
-        state.v4_event = self._queue.schedule(now + delay, ("v4", state.sub_id))
+        state.v4_event = self._queue.schedule(now + delay, _V4, state.sub_id)
 
     def _schedule_v6(self, state: _SubscriberState, now: float, first: bool = False) -> None:
-        config = self.isp.config.v6
-        assert config is not None
-        delay = config.policy.next_change_delay(self._rng)
+        assert self._v6_timer is not None
+        delay = timer_delay(self._v6_timer, self._rng.random)
         if delay is None:
             state.v6_event = None
             return
         if first:
             delay *= self._rng.random()
-        state.v6_event = self._queue.schedule(now + delay, ("v6", state.sub_id))
+        state.v6_event = self._queue.schedule(now + delay, _V6, state.sub_id)
 
     # -- state transitions ----------------------------------------------------
 
@@ -362,10 +400,8 @@ class IspSimulation:
 
     def _maybe_sync_v6(self, state: _SubscriberState, now: float) -> None:
         """A v4 change drags the v6 delegation along with it (DTAG-style)."""
-        config = self.isp.config.v6
-        if config is None or not state.dual_stack:
-            return
-        if self._rng.random() >= config.sync_with_v4_prob:
+        # Without IPv6 no subscriber is dual-stack, so no roll is drawn.
+        if not state.dual_stack or self._rng.random() >= self._sync_prob:
             return
         self._renumber_v6(state, now)
         if state.v6_event is not None:
@@ -375,33 +411,116 @@ class IspSimulation:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> Dict[int, SubscriberTimeline]:
-        """Process all events up to ``end_hour``; returns the timelines."""
-        for now, event in self._queue.drain_until(self.end_hour):
-            kind, sub_id = event[0], event[1]
-            if kind == "infra":
-                self._handle_infrastructure_outage(now)
-                continue
-            state = self._subs[sub_id]
-            if kind == "policy":
-                self._apply_policy_epoch(state, now, event[2])
-            elif kind == "v4":
-                self._renumber_v4(state, now)
-                self._maybe_sync_v6(state, now)
-                self._schedule_v4(state, now)
-            elif kind == "v6":
-                self._renumber_v6(state, now)
-                self._schedule_v6(state, now)
-            elif kind == "reboot":
-                self._handle_reboot(state, now)
-            elif kind == "scramble":
-                self._rescramble(state, now)
-                assert state.cpe is not None
-                delay = state.cpe.next_scramble_delay(self._rng)
-                if delay is not None:
-                    self._queue.schedule(now + delay, ("scramble", sub_id))
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown event kind {kind!r}")
+        """Process all events up to ``end_hour``; returns the timelines.
+
+        ``v4`` and ``v6`` events (over nine in ten) run inline, with
+        every per-event lookup bound once here.  They make the same RNG
+        calls, and schedule in the same order, as :meth:`_renumber_v4`,
+        :meth:`_maybe_sync_v6`, :meth:`_renumber_v6` and the schedule
+        methods that the rarer events call.  The ``netsim/isp`` span and
+        the ``netsim.events{kind}`` counter are fed once per run from a
+        local tally.
+        """
+        rng = self._rng
+        random_ = rng.random
+        queue = self._queue
+        schedule = queue.schedule
+        cancel = queue.cancel
+        subs = self._subs
+        v4_plan = self.isp.v4_plan
+        v4_draw = v4_plan.draw
+        # A plan's release() is a method call around one set discard;
+        # the loop discards from the plan's in-use set directly.
+        v4_release = v4_plan._in_use.discard
+        v6_plan = self.isp.v6_plan
+        if v6_plan is not None:
+            v6_draw = v6_plan.draw
+            v6_release = v6_plan._in_use.discard
+            v6_mode, v6_a, v6_b, v6_c = self._v6_timer
+        sync_prob = self._sync_prob
+        delegation_plen = self._delegation_plen
+        fired = [0] * len(EVENT_KINDS)
+        with span("netsim/isp", asn=self.isp.asn) as isp_span:
+            for now, _seq, code, sub_id, arg, _done in queue.pop_until(self.end_hour):
+                fired[code] += 1
+                if code > _V6:
+                    self._rare_event(code, sub_id, now, arg)
+                    continue
+                state = subs[sub_id]
+                if code == _V4:
+                    old = state.v4_addr
+                    intervals = state.v4_log
+                    intervals.start.append(state.v4_since)
+                    intervals.end.append(now)
+                    intervals.value.append(old)
+                    v4_release(old)
+                    state.v4_addr = v4_draw(rng, old)
+                    state.v4_since = now
+                    # A v4 change drags the v6 delegation along (_maybe_sync_v6).
+                    renumber_v6 = state.dual_stack and random_() < sync_prob
+                    if renumber_v6 and state.v6_event is not None:
+                        cancel(state.v6_event)
+                else:
+                    renumber_v6 = True
+                if renumber_v6:
+                    old = state.v6_delegation
+                    intervals = state.v6_delegation_log
+                    intervals.start.append(state.v6_delegation_since)
+                    intervals.end.append(now)
+                    intervals.value.append(old >> 64)
+                    intervals = state.v6_lan_log
+                    intervals.start.append(state.v6_lan_since)
+                    intervals.end.append(now)
+                    intervals.value.append(state.v6_lan >> 64)
+                    v6_release(old)
+                    delegation, state.home_pool = v6_draw(rng, state.home_pool, old)
+                    state.v6_delegation = delegation
+                    state.v6_delegation_since = now
+                    state.v6_lan = state.cpe.lan_network(delegation, delegation_plen, rng)
+                    state.v6_lan_since = now
+                    # timer_delay(self._v6_timer, random_), inline
+                    if v6_mode == TIMER_EXPONENTIAL:
+                        state.v6_event = schedule(now + -log_(1.0 - random_()) / v6_a, _V6, sub_id)
+                    elif v6_mode == TIMER_JITTERED:
+                        state.v6_event = schedule(
+                            now + (v6_a + (v6_b + v6_c * random_())), _V6, sub_id
+                        )
+                    elif v6_mode == TIMER_FIXED:
+                        state.v6_event = schedule(now + v6_a, _V6, sub_id)
+                    else:
+                        state.v6_event = None
+                if code == _V4:
+                    # timer_delay(state.v4_timer, random_), inline
+                    mode, a, b, c = state.v4_timer
+                    if mode == TIMER_EXPONENTIAL:
+                        state.v4_event = schedule(now + -log_(1.0 - random_()) / a, _V4, sub_id)
+                    elif mode == TIMER_JITTERED:
+                        state.v4_event = schedule(now + (a + (b + c * random_())), _V4, sub_id)
+                    elif mode == TIMER_FIXED:
+                        state.v4_event = schedule(now + a, _V4, sub_id)
+                    else:
+                        state.v4_event = None
+            isp_span.set(events=sum(fired))
+        for kind, count in zip(EVENT_KINDS, fired):
+            if count:
+                metric_inc("netsim.events", count, kind=kind)
         return self._close_timelines()
+
+    def _rare_event(self, code: int, sub_id: int, now: float, arg: int) -> None:
+        """Dispatch a ``reboot``, ``scramble``, ``policy`` or ``infra`` event."""
+        if code == _INFRA:
+            self._handle_infrastructure_outage(now)
+            return
+        state = self._subs[sub_id]
+        if code == _REBOOT:
+            self._handle_reboot(state, now)
+        elif code == _SCRAMBLE:
+            self._rescramble(state, now)
+            delay = state.cpe.next_scramble_delay(self._rng)
+            if delay is not None:
+                self._queue.schedule(now + delay, _SCRAMBLE, sub_id)
+        else:
+            self._apply_policy_epoch(state, now, arg)
 
     def _handle_infrastructure_outage(self, now: float) -> None:
         """A BNG/assignment server loses state: mass simultaneous renumbering.
@@ -412,7 +531,7 @@ class IspSimulation:
         """
         config = self.isp.config
         scope = config.infra_outage_scope
-        for state in self._subs.values():
+        for state in self._subs:
             if self._rng.random() >= scope:
                 continue
             self._renumber_v4(state, now)
@@ -425,7 +544,7 @@ class IspSimulation:
                     self._queue.cancel(state.v6_event)
                 self._schedule_v6(state, now)
         delay = self._rng.expovariate(1.0 / config.infra_outage_mean_hours)
-        self._queue.schedule(now + delay, ("infra", -1))
+        self._queue.schedule(now + delay, _INFRA)
 
     def _apply_policy_epoch(self, state: _SubscriberState, now: float, epoch_index: int) -> None:
         """Switch the subscriber onto the epoch's policy (Section 3.2 drift).
@@ -436,9 +555,9 @@ class IspSimulation:
         """
         epoch = self.isp.config.v4.epochs[epoch_index]
         if state.dual_stack and not state.is_legacy:
-            state.v4_policy = epoch.policy_ds
+            state.set_v4_policy(epoch.policy_ds)
         else:
-            state.v4_policy = epoch.policy_nds
+            state.set_v4_policy(epoch.policy_nds)
         if state.v4_event is not None:
             self._queue.cancel(state.v4_event)
         self._schedule_v4(state, now)
@@ -463,12 +582,12 @@ class IspSimulation:
         assert state.cpe is not None
         delay = state.cpe.next_reboot_delay(self._rng)
         if delay is not None:
-            self._queue.schedule(now + delay, ("reboot", state.sub_id))
+            self._queue.schedule(now + delay, _REBOOT, state.sub_id)
 
     def _close_timelines(self) -> Dict[int, SubscriberTimeline]:
         end = self.end_hour
         timelines: Dict[int, SubscriberTimeline] = {}
-        for sub_id, state in self._subs.items():
+        for sub_id, state in enumerate(self._subs):
             if state.v4_addr is not None:
                 state.v4_log.add(state.v4_since, end, state.v4_addr)
             if state.v6_lan is not None:

@@ -173,6 +173,18 @@ def span(name: str, **attrs):
     return _STATE.tracer.span(name, **attrs)
 
 
+def transient_span(name: str, **attrs):
+    """:func:`span` whose finished root the tracer does not keep.
+
+    See :meth:`~repro.obs.trace.Tracer.transient_span`: the caller owns
+    the tree (e.g. a bounded flight recorder), so a long-lived server
+    does not accumulate one root per request.
+    """
+    if not _STATE.enabled:
+        return _NOOP_SPAN
+    return _STATE.tracer.transient_span(name, **attrs)
+
+
 def metric_inc(name: str, value: float = 1, **labels) -> None:
     """Increment a counter (no-op while telemetry is disabled)."""
     if _STATE.enabled:
@@ -275,4 +287,5 @@ __all__ = [
     "telemetry",
     "telemetry_enabled",
     "telemetry_snapshot",
+    "transient_span",
 ]

@@ -104,11 +104,12 @@ class Span:
 class _ActiveSpan:
     """Context manager binding one :class:`Span` to a tracer's stack."""
 
-    __slots__ = ("_tracer", "_span")
+    __slots__ = ("_tracer", "_span", "_keep_root")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    def __init__(self, tracer: "Tracer", span: Span, keep_root: bool = True) -> None:
         self._tracer = tracer
         self._span = span
+        self._keep_root = keep_root
 
     def __enter__(self) -> Span:
         self._tracer._push(self._span)
@@ -117,7 +118,7 @@ class _ActiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._pop(self._span)
+        self._tracer._pop(self._span, self._keep_root)
         return False
 
 
@@ -150,6 +151,17 @@ class Tracer:
         """A context manager opening ``name`` under the current span."""
         return _ActiveSpan(self, Span(name, attrs))
 
+    def transient_span(self, name: str, **attrs) -> _ActiveSpan:
+        """Like :meth:`span`, but a finished root is not kept in :attr:`roots`.
+
+        For per-request trees in a long-lived process: the caller keeps
+        the span it entered (the serve app hands it to its bounded
+        flight recorder), so the tracer does not grow by one tree per
+        request.  Opened under another span, it is that span's child
+        as usual.
+        """
+        return _ActiveSpan(self, Span(name, attrs), keep_root=False)
+
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
         stack = self._stack()
@@ -165,12 +177,12 @@ class Tracer:
             stack[-1].children.append(span)
         stack.append(span)
 
-    def _pop(self, span: Span) -> None:
+    def _pop(self, span: Span, keep_root: bool = True) -> None:
         span.end = time.perf_counter() - self.epoch
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if not stack:
+        if not stack and keep_root:
             # A span opened with nothing on the stack is a root; child
             # spans already live in their parent's ``children``.
             self.roots.append(span)

@@ -5,7 +5,7 @@
 exercise the full API without sockets.  :func:`make_server` wraps an
 app in a ``http.server`` ``ThreadingHTTPServer``;
 :class:`ServeClient` speaks to either an in-process app or a running
-server over ``urllib`` with the same call surface.
+server, over one kept-alive connection, with the same call surface.
 
 Transport
 ---------
@@ -69,12 +69,18 @@ import json
 import os
 import threading
 import time
+from http.client import BadStatusLine, HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs
-from urllib.request import Request, urlopen
+from urllib.parse import parse_qs, urlsplit
 
-from repro.obs import get_logger, get_registry, metric_observe, span, telemetry_enabled
+from repro.obs import (
+    get_logger,
+    get_registry,
+    metric_observe,
+    telemetry_enabled,
+    transient_span,
+)
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.recorder import FlightRecorder, SlowQueryLog
 from repro.obs.trace import Span
@@ -225,7 +231,9 @@ class ServeApp:
         request_span: Any = None
         start = time.perf_counter()
         try:
-            with span(
+            # The flight recorder keeps the last N request trees; the
+            # tracer keeps none, so a long-lived server does not grow.
+            with transient_span(
                 "serve/request", endpoint="/query", kind=kind, trace_id=trace_id
             ) as request_span:
                 if batch:
@@ -357,8 +365,13 @@ class ServeClient:
     """One call surface over an in-process app or a remote server.
 
     Exactly one of ``app`` / ``base_url`` must be given.  The
-    in-process form is what the test suite drives; the HTTP form is a
-    thin ``urllib`` wrapper returning the same parsed documents.
+    in-process form is what the test suite drives; the HTTP form holds
+    one kept-alive ``http.client`` connection and returns the same
+    parsed documents.  A connection the server has closed (a refusal's
+    ``Connection: close``, or its idle timeout) is reopened for the
+    next request: a request that finds a reused connection closed is
+    sent once more on a fresh one.  Requests from several threads
+    through one client take turns on its connection.
     """
 
     def __init__(
@@ -368,6 +381,45 @@ class ServeClient:
             raise ValueError("ServeClient needs exactly one of app= or base_url=")
         self.app = app
         self.base_url = base_url.rstrip("/") if base_url else None
+        self._conn: Optional[HTTPConnection] = None
+        self._lock = threading.Lock()
+        if self.base_url is not None:
+            parts = urlsplit(self.base_url)
+            self._address = (parts.hostname or "localhost", parts.port)
+            self._path_prefix = parts.path
+
+    def close(self) -> None:
+        """Close the kept-alive connection (the next request reopens one)."""
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, str, str]:
+        """``(status, content type, body text)`` of one request on the connection."""
+        headers = {"Content-Type": "application/json"}
+        while True:
+            reused = self._conn is not None
+            if not reused:
+                self._conn = HTTPConnection(*self._address)
+            try:
+                self._conn.request(method, self._path_prefix + path, body=body, headers=headers)
+                response = self._conn.getresponse()
+                raw = response.read()
+            except (ConnectionError, BadStatusLine):
+                self._close()
+                if reused:
+                    continue  # the server closed the idle connection: one fresh try
+                raise
+            except BaseException:
+                self._close()
+                raise
+            if response.will_close:
+                self._close()
+            return response.status, response.getheader("Content-Type", ""), raw.decode("utf-8")
 
     def request(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
@@ -379,26 +431,12 @@ class ServeClient:
         """
         if self.app is not None:
             return self.app.handle(method, path, payload)
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
-        request = Request(
-            self.base_url + path,
-            data=data,
-            headers={"Content-Type": "application/json"},
-            method=method,
-        )
-        try:
-            with urlopen(request) as response:
-                raw = response.read().decode("utf-8")
-                content_type = response.headers.get("Content-Type", "")
-                if content_type.startswith("application/json"):
-                    return response.status, json.loads(raw)
-                return response.status, raw
-        except Exception as exc:
-            status = getattr(exc, "code", None)
-            if status is None:
-                raise
-            body = exc.read().decode("utf-8")  # type: ignore[attr-defined]
-            return int(status), json.loads(body)
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        with self._lock:
+            status, content_type, text = self._exchange(method, path, body)
+        if content_type.startswith("application/json"):
+            return status, json.loads(text)
+        return status, text
 
     def _expect(self, method: str, path: str, payload=None) -> Dict[str, Any]:
         status, document = self.request(method, path, payload)

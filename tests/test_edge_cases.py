@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.registry import RIR, Registry
 from repro.ip.addr import AddressError, IPv4Address
 from repro.ip.prefix import IPv4Prefix, IPv6Prefix
-from repro.netsim.events import EventQueue
+from repro.netsim.events import KIND, EventQueue
 from repro.netsim.pool import PoolExhaustedError, V4AddressPlan, V6PrefixPlan
 
 
@@ -76,7 +76,7 @@ class TestEventQueueEdge:
     def test_cancel_after_pop_is_noop(self):
         queue = EventQueue()
         handle = queue.schedule(1.0, "x")
-        assert queue.pop() == (1.0, "x")
+        assert queue.pop() is handle
         queue.cancel(handle)  # already fired
         assert len(queue) == 0
 
@@ -87,9 +87,9 @@ class TestEventQueueEdge:
         queue = EventQueue()
         queue.schedule(1.0, "a")
         drained = []
-        for time, payload in queue.drain_until(10.0):
-            drained.append(payload)
-            if payload == "a":
+        for entry in queue.pop_until(10.0):
+            drained.append(entry[KIND])
+            if entry[KIND] == "a":
                 queue.schedule(5.0, "b")  # scheduled mid-drain, still <= 10
         assert drained == ["a", "b"]
 

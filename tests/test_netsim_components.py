@@ -16,7 +16,7 @@ from repro.netsim.clock import (
     hours_to_datetime,
 )
 from repro.netsim.cpe import Cpe, CpeBehavior, eui64_iid
-from repro.netsim.events import EventQueue
+from repro.netsim.events import ARG, CANCELLED, KIND, SUBJECT, TIME, EventQueue
 from repro.netsim.policy import ChangePolicy
 from repro.netsim.pool import PoolExhaustedError, V4AddressPlan, V6PrefixPlan
 
@@ -51,13 +51,13 @@ class TestEventQueue:
         q.schedule(3.0, "c")
         q.schedule(1.0, "a")
         q.schedule(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        assert [q.pop()[KIND] for _ in range(3)] == ["a", "b", "c"]
 
     def test_fifo_tie_break(self):
         q = EventQueue()
         q.schedule(1.0, "first")
         q.schedule(1.0, "second")
-        assert [q.pop()[1], q.pop()[1]] == ["first", "second"]
+        assert [q.pop()[KIND], q.pop()[KIND]] == ["first", "second"]
 
     def test_cancel(self):
         q = EventQueue()
@@ -66,7 +66,7 @@ class TestEventQueue:
         q.cancel(handle)
         q.cancel(handle)  # idempotent
         assert len(q) == 1
-        assert q.pop() == (2.0, "kept")
+        assert q.pop()[:3:2] == [2.0, "kept"]
 
     def test_peek_skips_cancelled(self):
         q = EventQueue()
@@ -79,13 +79,23 @@ class TestEventQueue:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_drain_until(self):
+    def test_pop_until(self):
         q = EventQueue()
         for t in (1.0, 2.0, 3.0, 10.0):
-            q.schedule(t, t)
-        drained = list(q.drain_until(3.0))
-        assert [t for t, _ in drained] == [1.0, 2.0, 3.0]
-        assert len(q) == 1
+            q.schedule(t, 0, int(t))
+        drained = list(q.pop_until(3.0))
+        assert [entry[TIME] for entry in drained] == [1.0, 2.0, 3.0]
+        assert [entry[SUBJECT] for entry in drained] == [1, 2, 3]
+        assert len(q) == 1 and q.peek_time() == 10.0
+
+    def test_entries_carry_integer_codes(self):
+        q = EventQueue()
+        handle = q.schedule(4.0, 2, 17, 3)
+        assert handle == [4.0, 0, 2, 17, 3, False]
+        entry = q.pop()
+        assert entry is handle
+        assert (entry[TIME], entry[KIND], entry[SUBJECT], entry[ARG]) == (4.0, 2, 17, 3)
+        assert entry[CANCELLED]  # fired: a later cancel is a no-op
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -93,21 +103,23 @@ class TestEventQueue:
 
     def test_equal_times_fire_in_scheduling_order(self):
         q = EventQueue()
-        # Unorderable payloads: ties must be broken by sequence alone.
+        # Unorderable arguments: ties must be broken by sequence alone.
         for i in range(40):
-            q.schedule(7.0 if i % 2 else 3.0, {"i": i})
+            q.schedule(7.0 if i % 2 else 3.0, 0, -1, {"i": i})
         order = [q.pop() for _ in range(40)]
-        assert [t for t, _ in order] == [3.0] * 20 + [7.0] * 20
-        assert [p["i"] for _, p in order] == list(range(0, 40, 2)) + list(range(1, 40, 2))
+        assert [entry[TIME] for entry in order] == [3.0] * 20 + [7.0] * 20
+        assert [entry[ARG]["i"] for entry in order] == (
+            list(range(0, 40, 2)) + list(range(1, 40, 2))
+        )
 
     def test_cancel_of_popped_handle_is_noop(self):
         q = EventQueue()
         fired = q.schedule(1.0, "fired")
         q.schedule(2.0, "pending")
-        assert q.pop() == (1.0, "fired")
+        assert q.pop()[:3:2] == [1.0, "fired"]
         q.cancel(fired)
         assert len(q) == 1
-        assert q.pop() == (2.0, "pending")
+        assert q.pop()[:3:2] == [2.0, "pending"]
         assert len(q) == 0 and not q
 
     def test_len_after_tombstones_dropped(self):
@@ -120,7 +132,7 @@ class TestEventQueue:
         assert len(q) == 4
         q.cancel(handles[0])  # already cancelled: still a no-op
         assert len(q) == 4
-        assert [q.pop()[1] for _ in range(4)] == [1, 2, 4, 5]
+        assert [q.pop()[KIND] for _ in range(4)] == [1, 2, 4, 5]
         assert len(q) == 0 and q.peek_time() is None
         with pytest.raises(IndexError):
             q.pop()
@@ -131,7 +143,7 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             q.schedule(float("nan"), "x")
         assert len(q) == 1
-        assert q.pop() == (1.0, "kept")
+        assert q.pop()[:3:2] == [1.0, "kept"]
 
 
 class TestChangePolicy:

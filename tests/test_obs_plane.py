@@ -332,6 +332,44 @@ class TestStitching:
         assert serial["attrs"]["isps"] == pooled_tasks == pooled["attrs"]["isps"] > 0
 
 
+def _spans_named(snap, name: str) -> list:
+    found = []
+
+    def walk(node):
+        if node["name"] == name:
+            found.append(node)
+        for child in node.get("children", ()):
+            walk(child)
+
+    for root in snap["spans"]:
+        walk(root)
+    return found
+
+
+class TestNetsimTelemetry:
+    def test_per_isp_spans_under_the_simulation_stage(self):
+        snap = _pooled_build_snapshot(workers=1)
+        stage = _isp_stage(snap)
+        children = [c for c in stage["children"] if c["name"] == "netsim/isp"]
+        assert len(children) == stage["attrs"]["isps"] > 0
+        assert len({child["attrs"]["asn"] for child in children}) == len(children)
+        assert all(child["attrs"]["events"] > 0 for child in children)
+
+    def test_event_counts_conserved_and_worker_invariant(self, fan_out):
+        labelled = {}
+        for workers in (1, 2):
+            snap = _pooled_build_snapshot(workers)
+            events = snap["metrics"]["counters"]["netsim.events"]
+            kinds = {key: value for key, value in events.items() if key}
+            spans = _spans_named(snap, "netsim/isp")
+            assert sum(kinds.values()) == events[""]
+            assert events[""] == sum(span["attrs"]["events"] for span in spans)
+            assert len(spans) == _isp_stage(snap)["attrs"]["isps"]
+            labelled[workers] = kinds
+        assert labelled[1] == labelled[2]
+        assert {"kind=v4", "kind=v6", "kind=reboot"} <= set(labelled[1])
+
+
 # ---------------------------------------------------------------------------
 # Serve observability plane
 # ---------------------------------------------------------------------------
@@ -361,6 +399,25 @@ class TestServePlane:
         status, doc = app.handle("GET", "/debug/slow?limit=1")
         assert status == 200
         assert doc["entries"][0]["trace_id"] == "ab12cd34ef56ab78"
+
+    def test_request_trees_stay_out_of_the_tracer(self, scenario):
+        from repro.obs import get_tracer
+        from repro.serve import ServeApp, observed_prefixes
+
+        prefix = str(observed_prefixes(scenario, 4, 24, limit=1)[0])
+        payload = {"kind": "stability", "prefix": prefix}
+        with telemetry(True, reset=True):
+            app = ServeApp(scenario, flight_recorder=16)
+            assert app.handle("POST", "/query", payload)[0] == 200  # builds the artifact
+            roots = len(get_tracer().roots)
+            for _ in range(1000):
+                assert app.handle("POST", "/query", payload)[0] == 200
+            assert len(get_tracer().roots) == roots
+            status, doc = app.handle("GET", "/debug/trace")
+        assert status == 200
+        assert doc["stats"]["recorded"] == 1001
+        assert [entry["seq"] for entry in doc["entries"]] == list(range(986, 1002))
+        assert all(entry["spans"][0]["name"] == "serve/request" for entry in doc["entries"])
 
     def test_invalid_client_trace_id_replaced(self, scenario):
         from repro.serve import ServeApp, observed_prefixes

@@ -732,6 +732,64 @@ class TestKeepAlive:
         assert status == 200
 
 
+@pytest.fixture()
+def connects(monkeypatch) -> list:
+    """Every ``http.client`` connect made while the test runs."""
+    made = []
+    real = http.client.HTTPConnection.connect
+
+    def counting(conn):
+        made.append(conn)
+        return real(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return made
+
+
+class TestServeClientKeepAlive:
+    """The HTTP ``ServeClient`` holds one connection and reopens it when closed."""
+
+    @staticmethod
+    def _payload(scenario) -> dict:
+        return {"kind": "stability", "prefix": str(observed_prefixes(scenario, 4, 24, limit=1)[0])}
+
+    def test_queries_reuse_one_connection(self, http_address, scenario, connects):
+        client = ServeClient(base_url="http://%s:%d" % http_address)
+        payload = self._payload(scenario)
+        try:
+            answers = [client.query(payload) for _ in range(50)]
+        finally:
+            client.close()
+        assert len(connects) == 1
+        assert answers == [ServeClient(app=ServeApp(scenario)).query(payload)] * 50
+
+    def test_query_after_a_refusal_succeeds(self, http_address, scenario, connects):
+        client = ServeClient(base_url="http://%s:%d" % http_address)
+        payload = self._payload(scenario)
+        try:
+            status, document = client.request(
+                "POST", "/query", {"queries": [{}] * (MAX_BATCH_QUERIES + 1)}
+            )
+            assert status == 413 and "exceeds" in document["error"]
+            assert client.query(payload)["kind"] == "stability"
+            assert client.query(payload)["kind"] == "stability"
+        finally:
+            client.close()
+        assert len(connects) == 2  # the refusal closed the first connection
+
+    def test_connection_closed_while_idle_is_reopened(self, scenario, connects, monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        with _serving(ServeApp(scenario)) as server:
+            client = ServeClient(base_url="http://%s:%d" % server.server_address[:2])
+            try:
+                assert client.health()["status"] == "ok"
+                time.sleep(0.6)  # past the idle timeout: the server closes the socket
+                assert client.health()["status"] == "ok"
+            finally:
+                client.close()
+        assert len(connects) == 2
+
+
 class TestThreadedServing:
     """Concurrent keep-alive clients on a cold server (ROADMAP item 2)."""
 
