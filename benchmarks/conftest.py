@@ -11,9 +11,8 @@ out over ``REPRO_BENCH_WORKERS`` processes (default ``$REPRO_WORKERS``)
 and, unless ``REPRO_BENCH_CACHE=0``, hit the content-addressed scenario
 cache, so a warm session skips generation entirely.
 
-The analyses themselves run through the engine selected by
-``$REPRO_ANALYSIS_ENGINE`` (the fused single-pass engine by default;
-see ``repro.core.fused``), and setting ``REPRO_PROFILE=1`` dumps
+The analyses themselves run on the default fused single-pass engine
+(see ``repro.core.fused``), and setting ``REPRO_PROFILE=1`` dumps
 per-stage cProfile artifacts under ``benchmarks/results/``.
 
 Every benchmark writes its rendered artifact to

@@ -15,8 +15,8 @@ from repro.workloads import periodicity_for_scenario
 def compute_periodicity(scenario):
     # min_probes=2 keeps the detection meaningful at reduced benchmark
     # scales where an AS may only carry a couple of NDS probes.  The
-    # detection runs through the $REPRO_ANALYSIS_ENGINE knob and reuses
-    # the scenario's memoized column packs on the NumPy path.
+    # detection runs on the default fused engine and reuses the
+    # scenario's memoized column packs.
     return periodicity_for_scenario(scenario, min_probes=2)
 
 

@@ -92,8 +92,7 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="analysis kernels: the single-pass fused engine "
                         "('fused') or the pure-Python reference ('py'); both "
-                        "are bit-identical "
-                        "(default: $REPRO_ANALYSIS_ENGINE, else fused)")
+                        "are bit-identical (default: fused)")
 
 
 def _cache_flag(args: argparse.Namespace):
@@ -335,9 +334,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     engine = resolve_engine(args.engine)
     by_probe: dict = defaultdict(lambda: {4: [], 6: []})
-    with Path(args.input).open() as stream:
-        for run in read_echo_runs(stream):
-            by_probe[run.probe_id][run.family].append(run)
+    try:
+        with Path(args.input).open() as stream:
+            for run in read_echo_runs(stream):
+                by_probe[run.probe_id][run.family].append(run)
+    except OSError as exc:
+        print(f"error: cannot read {args.input}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        if _holds_hourly_records(Path(args.input)):
+            print(
+                f"error: {args.input} holds convert-atlas hourly echo records, "
+                "not echo runs",
+                file=sys.stderr,
+            )
+        else:
+            print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 1
 
     durations = {4: [], 6: []}
     if engine == "fused":
@@ -385,6 +398,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"{label}: periodic renumbering detected: "
                   + ", ".join(str(mode) for mode in modes))
     return 0
+
+
+def _holds_hourly_records(path: Path) -> bool:
+    """Does ``path``'s first line parse as an hourly echo record?"""
+    from repro.io.records import read_echo_records
+
+    try:
+        with path.open() as stream:
+            first = next((line for line in stream if line.strip()), "")
+        return bool(first) and bool(list(read_echo_records([first])))
+    except ValueError:
+        return False
 
 
 def cmd_stream(args: argparse.Namespace) -> int:

@@ -11,20 +11,16 @@ retried on the reference.  Only two inputs are routed by a check on the
 input itself — association triples whose /64 key has host bits set, and
 delegation prefixes other than /64 — and both go to the reference.
 
-This module owns the single knob selecting between the engines, so
-layers below the report can resolve the engine without importing it
-(the report layer imports the sanitization pipeline, which imports the
-platform — a cycle if the knob lived in ``report``).
+This module owns the single knob selecting between the engines — the
+``engine=`` argument, and the CLI's ``--engine`` — so layers below the
+report can resolve the engine without importing it (the report layer
+imports the sanitization pipeline, which imports the platform — a cycle
+if the knob lived in ``report``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
-
-#: Environment override for the default analysis engine
-#: ("fused" or "py").
-ENGINE_ENV = "REPRO_ANALYSIS_ENGINE"
 
 #: Engines accepted by :func:`resolve_engine`: the fast path, then the
 #: pure-Python reference.
@@ -32,10 +28,7 @@ ENGINES = ("fused", "py")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Effective analysis engine: explicit value, else the environment,
-    else ``"fused"``."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip().lower() or None
+    """Effective analysis engine: the explicit value, else ``"fused"``."""
     if engine is None:
         return "fused"
     if engine not in ENGINES:
@@ -43,4 +36,4 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return engine
 
 
-__all__ = ["ENGINE_ENV", "ENGINES", "resolve_engine"]
+__all__ = ["ENGINES", "resolve_engine"]

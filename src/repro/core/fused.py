@@ -23,7 +23,7 @@ preserves per-AS relative order.
 Dispatched as ``engine="fused"`` (the default) through
 :mod:`repro.core.engine`; the parity contract with the pure-Python
 reference (``"py"``) is enforced by
-``repro.perf.verify.fused_engine_diffs`` and the randomized tests in
+``repro.perf.verify.atlas_diffs`` and the randomized tests in
 ``tests/test_fused.py``.
 """
 

@@ -10,11 +10,10 @@ Every analysis entry point takes an ``engine="fused"|"py"`` knob
 reference kernels, ``"fused"`` the single-pass engine of
 :mod:`repro.core.fused` over a columnar
 :class:`~repro.core.analysis_np.ProbeColumns` pack.  The default
-(``engine=None``) reads ``$REPRO_ANALYSIS_ENGINE`` and otherwise picks
-``"fused"``.  Each entry point runs exactly one path per engine; the
-two produce bit-identical artifacts (the parity tests enforce this),
-and an error raised by the fused path propagates instead of being
-retried on the reference.
+(``engine=None``) is ``"fused"``.  Each entry point runs exactly one
+path per engine; the two produce bit-identical artifacts (the parity
+tests enforce this), and an error raised by the fused path propagates
+instead of being retried on the reference.
 """
 
 from __future__ import annotations

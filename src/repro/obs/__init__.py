@@ -9,7 +9,8 @@ telemetry is disabled** (a single attribute check, no allocation), so
 hot paths can be instrumented unconditionally: the benchmarked overhead
 of the disabled fast path is within noise, and enabling telemetry never
 touches RNG draw order or artifact bytes
-(:func:`repro.perf.verify.telemetry_invariance_diffs` enforces this).
+(:func:`repro.perf.verify.atlas_diffs` run with telemetry on enforces
+this).
 
 Enabling:
 

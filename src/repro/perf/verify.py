@@ -1,37 +1,183 @@
-"""Field-for-field scenario comparison — the determinism contract's teeth.
+"""Parity harnesses: every fast path held to the pure-Python oracle.
 
-``workers=N`` builds must be bit-identical to serial builds, and a cache
-round-trip must return an equal scenario.  These helpers compare every
-observable field of the two scenario types (ground-truth timelines,
-probe data, association datasets, plan state) and report *which* field
-diverged, which is far more actionable than a bare ``assert a == b``.
+One harness per workload, each returning human-readable differences
+(``[]`` when bit-identical), which is far more actionable than a bare
+``assert a == b``:
 
-Deliberately not compared: object identities, RNG internals, and the
-CDN classifier's lookup caches (a warm cache is an optimization, not an
-observable).
+- :func:`atlas_diffs` — the fused Atlas report, periodicity and report
+  entry points against the ``engine="py"`` reference, plus field-by-field
+  equality of extra builds of the same scenario (pooled, cache hit,
+  telemetry on);
+- :func:`stream_diffs` — chunked Atlas stream replay, with kill/resume,
+  against the same oracle;
+- :func:`association_diffs` — the fused Figure 3 kernel, stream results
+  and the out-of-core store against the :mod:`repro.core.associations`
+  oracle;
+- :func:`serve_diffs` — served answers against the direct computation.
 
-The same contract applies to the analysis engines:
-:func:`fused_engine_diffs` holds the fused single-pass engine
-(:mod:`repro.core.fused`, the default) to the pure-Python reference
-(``engine="py"``) across every report artifact plus the delegation and
-association artifacts — and :func:`streaming_replay_diffs` holds the
-streaming layer to it too: chunk-by-chunk replay (any chunk size, with
-or without a mid-stream checkpoint/restore) must be bit-identical to
-the batch fused report.  :func:`store_diffs` extends the contract to
-the out-of-core sharded memmap store: shard-by-shard analysis and the
-store-driven stream must match the pure-Python association oracle
-artifact for artifact, at every shard count.
+:func:`cdn_scenario_diffs` compares two CDN scenario builds.
+
+The Atlas oracle is computed once per scenario object (the report once,
+periodicity once per ``min_probes``), however many harness calls, builds,
+chunk sizes or stream results check against it; the scenario must not
+change between calls.  Deliberately not compared: object identities, RNG
+internals, and the CDN classifier's lookup caches (a warm cache is an
+optimization, not an observable).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import weakref
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 from repro.workloads import AtlasScenario, CdnScenario
 
+#: The four artifacts of an Atlas report, compared one by one.
+_REPORT_ARTIFACTS = ("table1", "table2", "figure1", "figure5")
 
-def atlas_scenario_diffs(a: AtlasScenario, b: AtlasScenario) -> List[str]:
-    """Human-readable differences between two Atlas scenarios ([] if equal)."""
+#: ``id(scenario)`` -> (weak reference, {oracle key: value}).
+_ORACLES: Dict[int, tuple] = {}
+
+
+def _oracle(scenario: AtlasScenario, key: tuple, compute):
+    """``compute()``, the pure-Python oracle's ``key`` part, once per scenario."""
+    entry = _ORACLES.get(id(scenario))
+    if entry is None or entry[0]() is not scenario:
+        ident = id(scenario)
+        entry = (weakref.ref(scenario, lambda _: _ORACLES.pop(ident, None)), {})
+        _ORACLES[ident] = entry
+    memo = entry[1]
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _py_reference(scenario: AtlasScenario, min_probes: int) -> tuple:
+    """The oracle's ``(report, periods)``: the report once per scenario,
+    the periods once per ``min_probes``."""
+    from repro.workloads import analyze_atlas_scenario, periodicity_for_scenario
+
+    return (
+        _oracle(scenario, ("report",), lambda: analyze_atlas_scenario(scenario, engine="py")),
+        _oracle(
+            scenario,
+            ("periods", min_probes),
+            lambda: periodicity_for_scenario(scenario, min_probes=min_probes, engine="py"),
+        ),
+    )
+
+
+def _report_diffs(got: tuple, expected: tuple, label: str = "", path: str = "fused") -> List[str]:
+    """The report artifacts and periods of one fast path's ``(report,
+    periods)`` that diverge from the oracle's."""
+    diffs = [
+        f"{label}{artifact}: {path} diverges from py"
+        for artifact in _REPORT_ARTIFACTS
+        if getattr(got[0], artifact) != getattr(expected[0], artifact)
+    ]
+    if got[1] != expected[1]:
+        diffs.append(f"{label}periodicity: {path} diverges from py")
+    return diffs
+
+
+def _pooled_entry_points(scenario: AtlasScenario, min_probes: int, engine: str) -> dict:
+    """Every report entry point over all of ``scenario``'s probes pooled."""
+    from repro.core import report
+    from repro.core.delegation import inferred_plen_distribution_for_probes
+
+    probes = scenario.probes
+    return {
+        "table1_row": report.table1_row("AS", 0, "XX", probes, engine=engine),
+        "as_durations": report.as_durations(probes, engine=engine),
+        "figure1_for_as": report.figure1_for_as("AS", probes, engine=engine),
+        "figure5_for_as": report.figure5_for_as(probes, engine=engine),
+        "table2_row": report.table2_row(probes, scenario.table, engine=engine),
+        "periodic_networks": report.periodic_networks(
+            {"AS": probes}, min_probes=min_probes, engine=engine
+        ),
+        "inferred_plen_distribution": inferred_plen_distribution_for_probes(
+            probes, engine=engine
+        ),
+    }
+
+
+def _per_as_columns_diffs(scenario: AtlasScenario, expected: tuple, min_probes: int) -> List[str]:
+    """The per-AS fused entry points, each fed its memoized ``columns=`` pack."""
+    from repro.core import report
+
+    probes = {name: scenario.probes_in(isp.asn) for name, isp in scenario.isps.items()}
+    columns = {
+        name: scenario.analysis_columns(isp.asn, engine="fused")
+        for name, isp in scenario.isps.items()
+    }
+    diffs = []
+    for name, isp in scenario.isps.items():
+        mine, fused = probes[name], dict(engine="fused", columns=columns[name])
+        got = {
+            "table1": report.table1_row(name, isp.asn, isp.config.country, mine, **fused),
+            "table2": report.table2_row(mine, scenario.table, **fused),
+            "figure1": report.figure1_for_as(name, mine, **fused),
+            "figure5": report.figure5_for_as(mine, **fused),
+        }
+        diffs.extend(
+            f"{artifact}[{name}] from per-AS columns: fused diverges from py"
+            for artifact, value in got.items()
+            if value != getattr(expected[0], artifact)[name]
+        )
+    per_as_periods = report.periodic_networks(
+        probes, min_probes=min_probes, engine="fused", columns_by_network=columns
+    )
+    if per_as_periods != expected[1]:
+        diffs.append("periodicity from per-AS columns: fused diverges from py")
+    return diffs
+
+
+def atlas_diffs(
+    scenario: AtlasScenario, *builds: AtlasScenario, min_probes: int = 2
+) -> List[str]:
+    """Atlas fast-path-vs-oracle and build-vs-build differences ([] if identical).
+
+    Holds ``scenario``'s fused report (``table1``/``table2``/``figure1``/
+    ``figure5``), its periodicity at ``min_probes``, the per-AS report
+    entry points fed their ``columns=`` packs, and every report entry
+    point (plus the delegation histogram) over the pooled probes to the
+    ``engine="py"`` reference.  Each extra build of the same scenario
+    (pooled, cache hit, telemetry on) is compared field by field with
+    ``scenario``: ground-truth timelines, probe data, plan state and the
+    sanitization report; its messages carry a ``build N:`` prefix when
+    more than one build is given.
+    """
+    diffs: List[str] = []
+    for number, build in enumerate(builds, start=1):
+        prefix = f"build {number}: " if len(builds) > 1 else ""
+        diffs.extend(prefix + diff for diff in _build_diffs(scenario, build))
+
+    from repro.workloads import analyze_atlas_scenario, periodicity_for_scenario
+
+    expected = _py_reference(scenario, min_probes)
+    fused_report = (
+        analyze_atlas_scenario(scenario, engine="fused"),
+        periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused"),
+    )
+    diffs.extend(_report_diffs(fused_report, expected))
+    diffs.extend(_per_as_columns_diffs(scenario, expected, min_probes))
+    pooled = _oracle(
+        scenario,
+        ("pooled", min_probes),
+        lambda: _pooled_entry_points(scenario, min_probes, "py"),
+    )
+    fused = _pooled_entry_points(scenario, min_probes, "fused")
+    diffs.extend(
+        f"{label}: fused entry point diverges from py reference"
+        for label, value in fused.items()
+        if value != pooled[label]
+    )
+    return diffs
+
+
+def _build_diffs(a: AtlasScenario, b: AtlasScenario) -> List[str]:
+    """Field-by-field differences between two builds of one Atlas scenario."""
     diffs: List[str] = []
     if a.end_hour != b.end_hour:
         diffs.append(f"end_hour: {a.end_hour} != {b.end_hour}")
@@ -91,16 +237,11 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
         if getattr(a, field) != getattr(b, field):
             diffs.append(f"{field}: {getattr(a, field)} != {getattr(b, field)}")
     dataset_a, dataset_b = a.dataset, b.dataset
-    if dataset_a.total_collected != dataset_b.total_collected:
-        diffs.append(
-            f"dataset.total_collected: "
-            f"{dataset_a.total_collected} != {dataset_b.total_collected}"
-        )
-    if dataset_a.discarded_asn_mismatch != dataset_b.discarded_asn_mismatch:
-        diffs.append(
-            f"dataset.discarded_asn_mismatch: "
-            f"{dataset_a.discarded_asn_mismatch} != {dataset_b.discarded_asn_mismatch}"
-        )
+    for field in ("total_collected", "discarded_asn_mismatch"):
+        if getattr(dataset_a, field) != getattr(dataset_b, field):
+            diffs.append(
+                f"dataset.{field}: {getattr(dataset_a, field)} != {getattr(dataset_b, field)}"
+            )
     if sorted(dataset_a.triples_by_asn) != sorted(dataset_b.triples_by_asn):
         diffs.append(
             f"dataset ASNs: {sorted(dataset_a.triples_by_asn)} != "
@@ -113,138 +254,36 @@ def cdn_scenario_diffs(a: CdnScenario, b: CdnScenario) -> List[str]:
     return diffs
 
 
-def fused_engine_diffs(
-    scenario: "AtlasScenario" = None,
-    probes_per_as: int = 4,
-    years: float = 0.5,
-    seed: int = 0,
-    min_probes: int = 2,
-    triples=None,
-) -> List[str]:
-    """Fused-vs-reference parity differences ([] if bit-identical).
-
-    The engine-parity contract, at two levels:
-
-    1. **Scenario level** — ``engine="fused"`` must reproduce every
-       ``analyze_atlas_scenario`` artifact and the periodicity result of
-       the ``"py"`` reference bit-identically (a small scenario is built
-       when none is supplied).
-    2. **Entry-point level** — each report entry point, plus the
-       delegation histogram (``inferred_plen_distribution_for_probes``)
-       and, when ``triples`` (CDN association triples) are given, the
-       Figure 3 ``association_box_stats``, called with ``engine="fused"``
-       must match the ``"py"`` reference.
-    """
-    from repro.core import report
-    from repro.core.associations import association_box_stats
-    from repro.core.delegation import inferred_plen_distribution_for_probes
-    from repro.workloads import (
-        analyze_atlas_scenario,
-        build_atlas_scenario,
-        periodicity_for_scenario,
-    )
-
-    if scenario is None:
-        scenario = build_atlas_scenario(
-            probes_per_as=probes_per_as, years=years, seed=seed, cache=False
-        )
-    diffs: List[str] = []
-    fused_result = analyze_atlas_scenario(scenario, engine="fused")
-    py_analysis = analyze_atlas_scenario(scenario, engine="py")
-    for artifact in ("table1", "table2", "figure1", "figure5"):
-        if getattr(fused_result, artifact) != getattr(py_analysis, artifact):
-            diffs.append(f"{artifact}: fused diverges from py")
-    fused_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
-    py_periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="py")
-    if fused_periods != py_periods:
-        diffs.append("periodicity: fused diverges from py")
-
-    probes = scenario.probes
-    entry_points = [
-        (
-            "table1_row",
-            lambda engine: report.table1_row("AS", 0, "XX", probes, engine=engine),
-        ),
-        ("as_durations", lambda engine: report.as_durations(probes, engine=engine)),
-        (
-            "figure1_for_as",
-            lambda engine: report.figure1_for_as("AS", probes, engine=engine),
-        ),
-        ("figure5_for_as", lambda engine: report.figure5_for_as(probes, engine=engine)),
-        (
-            "table2_row",
-            lambda engine: report.table2_row(probes, scenario.table, engine=engine),
-        ),
-        (
-            "periodic_networks",
-            lambda engine: report.periodic_networks(
-                {"AS": probes}, min_probes=min_probes, engine=engine
-            ),
-        ),
-        (
-            "inferred_plen_distribution",
-            lambda engine: inferred_plen_distribution_for_probes(probes, engine=engine),
-        ),
-    ]
-    if triples is not None:
-        materialized = list(triples)
-        entry_points.append(
-            (
-                "association_box_stats",
-                lambda engine: association_box_stats(materialized, engine=engine),
-            )
-        )
-    for label, compute in entry_points:
-        if compute("fused") != compute("py"):
-            diffs.append(f"{label}: fused entry point diverges from py reference")
-
-    return diffs
-
-
-def _streaming_result_diffs(result, batch, periods, label: str) -> List[str]:
-    """Artifact-level streamed-vs-batch differences for one streaming pass."""
-    diffs: List[str] = []
-    if result is None:
-        return [f"{label}: streaming pass did not complete"]
-    analysis = result.analysis
-    for artifact in ("table1", "table2", "figure1", "figure5"):
-        if getattr(analysis, artifact) != getattr(batch, artifact):
-            diffs.append(f"{label}: {artifact} diverges from batch fused report")
-    if (result.v4_periods, result.v6_periods) != periods:
-        diffs.append(f"{label}: periodicity diverges from batch fused report")
-    return diffs
-
-
-def streaming_replay_diffs(
+def stream_diffs(
     scenario: AtlasScenario,
     chunk_hours: Sequence[int] = (256, 2048),
     min_probes: int = 3,
     checkpoint_dir=None,
 ) -> List[str]:
-    """Streamed-vs-batch artifact differences ([] if bit-identical).
+    """Streamed-vs-oracle Atlas artifact differences ([] if bit-identical).
 
-    The replay-parity contract: streaming ``scenario`` chunk-by-chunk
-    (each size in ``chunk_hours``) must reproduce the batch
-    ``engine="fused"`` artifacts bit-identically.  When ``checkpoint_dir``
-    is given, a kill/checkpoint/resume pass (stopped halfway, resumed
-    from its persisted state) is verified too.
+    The replay-parity contract: streaming ``scenario`` chunk by chunk
+    (each size in ``chunk_hours``) must reproduce the ``engine="py"``
+    report and periodicity bit-identically.  When ``checkpoint_dir`` is
+    given, a kill/checkpoint/resume pass (stopped halfway, resumed from
+    its persisted state) is verified too.
     """
-    from repro.workloads import (
-        analyze_atlas_scenario,
-        periodicity_for_scenario,
-        stream_analyze_atlas_scenario,
-    )
+    from repro.workloads import stream_analyze_atlas_scenario
 
-    batch = analyze_atlas_scenario(scenario, engine="fused")
-    periods = periodicity_for_scenario(scenario, min_probes=min_probes, engine="fused")
+    expected = _py_reference(scenario, min_probes)
+
+    def check(result, label: str) -> List[str]:
+        if result is None:
+            return [f"{label}: streaming pass did not complete"]
+        got = (result.analysis, (result.v4_periods, result.v6_periods))
+        return _report_diffs(got, expected, label=f"{label}: ", path="stream")
+
     diffs: List[str] = []
     for hours in chunk_hours:
         result = stream_analyze_atlas_scenario(
             scenario, chunk_hours=hours, min_probes=min_probes
         )
-        diffs.extend(
-            _streaming_result_diffs(result, batch, periods, f"chunk_hours={hours}")
-        )
+        diffs.extend(check(result, f"chunk_hours={hours}"))
     if checkpoint_dir is not None and chunk_hours:
         hours = chunk_hours[0]
         total = max(1, -(-scenario.end_hour // hours))
@@ -264,7 +303,7 @@ def streaming_replay_diffs(
             checkpoint=checkpoint_dir,
             resume=True,
         )
-        diffs.extend(_streaming_result_diffs(resumed, batch, periods, "kill/resume"))
+        diffs.extend(check(resumed, "kill/resume"))
         if resumed is not None and resumed.stats.resumed_from_chunk is None:
             diffs.append("kill/resume: resume did not load the persisted state")
     return diffs
@@ -307,63 +346,74 @@ def _oracle_diffs(got: dict, expected: dict, label: str) -> List[str]:
     ]
 
 
-def association_oracle_diffs(result, triples: Sequence, label: str = "stream") -> List[str]:
-    """Streamed-vs-oracle association differences ([] if bit-identical).
-
-    Holds an :class:`repro.stream.AssociationStreamResult` to the
-    pure-Python :mod:`repro.core.associations` functions over the same
-    ``triples``: duration multiset, box stats, both degree maps, the
-    degree-one fraction and the triple count.
-    """
+def _stream_result_diffs(result, expected: dict, label: str) -> List[str]:
+    """An :class:`repro.stream.AssociationStreamResult`'s oracle differences."""
     if result is None:
         return [f"{label}: streaming pass did not complete"]
-    expected = _association_oracle(triples)
     return _oracle_diffs({field: getattr(result, field) for field in expected}, expected, label)
 
 
-def store_diffs(
+def association_diffs(
     triples: Sequence,
-    directory,
+    directory=None,
+    *,
+    results: Sequence = (),
     shards: Sequence[int] = (1, 4),
     chunk_days: int = 7,
 ) -> List[str]:
-    """Out-of-core-vs-oracle artifact differences ([] if bit-identical).
+    """Association fast-path-vs-oracle differences ([] if bit-identical).
 
-    The store-parity contract: building a sharded memmap store from
-    ``triples`` and analyzing it shard-by-shard
-    (:func:`repro.store.analyze_store`) must reproduce every Section-5
-    artifact of the pure-Python :mod:`repro.core.associations` oracle —
-    duration multiset and box stats, both degree structures, degree-one
-    fraction, the Figure-7 trailing-zero profile — and so must the
-    store-driven streaming pass (:func:`association_oracle_diffs`).
-    Each shard count in ``shards`` is verified independently (1
-    exercises the degenerate single-shard merge, >1 the k-way pivot
-    merge).  Build-mode digest parity is checked too: a ``workers=2``
-    build with a small ``spill_rows`` and a compaction of two
-    incrementally built halves must both produce byte-identical stores
-    (same ``digest()``) to the serial build.  ``directory`` holds the
-    temporary stores (one subdirectory per shard count).
+    Computes the pure-Python :mod:`repro.core.associations` oracle of
+    ``triples`` once — duration multiset, box stats, both degree maps,
+    the degree-one fraction and the triple count — and holds to it the
+    fused Figure 3 ``association_box_stats`` and each
+    :class:`repro.stream.AssociationStreamResult` in ``results``.
+
+    With ``directory`` (it holds the temporary stores), the out-of-core
+    store is checked too: a store of ``triples`` at each shard count in
+    ``shards`` (1 exercises the degenerate single-shard merge, >1 the
+    k-way pivot merge) must round-trip the triples, and both
+    :func:`repro.store.analyze_store` (plus the Figure 7 trailing-zero
+    profile) and the store-driven stream at ``chunk_days`` must match
+    the oracle.  A ``workers=2`` build with small spills and a
+    compaction of two incrementally built halves must give the serial
+    build's ``digest()``.
     """
-    from pathlib import Path
-
-    from repro.core.delegation import trailing_zero_profile
-    from repro.ip.prefix import IPv6Prefix
-    from repro.store import analyze_store, build_store_from_triples
-    from repro.stream.associations import run_association_stream_over_store
+    from repro.core.associations import association_box_stats
 
     materialized = list(triples)
     expected = _association_oracle(materialized)
+    diffs: List[str] = []
+    if materialized and association_box_stats(materialized, engine="fused") != expected["box"]:
+        diffs.append("association_box_stats: fused entry point diverges from py reference")
+    for index, result in enumerate(results):
+        diffs.extend(_stream_result_diffs(result, expected, f"results[{index}]"))
+    if directory is not None:
+        diffs.extend(_store_legs(materialized, expected, Path(directory), shards, chunk_days))
+    return diffs
+
+
+def _store_legs(
+    materialized: list, expected: dict, directory: Path, shards: Sequence[int], chunk_days: int
+) -> List[str]:
+    """The store legs of :func:`association_diffs`."""
+    from repro.core.delegation import trailing_zero_profile
+    from repro.ip.prefix import IPv6Prefix
+    from repro.store import analyze_store, build_store_from_triples, compact_stores
+    from repro.stream.associations import run_association_stream_over_store
+
     expected_batch = {field: value for field, value in expected.items() if field != "triples_seen"}
     expected_batch["delegation"] = trailing_zero_profile(
         IPv6Prefix(key, 64) for key in sorted(expected["v6_degrees"])
     )
 
+    def build(rows, name: str, count: int, **options):
+        return build_store_from_triples(iter(rows), directory / name, shards=count, **options)
+
     diffs: List[str] = []
     for count in shards:
         label = f"shards={count}"
-        store = build_store_from_triples(
-            iter(materialized), Path(directory) / f"store-{count}", shards=count
-        )
+        store = build(materialized, f"store-{count}", count)
         if sorted(store.iter_triples()) != sorted(materialized):
             diffs.append(f"{label}: round-tripped triples diverge")
             continue
@@ -380,109 +430,26 @@ def store_diffs(
         }
         diffs.extend(_oracle_diffs(got, expected_batch, f"{label}: analyze_store"))
         streamed = run_association_stream_over_store(store, chunk_days=chunk_days)
-        got = {field: getattr(streamed, field) for field in expected}
-        diffs.extend(_oracle_diffs(got, expected, f"{label}: store-driven stream"))
+        diffs.extend(_stream_result_diffs(streamed, expected, f"{label}: store-driven stream"))
 
     # Build-mode parity: a serial build, a pooled build that spills
     # often, and an incremental two-half merge must emit byte-identical
     # shards (same digest()) for the same triple multiset.
-    from repro.store import compact_stores
-
     count = shards[-1] if shards else 4
-    serial = build_store_from_triples(
-        iter(materialized), Path(directory) / "parity-serial", shards=count
-    )
-    pooled = build_store_from_triples(
-        iter(materialized),
-        Path(directory) / "parity-pooled",
-        shards=count,
-        spill_rows=max(1, len(materialized) // (4 * count)),
-        workers=2,
-    )
+    serial = build(materialized, "parity-serial", count)
+    spill_rows = max(1, len(materialized) // (4 * count))
+    pooled = build(materialized, "parity-pooled", count, spill_rows=spill_rows, workers=2)
     if pooled.digest() != serial.digest():
         diffs.append("pooled build with small spills diverges from serial build")
     half = len(materialized) // 2
-    first = build_store_from_triples(
-        iter(materialized[:half]), Path(directory) / "parity-half-a", shards=count
-    )
-    second = build_store_from_triples(
-        iter(materialized[half:]), Path(directory) / "parity-half-b", shards=count
-    )
-    merged = compact_stores(
-        [first, second], Path(directory) / "parity-merged", shards=count
-    )
+    first = build(materialized[:half], "parity-half-a", count)
+    second = build(materialized[half:], "parity-half-b", count)
+    merged = compact_stores([first, second], directory / "parity-merged", shards=count)
     if merged.digest() != serial.digest():
         diffs.append(
             "compacting two incrementally built stores diverges from a "
             "single-pass build"
         )
-    return diffs
-
-
-def telemetry_invariance_diffs(
-    probes_per_as: int = 6, years: float = 1.1, seed: int = 0, workers: int = 1
-) -> List[str]:
-    """Telemetry-on-vs-off artifact differences ([] if bit-identical).
-
-    The zero-perturbation contract: enabling spans + metrics must not
-    touch RNG draw order or any artifact byte.  Builds and analyzes the
-    same small scenario with telemetry off and on and compares scenario
-    fields and every report artifact.
-
-    ``workers > 1`` builds both scenarios through the per-ISP simulation
-    pool (pool kind ``isp_sim``), so cross-process span propagation and
-    stitching (``pool/task`` wrappers, shipped span buffers, worker
-    metric deltas) are themselves proven artifact-invariant.
-    ``os.cpu_count`` is widened for the build so the pool actually runs
-    even on single-core CI hosts — this is a correctness probe, not a
-    perf measurement — and a traced build that did not run one pool
-    task per ISP is reported as a difference.
-    """
-    import os as os_module
-
-    from repro.obs import telemetry, telemetry_snapshot
-    from repro.workloads import (
-        analyze_atlas_scenario,
-        build_atlas_scenario,
-        periodicity_for_scenario,
-    )
-
-    params = dict(
-        probes_per_as=probes_per_as, years=years, seed=seed, workers=workers, cache=False
-    )
-    real_cpu_count = os_module.cpu_count
-    os_module.cpu_count = lambda: max(workers, real_cpu_count() or 1)
-    try:
-        with telemetry(False):
-            plain = build_atlas_scenario(**params)
-            plain_analysis = analyze_atlas_scenario(plain)
-            plain_periods = periodicity_for_scenario(plain)
-        with telemetry(True, reset=True):
-            traced = build_atlas_scenario(**params)
-            pool_tasks = telemetry_snapshot()["metrics"]["counters"].get("pool.tasks", {})
-            traced_analysis = analyze_atlas_scenario(traced)
-            traced_periods = periodicity_for_scenario(traced)
-    finally:
-        os_module.cpu_count = real_cpu_count
-    diffs = [
-        f"telemetry: {diff}" for diff in atlas_scenario_diffs(plain, traced)
-    ]
-    for artifact in ("table1", "table2", "figure1", "figure5"):
-        if getattr(plain_analysis, artifact) != getattr(traced_analysis, artifact):
-            diffs.append(f"telemetry: {artifact} diverges with telemetry enabled")
-    if plain_periods != traced_periods:
-        diffs.append("telemetry: periodicity diverges with telemetry enabled")
-    if workers > 1:
-        isp_tasks = sum(
-            count
-            for key, count in pool_tasks.items()
-            if "kind=isp_sim" in key.split(",")
-        )
-        if isp_tasks != len(traced.isps):
-            diffs.append(
-                f"telemetry: pooled build ran {isp_tasks} isp_sim pool tasks "
-                f"for {len(traced.isps)} ISPs (workers={workers})"
-            )
     return diffs
 
 
@@ -562,12 +529,9 @@ def serve_diffs(
 
 
 __all__ = [
-    "association_oracle_diffs",
-    "atlas_scenario_diffs",
+    "association_diffs",
+    "atlas_diffs",
     "cdn_scenario_diffs",
-    "fused_engine_diffs",
     "serve_diffs",
-    "store_diffs",
-    "streaming_replay_diffs",
-    "telemetry_invariance_diffs",
+    "stream_diffs",
 ]

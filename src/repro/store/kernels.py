@@ -27,7 +27,7 @@ the store:
    arrays from the merged partials, and the Figure-7 trailing-zero
    profile from the global distinct-/64 key set — all bit-identical to
    the pure-Python :mod:`~repro.core.associations` oracle (enforced by
-   :func:`repro.perf.verify.store_diffs`).
+   :func:`repro.perf.verify.association_diffs`).
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ accumulators; flat merged IPv6 coverage intervals; and per-network
 accumulators (a sparse duration histogram, CPL tallies, crossing
 counts).  Because every batch artifact is a function of
 order-independent multisets and exact integral-float sums, folding
-chunk-by-chunk reproduces the batch ``engine="fused"`` report
+chunk-by-chunk reproduces the batch report of either engine
 *bit-identically* — any chunk size, with or without a checkpoint/restore
 in the middle (the replay-parity tests and
-:func:`repro.perf.verify.streaming_replay_diffs` enforce this).
+:func:`repro.perf.verify.stream_diffs` enforce this).
 
 Incremental semantics mirror the batch pipeline exactly:
 

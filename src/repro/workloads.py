@@ -110,8 +110,7 @@ class AtlasScenario:
         table/figure computed from this scenario reuses one CSR pack.
         The fused engine gets the pack; the pure-Python engine gets
         ``None``.  The cache key includes the identity/size of
-        ``self.probes``, so flipping ``$REPRO_ANALYSIS_ENGINE``
-        mid-session or re-sanitizing the probe list can never serve
+        ``self.probes``, so re-sanitizing the probe list can never serve
         stale columns.
         """
         from repro.core.engine import resolve_engine
@@ -155,8 +154,7 @@ def analyze_atlas_scenario(
 
     ``engine`` picks the analysis kernels: ``"fused"`` is the
     single-pass engine of :mod:`repro.core.fused`, ``"py"`` the
-    pure-Python reference (``None`` reads ``$REPRO_ANALYSIS_ENGINE``,
-    defaulting to ``"fused"``).  Both engines yield bit-identical
+    pure-Python reference (``None`` is ``"fused"``).  Both engines yield bit-identical
     artifacts.  The fused engine runs one pass over the scenario's
     memoized global pack and assembles every AS's artifacts by mask
     (:func:`repro.core.fused.fused_analysis_artifacts`), in process: the
@@ -731,7 +729,7 @@ def analyze_triple_store(store, workers: Optional[int] = None, block_rows=None):
     path; ``workers`` fans the per-shard pass out over the zero-copy
     pool (``None`` = ``$REPRO_WORKERS``).  Artifacts are bit-identical
     to the pure-Python :mod:`repro.core.associations` oracle (see
-    :func:`repro.perf.verify.store_diffs`).
+    :func:`repro.perf.verify.association_diffs`).
     """
     from repro.store import DEFAULT_BLOCK_ROWS, TripleStore, analyze_store
 

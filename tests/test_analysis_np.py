@@ -320,22 +320,20 @@ def test_empty_population_kernels():
 
 
 def test_resolve_engine_dispatch(monkeypatch):
-    from repro.core.engine import ENGINE_ENV, ENGINES, resolve_engine
+    import repro.core.engine as engine_module
+    from repro.core.engine import ENGINES, resolve_engine
 
     assert ENGINES == ("fused", "py")
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
     assert resolve_engine() == "fused"
     assert resolve_engine("py") == "py"
-    monkeypatch.setenv(ENGINE_ENV, "py")
-    assert resolve_engine() == "py"
-    assert resolve_engine("fused") == "fused"  # explicit beats the environment
+    assert resolve_engine("fused") == "fused"
     for retired in ("np", "fast"):
         with pytest.raises(ValueError, match="fused"):
             resolve_engine(retired)
-    monkeypatch.setenv(ENGINE_ENV, "np")
-    with pytest.raises(ValueError, match="fused"):
-        resolve_engine()
-    assert resolve_engine("py") == "py"  # an explicit engine never reads it
+    # No environment variable selects the engine any more.
+    assert not hasattr(engine_module, "ENGINE_ENV")
+    monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "py")
+    assert resolve_engine() == "fused"
 
 
 def test_fused_engine_errors_propagate(monkeypatch):
@@ -372,15 +370,17 @@ def test_figure1_fused_errors_propagate(monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_report_layer_parity_harness(seed):
-    from repro.perf.verify import fused_engine_diffs
+    from repro.perf.verify import association_diffs, atlas_diffs
+    from repro.workloads import build_atlas_scenario
 
     rng = random.Random(seed + 4000)
     triples = [
         (rng.randrange(60), rng.randrange(8), rng.randrange(6) << 64)
         for _ in range(rng.randrange(1, 120))
     ]
-    diffs = fused_engine_diffs(probes_per_as=2, years=0.3, seed=seed, triples=triples)
-    assert diffs == []
+    scenario = build_atlas_scenario(probes_per_as=2, years=0.3, seed=seed, cache=False)
+    assert atlas_diffs(scenario) == []
+    assert association_diffs(triples) == []
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ def test_bench_baseline_check_mode(isolated_cache, tmp_path, capsys):
     assert payload["deterministic"] is True
     analysis = payload["analysis"]
     assert analysis["parity"] is True
-    assert analysis["default_engine"] in ("fused", "py")
     for stage in ("table1", "figure1", "figure5", "table2", "periodicity"):
         assert analysis["stages"][stage]["py_seconds"] >= 0.0
         assert analysis["stages"][stage]["fused_seconds"] >= 0.0

@@ -278,6 +278,42 @@ class TestAnalyze:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_converted_hourly_records_are_named_not_traced_back(self, tmp_path, capsys):
+        source = tmp_path / "raw.jsonl"
+        source.write_text("".join(
+            json.dumps({
+                "prb_id": 7,
+                "timestamp": 1409529600 + 3600 * hour,
+                "result": [{"af": 4, "src_addr": "192.168.1.2",
+                            "header": ["X-Client-IP: 31.0.0.5"]}],
+            }) + "\n"
+            for hour in range(10)
+        ))
+        converted = tmp_path / "converted.jsonl"
+        assert main(["convert-atlas", "--input", str(source), "--output", str(converted)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(converted)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {converted} holds convert-atlas hourly echo records, not echo runs\n"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_non_json_line_is_an_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("not json\n")
+        assert main(["analyze", "--input", str(runs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {runs}: line 1: ")
+        assert err.count("\n") == 1
+
+    def test_missing_input_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["analyze", "--input", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: No such file or directory\n"
+        )
+
 
 class TestStream:
     def test_scenario_mode_prints_tables_and_stats(self, capsys):

@@ -16,7 +16,6 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.engine import ENGINE_ENV  # noqa: E402
 from repro.workloads import build_atlas_scenario  # noqa: E402
 
 
@@ -73,17 +72,13 @@ def test_run_columns_matches_columns_from_runs(scenario):
                 assert getattr(direct, field).dtype == getattr(packed, field).dtype
 
 
-def test_engine_flip_never_serves_stale_columns(scenario, monkeypatch):
+def test_engine_flip_never_serves_stale_columns(scenario):
     scenario.invalidate_analysis_columns()
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
     columns = scenario.analysis_columns()
     assert columns is not None
     assert scenario.analysis_columns() is columns  # memoized
-    monkeypatch.setenv(ENGINE_ENV, "py")
-    assert scenario.analysis_columns() is None  # flip: columnar pack not served
-    monkeypatch.setenv(ENGINE_ENV, "fused")
-    assert scenario.analysis_columns() is columns  # flip back: same pack
-    assert scenario.analysis_columns(engine="py") is None  # explicit beats env
+    assert scenario.analysis_columns(engine="py") is None  # flip: no pack served
+    assert scenario.analysis_columns(engine="fused") is columns  # flip back: same pack
 
     # Replacing the probe list invalidates by identity, not just by id().
     original = scenario.probes

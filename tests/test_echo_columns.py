@@ -19,7 +19,7 @@ from repro.atlas.echo import EchoRun  # noqa: E402
 from repro.core.changes import v6_runs_to_prefix_runs  # noqa: E402
 from repro.ip.prefix import address_prefix  # noqa: E402
 from repro.obs import telemetry, telemetry_snapshot  # noqa: E402
-from repro.perf.verify import atlas_scenario_diffs  # noqa: E402
+from repro.perf.verify import atlas_diffs  # noqa: E402
 from repro.serve import (  # noqa: E402
     DualStackQuery,
     HitlistQuery,
@@ -65,21 +65,20 @@ def _count_echo_runs(monkeypatch) -> list:
 def test_pooled_build_has_no_diffs_and_a_moved_run_end_is_reported():
     serial = _fresh()
     pooled = build_atlas_scenario(**{**SCALE, "workers": 2})
-    assert atlas_scenario_diffs(serial, pooled) == []
+    assert atlas_diffs(serial, pooled) == []
 
     raw = next(data for data in pooled.raw_probes if data.v4.n_runs)
     raw.v4.last = raw.v4.last.copy()
     raw.v4.last[0] -= 1
-    assert atlas_scenario_diffs(serial, pooled) == ["raw_probes differ"]
+    assert atlas_diffs(serial, pooled) == ["raw_probes differ"]
 
     probe = next(probe for probe in pooled.probes if probe.v6.n_runs)
     probe.v6.last = probe.v6.last.copy()
     probe.v6.last[-1] += 1
-    assert atlas_scenario_diffs(serial, pooled) == ["raw_probes differ", "probes differ"]
+    assert atlas_diffs(serial, pooled) == ["raw_probes differ", "probes differ"]
 
 
 def test_fused_pipeline_builds_no_run_objects(monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYSIS_ENGINE", raising=False)
     built = _count_echo_runs(monkeypatch)
     with telemetry(True, reset=True):
         scenario = _fresh()

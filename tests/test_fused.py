@@ -228,15 +228,16 @@ def test_workloads_fused_engine_end_to_end():
 
 
 def test_fused_verify_helper():
-    """perf.verify's fused gate passes on a fresh scenario, covering the
-    delegation and association artifacts."""
-    from repro.perf.verify import fused_engine_diffs
+    """perf.verify's atlas and association harnesses pass on a fresh
+    scenario, covering the delegation and association artifacts."""
+    from repro.perf.verify import association_diffs, atlas_diffs
+    from repro.workloads import build_atlas_scenario
 
     rng = random.Random(11)
     triples = [
         (rng.randrange(60), rng.randrange(8), rng.randrange(6) << 64)
         for _ in range(100)
     ]
-    assert fused_engine_diffs(
-        probes_per_as=3, years=0.3, seed=1, triples=triples
-    ) == []
+    scenario = build_atlas_scenario(probes_per_as=3, years=0.3, seed=1, cache=False)
+    assert atlas_diffs(scenario) == []
+    assert association_diffs(triples) == []

@@ -431,10 +431,31 @@ def test_pool_tasks_conserve_units(run_adapter, tmp_path, monkeypatch):
     assert _count_spans(snap["spans"], "pool/task") == total
 
 
-def test_telemetry_invariance():
-    from repro.perf.verify import telemetry_invariance_diffs
+def test_telemetry_invariance(monkeypatch):
+    """A pooled build with telemetry on is bit-identical to a serial one
+    with it off, and its fused paths match the oracle while telemetry
+    records.
 
-    assert telemetry_invariance_diffs(probes_per_as=4, years=0.4, seed=7) == []
+    The core count is widened so the per-ISP pool runs on any host:
+    worker span buffers and metric deltas flow back to the parent, one
+    pool task per ISP.
+    """
+    from repro.perf.verify import atlas_diffs
+    from repro.workloads import build_atlas_scenario
+
+    real_cpu_count = os.cpu_count
+    monkeypatch.setattr(os, "cpu_count", lambda: max(2, real_cpu_count() or 1))
+    params = dict(probes_per_as=4, years=0.4, seed=7, cache=False)
+    with telemetry(False):
+        plain = build_atlas_scenario(workers=1, **params)
+    with telemetry(True, reset=True):
+        traced = build_atlas_scenario(workers=2, **params)
+        pool_tasks = telemetry_snapshot()["metrics"]["counters"].get("pool.tasks", {})
+        assert atlas_diffs(traced, plain) == []
+    isp_tasks = sum(
+        count for key, count in pool_tasks.items() if "kind=isp_sim" in key.split(",")
+    )
+    assert isp_tasks == len(traced.isps)
 
 
 def test_cli_telemetry_flag_dumps_span_tree(tmp_path, capsys):

@@ -27,7 +27,7 @@ from repro.perf.parallel import (
     resolve_workers,
     run_isp_simulations,
 )
-from repro.perf.verify import atlas_scenario_diffs, cdn_scenario_diffs
+from repro.perf.verify import atlas_diffs, cdn_scenario_diffs
 from repro.workloads import build_atlas_scenario, build_cdn_scenario
 
 #: Small enough for a sub-second serial build, big enough to exercise
@@ -46,10 +46,15 @@ CDN_SCALE = dict(
 # ---------------------------------------------------------------------------
 
 
-def test_atlas_parallel_matches_serial():
-    serial = build_atlas_scenario(seed=11, workers=1, cache=False, **ATLAS_SCALE)
+@pytest.fixture(scope="module")
+def atlas_serial():
+    """One serial build shared by the parity tests (and its oracle with it)."""
+    return build_atlas_scenario(seed=11, workers=1, cache=False, **ATLAS_SCALE)
+
+
+def test_atlas_parallel_matches_serial(atlas_serial):
     parallel = build_atlas_scenario(seed=11, workers=2, cache=False, **ATLAS_SCALE)
-    assert atlas_scenario_diffs(serial, parallel) == []
+    assert atlas_diffs(atlas_serial, parallel) == []
 
 
 def test_cdn_parallel_matches_serial():
@@ -58,10 +63,9 @@ def test_cdn_parallel_matches_serial():
     assert cdn_scenario_diffs(serial, parallel) == []
 
 
-def test_different_seeds_detected_by_verifier():
-    a = build_atlas_scenario(seed=1, workers=1, cache=False, **ATLAS_SCALE)
-    b = build_atlas_scenario(seed=2, workers=1, cache=False, **ATLAS_SCALE)
-    assert atlas_scenario_diffs(a, b)
+def test_different_seeds_detected_by_verifier(atlas_serial):
+    other = build_atlas_scenario(seed=12, workers=1, cache=False, **ATLAS_SCALE)
+    assert atlas_diffs(atlas_serial, other)
 
 
 def test_run_isp_simulations_grafts_plans_back():
@@ -405,7 +409,7 @@ def test_cache_round_trip(cache_dir):
     hits_before = cache.stats.hits
     warm = build_atlas_scenario(seed=21, workers=1, cache=True, **ATLAS_SCALE)
     assert cache.stats.hits == hits_before + 1
-    assert atlas_scenario_diffs(cold, warm) == []
+    assert atlas_diffs(cold, warm) == []
 
 
 def test_cache_hit_skips_full_collection(cache_dir):

@@ -147,3 +147,17 @@ def test_name_scanner_ignores_definition_and_all(tmp_path):
         "from repro.mod import called, imported\n"
     )
     assert _unreferenced(tmp_path) == [("dead", "src/repro/mod.py")]
+
+
+def test_one_parity_harness_per_workload():
+    """``repro.perf.verify`` holds one harness per workload plus the CDN
+    build comparator; a new per-path harness must change this on purpose."""
+    from repro.perf import verify
+
+    harnesses = ["association_diffs", "atlas_diffs", "serve_diffs", "stream_diffs"]
+    assert sorted(verify.__all__) == sorted(harnesses + ["cdn_scenario_diffs"])
+    public = {
+        name for name, value in vars(verify).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == verify.__name__
+    }
+    assert public == set(verify.__all__)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.perf.parallel import map_store_shards
-from repro.perf.verify import association_oracle_diffs, store_diffs
+from repro.perf.verify import association_diffs
 from repro.store import (
     COLUMN_DTYPES,
     MANIFEST_NAME,
@@ -246,7 +246,7 @@ class TestParity:
             count=rng.randrange(50, 600), seed=seed, days=rng.randrange(10, 80)
         )
         chunk_days = (1, 7, 100)[seed]  # the stream replay at several window sizes
-        diffs = store_diffs(triples, tmp_path, shards=(1, 4), chunk_days=chunk_days)
+        diffs = association_diffs(triples, tmp_path, shards=(1, 4), chunk_days=chunk_days)
         assert diffs == []
 
     def test_store_digest_is_pinned(self, tmp_path):
@@ -268,7 +268,7 @@ class TestParity:
         assert pooled.digest() == golden
 
     def test_single_triple_population(self, tmp_path):
-        assert store_diffs([(3, 7 << 8, 1 << 70)], tmp_path, shards=(1, 4)) == []
+        assert association_diffs([(3, 7 << 8, 1 << 70)], tmp_path, shards=(1, 4)) == []
 
     def test_columnar_build_matches_python_build(self, tmp_path):
         batches = list(synthetic_triple_batches(5_000, batch_rows=1_024, seed=5))
@@ -343,7 +343,7 @@ class TestStreamOverStore:
         triples = _example_triples(500, seed=11, days=60)
         store = build_store_from_triples(triples, tmp_path / "store", shards=4)
         reference = run_association_stream_over_store(store, chunk_days=7)
-        assert association_oracle_diffs(reference, triples) == []
+        assert association_diffs(triples, results=(reference,)) == []
         checkpoints = CheckpointStore(tmp_path / "ckpt")
         half = run_association_stream_over_store(
             store, chunk_days=7, store=checkpoints, stop_after_chunks=3

@@ -2,8 +2,8 @@
 
 The load-bearing property is *replay parity*: folding a scenario
 chunk-by-chunk through the incremental engine — any chunk size, with or
-without a mid-stream checkpoint/restore — must reproduce the batch
-``engine="fused"`` artifacts bit-identically.
+without a mid-stream checkpoint/restore — must reproduce the
+pure-Python ``engine="py"`` report bit-identically.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from repro.core.associations import (
 )
 from repro.core.associations_np import columns_from_triples
 from repro.io.records import RecordFormatError
-from repro.perf.verify import association_oracle_diffs, streaming_replay_diffs
+from repro.perf.verify import association_diffs, stream_diffs
 from repro.store import build_store_from_triples
 from repro.stream import (
     AssociationStreamEngine,
@@ -72,12 +72,12 @@ class TestReplayParity:
         # interval carries across every hour), a tiny non-divisor window,
         # a mid-size one, and one giant chunk (the whole stream in a
         # single fold) must all be bit-identical.
-        assert streaming_replay_diffs(
+        assert stream_diffs(
             scenario, chunk_hours=(1, 7, 500, 10**7), min_probes=2
         ) == []
 
     def test_kill_checkpoint_resume(self, scenario, tmp_path):
-        assert streaming_replay_diffs(
+        assert stream_diffs(
             scenario, chunk_hours=(64,), min_probes=2, checkpoint_dir=tmp_path
         ) == []
 
@@ -363,7 +363,7 @@ class TestColumnarFold:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_under_pickle_and_kill(self, triples, chunk_days, kill, rng):
         engine, snapshots = _fold_shuffled(triples, chunk_days, rng)
-        assert association_oracle_diffs(engine.finalize(), triples) == []
+        assert association_diffs(triples, results=(engine.finalize(),)) == []
         for state, frozen in snapshots:
             assert _same_state(state, pickle.loads(frozen))
         with tempfile.TemporaryDirectory() as tmp:
@@ -375,7 +375,7 @@ class TestColumnarFold:
             resumed = killed or run_association_stream_over_store(
                 triple_store, chunk_days, store=store, resume=True
             )
-        assert association_oracle_diffs(resumed, triples, "kill/resume") == []
+        assert association_diffs(triples, results=(resumed,)) == []
 
     def test_empty_windows_and_reappearing_v64(self, tmp_path):
         # /64 1 keeps its /24 across five empty windows (one long run);
@@ -384,25 +384,25 @@ class TestColumnarFold:
         triple_store = _store(triples, tmp_path / "store")
         for chunk_days in (1, 3):
             result = run_association_stream_over_store(triple_store, chunk_days)
-            assert association_oracle_diffs(result, triples) == []
+            assert association_diffs(triples, results=(result,)) == []
         assert run_association_stream_over_store(triple_store, 3).durations == {18: 1, 1: 2}
 
     def test_empty_stream(self, tmp_path):
         result = _stream([], 7, tmp_path / "store")
-        assert association_oracle_diffs(result, []) == []
+        assert association_diffs([], results=(result,)) == []
         assert result.box is None and result.chunks_folded == 1
 
     def test_flips_within_one_day(self, tmp_path):
         triples = _aligned([(5, 3, 1), (5, 1, 1), (5, 2, 1), (5, 1, 1), (6, 2, 1)])
         result = _stream(triples, 7, tmp_path / "store")
-        assert association_oracle_diffs(result, triples) == []
+        assert association_diffs(triples, results=(result,)) == []
         assert result.v6_degrees == {triples[0][2]: 3}
 
     def test_single_row_store(self, tmp_path):
         triples = [(3, 7 << 8, 1 << 70)]
         store = build_store_from_triples(triples, tmp_path / "store", shards=4)
         result = run_association_stream_over_store(store, chunk_days=7)
-        assert association_oracle_diffs(result, triples) == []
+        assert association_diffs(triples, results=(result,)) == []
         assert result.durations == {1: 1}
 
     def test_window_rows_in_any_permutation(self):
@@ -444,6 +444,6 @@ class TestColumnarFold:
 def test_replay_parity_at_scale(tmp_path):
     """A full-year scenario, two chunk sizes, plus kill/resume."""
     scenario = build_atlas_scenario(probes_per_as=5, years=1.0, seed=3, cache=False)
-    assert streaming_replay_diffs(
+    assert stream_diffs(
         scenario, chunk_hours=(101, 2048), checkpoint_dir=tmp_path
     ) == []

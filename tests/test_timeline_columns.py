@@ -37,7 +37,7 @@ from repro.netsim.sim import (  # noqa: E402
     SubscriberTimeline,
     run_simulation_job,
 )
-from repro.perf.verify import atlas_scenario_diffs  # noqa: E402
+from repro.perf.verify import atlas_diffs  # noqa: E402
 from repro.serve import (  # noqa: E402
     DualStackQuery,
     LifetimeQuery,
@@ -84,7 +84,6 @@ def _pickled_names(obj) -> set:
 
 
 def test_fused_pipeline_builds_no_interval_objects(monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYSIS_ENGINE", raising=False)
     built = _count_intervals(monkeypatch)
     scenario = build_atlas_scenario(**SCALE)
     analyze_atlas_scenario(scenario, engine="fused")
@@ -241,7 +240,7 @@ def test_out_of_order_columns_raise_on_the_fused_collector():
 def test_scenario_diffs_name_plan_state_and_first_timeline():
     a = build_atlas_scenario(**SCALE)
     b = pickle.loads(pickle.dumps(a))
-    assert atlas_scenario_diffs(a, b) == []
+    assert atlas_diffs(a, b) == []
 
     # Same in-use count, one different key.
     name = sorted(b.isps)[0]
@@ -250,13 +249,13 @@ def test_scenario_diffs_name_plan_state_and_first_timeline():
     plan.release(held)
     replacement = plan.allocate(random.Random(0))
     assert int(replacement) != held and plan.in_use_count == a.isps[name].v4_plan.in_use_count
-    diffs = atlas_scenario_diffs(a, b)
+    diffs = atlas_diffs(a, b)
     assert len(diffs) == 1 and diffs[0].startswith(f"isps[{name}].v4_plan.in_use differs")
 
     b = pickle.loads(pickle.dumps(a))
     asn = sorted(b.timelines)[1]
     sub_id = sorted(b.timelines[asn])[2]
     b.timelines[asn][sub_id].columns("v4").end[0] += 0.5
-    assert atlas_scenario_diffs(a, b) == [
+    assert atlas_diffs(a, b) == [
         f"timelines differ first at (asn={asn}, subscriber={sub_id}, v4)"
     ]
