@@ -137,6 +137,14 @@ def _medians(per_run: List[Dict[str, float]]) -> Dict[str, float]:
     return {label: statistics.median(found) for label, found in values.items()}
 
 
+def format_seconds(value: float) -> str:
+    """A stage time at a precision that shows it: ``1.234s`` from one
+    second up, milliseconds to three significant digits below."""
+    if value >= 0.9995:
+        return f"{value:.3f}s"
+    return f"{value * 1e3:.3g}ms"
+
+
 def compare(
     base: Sequence[dict], change: Sequence[dict], tolerance: float = TOLERANCE
 ) -> Tuple[List[list], List[str]]:
@@ -158,12 +166,12 @@ def compare(
         if old <= 0:
             return
         ratio = old / new if rate else new / old
-        fmt = "{:,.0f}/s" if rate else "{:.3f}s"
-        rows.append([label, fmt.format(old), fmt.format(new), f"{ratio:.2f}x"])
+        fmt = "{:,.0f}/s".format if rate else format_seconds
+        rows.append([label, fmt(old), fmt(new), f"{ratio:.2f}x"])
         if ratio > 1.0 + tolerance:
             failures.append(
-                f"{label} regressed {ratio:.2f}x: {fmt.format(old)} -> "
-                f"{fmt.format(new)} (tolerance {1.0 + tolerance:.2f}x)"
+                f"{label} regressed {ratio:.2f}x: {fmt(old)} -> "
+                f"{fmt(new)} (tolerance {1.0 + tolerance:.2f}x)"
             )
 
     shared = [label for label in STAGE_EXTRACTORS if label in base_s and label in change_s]

@@ -51,6 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import log as log_
 from typing import Dict, List, NamedTuple, Optional, Union
 
@@ -126,12 +127,25 @@ class _IntervalLog:
         self.end.append(end)
         self.value.append(value)
 
-    def freeze(self) -> IntervalColumns:
-        return IntervalColumns(
-            np.array(self.start, dtype=np.float64),
-            np.array(self.end, dtype=np.float64),
-            np.array(self.value, dtype=np.uint64),
-        )
+
+def _freeze_logs(logs: List[_IntervalLog]) -> List[IntervalColumns]:
+    """One family's logs as columns, one :class:`IntervalColumns` per log.
+
+    Each column of the family is one ``np.fromiter`` over every log
+    (no ``np.array`` shape discovery, no per-log call), and each log
+    gets views of its slice.
+    """
+    bounds = [0]
+    for log in logs:
+        bounds.append(bounds[-1] + len(log.start))
+    columns = [
+        np.fromiter(chain.from_iterable(getattr(log, name) for log in logs), dtype, bounds[-1])
+        for name, dtype in (("start", np.float64), ("end", np.float64), ("value", np.uint64))
+    ]
+    return [
+        IntervalColumns(*(column[lo:hi] for column in columns))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class SubscriberTimeline:
@@ -586,8 +600,7 @@ class IspSimulation:
 
     def _close_timelines(self) -> Dict[int, SubscriberTimeline]:
         end = self.end_hour
-        timelines: Dict[int, SubscriberTimeline] = {}
-        for sub_id, state in enumerate(self._subs):
+        for state in self._subs:
             if state.v4_addr is not None:
                 state.v4_log.add(state.v4_since, end, state.v4_addr)
             if state.v6_lan is not None:
@@ -596,17 +609,22 @@ class IspSimulation:
                 state.v6_delegation_log.add(
                     state.v6_delegation_since, end, state.v6_delegation >> 64
                 )
-            timelines[sub_id] = SubscriberTimeline(
+        v4 = _freeze_logs([state.v4_log for state in self._subs])
+        v6_lan = _freeze_logs([state.v6_lan_log for state in self._subs])
+        v6_delegation = _freeze_logs([state.v6_delegation_log for state in self._subs])
+        return {
+            sub_id: SubscriberTimeline(
                 subscriber_id=sub_id,
                 dual_stack=state.dual_stack,
                 columns={
-                    "v4": state.v4_log.freeze(),
-                    "v6_lan": state.v6_lan_log.freeze(),
-                    "v6_delegation": state.v6_delegation_log.freeze(),
+                    "v4": v4[sub_id],
+                    "v6_lan": v6_lan[sub_id],
+                    "v6_delegation": v6_delegation[sub_id],
                 },
                 delegation_plen=self._delegation_plen,
             )
-        return timelines
+            for sub_id, state in enumerate(self._subs)
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.core.associations import (
     v6_degree_counts,
 )
 from repro.core.associations_np import (
+    _sort_kind,
+    _v6_day_v4_code,
     association_durations_np,
     box_stats_np,
     columns_from_triples,
@@ -204,3 +206,108 @@ def test_v6_day_v4_order_sorts_like_lexsort(rows):
     expected = np.lexsort((v4, days, v6))
     for column in (days, v4, v6):
         assert np.array_equal(column[order], column[expected])
+
+
+#: Key pools at full width: /64 words with the high bit set, /24 keys up
+#: to 0xFFFFFF00 and any day a store holds.  Rows are drawn from the
+#: pools by a seeded generator, so a case has enough rows (and sorted
+#: runs) to take both first-pass sorts while hypothesis shrinks only
+#: the pools.
+wide_pools = st.tuples(
+    st.lists(
+        st.one_of(st.integers(1 << 63, (1 << 64) - 1), st.integers(0, (1 << 64) - 1)),
+        min_size=1, max_size=12, unique=True,
+    ),
+    st.lists(st.integers(0, 0xFFFFFF).map(lambda key: key << 8), min_size=1, max_size=12),
+    st.lists(st.integers(0, 65535), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+
+#: /24 keys wider than 32 bits.  In the degree kernel the first packs
+#: beside a ranked /64, the second beside nothing but a lone /64, and
+#: the third overflows once /64 words are 64 bits wide and ranked.
+WIDE_V4_KEYS = (1 << 40, 0xFFFF_FFFF_FFFF_FF00, 0x7FFF_FFFF_FFFF_FF00)
+
+
+def _pool_rows(v6_pool, v4_pool, day_pool, seed, rows=400):
+    rng = np.random.default_rng(seed)
+    days = np.minimum(
+        np.array(day_pool)[rng.integers(0, len(day_pool), rows)] + rng.integers(0, 4, rows),
+        65535,
+    )
+    v4 = rng.integers(0, len(v4_pool), rows)
+    v6 = rng.integers(0, len(v6_pool), rows)
+    return [
+        (int(day), v4_pool[i], v6_pool[j] << 64)
+        for day, i, j in zip(days.tolist(), v4.tolist(), v6.tolist())
+    ]
+
+
+def _feeds(triples, seed):
+    """The rows shuffled, and as a few concatenated ``(v6, day, v4)``-sorted runs."""
+    rng = np.random.default_rng(seed)
+    shuffled = [triples[i] for i in rng.permutation(len(triples))]
+    cuts = sorted(rng.integers(0, len(triples), int(rng.integers(0, 8))).tolist())
+    bounds = [0, *cuts, len(triples)]
+    runs = [
+        row
+        for lo, hi in zip(bounds, bounds[1:])
+        for row in sorted(shuffled[lo:hi], key=lambda t: (t[2], t[0], t[1]))
+    ]
+    return shuffled, runs
+
+
+def _assert_matches_oracle(triples, narrow):
+    days, v4, v6 = columns_from_triples(triples)
+    if narrow:  # the store's on-disk dtypes
+        days, v4 = days.astype(np.uint16), v4.astype(np.uint32)
+    durations = association_durations_np(days, v4, v6)
+    assert durations.dtype == np.int64
+    assert sorted(durations.tolist()) == sorted(association_durations(triples))
+
+    ref_unique, ref_hits = v4_degree_counts(triples)
+    keys, unique, hits = degree_count_arrays(v4, v6)
+    assert keys.dtype == v4.dtype
+    assert unique.dtype == hits.dtype == np.int64
+    assert keys.tolist() == sorted(ref_unique)
+    assert unique.tolist() == [ref_unique[key] for key in keys.tolist()]
+    assert hits.tolist() == [ref_hits[key] for key in keys.tolist()]
+
+    keys, unique, _hits = degree_count_arrays(v6, v4)
+    assert keys.dtype == v6.dtype
+    reference = v6_degree_counts(triples)
+    assert [key << 64 for key in keys.tolist()] == sorted(reference)
+    assert unique.tolist() == [reference[key << 64] for key in keys.tolist()]
+
+    order = v6_day_v4_order(days, v4, v6)
+    expected = np.lexsort((v4, days, v6))
+    for column in (days, v4, v6):
+        assert np.array_equal(column[order], column[expected])
+
+
+@given(wide_pools, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_kernels_match_oracle_at_full_key_width(pools, narrow):
+    v6_pool, v4_pool, day_pool, seed = pools
+    for feed in _feeds(_pool_rows(v6_pool, v4_pool, day_pool, seed), seed):
+        _assert_matches_oracle(feed, narrow)
+
+
+@given(wide_pools, st.sampled_from(WIDE_V4_KEYS))
+@settings(max_examples=30, deadline=None)
+def test_kernels_match_oracle_with_a_v4_key_wider_than_32_bits(pools, wide_key):
+    v6_pool, v4_pool, day_pool, seed = pools
+    triples = _pool_rows(v6_pool, v4_pool + [wide_key], day_pool, seed)
+    triples.append((0, wide_key, v6_pool[0] << 64))
+    for feed in _feeds(triples, seed):
+        days, v4, v6 = columns_from_triples(feed)
+        assert _v6_day_v4_code(days, v4, v6) is None
+        _assert_matches_oracle(feed, narrow=False)
+
+
+def test_first_pass_sort_follows_the_input():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 1 << 63, 4000, dtype=np.uint64)
+    runs = np.concatenate([np.sort(part) for part in np.array_split(keys, 16)])
+    assert _sort_kind(runs) == "stable"
+    assert _sort_kind(keys) == "quicksort"

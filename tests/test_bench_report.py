@@ -20,6 +20,7 @@ from scripts.bench_report import (
     ChangeRunFailed,
     collect_runs,
     compare,
+    format_seconds,
     main,
 )
 
@@ -83,6 +84,18 @@ def test_stage_on_one_side_only_is_skipped():
     rows, failures = compare([_payload()], [_payload(report=5.0)])
     assert failures == []
     assert "report_fused" not in [row[0] for row in rows]
+
+
+def test_sub_second_stages_print_in_milliseconds():
+    # Per-call stages of a few ms must not all read 0.001s/0.006s.
+    rows, failures = compare(
+        [_payload(atlas=0.001234, cdn=0.0456)], [_payload(atlas=0.00125, cdn=0.3)]
+    )
+    assert ["build_atlas", "1.23ms", "1.25ms", "1.01x"] in rows
+    assert ["build_cdn", "45.6ms", "300ms", "6.58x"] in rows
+    assert failures == ["build_cdn regressed 6.58x: 45.6ms -> 300ms (tolerance 2.00x)",
+                        f"{END_TO_END} regressed 6.43x: 46.8ms -> 301ms (tolerance 2.00x)"]
+    assert format_seconds(12.0) == "12.000s"
 
 
 def test_end_to_end_sums_shared_stages():
