@@ -358,11 +358,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
         families = list(by_probe.values())
         v4_cols = anp.columns_from_runs([fam[4] for fam in families])
-        durations[4] = anp.duration_table(v4_cols).hours().astype(float).tolist()
-        v6_cols = anp.columns_from_runs([fam[6] for fam in families if fam[6]])
-        durations[6] = (
-            anp.duration_table(anp.rekey_v6_runs(v6_cols)).hours().astype(float).tolist()
-        )
+        v6_cols = anp.rekey_v6_runs(anp.columns_from_runs([fam[6] for fam in families if fam[6]]))
+        for family, cols in ((4, v4_cols), (6, v6_cols)):
+            _changes, exact, _ = anp.changes_and_durations(*cols.rows())
+            durations[family] = exact.hours().astype(float).tolist()
     else:
         for families in by_probe.values():
             for duration in sandwiched_durations(families[4]):

@@ -89,6 +89,11 @@ class RunColumns:
         """Probe index of every flat run (int64, one entry per run)."""
         return np.repeat(np.arange(self.n_probes, dtype=np.int64), self.run_counts())
 
+    def rows(self) -> Tuple[np.ndarray, ...]:
+        """``(probe, value_hi, value_lo, first, last)`` of every flat run:
+        the probe-sorted rows :func:`changes_and_durations` reads."""
+        return self.probe_of_run(), self.value_hi, self.value_lo, self.first, self.last
+
     def run_slice(self, start: int, stop: int) -> "RunColumns":
         """One-probe pack of the flat runs ``start:stop`` (views, no copy)."""
         return RunColumns(
@@ -257,20 +262,14 @@ def runs_from_columns(cols: RunColumns, probe_id: int, family: int) -> List[Echo
     ]
 
 
-def _first_run_mask(cols: RunColumns) -> np.ndarray:
-    """True at the first run of each (non-empty) probe slice."""
-    mask = np.zeros(cols.n_runs, dtype=bool)
-    counts = cols.run_counts()
-    mask[cols.offsets[:-1][counts > 0]] = True
-    return mask
-
-
-def _last_run_mask(cols: RunColumns) -> np.ndarray:
-    """True at the last run of each (non-empty) probe slice."""
-    mask = np.zeros(cols.n_runs, dtype=bool)
-    counts = cols.run_counts()
-    mask[cols.offsets[1:][counts > 0] - 1] = True
-    return mask
+def group_heads(*keys: np.ndarray) -> np.ndarray:
+    """True at each row whose key columns differ from the previous row's,
+    and at row 0: the starts of groups of equal adjacent keys."""
+    heads = np.ones(len(keys[0]), dtype=bool)
+    np.not_equal(keys[0][1:], keys[0][:-1], out=heads[1:])
+    for key in keys[1:]:
+        heads[1:] |= key[1:] != key[:-1]
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +308,8 @@ def rekey_v6_runs(cols: RunColumns, plen: int = 64) -> RunColumns:
             max_gap=cols.max_gap.copy(),
         )
 
-    probe_of = cols.probe_of_run()
-    same_as_previous = np.zeros(n, dtype=bool)
-    same_as_previous[1:] = (
-        (hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1]) & (probe_of[1:] == probe_of[:-1])
-    )
-    group_starts = np.flatnonzero(~same_as_previous)
+    heads = group_heads(cols.probe_of_run(), hi, lo)
+    group_starts = np.flatnonzero(heads)
     group_ends = np.append(group_starts[1:], n) - 1
 
     # Per-run max-gap candidate: the run's own internal gap, plus — when
@@ -322,9 +317,7 @@ def rekey_v6_runs(cols: RunColumns, plen: int = 64) -> RunColumns:
     # them (merge_adjacent_equal's max(pending.max_gap, run.max_gap, gap)).
     join_gap = np.zeros(n, dtype=np.int64)
     join_gap[1:] = cols.first[1:] - cols.last[:-1] - 1
-    candidate = np.where(
-        same_as_previous, np.maximum(cols.max_gap, join_gap), cols.max_gap
-    )
+    candidate = np.where(heads, cols.max_gap, np.maximum(cols.max_gap, join_gap))
 
     merged = RunColumns(
         offsets=np.searchsorted(group_starts, cols.offsets, side="left").astype(np.int64),
@@ -343,60 +336,80 @@ def rekey_v6_runs(cols: RunColumns, plen: int = 64) -> RunColumns:
 # ---------------------------------------------------------------------------
 
 
-def duration_table(
-    cols: RunColumns,
-    max_boundary_gap: int = 0,
-    max_internal_gap: Optional[int] = None,
-) -> DurationColumns:
-    """Columnar :func:`repro.core.changes.sandwiched_durations`.
+def changes_and_durations(
+    probe: np.ndarray,
+    value_hi: np.ndarray,
+    value_lo: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+    carry: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Tuple[ChangeColumns, DurationColumns, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Columnar :func:`repro.core.changes.changes_from_runs` and
+    :func:`~repro.core.changes.sandwiched_durations` over probe-sorted rows.
 
-    Returns the exact durations of all probes in probe-major run order —
-    the concatenation order of the per-probe reference output.
+    Rows are runs grouped by ``probe``, in time order within a group.
+    Every row after its group's head is a change from the row before it.
+    A row is "gap-ok" when a run of its track precedes it with a zero
+    boundary gap, so a track's first run never is; a row is an exact
+    duration when it is gap-ok and a gap-ok change follows it.
+
+    ``carry`` continues tracks folded earlier: per row, the runs its
+    track had seen up to and including it, and its gap-ok flag.  Only
+    head rows are read; a fresh first run has count 0 and flag False.
+    Without ``carry`` every head is its track's first run.
+
+    Returns the changes and durations in row order, and each group's
+    last row as ``(row, runs so far, gap-ok flag)``: what a later fold
+    carries.
     """
-    n = cols.n_runs
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return DurationColumns(probe_index=empty, start=empty.copy(), end=empty.copy())
-    sandwiched = ~_first_run_mask(cols) & ~_last_run_mask(cols)
-    gap_before = np.zeros(n, dtype=np.int64)
-    gap_before[1:] = cols.first[1:] - cols.last[:-1] - 1
-    gap_after = np.zeros(n, dtype=np.int64)
-    gap_after[:-1] = cols.first[1:] - cols.last[:-1] - 1
-    exact = sandwiched & (gap_before <= max_boundary_gap) & (gap_after <= max_boundary_gap)
-    if max_internal_gap is not None:
-        exact &= cols.max_gap <= max_internal_gap
-    index = np.flatnonzero(exact)
-    return DurationColumns(
-        probe_index=cols.probe_of_run()[index],
-        start=cols.first[index],
-        end=cols.last[index],
+    heads = group_heads(probe)
+    gap = np.zeros(len(probe), dtype=np.int64)
+    gap[1:] = first[1:] - last[:-1] - 1
+    gap_ok = np.where(heads, False if carry is None else carry[1], gap <= 0)
+    change = np.flatnonzero(~heads)
+    prev = change - 1
+    changes = ChangeColumns(
+        probe_index=probe[change],
+        hour=first[change],
+        old_hi=value_hi[prev],
+        old_lo=value_lo[prev],
+        new_hi=value_hi[change],
+        new_lo=value_lo[change],
+        boundary_gap=gap[change],
     )
+    exact = prev[gap_ok[prev] & gap_ok[change]]
+    durations = DurationColumns(probe_index=probe[exact], start=first[exact], end=last[exact])
+    starts = np.flatnonzero(heads)
+    # Row 0 is always a head, so the rolled mask marks each group's last row.
+    ends = np.flatnonzero(np.roll(heads, -1))
+    runs = ends - starts + (1 if carry is None else np.maximum(carry[0][starts], 1))
+    return changes, durations, (ends, runs, gap_ok[ends])
 
 
 # ---------------------------------------------------------------------------
 # Dual-stack coverage (dualstack.py semantics)
 # ---------------------------------------------------------------------------
 
+#: Share of an IPv4 duration's span that IPv6 must cover for the duration
+#: to be dual-stack (:func:`repro.core.dualstack.split_durations_by_stack`).
+MIN_V6_COVERAGE = 0.9
+
 
 def dual_stack_mask(
-    v6_cols: RunColumns,
-    durations: DurationColumns,
-    min_coverage: float = 0.9,
+    probe: np.ndarray, first: np.ndarray, last: np.ndarray, durations: DurationColumns
 ) -> np.ndarray:
     """Which durations are dual-stack — columnar
     :func:`repro.core.dualstack.split_durations_by_stack`.
 
-    A duration is dual-stack when the probe has IPv6 runs and their
-    observed hours cover at least ``min_coverage`` of the duration's
-    span.  ``durations.probe_index`` must index into ``v6_cols``'s probe
-    population.
+    ``(probe, first, last)`` are IPv6 intervals sorted by probe and
+    time, disjoint within a probe: a population's IPv6 runs, or their
+    merged union.  A duration is dual-stack when its probe's intervals
+    cover at least :data:`MIN_V6_COVERAGE` of its span; a probe without
+    IPv6 covers nothing.
     """
-    n_durations = durations.n_durations
-    if n_durations == 0:
-        return np.empty(0, dtype=bool)
-    has_v6 = (v6_cols.run_counts() > 0)[durations.probe_index]
-    if v6_cols.n_runs == 0:
-        return np.zeros(n_durations, dtype=bool)
+    n = len(first)
+    if not n or not durations.n_durations:
+        return np.zeros(durations.n_durations, dtype=bool)
 
     # Per-probe interval coverage via one global prefix-sum: encode
     # (probe, hour) pairs as strictly increasing integer keys so a
@@ -404,27 +417,21 @@ def dual_stack_mask(
     # duration endpoint at once.  Earlier probes' intervals land fully
     # in both endpoint queries of a later probe and cancel in the
     # difference.
-    first6 = v6_cols.first
-    last6 = v6_cols.last
-    probe6 = v6_cols.probe_of_run()
-    big = int(max(last6.max(), durations.end.max())) + 3
-    last_keys = probe6 * big + (last6 + 1)
-    first_keys = probe6 * big + (first6 + 1)
-    cumulative = np.zeros(v6_cols.n_runs + 1, dtype=np.int64)
-    np.cumsum(last6 - first6 + 1, out=cumulative[1:])
+    big = int(max(last.max(), durations.end.max())) + 3
+    last_keys = probe * big + (last + 1)
+    first_keys = probe * big + (first + 1)
+    cumulative = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(last - first + 1, out=cumulative[1:])
 
     def covered_up_to(x: np.ndarray) -> np.ndarray:
         query = durations.probe_index * big + (x + 1)
         position = np.searchsorted(last_keys, query, side="right")
-        clipped = np.minimum(position, v6_cols.n_runs - 1)
-        partial_mask = (position < v6_cols.n_runs) & (first_keys[clipped] <= query)
-        partial = np.where(partial_mask, x - first6[clipped] + 1, 0)
-        return cumulative[position] + partial
+        clipped = np.minimum(position, n - 1)
+        partial = (position < n) & (first_keys[clipped] <= query)
+        return cumulative[position] + np.where(partial, x - first[clipped] + 1, 0)
 
     covered = covered_up_to(durations.end) - covered_up_to(durations.start - 1)
-    span = durations.end - durations.start + 1
-    fraction = np.minimum(1.0, covered / span)
-    return has_v6 & (fraction >= min_coverage)
+    return np.minimum(1.0, covered / durations.hours()) >= MIN_V6_COVERAGE
 
 
 # ---------------------------------------------------------------------------
@@ -509,43 +516,62 @@ def detect_periods_np(
     return modes
 
 
-def probe_period_flags(
+#: :data:`~repro.core.periodicity.CANONICAL_PERIODS` as a float column.
+_PERIODS = np.array(CANONICAL_PERIODS, dtype=np.float64)
+#: Probe-exhibits-period thresholds
+#: (:func:`repro.core.periodicity.probe_exhibits_period`).
+_MIN_PERIOD_COUNT = 3
+_MIN_PERIOD_MASS = 0.5
+
+
+def period_tallies(
     durations: np.ndarray,
     probe_index: np.ndarray,
     n_probes: int,
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
     tolerance: float = 1.0,
-    min_mass: float = 0.5,
-    min_count: int = 3,
-) -> np.ndarray:
-    """Per-probe :func:`repro.core.periodicity.probe_exhibits_period`
-    over a whole population at once.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-probe periodicity tallies ``(total, count, mass)`` over the
+    canonical periods.
 
-    ``durations[k]`` belongs to probe ``probe_index[k]``; the result is a
-    ``(n_probes, len(candidate_periods))`` bool matrix whose ``[p, j]``
-    entry says probe ``p`` exhibits ``candidate_periods[j]``.  The mass
-    ratio is the reference's exact float expression (integral-valued
-    duration sums are exact under any summation order).
+    ``durations[k]`` belongs to probe ``probe_index[k]``.  ``total[p]``
+    sums probe ``p``'s duration hours; ``count[p, j]`` and ``mass[p, j]``
+    count and sum those within ``tolerance`` of period ``j``.  Tallies of
+    disjoint duration sets add up, so a stream can accumulate them fold
+    by fold.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
     durations = np.asarray(durations, dtype=np.float64)
     probe_index = np.asarray(probe_index, dtype=np.int64)
-    flags = np.zeros((n_probes, len(candidate_periods)), dtype=bool)
-    if len(durations) == 0:
-        return flags
-    totals = np.bincount(probe_index, weights=durations, minlength=n_probes)
-    for j, period in enumerate(candidate_periods):
-        in_mode = np.abs(durations - period) <= tolerance
-        counts = np.bincount(probe_index[in_mode], minlength=n_probes)
-        masses = np.bincount(
-            probe_index[in_mode], weights=durations[in_mode], minlength=n_probes
-        )
-        ratio = np.divide(
-            masses, totals, out=np.zeros(n_probes, dtype=np.float64), where=totals > 0
-        )
-        flags[:, j] = (counts >= min_count) & (ratio >= min_mass)
-    return flags
+    count = np.empty((n_probes, len(_PERIODS)), dtype=np.int64)
+    mass = np.empty((n_probes, len(_PERIODS)), dtype=np.float64)
+    for j, period in enumerate(_PERIODS):
+        near = np.abs(durations - period) <= tolerance
+        count[:, j] = np.bincount(probe_index[near], minlength=n_probes)
+        mass[:, j] = np.bincount(probe_index[near], weights=durations[near], minlength=n_probes)
+    return np.bincount(probe_index, weights=durations, minlength=n_probes), count, mass
+
+
+def probe_period_flags(total: np.ndarray, count: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Per-probe :func:`repro.core.periodicity.probe_exhibits_period`
+    from :func:`period_tallies`.
+
+    ``[p, j]`` says probe ``p`` exhibits canonical period ``j``.  The
+    mass ratio is the reference's exact float expression (integral-valued
+    duration sums are exact under any summation order).
+    """
+    total = np.asarray(total, dtype=np.float64)[:, None]
+    ratio = np.divide(mass, total, out=np.zeros(np.shape(mass)), where=total > 0)
+    return (count >= _MIN_PERIOD_COUNT) & (ratio >= _MIN_PERIOD_MASS)
+
+
+def consistent_period(flags: np.ndarray, min_probes: int) -> Optional[float]:
+    """The first canonical period at least ``min_probes`` rows of a
+    :func:`probe_period_flags` matrix exhibit (``None`` if there is none):
+    :func:`repro.core.periodicity.consistent_periodic_networks` for one
+    network."""
+    found = np.flatnonzero(np.count_nonzero(flags, axis=0) >= min_probes)
+    return float(_PERIODS[found[0]]) if len(found) else None
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +615,8 @@ def inferred_plen_counts_np(
     )
 
     order = np.lexsort((prefix_cols.value_lo, prefix_cols.value_hi, probe_of))
-    hi = prefix_cols.value_hi[order]
-    lo = prefix_cols.value_lo[order]
     probe = probe_of[order]
-    new_value = np.ones(prefix_cols.n_runs, dtype=bool)
-    new_value[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (probe[1:] != probe[:-1])
+    new_value = group_heads(probe, prefix_cols.value_hi[order], prefix_cols.value_lo[order])
     distinct = np.bincount(probe[new_value], minlength=prefix_cols.n_probes)[nonempty]
 
     eligible = distinct >= min_distinct
@@ -630,6 +653,26 @@ def cpl_of_changes(changes: ChangeColumns, plen: int = 64) -> np.ndarray:
         xor_hi != 0, 64 - _bit_length_u64(xor_hi), 128 - _bit_length_u64(xor_lo)
     )
     return np.minimum(cpl128, plen)
+
+
+def crossing_flags(
+    v4_changes: ChangeColumns, v6_changes: ChangeColumns, table, plen: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Table 2 flags of every change: ``(v4 /24, v4 BGP, v6 BGP)`` —
+    vectorized :func:`repro.core.spatial.crossing_rates`.
+
+    An IPv4 change crosses its /24 when the addresses differ above the
+    low 8 bits.  A change crosses BGP unless old and new value sit under
+    the same route of ``table`` (a :class:`~repro.bgp.table.RoutingTable`),
+    found in its cached flat index; /``plen`` IPv6 prefixes are keyed by
+    their upper 64 bits.
+    """
+    if plen > 64:
+        raise ValueError("crossing flags support plen <= 64 only")
+    diff24 = ((v4_changes.old_lo ^ v4_changes.new_lo) >> np.uint64(8)) != 0
+    bgp4 = table.route_index(4).crosses(v4_changes.old_lo, v4_changes.new_lo)
+    bgp6 = table.route_index(6, max_plen=plen).crosses(v6_changes.old_hi, v6_changes.new_hi)
+    return diff24, bgp4, bgp6
 
 
 # ---------------------------------------------------------------------------
@@ -700,19 +743,24 @@ class ProbeColumns:
 
 
 __all__ = [
+    "MIN_V6_COVERAGE",
     "ChangeColumns",
     "DurationColumns",
     "ProbeColumns",
     "RunColumns",
+    "changes_and_durations",
     "columns_from_runs",
     "concat_run_columns",
+    "consistent_period",
     "cpl_of_changes",
+    "crossing_flags",
     "cumulative_ttf_columns",
     "detect_periods_np",
     "dual_stack_mask",
-    "duration_table",
     "evaluate_cdf_columns",
+    "group_heads",
     "inferred_plen_counts_np",
+    "period_tallies",
     "probe_period_flags",
     "rekey_v6_runs",
     "runs_from_columns",

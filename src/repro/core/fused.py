@@ -1,16 +1,20 @@
 """Fused single-pass analysis engine over columnar run packs.
 
 Rather than walking the CSR run columns (:mod:`repro.core.analysis_np`)
-once per artifact, **one** cache-friendly traversal per address family
-computes every per-probe intermediate at once —
+once per artifact, **one** pass per address family computes every
+per-probe intermediate at once, with the run kernels the streaming
+engine shares —
 
-- change events *and* their boundary gaps (the run-gap array is shared
-  between the change table and the sandwiched-duration test),
-- exact sandwiched durations and their dual-stack split,
+- change events and exact sandwiched durations
+  (:func:`~repro.core.analysis_np.changes_and_durations`, no carry),
+  and the durations' dual-stack split
+  (:func:`~repro.core.analysis_np.dual_stack_mask`),
 - Eq. 1 total-time-fraction inputs (the duration-hour populations),
-- per-probe periodicity flags over the canonical candidate periods,
+- per-probe periodicity flags over the canonical periods
+  (:func:`~repro.core.analysis_np.period_tallies`),
 - CPL histogram contributions of the v6 prefix changes, and
-- /24 + BGP boundary-crossing flags per change (the routing-table
+- /24 + BGP boundary-crossing flags per change
+  (:func:`~repro.core.analysis_np.crossing_flags`; the routing-table
   interval index is built **once** per table, not once per AS).
 
 The result is a :class:`FusedProbeStats` struct-of-arrays covering the
@@ -36,7 +40,6 @@ import numpy as np
 
 from repro.bgp.table import RoutingTable
 from repro.core import analysis_np as anp
-from repro.core.periodicity import CANONICAL_PERIODS
 from repro.core.report import AsDurations, Figure1Series, Table1Row, figure1_series
 from repro.core.spatial import CplHistogram, CrossingRates
 from repro.obs import metric_inc, span
@@ -79,102 +82,31 @@ class FusedProbeStats:
         on the stats per table.
         """
         cached = self._crossings
-        if cached is not None and cached[0] is table:
-            return cached[1], cached[2], cached[3]
-        if self.plen > 64:
-            raise ValueError("fused crossings support plen <= 64 only")
-        ch4, ch6 = self.v4_changes, self.v6_changes
-        diff24 = ((ch4.old_lo ^ ch4.new_lo) >> np.uint64(8)) != 0
-        bgp4 = table.route_index(4).crosses(ch4.old_lo, ch4.new_lo)
-        bgp6 = table.route_index(6, max_plen=self.plen).crosses(ch6.old_hi, ch6.new_hi)
-        self._crossings = (table, diff24, bgp4, bgp6)
-        return diff24, bgp4, bgp6
+        if cached is None or cached[0] is not table:
+            flags = anp.crossing_flags(self.v4_changes, self.v6_changes, table, self.plen)
+            cached = self._crossings = (table, *flags)
+        return cached[1:]
 
-    def period_flags(
-        self,
-        candidate_periods: Sequence[float] = CANONICAL_PERIODS,
-        tolerance: float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def period_flags(self, tolerance: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
         """Per-probe periodicity flag matrices ``(v4 NDS, v6)``.
 
         Computed once over the global duration populations (cached per
-        knob set); per-network period detection reduces these rows, so
+        tolerance); per-network period detection reduces these rows, so
         N networks share one bincount pass instead of running one each.
         """
-        key = (tuple(candidate_periods), float(tolerance))
-        cached = self._period_flags.get(key)
+        cached = self._period_flags.get(float(tolerance))
         if cached is None:
             nds = ~self.v4_duration_dual
-            flags4 = anp.probe_period_flags(
-                self.v4_duration_hours[nds],
-                self.v4_durations.probe_index[nds],
-                self.n_probes,
-                candidate_periods,
-                tolerance,
+            cached = self._period_flags[float(tolerance)] = tuple(
+                anp.probe_period_flags(
+                    *anp.period_tallies(hours, probe_index, self.n_probes, tolerance)
+                )
+                for hours, probe_index in (
+                    (self.v4_duration_hours[nds], self.v4_durations.probe_index[nds]),
+                    (self.v6_duration_hours, self.v6_durations.probe_index),
+                )
             )
-            flags6 = anp.probe_period_flags(
-                self.v6_duration_hours,
-                self.v6_durations.probe_index,
-                self.n_probes,
-                candidate_periods,
-                tolerance,
-            )
-            cached = self._period_flags[key] = (flags4, flags6)
         return cached
-
-
-def _family_pass(
-    cols: anp.RunColumns,
-) -> Tuple[np.ndarray, anp.ChangeColumns, anp.DurationColumns]:
-    """One traversal over a packed family: change counts, the change
-    table and the exact sandwiched durations share a single run-gap
-    array and one pair of first/last-run masks."""
-    counts = np.diff(cols.offsets)
-    change_counts = np.maximum(counts - 1, 0)
-    n = cols.n_runs
-    if n == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_u = np.empty(0, dtype=np.uint64)
-        changes = anp.ChangeColumns(
-            probe_index=empty_i,
-            hour=empty_i.copy(),
-            old_hi=empty_u,
-            old_lo=empty_u.copy(),
-            new_hi=empty_u.copy(),
-            new_lo=empty_u.copy(),
-            boundary_gap=empty_i.copy(),
-        )
-        durations = anp.DurationColumns(
-            probe_index=empty_i.copy(), start=empty_i.copy(), end=empty_i.copy()
-        )
-        return change_counts, changes, durations
-    probe_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    first_mask = np.zeros(n, dtype=bool)
-    first_mask[cols.offsets[:-1][counts > 0]] = True
-    last_mask = np.zeros(n, dtype=bool)
-    last_mask[cols.offsets[1:][counts > 0] - 1] = True
-    # gap[k] = unobserved hours before run k; only within-probe entries
-    # are ever read (first runs are masked out of both consumers).
-    gap = np.zeros(n, dtype=np.int64)
-    gap[1:] = cols.first[1:] - cols.last[:-1] - 1
-    current = np.flatnonzero(~first_mask)
-    changes = anp.ChangeColumns(
-        probe_index=probe_of[current],
-        hour=cols.first[current],
-        old_hi=cols.value_hi[current - 1],
-        old_lo=cols.value_lo[current - 1],
-        new_hi=cols.value_hi[current],
-        new_lo=cols.value_lo[current],
-        boundary_gap=gap[current],
-    )
-    gap_after = np.zeros(n, dtype=np.int64)
-    gap_after[:-1] = gap[1:]
-    exact = ~first_mask & ~last_mask & (gap <= 0) & (gap_after <= 0)
-    index = np.flatnonzero(exact)
-    durations = anp.DurationColumns(
-        probe_index=probe_of[index], start=cols.first[index], end=cols.last[index]
-    )
-    return change_counts, changes, durations
 
 
 def fused_probe_stats(columns: anp.ProbeColumns) -> FusedProbeStats:
@@ -189,24 +121,25 @@ def fused_probe_stats(columns: anp.ProbeColumns) -> FusedProbeStats:
     def build() -> FusedProbeStats:
         with span("analysis/fused/pass", probes=columns.n_probes):
             metric_inc("analysis.fused.probes", columns.n_probes)
-            v4 = columns.v4()
-            v6_prefix = columns.v6_prefix()
-            counts4, changes4, durations4 = _family_pass(v4)
-            counts6, changes6, durations6 = _family_pass(v6_prefix)
-            duration_dual = anp.dual_stack_mask(columns.v6(), durations4)
+            v4, v6, v6_prefix = columns.v4(), columns.v6(), columns.v6_prefix()
+            changes4, durations4, _ = anp.changes_and_durations(*v4.rows())
+            changes6, durations6, _ = anp.changes_and_durations(*v6_prefix.rows())
+            duration_dual = anp.dual_stack_mask(
+                v6.probe_of_run(), v6.first, v6.last, durations4
+            )
             return FusedProbeStats(
                 plen=columns.plen,
                 n_probes=columns.n_probes,
                 asn=columns.asns(),
                 dual=columns.dual_flags(),
-                v4_change_counts=counts4,
-                v6_change_counts=counts6,
+                v4_change_counts=np.maximum(v4.run_counts() - 1, 0),
+                v6_change_counts=np.maximum(v6_prefix.run_counts() - 1, 0),
                 v4_changes=changes4,
                 v6_changes=changes6,
                 v4_durations=durations4,
                 v6_durations=durations6,
-                v4_duration_hours=(durations4.end - durations4.start + 1).astype(float),
-                v6_duration_hours=(durations6.end - durations6.start + 1).astype(float),
+                v4_duration_hours=durations4.hours().astype(float),
+                v6_duration_hours=durations6.hours().astype(float),
                 v4_duration_dual=duration_dual,
                 v6_cpl=anp.cpl_of_changes(changes6, columns.plen),
             )
@@ -329,7 +262,6 @@ def table2_from_stats(
 def network_periods_from_stats(
     stats: FusedProbeStats,
     sel: Optional[np.ndarray] = None,
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
     tolerance: float = 1.0,
     min_probes: int = 3,
 ) -> Tuple[Optional[float], Optional[float]]:
@@ -339,17 +271,12 @@ def network_periods_from_stats(
     outside the selection contributes no flags, so the per-AS counts
     equal re-running the detection over that AS's probes alone.
     """
-    flags4, flags6 = stats.period_flags(candidate_periods, tolerance)
     sel = _as_sel(stats, sel)
-
-    def first_period(flags: np.ndarray) -> Optional[float]:
-        exhibiting = flags[sel].sum(axis=0)
-        for j, period in enumerate(candidate_periods):
-            if int(exhibiting[j]) >= min_probes:
-                return float(period)
-        return None
-
-    return first_period(flags4), first_period(flags6)
+    flags4, flags6 = stats.period_flags(tolerance)
+    return (
+        anp.consistent_period(flags4[sel], min_probes),
+        anp.consistent_period(flags6[sel], min_probes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +321,6 @@ def fused_analysis_artifacts(
 def fused_network_periods(
     columns: anp.ProbeColumns,
     groups: Sequence[Tuple[str, int, str]],
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
     tolerance: float = 1.0,
     min_probes: int = 3,
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -413,7 +339,7 @@ def fused_network_periods(
             "analysis/fused/periodicity", network=name, probes=int(np.count_nonzero(sel))
         ):
             v4_period, v6_period = network_periods_from_stats(
-                stats, sel, candidate_periods, tolerance, min_probes
+                stats, sel, tolerance, min_probes
             )
         if v4_period is not None:
             v4_periods[name] = v4_period
@@ -424,7 +350,6 @@ def fused_network_periods(
 
 def periodic_networks_fused(
     probes_by_network: Dict[str, Sequence],
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
     tolerance: float = 1.0,
     min_probes: int = 3,
     columns_by_network: Optional[Dict[str, anp.ProbeColumns]] = None,
@@ -442,7 +367,7 @@ def periodic_networks_fused(
             "analysis/fused/periodicity", network=name, probes=stats.n_probes
         ):
             v4_period, v6_period = network_periods_from_stats(
-                stats, None, candidate_periods, tolerance, min_probes
+                stats, None, tolerance, min_probes
             )
         if v4_period is not None:
             v4_periods[name] = v4_period

@@ -33,7 +33,7 @@ from repro.core.changes import (
 )
 from repro.core.dualstack import split_durations_by_stack
 from repro.core.engine import resolve_engine as _resolve_engine
-from repro.core.periodicity import CANONICAL_PERIODS, consistent_periodic_networks
+from repro.core.periodicity import consistent_periodic_networks
 from repro.core.spatial import CplHistogram, CrossingRates, cpl_histogram, crossing_rates
 from repro.core.timefraction import (
     CANONICAL_GRID,
@@ -256,7 +256,6 @@ def figure5_for_as(
 
 def periodic_networks(
     probes_by_network: Dict[str, Sequence[SanitizedProbe]],
-    candidate_periods: Sequence[float] = CANONICAL_PERIODS,
     tolerance: float = 1.0,
     min_probes: int = 3,
     engine: Optional[str] = None,
@@ -265,7 +264,7 @@ def periodic_networks(
     """Consistent periodic renumbering per network (Section 3.2 text).
 
     Returns ``(v4_nds_periods, v6_periods)``: for each network, the
-    first candidate period exhibited by at least ``min_probes`` probes —
+    first canonical period exhibited by at least ``min_probes`` probes —
     over IPv4 non-dual-stack exact durations and IPv6 /64 prefix
     durations respectively; networks with no consistent period are
     absent.  The fused engine replaces the reference's per-probe
@@ -277,7 +276,6 @@ def periodic_networks(
     if _resolve_engine(engine) == "fused":
         return _fused.periodic_networks_fused(
             probes_by_network,
-            candidate_periods,
             tolerance,
             min_probes,
             columns_by_network,
@@ -300,13 +298,11 @@ def periodic_networks(
     return (
         consistent_periodic_networks(
             v4_nds,
-            candidate_periods=candidate_periods,
             tolerance=tolerance,
             min_probes=min_probes,
         ),
         consistent_periodic_networks(
             v6,
-            candidate_periods=candidate_periods,
             tolerance=tolerance,
             min_probes=min_probes,
         ),

@@ -32,11 +32,16 @@ the chunk's ``end_hour``; any IPv6 run that overlaps it has ``first <=
 end``, so in a ``first``-sorted stream it has already been folded.
 
 Each fold works per family on the chunk's rows stably sorted by probe,
-with each probe's carried row prepended: consecutive-row masks give the
-changes, counts, gaps and sandwiched durations of every track at once,
-and the changes are classified by one routing-index ``crosses`` call
-and one :func:`~repro.core.analysis_np.cpl_of_changes` call.  No python
-loop runs per run, track, probe or interval.
+with each probe's carried row prepended, and runs the batch engine's
+kernels from :mod:`repro.core.analysis_np`:
+:func:`~repro.core.analysis_np.changes_and_durations` with the carried
+rows' run counts and zero-gap flags gives every track's changes and
+sandwiched durations; :func:`~repro.core.analysis_np.crossing_flags`
+and :func:`~repro.core.analysis_np.cpl_of_changes` classify the
+changes; :func:`~repro.core.analysis_np.dual_stack_mask` splits the
+IPv4 durations over the merged coverage; and
+:func:`~repro.core.analysis_np.period_tallies` feeds the periodicity
+state.  No python loop runs per run, track, probe or interval.
 """
 
 from __future__ import annotations
@@ -63,10 +68,6 @@ STATE_VERSION = 3
 _PLEN = 64
 _N_CPL = _PLEN + 1  # CPL values 0..64
 
-#: Probe-exhibits-period thresholds (periodicity.py defaults).
-_MIN_PERIOD_COUNT = 3
-_MIN_PERIOD_MASS = 0.5
-
 #: Duration kinds of the sparse histogram, with their Figure 1 keys and labels.
 _V4_NDS, _V4_DS, _V6 = 0, 1, 2
 _KIND_KEYS = ("v4_nds", "v4_ds", "v6")
@@ -83,9 +84,9 @@ _HOURS_BITS = 32
 #:   value (IPv4 address or /64 upper bits), extent, and whether its
 #:   boundary gap before was zero (half of the sandwiched rule);
 #: * ``pend_*`` — the pending merged /64 run of each probe;
-#: * ``period_*`` — per track and probe, the total duration hours and
-#:   the count and hours of durations within tolerance of each period
-#:   (IPv4 non-dual-stack durations in row 0, IPv6 in row 1);
+#: * ``period_*`` — per track and probe, the summed
+#:   :func:`~repro.core.analysis_np.period_tallies` (IPv4
+#:   non-dual-stack durations in row 0, IPv6 in row 1);
 #: * ``cov_*`` — merged IPv6 coverage intervals, sorted by (probe, start);
 #: * ``hist_key``/``hist_count`` — the duration histogram, sorted keys
 #:   ``(network * 3 + kind) << 32 | hours``;
@@ -157,13 +158,6 @@ def routing_table_digest(table) -> str:
     return digest.hexdigest()
 
 
-def _heads(keys: np.ndarray) -> np.ndarray:
-    """True where a sorted key array starts a new run of equal keys."""
-    heads = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
-    return heads
-
-
 def _with_carry(carry: np.ndarray, carried: Sequence[np.ndarray], ref, *columns):
     """Rows of ``ref``/``columns`` with the ``carried`` row of each probe
     in ``carry`` prepended to that probe's rows, stably sorted by probe."""
@@ -195,8 +189,6 @@ class AtlasStreamEngine:
         table=None,
         min_probes: int = 3,
         tolerance: float = 1.0,
-        candidate_periods: Sequence[float] = CANONICAL_PERIODS,
-        min_coverage: float = 0.9,
     ) -> None:
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
@@ -204,8 +196,6 @@ class AtlasStreamEngine:
         self._table = table
         self._min_probes = min_probes
         self._tolerance = tolerance
-        self._periods = np.array([float(p) for p in candidate_periods], dtype=np.float64)
-        self._min_coverage = min_coverage
 
         asn_to_net = {net.asn: i for i, net in enumerate(manifest.networks)}
         self._net_of = np.array(
@@ -216,7 +206,7 @@ class AtlasStreamEngine:
         self._dims = {
             "F": 2,
             "P": self._n_probes,
-            "J": len(self._periods),
+            "J": len(CANONICAL_PERIODS),
             "N": len(manifest.networks),
             "C": _N_CPL,
             "X": 5,
@@ -243,8 +233,8 @@ class AtlasStreamEngine:
         return {
             "min_probes": self._min_probes,
             "tolerance": self._tolerance,
-            "periods": self._periods.tolist(),
-            "min_coverage": self._min_coverage,
+            "periods": list(CANONICAL_PERIODS),
+            "min_coverage": _anp.MIN_V6_COVERAGE,
             "table": routing_table_digest(self._table),
             "plen": _PLEN,
         }
@@ -258,22 +248,38 @@ class AtlasStreamEngine:
         decided, so every IPv6 run that overlaps one has arrived.
         """
         featured = self._net_of[chunk.ref] >= 0
-        exact = []
-        for row, family in enumerate((4, 6)):
+        runs = []
+        for family in (4, 6):
             rows = np.flatnonzero(featured & (chunk.family == family))
             rows = rows[np.argsort(chunk.ref[rows], kind="stable")]
             ref, first, last = chunk.ref[rows], chunk.first[rows], chunk.last[rows]
-            if row == 0:
-                runs = (ref, chunk.value_lo[rows], first, last)
+            if family == 4:
+                runs.append((ref, chunk.value_lo[rows], first, last))
             else:
                 self._merge_coverage(ref, first, last)
                 # The /64 of a 128-bit value is its upper half.
-                runs = self._merge_prefixes(ref, chunk.value_hi[rows], first, last)
-            exact.append(self._step_track(row, *runs))
+                runs.append(self._merge_prefixes(ref, chunk.value_hi[rows], first, last))
         self._runs_seen += len(chunk)
-        self._settle(*exact)
+        self._fold(*runs)
         self._prune_coverage(chunk.end_hour)
         self._next_chunk = chunk.index + 1
+
+    def _fold(self, v4_runs, v6_runs) -> None:
+        """Step both tracks, then count their changes and durations.
+
+        An IPv4 duration is dual-stack when the probe's IPv6 coverage
+        intervals cover enough of its span
+        (:func:`~repro.core.analysis_np.dual_stack_mask`).
+        """
+        changes4, durations4 = self._step_track(0, *v4_runs)
+        changes6, durations6 = self._step_track(1, *v6_runs)
+        self._record_changes(changes4, changes6)
+        dual = _anp.dual_stack_mask(self._cov_ref, self._cov_a, self._cov_b, durations4)
+        self._add_durations(
+            np.concatenate((np.where(dual, _V4_DS, _V4_NDS), np.full(durations6.n_durations, _V6))),
+            np.concatenate((durations4.probe_index, durations6.probe_index)),
+            np.concatenate((durations4.hours(), durations6.hours())),
+        )
 
     def _merge_coverage(self, ref, first, last) -> None:
         """Merge IPv6 runs into the coverage intervals.
@@ -308,11 +314,11 @@ class AtlasStreamEngine:
         """
         if not len(ref):
             return ref, prefix, first, last
-        carry = ref[_heads(ref)]
+        carry = ref[_anp.group_heads(ref)]
         carry = carry[self._pend_live[carry]]
         held = (self._pend_value[carry], self._pend_first[carry], self._pend_last[carry])
         ref, prefix, first, last = _with_carry(carry, held, ref, prefix, first, last)
-        starts = np.flatnonzero(_heads(ref) | _heads(prefix))
+        starts = np.flatnonzero(_anp.group_heads(ref, prefix))
         ends = np.append(starts[1:], len(ref)) - 1
         ref, prefix, first, last = ref[starts], prefix[starts], first[starts], last[ends]
         pending = np.append(ref[1:] != ref[:-1], True)
@@ -327,97 +333,59 @@ class AtlasStreamEngine:
     def _step_track(self, row: int, ref, value, first, last):
         """Append runs (sorted by probe, then time) to track ``row``.
 
-        Each probe's carried last run is prepended.  A row that follows
-        another row of its probe is a change; that previous row is an
-        exact duration when it was sandwiched — not its track's first
-        run, and zero boundary gaps on both sides.  Returns the exact
-        durations as ``(ref, start, end)``.
+        Each probe's carried last run is prepended, its runs so far and
+        gap-ok flag passed as the kernel's carry
+        (:func:`~repro.core.analysis_np.changes_and_durations`).  Returns
+        the kernel's changes and exact durations; each probe's last row
+        becomes its carried run.
         """
-        if not len(ref):
-            return ref, first, last
         count, values, firsts, lasts, gaps_ok = (
             getattr(self, f"_track_{name}")[row]
             for name in ("count", "value", "first", "last", "gap_ok")
         )
-        carry = ref[_heads(ref)]
+        carry = ref[_anp.group_heads(ref)]
         carry = carry[count[carry] > 0]
         fresh = len(ref)
-        ref, value, first, last, base, gap_ok = _with_carry(
+        ref, value, first, last, runs, gap_ok = _with_carry(
             carry,
             (values[carry], firsts[carry], lasts[carry], count[carry], gaps_ok[carry]),
             ref, value, first, last,
             np.zeros(fresh, dtype=np.int64), np.zeros(fresh, dtype=bool),
         )
-        heads = _heads(ref)
-        starts = np.flatnonzero(heads)
-        lengths = np.diff(np.append(starts, len(ref)))
-        # 1-based position of each row in its track.
-        runs = np.repeat(np.maximum(base[starts], 1) - starts, lengths) + np.arange(len(ref))
-        gap = np.zeros(len(ref), dtype=np.int64)
-        gap[1:] = first[1:] - last[:-1] - 1
-        gap_ok = np.where(heads, gap_ok, gap <= 0)
-        changes = np.flatnonzero(~heads)
-        prev = changes - 1
-        self._record_changes(row, ref[changes], value[prev], value[changes])
-        exact = prev[(runs[prev] >= 2) & gap_ok[prev] & (gap[changes] <= 0)]
-        ends = np.append(starts[1:], len(ref)) - 1
+        # IPv4 addresses are low words, /64 prefixes high words.
+        zero = np.zeros(len(ref), dtype=np.uint64)
+        hi, lo = (zero, value) if row == 0 else (value, zero)
+        changes, durations, (ends, runs, gap_ok) = _anp.changes_and_durations(
+            ref, hi, lo, first, last, carry=(runs, gap_ok)
+        )
         probes = ref[ends]
-        count[probes] = runs[ends]
+        count[probes] = runs
         values[probes] = value[ends]
         firsts[probes] = first[ends]
         lasts[probes] = last[ends]
-        gaps_ok[probes] = gap_ok[ends]
-        return ref[exact], first[exact], last[exact]
+        gaps_ok[probes] = gap_ok
+        return changes, durations
 
-    def _record_changes(self, row: int, ref, old, new) -> None:
-        """Classify one track row's changes and count them per network."""
-        if not len(ref):
-            return
+    def _record_changes(self, changes4, changes6) -> None:
+        """Count both tracks' changes per network: the CPL tallies of the
+        /64 changes and, given a routing table, the Table 2 tallies."""
         n_nets = self._dims["N"]
-        net = self._net_of[ref]
-
-        def per_net(mask=None):
-            return np.bincount(net if mask is None else net[mask], minlength=n_nets)
-
-        if row == 0:
-            self._crossings[:, 0] += per_net()
-            self._crossings[:, 1] += per_net(((old ^ new) >> np.uint64(8)) != 0)
-            if self._table is not None:
-                self._crossings[:, 2] += per_net(self._table.route_index(4).crosses(old, new))
-            return
-        # /64 values are upper halves; hours and gaps do not enter a CPL.
-        low, unused = np.zeros(len(ref), dtype=np.uint64), np.zeros(len(ref), dtype=np.int64)
-        changes = _anp.ChangeColumns(ref, unused, old, low, new, low, unused)
-        cpl = _anp.cpl_of_changes(changes, _PLEN).astype(np.int64)
+        net4 = self._net_of[changes4.probe_index]
+        net6 = self._net_of[changes6.probe_index]
+        cpl = _anp.cpl_of_changes(changes6, _PLEN).astype(np.int64)
         self._cpl_counts += np.bincount(
-            net * _N_CPL + cpl, minlength=n_nets * _N_CPL
+            net6 * _N_CPL + cpl, minlength=n_nets * _N_CPL
         ).reshape(n_nets, _N_CPL)
-        self._cpl_pairs = np.union1d(self._cpl_pairs, ref * _N_CPL + cpl)
-        self._crossings[:, 3] += per_net()
+        self._cpl_pairs = np.union1d(self._cpl_pairs, changes6.probe_index * _N_CPL + cpl)
         if self._table is not None:
-            index = self._table.route_index(6, max_plen=_PLEN)
-            self._crossings[:, 4] += per_net(index.crosses(old, new))
-
-    def _settle(self, v4_exact, v6_exact) -> None:
-        """Decide the IPv4 durations' dual-stack kind and count them and
-        the IPv6 durations in one histogram merge.
-
-        A duration is dual-stack when the probe's IPv6 coverage of its
-        span reaches ``min_coverage``.
-        """
-        ref, start, end = v4_exact
-        hours = end - start + 1
-        dual = np.minimum(1.0, self._covered(ref, start, end) / hours) >= self._min_coverage
-        v6_ref, v6_start, v6_end = v6_exact
-        self._add_durations(
-            np.concatenate((np.where(dual, _V4_DS, _V4_NDS), np.full(len(v6_ref), _V6))),
-            np.concatenate((ref, v6_ref)),
-            np.concatenate((hours, v6_end - v6_start + 1)),
-        )
+            diff24, bgp4, bgp6 = _anp.crossing_flags(changes4, changes6, self._table, _PLEN)
+            tallied = (net4, net4[diff24], net4[bgp4], net6, net6[bgp6])
+            for column, nets in enumerate(tallied):
+                self._crossings[:, column] += np.bincount(nets, minlength=n_nets)
 
     def _add_durations(self, kind, ref, hours) -> None:
         """Count durations into the histogram and, for IPv4
-        non-dual-stack and IPv6 ones, the period accumulators."""
+        non-dual-stack and IPv6 ones, the period tallies."""
         if not len(ref):
             return
         keys = ((self._net_of[ref] * 3 + kind) << _HOURS_BITS) | hours
@@ -429,51 +397,14 @@ class AtlasStreamEngine:
         ).astype(np.int64)
         periodic = kind != _V4_DS
         cell = (kind[periodic] == _V6) * self._n_probes + ref[periodic]
-        hours = hours[periodic]
-        n_cells, n_periods = 2 * self._n_probes, self._dims["J"]
-        # Integral float sums below 2**53 are exact, so bincount's
-        # float weights cast back to the same integers.
-        self._period_total += np.bincount(
-            cell, weights=hours, minlength=n_cells
-        ).astype(np.int64).reshape(self._period_total.shape)
-        near = np.abs(hours[:, None].astype(np.float64) - self._periods) <= self._tolerance
-        hit, period = np.nonzero(near)
-        cells = cell[hit] * n_periods + period
-        self._period_count += np.bincount(
-            cells, minlength=n_cells * n_periods
-        ).reshape(self._period_count.shape)
-        self._period_mass += np.bincount(
-            cells, weights=hours[hit], minlength=n_cells * n_periods
-        ).astype(np.int64).reshape(self._period_mass.shape)
-
-    # -- dual-stack classification --------------------------------------------
-
-    def _covered(self, ref, start, end) -> np.ndarray:
-        """Hours of ``[start, end]`` each probe's coverage intervals cover.
-
-        One prefix sum over all intervals, keyed ``probe * span + hour``
-        so a single ``searchsorted`` answers "covered hours up to x" for
-        every query; the intervals of earlier probes land in both
-        endpoint queries and cancel in the difference.
-        """
-        cov_ref, a, b = self._cov_ref, self._cov_a, self._cov_b
-        n = len(a)
-        if not n or not len(ref):
-            return np.zeros(len(ref), dtype=np.int64)
-        span = int(max(b.max(), end.max())) + 3
-        last_keys = cov_ref * span + b + 1
-        first_keys = cov_ref * span + a + 1
-        cumulative = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(b - a + 1, out=cumulative[1:])
-
-        def covered_up_to(x):
-            query = ref * span + x + 1
-            position = np.searchsorted(last_keys, query, side="right")
-            clipped = np.minimum(position, n - 1)
-            partial = (position < n) & (first_keys[clipped] <= query)
-            return cumulative[position] + np.where(partial, x - a[clipped] + 1, 0)
-
-        return covered_up_to(end) - covered_up_to(start - 1)
+        tallies = _anp.period_tallies(
+            hours[periodic], cell, 2 * self._n_probes, self._tolerance
+        )
+        # Integral float sums below 2**53 are exact, so the float tallies
+        # cast back to the same integers.
+        for name, tally in zip(("total", "count", "mass"), tallies):
+            state = getattr(self, f"_period_{name}")
+            state += tally.astype(np.int64).reshape(state.shape)
 
     def _prune_coverage(self, end_hour: int) -> None:
         """Drop coverage intervals no future IPv4 duration can overlap:
@@ -526,11 +457,12 @@ class AtlasStreamEngine:
         saved = self.state_dict()
         try:
             held = np.flatnonzero(self._pend_live)
-            ref, first, last = self._step_track(
-                1, held, self._pend_value[held], self._pend_first[held], self._pend_last[held]
-            )
             self._pend_live[:] = False
-            self._add_durations(np.full(len(ref), _V6), ref, last - first + 1)
+            none = held[:0]  # no IPv4 runs
+            self._fold(
+                (none, self._pend_value[none], none, none),
+                (held, self._pend_value[held], self._pend_first[held], self._pend_last[held]),
+            )
             return self._artifacts()
         finally:
             self.load_state(saved)
@@ -544,6 +476,12 @@ class AtlasStreamEngine:
         hist_hours = (self._hist_key & ((1 << _HOURS_BITS) - 1)).astype(np.float64)
         pair_ref, pair_cpl = np.divmod(self._cpl_pairs, _N_CPL)
         pair_net = self._net_of[pair_ref]
+        flags = [
+            _anp.probe_period_flags(
+                self._period_total[row], self._period_count[row], self._period_mass[row]
+            )
+            for row in (0, 1)
+        ]
         table1, table2, figure1, figure5 = {}, {}, {}, {}
         v4_periods: Dict[str, float] = {}
         v6_periods: Dict[str, float] = {}
@@ -575,31 +513,13 @@ class AtlasStreamEngine:
                 probes_by_cpl=_nonzero(np.bincount(pair_cpl[pair_net == net], minlength=_N_CPL)),
             )
             for row, periods in enumerate((v4_periods, v6_periods)):
-                period = self._consistent_period(row, mine)
+                period = _anp.consistent_period(flags[row][mine], self._min_probes)
                 if period is not None:
                     periods[info.name] = period
         analysis = AtlasAnalysis(
             engine="fused", table1=table1, table2=table2, figure1=figure1, figure5=figure5
         )
         return AtlasStreamResult(analysis=analysis, v4_periods=v4_periods, v6_periods=v6_periods)
-
-    def _consistent_period(self, row: int, mine: np.ndarray) -> Optional[float]:
-        """First candidate period exhibited by >= ``min_probes`` probes.
-
-        Replays the fused engine's per-network reduction of
-        :func:`repro.core.analysis_np.probe_period_flags` from the
-        integer accumulators: the mass ratio is the same exact float
-        division the kernel performs (integral sums < 2**53).
-        """
-        total = self._period_total[row][mine]
-        live = total > 0
-        counts = self._period_count[row][mine][live]
-        ratio = self._period_mass[row][mine][live] / total[live][:, None]
-        exhibiting = np.count_nonzero(
-            (counts >= _MIN_PERIOD_COUNT) & (ratio >= _MIN_PERIOD_MASS), axis=0
-        )
-        found = np.flatnonzero(exhibiting >= self._min_probes)
-        return float(self._periods[found[0]]) if len(found) else None
 
 
 def _nonzero(counts: np.ndarray) -> Dict[int, int]:

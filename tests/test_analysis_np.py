@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -178,24 +180,109 @@ def test_rekey_v6_runs_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kwargs", [
-    {},
-    {"max_boundary_gap": 2},
-    {"max_internal_gap": 1},
-    {"max_boundary_gap": 1, "max_internal_gap": 0},
-])
-def test_duration_table_matches_reference(seed, kwargs):
+def test_duration_table_matches_reference(seed):
     probes = _random_probes(seed)
     cols = anp.columns_from_runs([probe.v4_runs for probe in probes])
-    table = anp.duration_table(cols, **kwargs)
+    _changes, table, _ = anp.changes_and_durations(*cols.rows())
     expected = []
     for index, probe in enumerate(probes):
-        for duration in sandwiched_durations(probe.v4_runs, **kwargs):
+        for duration in sandwiched_durations(probe.v4_runs):
             expected.append((index, duration.start, duration.end))
     got = list(
         zip(table.probe_index.tolist(), table.start.tolist(), table.end.tolist())
     )
     assert got == expected
+
+
+@st.composite
+def _run_tables(draw):
+    """Per-probe IPv4 run series: empty and single-run probes, boundary
+    gaps of 0-2 hours, repeated values."""
+    probes = []
+    for probe in range(draw(st.integers(0, 5))):
+        runs, hour = [], draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 6))):
+            span = draw(st.integers(1, 4))
+            value = IPv4Address(draw(st.sampled_from(_V4_POOL[:4])))
+            runs.append(EchoRun(probe, 4, value, hour, hour + span - 1, span))
+            hour += span + draw(st.integers(0, 2))
+        probes.append(runs)
+    return probes
+
+
+def _kernel_rows(rows):
+    """``(probe, run)`` pairs as the kernel's row columns."""
+    probe = np.array([p for p, _ in rows], dtype=np.int64)
+    lo = np.array([int(run.value) for _, run in rows], dtype=np.uint64)
+    first = np.array([run.first for _, run in rows], dtype=np.int64)
+    last = np.array([run.last for _, run in rows], dtype=np.int64)
+    return probe, np.zeros(len(rows), dtype=np.uint64), lo, first, last
+
+
+def _change_set(changes) -> list:
+    return sorted(zip(
+        changes.probe_index.tolist(), changes.hour.tolist(), changes.old_lo.tolist(),
+        changes.new_lo.tolist(), changes.boundary_gap.tolist(),
+    ))
+
+
+def _duration_set(durations) -> list:
+    return sorted(zip(
+        durations.probe_index.tolist(), durations.start.tolist(), durations.end.tolist()
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(probes=_run_tables(), data=st.data())
+def test_changes_and_durations_carry_matches_one_pass(probes, data):
+    """Folding each probe's later runs with its earlier runs' carried
+    state gives the one-pass changes, durations and last-row state, and
+    both equal the pure-Python reference."""
+    cuts = [data.draw(st.integers(0, len(runs))) for runs in probes]
+    whole = [(p, run) for p, runs in enumerate(probes) for run in runs]
+    changes, durations, (ends, runs, gap_ok) = anp.changes_and_durations(*_kernel_rows(whole))
+    state = {whole[e][0]: (whole[e][1], n, ok) for e, n, ok in zip(ends, runs, gap_ok)}
+
+    head = [(p, run) for p, series in enumerate(probes) for run in series[:cuts[p]]]
+    head_changes, head_durations, (ends, runs, gap_ok) = anp.changes_and_durations(
+        *_kernel_rows(head)
+    )
+    carried = {head[e][0]: (head[e][1], n, ok) for e, n, ok in zip(ends, runs, gap_ok)}
+    tail, count, ok = [], [], []
+    for p, series in enumerate(probes):
+        if series[cuts[p]:] and p in carried:
+            run, n, flag = carried[p]
+            tail.append((p, run))
+            count.append(n)
+            ok.append(flag)
+        for run in series[cuts[p]:]:
+            tail.append((p, run))
+            count.append(0)
+            ok.append(False)
+    carry = (np.array(count, dtype=np.int64), np.array(ok, dtype=bool))
+    tail_changes, tail_durations, (ends, runs, gap_ok) = anp.changes_and_durations(
+        *_kernel_rows(tail), carry=carry
+    )
+    carried.update({tail[e][0]: (tail[e][1], n, ok) for e, n, ok in zip(ends, runs, gap_ok)})
+
+    assert sorted(_change_set(head_changes) + _change_set(tail_changes)) == (
+        _change_set(changes)
+    )
+    assert sorted(_duration_set(head_durations) + _duration_set(tail_durations)) == (
+        _duration_set(durations)
+    )
+    assert carried == state
+    assert _change_set(changes) == sorted(
+        (p, c.hour, int(c.old_value), int(c.new_value), c.boundary_gap)
+        for p, series in enumerate(probes) for c in changes_from_runs(series)
+    )
+    assert _duration_set(durations) == sorted(
+        (p, d.start, d.end)
+        for p, series in enumerate(probes) for d in sandwiched_durations(series)
+    )
+    assert {p: n for p, (_run, n, _ok) in state.items()} == {
+        p: len(series) for p, series in enumerate(probes) if series
+    }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -205,8 +292,8 @@ def test_dual_stack_mask_matches_reference(seed):
     v6_cols = anp.columns_from_runs(
         [probe.v6_runs for probe in probes], value_type=IPv6Address
     )
-    durations = anp.duration_table(v4_cols)
-    mask = anp.dual_stack_mask(v6_cols, durations)
+    _changes, durations, _ = anp.changes_and_durations(*v4_cols.rows())
+    mask = anp.dual_stack_mask(v6_cols.probe_of_run(), v6_cols.first, v6_cols.last, durations)
     hours = durations.hours().astype(float)
     np_dual = hours[mask].tolist()
     np_non_dual = hours[~mask].tolist()
@@ -312,7 +399,7 @@ def test_columns_from_runs_type_enforcement():
 def test_empty_population_kernels():
     cols = anp.columns_from_runs([])
     assert cols.n_probes == 0 and cols.n_runs == 0
-    assert anp.duration_table(cols).n_durations == 0
+    assert anp.changes_and_durations(*cols.rows())[1].n_durations == 0
     assert anp.rekey_v6_runs(cols).n_runs == 0
     stats = fused_probe_stats(anp.ProbeColumns([]))
     assert stats.v4_changes.n_changes == 0
@@ -411,7 +498,7 @@ def test_probe_period_flags_match_reference(seed):
     index = np.array(
         [p for p, durations in per_probe.items() for _ in durations], dtype=np.int64
     )
-    flags = anp.probe_period_flags(flat, index, len(per_probe))
+    flags = anp.probe_period_flags(*anp.period_tallies(flat, index, len(per_probe)))
     for position, period in enumerate(CANONICAL_PERIODS):
         for probe, durations in per_probe.items():
             assert flags[probe, position] == probe_exhibits_period(durations, period)

@@ -278,6 +278,30 @@ class TestAnalyze:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_engines_agree_on_v6_only_and_single_run_probes(self, tmp_path, capsys):
+        # Probe 2 reports only IPv6 (its IPv4 series is empty) and probe 3
+        # a single IPv4 run; the first two IPv6 runs share a /64 and merge.
+        def line(probe, family, value, first, last):
+            return json.dumps({"prb_id": probe, "af": family, "value": value,
+                               "first": first, "last": last, "observed": last - first + 1,
+                               "max_gap": 0}) + "\n"
+
+        v4 = ["192.0.2.1", "192.0.2.2", "198.51.100.3", "192.0.2.4", "192.0.2.5"]
+        v6 = ["2001:db8:0:1::1", "2001:db8:0:1::2", "2001:db8:0:2::1",
+              "2001:db8:0:3::1", "2001:db8:0:4::1"]
+        lines = [line(1, 4, value, 24 * k, 24 * k + 23) for k, value in enumerate(v4)]
+        lines += [line(2, 6, value, 12 * k, 12 * k + 11) for k, value in enumerate(v6)]
+        lines.append(line(3, 4, "203.0.113.9", 0, 500))
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(lines))
+        outputs = []
+        for engine in ("fused", "py"):
+            assert main(["analyze", "--input", str(runs), "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "probes: 3\n" in outputs[0]
+        assert "IPv4: n=3 " in outputs[0] and "IPv6 /64: n=2 " in outputs[0]
+
     def test_converted_hourly_records_are_named_not_traced_back(self, tmp_path, capsys):
         source = tmp_path / "raw.jsonl"
         source.write_text("".join(
