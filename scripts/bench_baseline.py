@@ -332,11 +332,15 @@ def _materialized_triple_bytes(tuples: int) -> int:
 def _store_parity(store, analysis) -> bool:
     """Does the out-of-core analysis match a single in-RAM columnar pass?
 
-    Concatenates every shard into one columnar array and recomputes all
-    artifacts with the stock kernels — the reference the sharded
-    sort/merge path must reproduce bit-identically.  Deliberately run
-    *outside* the RSS-gated region: this is the memory the store path
-    exists to avoid.
+    Concatenates every shard into one columnar array, shuffles its rows
+    (one seeded permutation, applied to each column in place) and
+    recomputes all artifacts with the stock kernels — the reference the
+    sharded sort/merge path must reproduce bit-identically.  The shards
+    are ``(v6, day, v4)``-sorted runs, so the two sides cross the /64
+    encodings wherever the shuffled feed's key count allows its hashed
+    code (at the check scale): ranked on the shards, hashed here.
+    Deliberately run *outside* the RSS-gated region: this is the memory
+    the store path exists to avoid.
     """
     import numpy as np
 
@@ -347,11 +351,14 @@ def _store_parity(store, analysis) -> bool:
     )
     from repro.core.delegation import trailing_zero_profile_np
 
-    days = np.concatenate(
-        [np.asarray(shard.days) for shard in store.iter_shards()]
-    ).astype(np.int64)
-    v4_keys = np.concatenate([np.asarray(shard.v4) for shard in store.iter_shards()])
-    v6_keys = np.concatenate([np.asarray(shard.v6) for shard in store.iter_shards()])
+    def shuffled(column):
+        rows = np.concatenate([np.asarray(getattr(shard, column)) for shard in store.iter_shards()])
+        np.random.default_rng(0).shuffle(rows)
+        return rows
+
+    days = shuffled("days").astype(np.int64)
+    v4_keys = shuffled("v4")
+    v6_keys = shuffled("v6")
     durations = association_durations_np(days, v4_keys, v6_keys)
     values, counts = np.unique(durations, return_counts=True)
     v4_ref = degree_count_arrays(v4_keys, v6_keys)

@@ -10,9 +10,9 @@ One harness per workload, each returning human-readable differences
   telemetry on);
 - :func:`stream_diffs` — chunked Atlas stream replay, with kill/resume,
   against the same oracle;
-- :func:`association_diffs` — the fused Figure 3 kernel, stream results
-  and the out-of-core store against the :mod:`repro.core.associations`
-  oracle;
+- :func:`association_diffs` — the fused Figure 3 kernel, the in-RAM
+  kernels on sorted and shuffled columns, stream results and the
+  out-of-core store against the :mod:`repro.core.associations` oracle;
 - :func:`serve_diffs` — served answers against the direct computation.
 
 :func:`cdn_scenario_diffs` compares two CDN scenario builds.
@@ -378,18 +378,59 @@ def association_diffs(
     the oracle.  A ``workers=2`` build with small spills and a
     compaction of two incrementally built halves must give the serial
     build's ``digest()``.
+
+    The in-RAM kernels (durations and both degree kernels) run on the
+    columns of ``triples`` as given and on a seeded shuffle of them, so
+    a sorted input's ranked /64 code and a shuffled one's hashed code
+    are both held to the oracle; input with a /64 key that has host
+    bits set cannot be packed into columns and skips this leg.
     """
-    from repro.core.associations import association_box_stats
+    from repro.core.associations import LOW64, association_box_stats
 
     materialized = list(triples)
     expected = _association_oracle(materialized)
     diffs: List[str] = []
     if materialized and association_box_stats(materialized, engine="fused") != expected["box"]:
         diffs.append("association_box_stats: fused entry point diverges from py reference")
+    if not any(triple[2] & LOW64 for triple in materialized):
+        diffs.extend(_inram_legs(materialized, expected))
     for index, result in enumerate(results):
         diffs.extend(_stream_result_diffs(result, expected, f"results[{index}]"))
     if directory is not None:
         diffs.extend(_store_legs(materialized, expected, Path(directory), shards, chunk_days))
+    return diffs
+
+
+def _inram_legs(materialized: list, expected: dict) -> List[str]:
+    """The in-RAM kernel legs of :func:`association_diffs`."""
+    from collections import Counter
+
+    import numpy as np
+
+    from repro.core.associations_np import (
+        association_durations_np,
+        columns_from_triples,
+        degree_count_arrays,
+    )
+
+    columns = columns_from_triples(materialized)
+    shuffle = np.random.default_rng(0).permutation(len(materialized))
+    diffs: List[str] = []
+    for label, (days, v4, v6) in (
+        ("in-RAM kernels", columns),
+        ("in-RAM kernels, shuffled", tuple(column[shuffle] for column in columns)),
+    ):
+        v4_keys, v4_unique, v4_hits = (a.tolist() for a in degree_count_arrays(v4, v6))
+        v6_keys, v6_unique, _hits = (a.tolist() for a in degree_count_arrays(v6, v4))
+        got = {
+            "durations": Counter(association_durations_np(days, v4, v6).tolist()),
+            "v4_unique": dict(zip(v4_keys, v4_unique)),
+            "v4_hits": dict(zip(v4_keys, v4_hits)),
+            "v6_degrees": {key << 64: count for key, count in zip(v6_keys, v6_unique)},
+        }
+        diffs.extend(_oracle_diffs(got, {field: expected[field] for field in got}, label))
+        if v4_keys != sorted(v4_keys) or v6_keys != sorted(v6_keys):
+            diffs.append(f"{label}: degree keys are not in ascending order")
     return diffs
 
 

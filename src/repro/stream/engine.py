@@ -160,7 +160,11 @@ def routing_table_digest(table) -> str:
 
 def _with_carry(carry: np.ndarray, carried: Sequence[np.ndarray], ref, *columns):
     """Rows of ``ref``/``columns`` with the ``carried`` row of each probe
-    in ``carry`` prepended to that probe's rows, stably sorted by probe."""
+    in ``carry`` prepended to that probe's rows, stably sorted by probe.
+    With nothing carried (every pass's first fold) the columns come back
+    as given."""
+    if not len(carry):
+        return (ref, *columns)
     order = np.argsort(np.concatenate((carry, ref)), kind="stable")
     return tuple(
         np.concatenate((held, column))[order]

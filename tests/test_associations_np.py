@@ -16,6 +16,8 @@ from repro.core.associations import (
     v6_degree_counts,
 )
 from repro.core.associations_np import (
+    _HASH_MULTIPLIER,
+    _hash_key_limit,
     _sort_kind,
     _v6_day_v4_code,
     association_durations_np,
@@ -24,6 +26,7 @@ from repro.core.associations_np import (
     degree_count_arrays,
     v6_day_v4_order,
 )
+from repro.obs import get_registry, telemetry
 
 triple_lists = st.lists(
     st.tuples(
@@ -77,6 +80,28 @@ class TestLargeRandomized:
         days, v4, v6 = columns_from_triples(triples)
         vectorized = Counter(int(x) for x in association_durations_np(days, v4, v6))
         assert vectorized == reference
+
+    def test_degree_kernels_on_a_shuffled_full_width_feed(self):
+        # 20k shuffled rows over 64-bit /64 words take the hashed code in
+        # both degree kernels: the /64 as secondary and as primary.
+        rng = random.Random(2)
+        v6_pool = [rng.randrange(1 << 64) for _ in range(3000)]
+        triples = [
+            (rng.randrange(150), rng.randrange(1 << 24) << 8, rng.choice(v6_pool) << 64)
+            for _ in range(20000)
+        ]
+        days, v4, v6 = columns_from_triples(triples)
+        assert _sort_kind(v6) == "quicksort"
+        ref_unique, ref_hits = v4_degree_counts(triples)
+        keys, unique, hits = degree_count_arrays(v4, v6)
+        assert keys.tolist() == sorted(ref_unique)
+        assert unique.tolist() == [ref_unique[key] for key in keys.tolist()]
+        assert hits.tolist() == [ref_hits[key] for key in keys.tolist()]
+        reference = v6_degree_counts(triples)
+        keys, unique, _hits = degree_count_arrays(v6, v4)
+        assert keys.dtype == v6.dtype
+        assert [key << 64 for key in keys.tolist()] == sorted(reference)
+        assert unique.tolist() == [reference[key << 64] for key in keys.tolist()]
 
     def test_percentiles_match_box_stats(self):
         rng = random.Random(1)
@@ -311,3 +336,105 @@ def test_first_pass_sort_follows_the_input():
     runs = np.concatenate([np.sort(part) for part in np.array_split(keys, 16)])
     assert _sort_kind(runs) == "stable"
     assert _sort_kind(keys) == "quicksort"
+
+
+def _kernel_calls(days, v4, v6):
+    association_durations_np(days, v4, v6)
+    degree_count_arrays(v4, v6)
+    degree_count_arrays(v6, v4)
+
+
+ENCODE_PATHS = ("packed", "hashed", "ranked", "lexsort")
+
+
+def _encode_counts():
+    registry = get_registry()
+    return {path: registry.counter("assoc.encode", path=path) for path in ENCODE_PATHS}
+
+
+def test_encode_paths_add_up_to_the_kernel_calls():
+    rng = random.Random(5)
+    v6_pool = [rng.randrange(1 << 63, 1 << 64) for _ in range(200)]
+    triples = [
+        (rng.randrange(120), rng.randrange(1 << 16) << 8, rng.choice(v6_pool) << 64)
+        for _ in range(2000)
+    ]
+    shuffled = columns_from_triples(triples)
+    order = np.lexsort((shuffled[1], shuffled[0], shuffled[2]))
+    in_v6_order = tuple(column[order] for column in shuffled)
+    with telemetry(True, reset=True):
+        _kernel_calls(*shuffled)
+        assert _encode_counts() == {"packed": 0, "hashed": 3, "ranked": 0, "lexsort": 0}
+    with telemetry(True, reset=True):
+        _kernel_calls(*in_v6_order)
+        assert _encode_counts() == {"packed": 0, "hashed": 0, "ranked": 3, "lexsort": 0}
+    with telemetry(True, reset=True):
+        calls = 0
+        for feed in (shuffled, in_v6_order):
+            _kernel_calls(*feed)
+            calls += 3
+        # Float keys never pack: the lexsort rung; small keys pack as they are.
+        degree_count_arrays(np.zeros(4), np.arange(4.0))
+        degree_count_arrays(np.arange(4, dtype=np.uint32), np.arange(4, dtype=np.uint32))
+        calls += 2
+        counts = _encode_counts()
+        assert counts["lexsort"] == 1 and counts["packed"] == 1
+        assert sum(counts.values()) == calls
+        assert get_registry().counter("assoc.encode.collisions") == 0
+
+
+def _colliding_words():
+    """Two full-width /64 words whose hashed codes agree at every width."""
+    # y * M = x * M + 1 (mod 2**64), which only sets bit 0 when x * M
+    # has it clear, so the two agree on their top 63 bits.
+    inverse = pow(int(_HASH_MULTIPLIER), -1, 1 << 64)
+    x = 0xFEDC_BA98_7654_3210
+    while (x * int(_HASH_MULTIPLIER)) % (1 << 64) & 1:
+        x += 1
+    y = (x + inverse) % (1 << 64)
+    for bits in range(1, 64):
+        assert (x * int(_HASH_MULTIPLIER)) % (1 << 64) >> (64 - bits) == (
+            (y * int(_HASH_MULTIPLIER)) % (1 << 64) >> (64 - bits)
+        )
+    return x, y
+
+
+def test_a_hash_collision_falls_back_to_the_rank():
+    x, y = _colliding_words()
+    rng = random.Random(9)
+    v6_pool = [x, y] + [rng.randrange(1 << 63, 1 << 64) for _ in range(30)]
+    triples = [
+        (rng.randrange(60), rng.randrange(40) << 8, rng.choice(v6_pool) << 64)
+        for _ in range(600)
+    ]
+    triples += [(0, 1 << 8, x << 64), (0, 1 << 8, y << 64)]
+    rng.shuffle(triples)
+    days, v4, v6 = columns_from_triples(triples)
+    descents = int(np.count_nonzero(v6[1:] < v6[:-1]))
+    assert descents >= 64 and _sort_kind(v6) == "quicksort"
+    with telemetry(True, reset=True):
+        _assert_matches_oracle(triples, narrow=False)
+        assert get_registry().counter("assoc.encode.collisions") == 3
+        assert _encode_counts()["ranked"] == 3
+        assert _encode_counts()["hashed"] == 0
+
+
+@pytest.mark.parametrize("rows", [1000, 4000])
+def test_too_many_keys_for_the_hash_bits_go_to_the_rank(rows):
+    # 32-bit /24 keys and a 65536-day span leave the duration code 16
+    # bits for the /64, too few for 300 keys (_hash_key_limit(16) == 64):
+    # 1000 rows count the distinct keys, 4000 rule them out by sample.
+    rng = random.Random(rows)
+    v6_pool = [rng.randrange(1 << 63, 1 << 64) for _ in range(300)]
+    triples = [
+        (rng.randrange(1 << 16), rng.randrange(1 << 24) << 8, rng.choice(v6_pool) << 64)
+        for _ in range(rows - 2)
+    ]
+    triples += [(0, 0xFFFFFF00, v6_pool[0] << 64), ((1 << 16) - 1, 0, v6_pool[1] << 64)]
+    days, v4, v6 = columns_from_triples(triples)
+    assert _sort_kind(v6) == "quicksort" and _hash_key_limit(64 - 16 - 32) == 64
+    with telemetry(True, reset=True):
+        durations = association_durations_np(days, v4, v6)
+        assert _encode_counts()["ranked"] == 1
+        assert get_registry().counter("assoc.encode.collisions") == 0
+    assert sorted(durations.tolist()) == sorted(association_durations(triples))

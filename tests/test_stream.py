@@ -447,3 +447,26 @@ def test_replay_parity_at_scale(tmp_path):
     assert stream_diffs(
         scenario, chunk_hours=(101, 2048), checkpoint_dir=tmp_path
     ) == []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_empty_carry_leaves_the_rows_as_the_stable_argsort_would(seed):
+    """``_with_carry`` skips the sort when nothing is carried; the rows
+    are those of the stable argsort of ``concat(carry, ref)``."""
+    from repro.stream.engine import _with_carry
+
+    rng = np.random.default_rng(seed)
+    ref = np.sort(rng.integers(0, 12, int(rng.integers(0, 40)))).astype(np.int64)
+    columns = (rng.integers(0, 1 << 62, len(ref), dtype=np.uint64), rng.random(len(ref)) < 0.5)
+    carry = ref[:0]
+    held = (columns[0][:0], columns[1][:0])
+    got = _with_carry(carry, held, ref, *columns)
+    order = np.argsort(np.concatenate((carry, ref)), kind="stable")
+    expected = [
+        np.concatenate((before, column))[order]
+        for before, column in zip((carry, *held), (ref, *columns))
+    ]
+    assert len(got) == len(expected)
+    for merged, want in zip(got, expected):
+        assert merged.dtype == want.dtype
+        assert np.array_equal(merged, want)

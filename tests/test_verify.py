@@ -117,6 +117,32 @@ def test_association_diffs_catches_a_v64_only_stream_sort(monkeypatch):
     assert association_diffs(triples, results=(fold_v4_descending(),)) == []
 
 
+def test_association_diffs_catches_a_hashed_v64_key_order_fault(monkeypatch):
+    from repro.core import associations_np
+
+    original = associations_np._hashed_code
+
+    def reversed_groups(keys, bits, kind):
+        # Name the hashed groups' keys in the wrong order: only a
+        # shuffled feed takes the hashed code, so only that leg diverges.
+        hashed = original(keys, bits, kind)
+        return None if hashed is None else (hashed[0], hashed[1], hashed[2][::-1])
+
+    rng = random.Random(7)
+    # /64 number i meets i + 1 distinct /24s, so every degree differs.
+    triples = [
+        (rng.randrange(40), rng.randrange(i + 1) << 8, (0x2001_0DB8 << 32 | i) << 64)
+        for i in range(9)
+        for _ in range(40)
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(associations_np, "_hashed_code", reversed_groups)
+        diffs = association_diffs(triples)
+    assert "in-RAM kernels, shuffled: v6_degrees diverges from the pure-Python oracle" in diffs
+    assert all(diff.startswith("in-RAM kernels, shuffled: ") for diff in diffs)
+    assert association_diffs(triples) == []
+
+
 def test_serve_diffs_catches_a_prefix_member_fault(monkeypatch):
     from repro.serve import engine
 
